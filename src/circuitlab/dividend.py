@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
+from scipy.linalg.blas import dtbsv
 from scipy.optimize import brentq
 
 __all__ = [
@@ -245,22 +246,6 @@ def jump_integral(v: np.ndarray, grid: np.ndarray, delta: float) -> np.ndarray:
     return out
 
 
-def _jump_integral_fast(v: np.ndarray, decay: float, w0: float, w1: float,
-                        h: float) -> np.ndarray:
-    """Vectorized scan of the same recurrence using cumulative products."""
-    n = len(v)
-    contrib = v[:-1] * w0 + (np.diff(v) / h) * w1
-    # acc_k = sum_{j<=k} contrib_j * decay^{k-j}
-    powers = decay ** np.arange(n - 1)
-    with np.errstate(divide="ignore", over="ignore", under="ignore"):
-        scaled = contrib / powers
-        acc = np.cumsum(scaled) * powers
-    out = np.empty(n)
-    out[0] = 0.0
-    out[1:] = acc
-    return out
-
-
 @dataclass
 class EquityValueGrid:
     grid: np.ndarray
@@ -359,27 +344,14 @@ def solve_variational(
 
 
 def _stable_jump_scan(v, decay, w0, w1, h):
-    """Jump integral scan; the vectorized cumulative form loses accuracy
-    when decay^n underflows, so long grids fall back to blockwise scans."""
-    n = len(v)
-    if decay ** (n - 1) > 1e-280:
-        return _jump_integral_fast(v, decay, w0, w1, h)
-    # block the recurrence so each cumulative product stays representable
-    block = max(int(-600.0 / math.log(decay)), 16)
-    out = np.empty(n)
-    out[0] = 0.0
-    acc = 0.0
-    slope = np.diff(v) / h
-    contrib = v[:-1] * w0 + slope * w1
-    for start in range(0, n - 1, block):
-        end = min(start + block, n - 1)
-        m = end - start
-        powers = decay ** np.arange(1, m + 1)
-        # acc carried in, then the in-block convolution
-        seg = contrib[start:end] / (powers / decay)
-        seg_sum = np.cumsum(seg) * (powers / decay)
-        out[start + 1:end + 1] = acc * powers + seg_sum
-        acc = out[end]
+    """Jump integral of a grid slice: the recurrence of ``jump_integral``,
+    acc_k = decay acc_{k-1} + c_k, run as forward substitution on the unit
+    lower-bidiagonal system with -decay below the diagonal (one BLAS call;
+    no power of decay is formed, so long grids cannot underflow)."""
+    band = np.ones((2, len(v) - 1), order="F")
+    band[1] = -decay
+    out = np.zeros(len(v))
+    out[1:] = dtbsv(1, band, v[:-1] * w0 + (np.diff(v) / h) * w1, lower=1)
     return out
 
 

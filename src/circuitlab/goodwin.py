@@ -19,7 +19,8 @@ import warnings
 
 import numpy as np
 
-from .rng import PathNoise, RngStream
+from .rng import RngStream
+from .sde import employment_drift, euler_paths
 
 __all__ = ["GoodwinParams", "GoodwinState", "GoodwinResult",
            "classical_drift", "regularized_drift", "conservation",
@@ -95,11 +96,14 @@ FIG2_PARAMS = replace(FIG1_PARAMS, omega=0.005)
 FIG3_PARAMS = replace(FIG2_PARAMS, sigma_s=0.015, sigma_lambda=0.005)
 
 
+def _drift(s, lam, params: GoodwinParams, regularized: bool):
+    """Drift of (s_w, lambda_w) on floats or path arrays: growth c - d*s_w."""
+    return employment_drift(s, lam, params.c - params.d * s, params, regularized)
+
+
 def classical_drift(state: GoodwinState, params: GoodwinParams) -> tuple[float, float]:
     """Time derivative of (s_w, lambda_w) for the unregularized system."""
-    ds = -(params.a - params.b * state.lambda_w) * state.s_w
-    dl = (params.c - params.d * state.s_w) * state.lambda_w
-    return ds, dl
+    return _drift(state.s_w, state.lambda_w, params, regularized=False)
 
 
 def _check_interior(state: GoodwinState) -> None:
@@ -112,9 +116,7 @@ def _check_interior(state: GoodwinState) -> None:
 def regularized_drift(state: GoodwinState, params: GoodwinParams) -> tuple[float, float]:
     """Drift with barrier terms omega/lambda_u and omega/s_f added."""
     _check_interior(state)
-    ds = -(params.a - params.b * state.lambda_w - params.omega / state.lambda_u) * state.s_w
-    dl = (params.c - params.d * state.s_w - params.omega / state.s_f) * state.lambda_w
-    return ds, dl
+    return _drift(state.s_w, state.lambda_w, params, regularized=True)
 
 
 def conservation(state: GoodwinState, params: GoodwinParams, regularized: bool = False) -> float:
@@ -194,65 +196,11 @@ def simulate(
         raise ValueError("horizon must be positive")
     if regularized is None:
         regularized = params.omega > 0
-    stochastic = params.sigma_s > 0 or params.sigma_lambda > 0
-    if (regularized or stochastic) and not (
-        0 < initial.s_w < 1 and 0 < initial.lambda_w < 1
-    ):
-        raise ValueError("initial state must be interior for regularized/stochastic runs")
-
-    n_steps = int(round(horizon / dt))
-    rec_idx = np.arange(0, n_steps + 1, record_stride)
-    if rec_idx[-1] != n_steps:
-        rec_idx = np.append(rec_idx, n_steps)
-    t = rec_idx * dt
-    s_rec = np.empty((len(rec_idx), paths))
-    lam_rec = np.empty((len(rec_idx), paths))
-    s = np.full(paths, float(initial.s_w))
-    lam = np.full(paths, float(initial.lambda_w))
-    s_rec[0], lam_rec[0] = s, lam
-    next_rec = 1
-
-    noise = PathNoise(stream or RngStream(0), paths) if stochastic else None
-    sqdt = math.sqrt(dt)
-    clamped = 0
-    lo, hi = clamp_eps, 1.0 - clamp_eps
-    s_min = s_max = float(initial.s_w)
-    l_min = l_max = float(initial.lambda_w)
-    chunk = 4096
-
-    k = 0
-    while k < n_steps:
-        block = min(chunk, n_steps - k)
-        z = noise.normals(block, 2) if stochastic else None
-        for j in range(block):
-            if regularized:
-                ds = -(params.a - params.b * lam - params.omega / (1.0 - lam)) * s
-                dl = (params.c - params.d * s - params.omega / (1.0 - s)) * lam
-            else:
-                ds = -(params.a - params.b * lam) * s
-                dl = (params.c - params.d * s) * lam
-            s_next = s + ds * dt
-            l_next = lam + dl * dt
-            if stochastic:
-                s_next += params.sigma_s * np.sqrt(
-                    np.clip(s * (1.0 - s), 0.0, None)) * sqdt * z[j, 0]
-                l_next += params.sigma_lambda * np.sqrt(
-                    np.clip(lam * (1.0 - lam), 0.0, None)) * sqdt * z[j, 1]
-            if regularized or stochastic:
-                out = (s_next < lo) | (s_next > hi) | (l_next < lo) | (l_next > hi)
-                clamped += int(out.sum())
-                s_next = np.clip(s_next, lo, hi)
-                l_next = np.clip(l_next, lo, hi)
-            s, lam = s_next, l_next
-            k += 1
-            s_min = min(s_min, float(s.min()))
-            s_max = max(s_max, float(s.max()))
-            l_min = min(l_min, float(lam.min()))
-            l_max = max(l_max, float(lam.max()))
-            if next_rec < len(rec_idx) and k == rec_idx[next_rec]:
-                s_rec[next_rec], lam_rec[next_rec] = s, lam
-                next_rec += 1
-
-    return GoodwinResult(t=t, s_w=s_rec, lambda_w=lam_rec,
-                         clamp_events=clamped, total_steps=n_steps * paths,
-                         s_range=(s_min, s_max), lambda_range=(l_min, l_max))
+    run = euler_paths(
+        lambda s, lam: _drift(s, lam, params, regularized),
+        (initial.s_w, initial.lambda_w), horizon, dt, paths, stream,
+        (params.sigma_s, params.sigma_lambda), regularized, clamp_eps, record_stride)
+    s_rec, lam_rec = run.records
+    return GoodwinResult(t=run.t, s_w=s_rec, lambda_w=lam_rec,
+                         clamp_events=run.clamp_events, total_steps=run.total_steps,
+                         s_range=run.s_range, lambda_range=run.lambda_range)

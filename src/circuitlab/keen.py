@@ -9,7 +9,6 @@ crossing time.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Callable
 import warnings
@@ -17,7 +16,8 @@ import warnings
 import numpy as np
 
 from .goodwin import GoodwinParams
-from .rng import PathNoise, RngStream
+from .rng import RngStream
+from .sde import employment_drift, euler_paths
 
 __all__ = ["KeenParams", "KeenState", "KeenResult", "profit_function",
            "keen_drift", "simulate", "FIG4_PARAMS", "FIG5_PARAMS", "FIG6_PARAMS"]
@@ -64,17 +64,35 @@ FIG5_PARAMS = replace(FIG4_PARAMS, omega=0.005)
 FIG6_PARAMS = replace(FIG5_PARAMS, sigma_s=0.005, sigma_lambda=0.005)
 
 
+def _capped_profit(x, params: KeenParams, exp_cap: float):
+    """f(x) = p + exp(min(q*x + r, exp_cap)) and the uncapped exponent."""
+    arg = params.q * x + params.r
+    return params.p + np.exp(np.minimum(arg, exp_cap)), arg
+
+
 def profit_function(x, params: KeenParams, exp_cap: float = EXP_CAP_DEFAULT):
     """Net-profit response f(x) = p + exp(q*x + r), exponent capped against overflow."""
-    arg = params.q * np.asarray(x, dtype=float) + params.r
+    out, arg = _capped_profit(np.asarray(x, dtype=float), params, exp_cap)
     if np.any(arg > exp_cap):
         warnings.warn(
             f"profit exponent capped at {exp_cap} (max arg {np.max(arg):.3g})",
             stacklevel=2,
         )
-        arg = np.minimum(arg, exp_cap)
-    out = params.p + np.exp(arg)
     return float(out) if np.isscalar(x) else out
+
+
+def _profit_share(s, g, params: KeenParams):
+    """Net profit share after interest, s_f - r_l Gamma_f / nu_f: the argument of f."""
+    return (1.0 - s) - params.r_l * g / params.nu_f
+
+
+def _drift(s, lam, g, fx, params: KeenParams, regularized: bool, with_nu_factor: bool):
+    """Drift of (s_w, lambda_w, Gamma_f) on floats or path arrays, given fx = f(.)."""
+    scaled = params.nu_f * fx if with_nu_factor or not regularized else fx
+    ds, dl = employment_drift(s, lam, scaled - params.c, params, regularized)
+    dg = (params.r_l - params.nu_f * fx + params.d) * g \
+        + params.nu_f * (fx - (1.0 - s))
+    return ds, dl, dg
 
 
 def keen_drift(
@@ -94,20 +112,10 @@ def keen_drift(
     """
     s, lam, g = state.s_w, state.lambda_w, state.gamma_f
     f = profit_fn if profit_fn is not None else (lambda x: profit_function(x, params))
-    fx = f((1.0 - s) - params.r_l * g / params.nu_f)
-    if regularized:
-        if not (0 < s < 1 and 0 < lam < 1):
-            raise ValueError("regularized drift requires interior (s_w, lambda_w)")
-        ds = -(params.a - params.b * lam - params.omega / (1.0 - lam)) * s
-        growth = (params.nu_f * fx if with_nu_factor else fx) - params.c \
-            - params.omega / (1.0 - s)
-    else:
-        ds = -(params.a - params.b * lam) * s
-        growth = params.nu_f * fx - params.c
-    dl = growth * lam
-    dg = (params.r_l - params.nu_f * fx + params.d) * g \
-        + params.nu_f * (fx - (1.0 - s))
-    return ds, dl, dg
+    fx = f(_profit_share(s, g, params))
+    if regularized and not (0 < s < 1 and 0 < lam < 1):
+        raise ValueError("regularized drift requires interior (s_w, lambda_w)")
+    return _drift(s, lam, g, fx, params, regularized, with_nu_factor)
 
 
 def goodwin_equivalent(params: KeenParams) -> GoodwinParams:
@@ -160,86 +168,16 @@ def simulate(
         raise ValueError("dt and horizon must be positive")
     if regularized is None:
         regularized = params.omega > 0
-    stochastic = params.sigma_s > 0 or params.sigma_lambda > 0
-    if (regularized or stochastic) and not (
-        0 < initial.s_w < 1 and 0 < initial.lambda_w < 1
-    ):
-        raise ValueError("initial state must be interior for regularized/stochastic runs")
 
-    n_steps = int(round(horizon / dt))
-    rec_idx = np.arange(0, n_steps + 1, record_stride)
-    if rec_idx[-1] != n_steps:
-        rec_idx = np.append(rec_idx, n_steps)
-    t = rec_idx * dt
-    s_rec = np.empty((len(rec_idx), paths))
-    lam_rec = np.empty((len(rec_idx), paths))
-    g_rec = np.empty((len(rec_idx), paths))
-    s = np.full(paths, float(initial.s_w))
-    lam = np.full(paths, float(initial.lambda_w))
-    g = np.full(paths, float(initial.gamma_f))
-    s_rec[0], lam_rec[0], g_rec[0] = s, lam, g
-    next_rec = 1
+    def drift(s, lam, g):
+        fx, _ = _capped_profit(_profit_share(s, g, params), params, EXP_CAP_DEFAULT)
+        return _drift(s, lam, g, fx, params, regularized, with_nu_factor)
 
-    noise = PathNoise(stream or RngStream(0), paths) if stochastic else None
-    sqdt = math.sqrt(dt)
-    lo, hi = clamp_eps, 1.0 - clamp_eps
-    clamped = 0
-    s_min = s_max = float(initial.s_w)
-    l_min = l_max = float(initial.lambda_w)
-    minsky = np.full(paths, np.nan)
-    alive = np.ones(paths, dtype=bool)
-    chunk = 4096
-
-    k = 0
-    while k < n_steps:
-        block = min(chunk, n_steps - k)
-        z = noise.normals(block, 2) if stochastic else None
-        for j in range(block):
-            arg = (1.0 - s) - params.r_l * g / params.nu_f
-            fx = params.p + np.exp(np.minimum(params.q * arg + params.r, EXP_CAP_DEFAULT))
-            if regularized:
-                ds = -(params.a - params.b * lam - params.omega / (1.0 - lam)) * s
-                growth = (params.nu_f * fx if with_nu_factor else fx) - params.c \
-                    - params.omega / (1.0 - s)
-            else:
-                ds = -(params.a - params.b * lam) * s
-                growth = params.nu_f * fx - params.c
-            dl = growth * lam
-            dg = (params.r_l - params.nu_f * fx + params.d) * g \
-                + params.nu_f * (fx - (1.0 - s))
-            s_next = s + ds * dt
-            l_next = lam + dl * dt
-            g_next = g + dg * dt
-            if stochastic:
-                s_next += params.sigma_s * np.sqrt(
-                    np.clip(s * (1.0 - s), 0.0, None)) * sqdt * z[j, 0]
-                l_next += params.sigma_lambda * np.sqrt(
-                    np.clip(lam * (1.0 - lam), 0.0, None)) * sqdt * z[j, 1]
-            if regularized or stochastic:
-                out = alive & ((s_next < lo) | (s_next > hi)
-                               | (l_next < lo) | (l_next > hi))
-                clamped += int(out.sum())
-                s_next = np.clip(s_next, lo, hi)
-                l_next = np.clip(l_next, lo, hi)
-            # frozen (post-Minsky) paths keep their last state
-            s = np.where(alive, s_next, s)
-            lam = np.where(alive, l_next, lam)
-            g = np.where(alive, g_next, g)
-            k += 1
-            blown = alive & (g > gamma_cap)
-            if np.any(blown):
-                minsky[blown] = k * dt
-                alive &= ~blown
-            if np.any(alive):
-                s_min = min(s_min, float(s[alive].min()))
-                s_max = max(s_max, float(s[alive].max()))
-                l_min = min(l_min, float(lam[alive].min()))
-                l_max = max(l_max, float(lam[alive].max()))
-            if next_rec < len(rec_idx) and k == rec_idx[next_rec]:
-                s_rec[next_rec], lam_rec[next_rec], g_rec[next_rec] = s, lam, g
-                next_rec += 1
-
-    return KeenResult(t=t, s_w=s_rec, lambda_w=lam_rec, gamma_f=g_rec,
-                      clamp_events=clamped, total_steps=n_steps * paths,
-                      s_range=(s_min, s_max), lambda_range=(l_min, l_max),
-                      minsky_times=minsky)
+    run = euler_paths(drift, (initial.s_w, initial.lambda_w, initial.gamma_f),
+                      horizon, dt, paths, stream, (params.sigma_s, params.sigma_lambda),
+                      regularized, clamp_eps, record_stride, cap=gamma_cap)
+    s_rec, lam_rec, g_rec = run.records
+    return KeenResult(t=run.t, s_w=s_rec, lambda_w=lam_rec, gamma_f=g_rec,
+                      clamp_events=run.clamp_events, total_steps=run.total_steps,
+                      s_range=run.s_range, lambda_range=run.lambda_range,
+                      minsky_times=run.cap_times)

@@ -21,6 +21,7 @@ from typing import Literal
 import numpy as np
 
 from .rng import PathNoise, RngStream
+from .sde import employment_drift, jacobi, noise_rows, record_index
 
 __all__ = [
     "MmcParams", "MmcState", "MmcDerived", "MmcResult",
@@ -287,6 +288,68 @@ def derived_quantities(state: MmcState, params: MmcParams,
     )
 
 
+STOCK_NAMES = ("c_r", "d_r", "l_r", "d_f", "l_f", "k_f", "k_b",
+               "theta_w", "n_w", "s_w", "lambda_w")
+# components loaded with noise, in the order of the simulator's normals
+NOISE_NAMES = ("c_r", "k_f", "s_w", "lambda_w")
+
+
+def _output(c_r, u, s_w):
+    """Uncapped production Y_f = C_r / ((1 - upsilon_f) s_f)."""
+    return c_r / ((1.0 - u) * (1.0 - s_w))
+
+
+def _flows(x, u, p: MmcParams):
+    """Drifts of the eleven components at investment propensity u.
+
+    x maps STOCK_NAMES to floats or path arrays.  Returns (drift,
+    capital_ok, unmet, capacity_capped): new-loan creation, the (-CF)^+
+    terms, runs only while K_b > nu_b (L_r + L_f), and the suppressed
+    increment is the unmet financing demand."""
+    c_r, l_r, l_f, k_f = x["c_r"], x["l_r"], x["l_f"], x["k_f"]
+    ni_r = net_interest(x["d_r"], l_r, p)
+    ni_f = net_interest(x["d_f"], l_f, p)
+    loans = l_r + l_f
+    capital_ok = p.nu_b * loans - x["k_b"] < 0.0
+
+    rentier_income = p.delta_bb * ni_r + (p.delta_rf - p.delta_rb) * ni_f
+    base = (p.delta_ff - u) * c_r / (1.0 - u)
+    cf_r = rentier_income - p.delta_rb * p.xi_delta * loans - base
+    cf_f = p.delta_ff * ni_f + base
+    new_l_r = np.maximum(-cf_r, 0.0)
+    new_l_f = np.maximum(-cf_f, 0.0)
+    unmet = np.where(capital_ok, 0.0, new_l_r + new_l_f)
+    c_bar = (p.alpha0 * (rentier_income + p.delta_rf * c_r / (1.0 - u))
+             + p.alpha1 * p.nu_f * k_f)
+    ds, dl = employment_drift(x["s_w"], x["lambda_w"],
+                              u * c_r / ((1.0 - u) * p.nu_f * k_f) - p.c, p,
+                              regularized=True)
+    drift = {
+        "c_r": p.kappa_c * (c_bar - c_r),
+        "d_r": np.maximum(cf_r, 0.0),
+        "l_r": -p.xi_delta * l_r + np.where(capital_ok, new_l_r, 0.0),
+        "d_f": np.maximum(cf_f, 0.0),
+        "l_f": -p.xi_delta * l_f + np.where(capital_ok, new_l_f, 0.0),
+        "k_f": u * c_r / (1.0 - u) - p.xi_a * k_f,
+        "k_b": -p.delta_bb * (p.xi_delta * loans + ni_r + ni_f),
+        "theta_w": p.alpha * x["theta_w"],
+        "n_w": p.beta * x["n_w"],
+        "s_w": ds,
+        "lambda_w": dl,
+    }
+    return drift, capital_ok, unmet, _output(c_r, u, x["s_w"]) > p.nu_f * k_f
+
+
+def _diffusion(x, p: MmcParams):
+    """Noise loadings of the NOISE_NAMES components."""
+    return {
+        "c_r": p.sigma_c * x["c_r"],
+        "k_f": p.sigma_k * x["k_f"],
+        "s_w": p.sigma_s * jacobi(x["s_w"]),
+        "lambda_w": p.sigma_lambda * jacobi(x["lambda_w"]),
+    }
+
+
 @dataclass
 class MmcDrift:
     drift: dict[str, float]
@@ -305,60 +368,13 @@ def mmc_drift_and_diffusion(state: MmcState, params: MmcParams,
     whenever K_b <= nu_b (L_r + L_f); the suppressed increment is reported
     as unmet financing demand.
     """
-    p = params
-    u = solve_upsilon(state, p) if upsilon is None else upsilon
-    ni_r = net_interest(state.d_r, state.l_r, p)
-    ni_f = net_interest(state.d_f, state.l_f, p)
-    loans = state.l_r + state.l_f
-    capital_ok = p.nu_b * loans - state.k_b < 0.0
-
-    cf_r = (p.delta_bb * ni_r + (p.delta_rf - p.delta_rb) * ni_f
-            - p.delta_rb * p.xi_delta * loans
-            - (p.delta_ff - u) * state.c_r / (1.0 - u))
-    cf_f = p.delta_ff * ni_f + (p.delta_ff - u) * state.c_r / (1.0 - u)
-
-    new_l_r = max(-cf_r, 0.0)
-    new_l_f = max(-cf_f, 0.0)
-    unmet = 0.0
-    if not capital_ok:
-        unmet = new_l_r + new_l_f
-        new_l_r = new_l_f = 0.0
-
-    c_bar = (p.alpha0 * (p.delta_bb * ni_r + (p.delta_rf - p.delta_rb) * ni_f
-                         + p.delta_rf * state.c_r / (1.0 - u))
-             + p.alpha1 * p.nu_f * state.k_f)
-
-    s_f = 1.0 - state.s_w
-    lambda_u = 1.0 - state.lambda_w
-    drift = {
-        "c_r": p.kappa_c * (c_bar - state.c_r),
-        "d_r": max(cf_r, 0.0),
-        "l_r": -p.xi_delta * state.l_r + new_l_r,
-        "d_f": max(cf_f, 0.0),
-        "l_f": -p.xi_delta * state.l_f + new_l_f,
-        "k_f": u * state.c_r / (1.0 - u) - p.xi_a * state.k_f,
-        "k_b": -p.delta_bb * (p.xi_delta * loans + ni_r + ni_f),
-        "theta_w": p.alpha * state.theta_w,
-        "n_w": p.beta * state.n_w,
-        "s_w": -(p.a - p.b * state.lambda_w - p.omega / lambda_u) * state.s_w,
-        "lambda_w": (u * state.c_r / ((1.0 - u) * p.nu_f * state.k_f)
-                     - p.c - p.omega / s_f) * state.lambda_w,
-    }
-    diffusion = {
-        "c_r": p.sigma_c * state.c_r,
-        "k_f": p.sigma_k * state.k_f,
-        "s_w": p.sigma_s * math.sqrt(max(state.s_w * s_f, 0.0)),
-        "lambda_w": p.sigma_lambda * math.sqrt(max(state.lambda_w * lambda_u, 0.0)),
-    }
-    cap = params.nu_f * state.k_f
-    y_f = state.c_r / ((1.0 - u) * s_f)
-    return MmcDrift(drift=drift, diffusion=diffusion,
-                    credit_crunch=not capital_ok, unmet_financing=unmet,
-                    capacity_capped=y_f > cap, upsilon_f=u)
-
-
-STOCK_NAMES = ("c_r", "d_r", "l_r", "d_f", "l_f", "k_f", "k_b",
-               "theta_w", "n_w", "s_w", "lambda_w")
+    u = solve_upsilon(state, params) if upsilon is None else upsilon
+    x = {k: getattr(state, k) for k in STOCK_NAMES}
+    drift, capital_ok, unmet, capped = _flows(x, u, params)
+    return MmcDrift(drift={k: float(v) for k, v in drift.items()},
+                    diffusion={k: float(v) for k, v in _diffusion(x, params).items()},
+                    credit_crunch=not capital_ok, unmet_financing=float(unmet),
+                    capacity_capped=bool(capped), upsilon_f=u)
 
 
 @dataclass
@@ -402,9 +418,7 @@ def simulate(
     initial.validate()
     p = params
     n_steps = int(round(horizon / dt))
-    rec_idx = np.arange(0, n_steps + 1, record_stride)
-    if rec_idx[-1] != n_steps:
-        rec_idx = np.append(rec_idx, n_steps)
+    rec_idx = record_index(n_steps, record_stride)
 
     cur = {k: np.full(paths, float(getattr(initial, k))) for k in STOCK_NAMES}
     series = {k: np.empty((len(rec_idx), paths)) for k in STOCK_NAMES}
@@ -423,8 +437,8 @@ def simulate(
     floor_hits = 0
     clamp_events = 0
     max_resid = 0.0
-    next_rec = 0
-    chunk = 4096
+    # theta_w and n_w take their Euler step as a growth factor
+    scale = {"theta_w": 1.0 + p.alpha * dt, "n_w": 1.0 + p.beta * dt}
 
     def record(i):
         # upsilon re-solved at the recorded state so stored derived series
@@ -433,102 +447,49 @@ def simulate(
                              cur["l_f"], cur["k_f"], p)
         for k in STOCK_NAMES:
             series[k][i] = cur[k]
-        s_f = 1.0 - cur["s_w"]
-        yf = cur["c_r"] / ((1.0 - u_rec) * s_f)
         ups_rec[i] = u_rec
-        yf_rec[i] = np.minimum(yf, p.nu_f * cur["k_f"])
-        price_rec[i] = cur["c_r"] / ((1.0 - u_rec) * s_f * cur["lambda_w"]
+        yf_rec[i] = np.minimum(_output(cur["c_r"], u_rec, cur["s_w"]), p.nu_f * cur["k_f"])
+        price_rec[i] = cur["c_r"] / ((1.0 - u_rec) * (1.0 - cur["s_w"]) * cur["lambda_w"]
                                      * cur["theta_w"] * cur["n_w"])
 
     u = _upsilon_vec(u, cur["c_r"], cur["d_f"], cur["l_f"], cur["k_f"], p)
     record(0)
     next_rec = 1
 
-    k_step = 0
-    while k_step < n_steps:
-        block = min(chunk, n_steps - k_step)
-        z = noise.normals(block, 4) if stochastic else None
-        for j in range(block):
-            c_r, d_r, l_r = cur["c_r"], cur["d_r"], cur["l_r"]
-            d_f, l_f, k_f, k_b = cur["d_f"], cur["l_f"], cur["k_f"], cur["k_b"]
-            s_w, lam = cur["s_w"], cur["lambda_w"]
-            u = _upsilon_vec(u, c_r, d_f, l_f, k_f, p)
+    for k_step, z in enumerate(noise_rows(noise, n_steps, len(NOISE_NAMES)), start=1):
+        u = _upsilon_vec(u, cur["c_r"], cur["d_f"], cur["l_f"], cur["k_f"], p)
+        drift, capital_ok, _, capped = _flows(cur, u, p)
+        crunch_steps += int((~capital_ok).sum())
+        cap_steps += int(capped.sum())
+        step = {k: drift[k] * dt for k in STOCK_NAMES}
+        if stochastic:
+            loads = _diffusion(cur, p)
+            for k, zk in zip(NOISE_NAMES, z):
+                step[k] = step[k] + loads[k] * sqdt * zk
+        for k in STOCK_NAMES:
+            cur[k] = cur[k] * scale[k] if k in scale else cur[k] + step[k]
 
-            ni_r = p.r_d * d_r - p.r_l * l_r
-            ni_f = p.r_d * d_f - p.r_l * l_f
-            loans = l_r + l_f
-            capital_ok = p.nu_b * loans - k_b < 0.0
-            crunch = ~capital_ok
-            crunch_steps += int(crunch.sum())
+        # floors and clamps
+        low = cur["c_r"] < c_r_floor
+        floor_hits += int(low.sum())
+        cur["c_r"] = np.maximum(cur["c_r"], c_r_floor)
+        for name in ("d_r", "l_r", "d_f", "l_f", "k_f"):
+            neg = cur[name] < 0.0
+            floor_hits += int(neg.sum())
+            cur[name] = np.maximum(cur[name], 0.0)
+        out = ((cur["s_w"] < lo) | (cur["s_w"] > hi)
+               | (cur["lambda_w"] < lo) | (cur["lambda_w"] > hi))
+        clamp_events += int(out.sum())
+        cur["s_w"] = np.clip(cur["s_w"], lo, hi)
+        cur["lambda_w"] = np.clip(cur["lambda_w"], lo, hi)
 
-            base = (p.delta_ff - u) * c_r / (1.0 - u)
-            cf_r = (p.delta_bb * ni_r + (p.delta_rf - p.delta_rb) * ni_f
-                    - p.delta_rb * p.xi_delta * loans - base)
-            cf_f = p.delta_ff * ni_f + base
-            new_l_r = np.where(capital_ok, np.maximum(-cf_r, 0.0), 0.0)
-            new_l_f = np.where(capital_ok, np.maximum(-cf_f, 0.0), 0.0)
+        resid = np.abs(cur["k_b"] - (cur["l_r"] + cur["l_f"]
+                                     - cur["d_r"] - cur["d_f"]))
+        max_resid = max(max_resid, float(resid.max()))
 
-            c_bar = (p.alpha0 * (p.delta_bb * ni_r
-                                 + (p.delta_rf - p.delta_rb) * ni_f
-                                 + p.delta_rf * c_r / (1.0 - u))
-                     + p.alpha1 * p.nu_f * k_f)
-            s_f = 1.0 - s_w
-            lam_u = 1.0 - lam
-            cap_steps += int((c_r / ((1.0 - u) * s_f) > p.nu_f * k_f).sum())
-
-            d_c_r = p.kappa_c * (c_bar - c_r) * dt
-            d_d_r = np.maximum(cf_r, 0.0) * dt
-            d_l_r = (-p.xi_delta * l_r + new_l_r) * dt
-            d_d_f = np.maximum(cf_f, 0.0) * dt
-            d_l_f = (-p.xi_delta * l_f + new_l_f) * dt
-            d_k_f = (u * c_r / (1.0 - u) - p.xi_a * k_f) * dt
-            d_k_b = -p.delta_bb * (p.xi_delta * loans + ni_r + ni_f) * dt
-            d_s = -(p.a - p.b * lam - p.omega / lam_u) * s_w * dt
-            d_lam = (u * c_r / ((1.0 - u) * p.nu_f * k_f)
-                     - p.c - p.omega / s_f) * lam * dt
-
-            if stochastic:
-                zc, zk, zs, zl = z[j, 0], z[j, 1], z[j, 2], z[j, 3]
-                d_c_r = d_c_r + p.sigma_c * c_r * sqdt * zc
-                d_k_f = d_k_f + p.sigma_k * k_f * sqdt * zk
-                d_s = d_s + p.sigma_s * np.sqrt(np.clip(s_w * s_f, 0, None)) * sqdt * zs
-                d_lam = d_lam + p.sigma_lambda * np.sqrt(
-                    np.clip(lam * lam_u, 0, None)) * sqdt * zl
-
-            cur["c_r"] = c_r + d_c_r
-            cur["d_r"] = d_r + d_d_r
-            cur["l_r"] = l_r + d_l_r
-            cur["d_f"] = d_f + d_d_f
-            cur["l_f"] = l_f + d_l_f
-            cur["k_f"] = k_f + d_k_f
-            cur["k_b"] = k_b + d_k_b
-            cur["theta_w"] = cur["theta_w"] * (1.0 + p.alpha * dt)
-            cur["n_w"] = cur["n_w"] * (1.0 + p.beta * dt)
-            cur["s_w"] = s_w + d_s
-            cur["lambda_w"] = lam + d_lam
-
-            # floors and clamps
-            low = cur["c_r"] < c_r_floor
-            floor_hits += int(low.sum())
-            cur["c_r"] = np.maximum(cur["c_r"], c_r_floor)
-            for name in ("d_r", "l_r", "d_f", "l_f", "k_f"):
-                neg = cur[name] < 0.0
-                floor_hits += int(neg.sum())
-                cur[name] = np.maximum(cur[name], 0.0)
-            out = ((cur["s_w"] < lo) | (cur["s_w"] > hi)
-                   | (cur["lambda_w"] < lo) | (cur["lambda_w"] > hi))
-            clamp_events += int(out.sum())
-            cur["s_w"] = np.clip(cur["s_w"], lo, hi)
-            cur["lambda_w"] = np.clip(cur["lambda_w"], lo, hi)
-
-            resid = np.abs(cur["k_b"] - (cur["l_r"] + cur["l_f"]
-                                         - cur["d_r"] - cur["d_f"]))
-            max_resid = max(max_resid, float(resid.max()))
-
-            k_step += 1
-            if next_rec < len(rec_idx) and k_step == rec_idx[next_rec]:
-                record(next_rec)
-                next_rec += 1
+        if next_rec < len(rec_idx) and k_step == rec_idx[next_rec]:
+            record(next_rec)
+            next_rec += 1
 
     return MmcResult(
         t=rec_idx * dt, series=series, upsilon_f=ups_rec, y_f=yf_rec,

@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtr
 
 from .bessel import iv_scaled
 from .network import BankNetwork, boundaries, nondim_context, shifted_levels
@@ -32,7 +33,8 @@ __all__ = [
 
 
 def norm_cdf(x):
-    return 0.5 * np.array(np.vectorize(math.erfc)(-np.asarray(x, float) / math.sqrt(2.0)))
+    """Standard normal distribution function."""
+    return ndtr(np.asarray(x, dtype=float))
 
 
 class SeriesError(RuntimeError):

@@ -1,0 +1,97 @@
+"""One deterministic simulator step equals state + dt * drift(state), exactly.
+
+The simulators and the scalar drift helpers must evaluate the same formula;
+states and dt are drawn where no clamp, floor or cap fires."""
+
+import math
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from circuitlab import goodwin, keen, mmc
+
+PROFILE = settings(deadline=None, max_examples=60)
+
+unit = st.floats(0.05, 0.95)
+positive = st.floats(0.01, 1.0)
+
+
+def _euler(x, d, dt):
+    return x + dt * d
+
+
+@pytest.mark.parametrize("regularized", [False, True])
+@PROFILE
+@given(s=unit, lam=unit, a=positive, b=positive, c=positive, d=positive,
+       omega=st.floats(0.0, 0.02), dt=st.floats(1e-4, 1e-2))
+def test_goodwin_step_is_drift(regularized, s, lam, a, b, c, d, omega, dt):
+    params = goodwin.GoodwinParams(a=a, b=b, c=c, d=d, omega=omega)
+    state = goodwin.GoodwinState(s, lam)
+    drift = goodwin.regularized_drift if regularized else goodwin.classical_drift
+    ds, dl = drift(state, params)
+    res = goodwin.simulate(state, params, horizon=dt, dt=dt, regularized=regularized)
+    assert res.t[-1] == dt
+    assert res.s_w[-1, 0] == _euler(s, ds, dt)
+    assert res.lambda_w[-1, 0] == _euler(lam, dl, dt)
+    assert res.clamp_events == 0
+
+
+@pytest.mark.parametrize("regularized, with_nu_factor",
+                         [(False, True), (True, True), (True, False)])
+@PROFILE
+@given(s=unit, lam=unit, g=st.floats(0.0, 3.0), r_l=st.floats(0.0, 0.1),
+       nu_f=st.floats(0.05, 0.5), p=st.floats(-0.05, 0.0), q=st.floats(1.0, 30.0),
+       r=st.floats(-10.0, -2.0), omega=st.floats(0.001, 0.02), step=st.floats(1e-4, 1e-2))
+def test_keen_step_is_drift(regularized, with_nu_factor, s, lam, g, r_l, nu_f, p, q, r,
+                            omega, step):
+    params = keen.KeenParams(a=0.225, b=0.2, c=0.075, d=0.03, r_l=r_l, nu_f=nu_f,
+                             p=p, q=q, r=r, omega=omega)
+    state = keen.KeenState(s, lam, g)
+    ds, dl, dg = keen.keen_drift(state, params, regularized=regularized,
+                                 with_nu_factor=with_nu_factor)
+    # moves (s_w, lambda_w) by at most `step`, so no clamp fires
+    dt = step / max(abs(ds), abs(dl), 1.0)
+    assume(g + dt * dg < 10.0)
+    res = keen.simulate(state, params, horizon=dt, dt=dt, regularized=regularized,
+                        with_nu_factor=with_nu_factor)
+    assert res.s_w[-1, 0] == _euler(s, ds, dt)
+    assert res.lambda_w[-1, 0] == _euler(lam, dl, dt)
+    assert res.gamma_f[-1, 0] == _euler(g, dg, dt)
+    assert res.clamp_events == 0 and res.minsky_paths == 0
+
+
+@PROFILE
+@given(stocks=st.tuples(*[st.floats(5.0, 60.0)] * 4), c_r=st.floats(0.5, 6.0),
+       k_f=st.floats(20.0, 80.0), theta_w=st.floats(0.5, 2.0), n_w=st.floats(50.0, 150.0),
+       s=st.floats(0.4, 0.9), lam=st.floats(0.5, 0.95),
+       rates=st.tuples(st.floats(0.0, 0.05), st.floats(0.0, 0.08)),
+       shares=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+       nu_b=st.floats(0.05, 0.9), upsilon0=st.floats(-3.0, -1.0),
+       dt=st.floats(1e-4, 1e-2))
+def test_mmc_step_is_drift(stocks, c_r, k_f, theta_w, n_w, s, lam, rates, shares, nu_b,
+                           upsilon0, dt):
+    d_r, l_r, d_f, l_f = stocks
+    state = mmc.MmcState(c_r=c_r, d_r=d_r, l_r=l_r, d_f=d_f, l_f=l_f, k_f=k_f,
+                         k_b=l_r + l_f - d_r - d_f, theta_w=theta_w, n_w=n_w,
+                         s_w=s, lambda_w=lam)
+    params = mmc.MmcParams(**{**mmc.FIG8_PARAMS.__dict__, "r_d": rates[0], "r_l": rates[1],
+                              "delta_rf": shares[0], "delta_rb": shares[1],
+                              "nu_b": nu_b, "upsilon0": upsilon0})
+    try:
+        mmc.solve_upsilon(state, params)
+    except mmc.UpsilonError:
+        assume(False)
+    res = mmc.simulate(state, params, horizon=dt, dt=dt)
+    out = mmc.mmc_drift_and_diffusion(state, params, upsilon=res.upsilon_f[0, 0])
+    assert res.floor_hits == 0 and res.clamp_events == 0
+    assert res.credit_crunch_steps == int(out.credit_crunch)
+    assert res.capacity_cap_steps == int(out.capacity_capped)
+    for k in mmc.STOCK_NAMES:
+        expected = _euler(getattr(state, k), out.drift[k], dt)
+        if k in ("theta_w", "n_w"):
+            # the simulator takes this Euler step as the growth factor
+            # x (1 + rate dt), equal up to rounding
+            assert math.isclose(res.series[k][-1, 0], expected, rel_tol=1e-15)
+        else:
+            assert res.series[k][-1, 0] == expected, k
