@@ -17,7 +17,7 @@ clearing fixed point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,6 +28,7 @@ __all__ = [
     "boundaries", "remove_bank", "clearing_vector", "kappa_coeffs",
     "simulate_paths", "survival_probabilities", "instrument_payoffs",
     "two_bank_survival_grid", "PathRecords", "fig15_network",
+    "TwoBankDomains", "two_bank_domains",
 ]
 
 
@@ -186,36 +187,43 @@ def clearing_vector(
 
     Iterates omega <- min((A_T + claims received) / total liabilities, 1)
     from omega = 1; each sweep is asserted monotone non-increasing and the
-    returned vector is verified to be a fixed point.
+    returned vector is verified to be a fixed point.  `terminal_assets` may
+    carry leading path axes (..., N); each path stops at its own convergence
+    and `iterations` is the slowest path's sweep count.
     """
     a_t = np.asarray(terminal_assets, dtype=float)
+    a = a_t.reshape(-1, net.n)
     total = net.external_liabilities + net.interbank_liabilities
     zero_liab = total <= 0.0
-    omega = np.ones(net.n)
-    max_iter = max(10 * net.n * net.n, 50)
+    due = np.where(zero_liab, 1.0, total)
     claims = net.mutual  # claims[j, i] = L_ji owed to i
-    it = 0
+
+    def sweep(omega):
+        # summed bank by bank: a path's result does not depend on its batch
+        inflow = sum(omega[:, j, None] * claims[j] for j in range(net.n))
+        return np.minimum(np.where(zero_liab, 1.0, (a + inflow) / due), 1.0)
+
+    omega = np.ones_like(a)
+    active = np.ones(len(a), dtype=bool)
+    max_iter = max(10 * net.n * net.n, 50)
     for it in range(1, max_iter + 1):
-        inflow = claims.T @ omega
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(zero_liab, 1.0, (a_t + inflow) / np.where(zero_liab, 1.0, total))
-        new_omega = np.minimum(ratio, 1.0)
-        if np.any(new_omega > omega + 1e-12):
+        new_omega = sweep(omega)
+        if np.any(new_omega[active] > omega[active] + 1e-12):
             raise AssertionError(
                 "clearing iteration from the all-ones vector must be "
                 f"monotone non-increasing; step {it} increased a component"
             )
-        done = np.max(np.abs(new_omega - omega)) < tol
-        omega = new_omega
-        if done:
+        done = np.max(np.abs(new_omega - omega), axis=1) < tol
+        omega[active] = new_omega[active]
+        active &= ~done
+        if not active.any():
             break
     else:
         raise RuntimeError(f"clearing iteration did not converge in {max_iter} sweeps")
-    residual = np.max(np.abs(
-        np.minimum(np.where(zero_liab, 1.0, (a_t + claims.T @ omega)
-                            / np.where(zero_liab, 1.0, total)), 1.0) - omega))
+    residual = np.max(np.abs(sweep(omega) - omega), initial=0.0)
     if residual > 1e-10:
         raise RuntimeError(f"clearing output is not a fixed point: residual {residual:.3e}")
+    omega = omega.reshape(a_t.shape)
     return ClearingVector(omega=omega, solvent=omega >= 1.0 - 1e-9, iterations=it)
 
 
@@ -227,10 +235,16 @@ def kappa_coeffs(a1: float, a2: float, net: BankNetwork) -> np.ndarray:
     l1, l2 = net.external_liabilities
     l12 = net.mutual[0, 1]
     l21 = net.mutual[1, 0]
-    delta = l1 * l2 + l1 * l21 + l2 * l12
+    delta = _delta(net)
     k1 = (l2 * a1 + l21 * (a1 + a2)) / delta
     k2 = (l1 * a2 + l12 * (a1 + a2)) / delta
     return np.array([k1, k2])
+
+
+def _delta(net: BankNetwork) -> float:
+    """Delta = L1 L2 + L1 L21 + L2 L12 of the two-bank detailed balance."""
+    l1, l2 = net.external_liabilities
+    return l1 * l2 + l1 * net.mutual[1, 0] + l2 * net.mutual[0, 1]
 
 
 @dataclass
@@ -291,6 +305,59 @@ def shifted_levels(net: BankNetwork, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass
+class TwoBankDomains:
+    """Terminal settlement geometry of the two-bank quadrant."""
+
+    lambda_lt: np.ndarray      # interior boundaries (money units)
+    lambda_eq: np.ndarray      # terminal boundaries
+    lambda_tilde_lt: np.ndarray
+    lambda_tilde_eq: np.ndarray
+    delta: float               # L1 L2 + L1 L21 + L2 L12
+    m_eq: np.ndarray           # terminal boundaries, scaled coordinates
+    m_tilde_eq: np.ndarray     # post-removal terminal levels, scaled
+    zeta: np.ndarray
+    _net: BankNetwork
+
+    def theta_curve(self, i: int, x_other) -> np.ndarray:
+        """Scaled curvilinear boundary Theta_i(X_other) separating
+        'bank i survives' from 'bank i defaults' while the other bank
+        settles below par."""
+        net = self._net
+        j = 1 - i
+        l_j = net.external_liabilities[j]
+        l_ji = net.mutual[j, i]
+        a_other = self.lambda_lt[j] * np.exp(np.asarray(x_other, float) / self.zeta[j])
+        arg = (self.delta - l_ji * a_other) / (self.lambda_lt[i] * (l_j + l_ji))
+        return self.zeta[i] * np.log(np.maximum(arg, 1e-300))
+
+
+def two_bank_domains(net: BankNetwork) -> TwoBankDomains:
+    if net.n != 2:
+        raise ValueError("two banks required")
+    b = boundaries(net)
+    l = net.external_liabilities
+    m = net.mutual
+    r = net.recoveries
+    tilde_lt = np.array([
+        r[0] * (l[0] + m[0, 1] - r[1] * m[1, 0]),
+        r[1] * (l[1] + m[1, 0] - r[0] * m[0, 1]),
+    ])
+    tilde_eq = np.array([
+        l[0] + m[0, 1] - r[1] * m[1, 0],
+        l[1] + m[1, 0] - r[0] * m[0, 1],
+    ])
+    ctx = nondim_context(net)
+    m_eq = ctx.m_terminal
+    m_tilde_eq = ctx.zeta * np.log(tilde_eq / b.interior)
+    return TwoBankDomains(
+        lambda_lt=b.interior, lambda_eq=b.terminal,
+        lambda_tilde_lt=tilde_lt, lambda_tilde_eq=tilde_eq,
+        delta=float(_delta(net)), m_eq=m_eq, m_tilde_eq=m_tilde_eq,
+        zeta=ctx.zeta, _net=net,
+    )
+
+
+@dataclass
 class PathRecords:
     """Per-path outcome log of a network simulation."""
 
@@ -300,7 +367,6 @@ class PathRecords:
     interior_default: np.ndarray    # (paths, N) bool
     omega: np.ndarray               # (paths, N) payout fraction, 1 if solvent
     terminal_assets: np.ndarray     # (paths, N) deflated by e^{mu T}; nan after interior default
-    clamped_liabilities: bool = False
 
     @property
     def n_paths(self) -> int:
@@ -351,19 +417,18 @@ def simulate_paths(
     omega_out = np.ones((paths, n))
     terminal_assets = np.full((paths, n), np.nan)
 
+    # a path's liabilities depend only on which banks it has lost
+    sets: dict[bytes, _SurvivorSet] = {}
+
     for start in range(0, paths, chunk):
         width = min(chunk, paths - start)
+        span = slice(start, start + width)
         noise = PathNoise(stream, width, first_path=start)
         jump_events = (_draw_jump_events(noise, net.jumps, horizon, dt, width)
                        if use_jumps else {})
         log_a = np.tile(np.log(net.external_assets), (width, 1))
         alive = np.ones((width, n), dtype=bool)
-        # per-path reduced bookkeeping, initial scale
-        ext_liab = np.tile(net.external_liabilities, (width, 1))
-        mutual = np.tile(net.mutual, (width, 1, 1))
-        a_hat = np.tile(net.interbank_assets, (width, 1))
-        l_hat = np.tile(net.interbank_liabilities, (width, 1))
-        log_interior = _interior_log(ext_liab, l_hat, a_hat, net.recoveries)
+        log_interior = np.tile(_survivors(sets, net, alive[0]).log_interior, (width, 1))
 
         step_block = 512
         k_step = 0
@@ -381,15 +446,14 @@ def simulate_paths(
                 if np.any(breach):
                     for row in np.nonzero(breach.any(axis=1))[0]:
                         _settle_interior(
-                            row, (k_step + 1) * dt, net, log_a, alive, ext_liab,
-                            mutual, a_hat, l_hat, log_interior, default_time,
-                            interior_default, omega_out, start,
+                            sets, net, (k_step + 1) * dt, log_a[row], alive[row],
+                            log_interior[row], default_time[start + row],
+                            interior_default[start + row], omega_out[start + row],
                         )
                 k_step += 1
 
-        _settle_terminal(net, log_a, alive, ext_liab, mutual, a_hat, l_hat,
-                         omega_out, terminal_assets, default_time,
-                         horizon, start)
+        _settle_terminal(sets, net, log_a, alive, omega_out[span],
+                         terminal_assets[span], default_time[span], horizon)
 
     return PathRecords(
         n_banks=n, horizon=horizon, default_time=default_time,
@@ -398,12 +462,29 @@ def simulate_paths(
     )
 
 
-def _interior_log(ext_liab, l_hat, a_hat, recoveries):
-    lam = recoveries * (ext_liab + l_hat) - a_hat
-    out = np.full_like(lam, -np.inf)
-    pos = lam > 0
-    out[pos] = np.log(lam[pos])
-    return out
+@dataclass(frozen=True)
+class _SurvivorSet:
+    net: BankNetwork             # the network reduced to the surviving banks
+    idx: np.ndarray              # their indices in the full network
+    log_interior: np.ndarray     # (N,) log interior boundaries; -inf where dead or <= 0
+
+
+def _survivors(sets: dict, net: BankNetwork, alive: np.ndarray) -> _SurvivorSet:
+    """The survivor set `alive` of `net`, built once per run by removing the
+    defaulted banks highest index first and cached in `sets`."""
+    key = alive.tobytes()
+    if key not in sets:
+        dead = np.flatnonzero(~alive)
+        reduced = net
+        if dead.size:
+            parent = _survivors(sets, net, alive | (np.arange(net.n) == dead[0]))
+            reduced = remove_bank(parent.net, int(np.searchsorted(parent.idx, dead[0])))
+        idx = np.flatnonzero(alive)
+        interior = boundaries(reduced).interior
+        log_interior = np.full(net.n, -np.inf)
+        log_interior[idx[interior > 0]] = np.log(interior[interior > 0])
+        sets[key] = _SurvivorSet(reduced, idx, log_interior)
+    return sets[key]
 
 
 def _draw_jump_events(noise: PathNoise, spec: JumpSpec, horizon: float,
@@ -433,62 +514,44 @@ def _draw_jump_events(noise: PathNoise, spec: JumpSpec, horizon: float,
     return out
 
 
-def _settle_interior(row, t, net, log_a, alive, ext_liab, mutual, a_hat,
-                     l_hat, log_interior, default_time, interior_default,
-                     omega_out, start):
-    """Process all breaches on one path at one step, deepest first."""
+def _settle_interior(sets, net, t, log_a, alive, log_interior, default_time,
+                     interior_default, omega):
+    """Process all breaches on one path at one step, deepest first.  Every
+    array argument is that path's row and is updated in place."""
     while True:
-        depth = np.where(alive[row], log_interior[row] - log_a[row], -np.inf)
+        depth = np.where(alive, log_interior - log_a, -np.inf)
         k = int(np.argmax(depth))
-        if depth[k] < 0 or not alive[row, k]:
+        if depth[k] < 0 or not alive[k]:
             return
         # payout fraction at crossing: assets plus face-value claims on the
         # still-alive banks over total due
-        total_due = ext_liab[row, k] + l_hat[row, k]
-        assets_now = math.exp(log_a[row, k]) + a_hat[row, k]
-        omega_out[start + row, k] = min(assets_now / total_due, 1.0) if total_due > 0 else 1.0
-        default_time[start + row, k] = t
-        interior_default[start + row, k] = True
-        alive[row, k] = False
-        live = alive[row]
-        # estate settlement for survivors
-        ext_liab[row, live] += mutual[row, live, k] - net.recoveries[k] * mutual[row, k, live]
-        mutual[row, k, :] = 0.0
-        mutual[row, :, k] = 0.0
-        a_hat[row] = mutual[row].sum(axis=0)
-        l_hat[row] = mutual[row].sum(axis=1)
-        lam = net.recoveries * (ext_liab[row] + l_hat[row]) - a_hat[row]
-        log_interior[row] = np.where(lam > 0, np.log(np.maximum(lam, 1e-300)), -np.inf)
-        log_interior[row, ~alive[row]] = -np.inf
+        s = _survivors(sets, net, alive)
+        pos = int(np.searchsorted(s.idx, k))
+        total_due = s.net.external_liabilities[pos] + s.net.interbank_liabilities[pos]
+        assets_now = math.exp(log_a[k]) + s.net.interbank_assets[pos]
+        omega[k] = min(assets_now / total_due, 1.0) if total_due > 0 else 1.0
+        default_time[k] = t
+        interior_default[k] = True
+        alive[k] = False
+        log_interior[:] = _survivors(sets, net, alive).log_interior
 
 
-def _settle_terminal(net, log_a, alive, ext_liab, mutual, a_hat, l_hat,
-                     omega_out, terminal_assets, default_time, horizon, start):
-    width = log_a.shape[0]
+def _settle_terminal(sets, net, log_a, alive, omega, terminal_assets,
+                     default_time, horizon):
+    """Settle one chunk's paths (the output arrays are its rows): one batched
+    clearing per survivor set, of its paths short of a terminal boundary."""
     a_t = np.exp(log_a)
-    total = ext_liab + l_hat
-    # quick screen: every alive bank covers its terminal boundary outright
-    solvent_all = np.all(~alive | (a_t >= total - a_hat), axis=1)
-    for row in range(width):
-        live = alive[row]
-        terminal_assets[start + row, live] = a_t[row, live]
-        if solvent_all[row] or not live.any():
+    terminal_assets[alive] = a_t[alive]
+    for mask in np.unique(alive, axis=0):
+        if not mask.any():
             continue
-        idx = np.nonzero(live)[0]
-        sub = BankNetwork(
-            external_assets=a_t[row, idx],
-            external_liabilities=ext_liab[row, idx],
-            mutual=mutual[row][np.ix_(idx, idx)],
-            recoveries=net.recoveries[idx],
-            sigma=net.sigma[idx],
-            mu=net.mu,
-            corr=CorrelationMatrix(net.corr.rho[np.ix_(idx, idx)]),
-        )
-        cv = clearing_vector(sub, a_t[row, idx])
-        omega_out[start + row, idx] = cv.omega
-        for pos, bank in enumerate(idx):
-            if not cv.solvent[pos]:
-                default_time[start + row, bank] = horizon
+        s = _survivors(sets, net, mask)
+        rows = np.flatnonzero((alive == mask).all(axis=1))
+        short = rows[~np.all(a_t[np.ix_(rows, s.idx)] >= boundaries(s.net).terminal, axis=1)]
+        if short.size:
+            cv = clearing_vector(s.net, a_t[np.ix_(short, s.idx)])
+            omega[np.ix_(short, s.idx)] = cv.omega
+            default_time[np.ix_(short, s.idx)] = np.where(cv.solvent, np.nan, horizon)
 
 
 @dataclass
@@ -586,8 +649,7 @@ def two_bank_survival_grid(
 
     m1_eq, m2_eq = ctx.m_terminal
     (m1_shift_lt,), (m1_shift_eq,) = shifted_levels(net, 1)
-    rho = float(net.corr.rho[0, 1])
-    if abs(rho) > 1e-14:
+    if abs(net.corr.rho[0, 1]) > 1e-14:
         corr_chol = net.corr.cholesky
     else:
         corr_chol = None
@@ -596,16 +658,14 @@ def two_bank_survival_grid(
     joint_hits = np.zeros((n1, n2), dtype=np.int64)
     marg_hits = np.zeros((n1, n2), dtype=np.int64)
 
-    theta1 = _theta_curve_factory(net, ctx)
+    dom = two_bank_domains(net)
 
     for start in range(0, paths, chunk):
         width = min(chunk, paths - start)
         noise = PathNoise(stream, width, first_path=start)
         # driver increments: unit-variance correlated Brownian steps + drift
-        y1 = np.empty((width, n_steps + 1))
-        y2 = np.empty((width, n_steps + 1))
-        y1[:, 0] = 0.0
-        y2[:, 0] = 0.0
+        y1 = np.zeros((width, n_steps + 1))
+        y2 = np.zeros((width, n_steps + 1))
         block = 2048
         pos = 0
         while pos < n_steps:
@@ -642,8 +702,8 @@ def two_bank_survival_grid(
                 x1t = x10 + y1_t
                 x2t = x20 + y2_t
                 in_d11 = (x1t > m1_eq) & (x2t > m2_eq)
-                in_d10 = (x2t > 0) & (x2t <= m2_eq) & (x1t > theta1(x2t))
-                joint_hits[i1, i2] += int(np.count_nonzero(okA & in_d11 & (p2_tot > -x20)))
+                in_d10 = (x2t > 0) & (x2t <= m2_eq) & (x1t > dom.theta_curve(0, x2t))
+                joint_hits[i1, i2] += int(np.count_nonzero(okA & in_d11))
                 margA = okA & (in_d11 | in_d10)
                 # branch B: bank 2 crossed at k2; bank 1 must be clean up to
                 # k2, clear the shifted boundary afterwards, and finish above
@@ -663,20 +723,3 @@ def two_bank_survival_grid(
         marginal1=marg, marginal1_stderr=np.sqrt(marg * (1 - marg) / paths),
         n_paths=paths,
     )
-
-
-def _theta_curve_factory(net: BankNetwork, ctx: NondimContext):
-    """Curvilinear terminal boundary Theta_1(X_2) of the bank-1-survives,
-    bank-2-defaults domain, in scaled coordinates."""
-    l1, l2 = net.external_liabilities
-    l12 = net.mutual[0, 1]
-    l21 = net.mutual[1, 0]
-    delta = l1 * l2 + l1 * l21 + l2 * l12
-    lam1_lt, lam2_lt = ctx.interior_levels
-
-    def theta1(x2):
-        a2 = lam2_lt * np.exp(np.asarray(x2, float) / ctx.zeta[1])
-        arg = (delta - l21 * a2) / (lam1_lt * (l2 + l21))
-        return ctx.zeta[0] * np.log(np.maximum(arg, 1e-300))
-
-    return theta1

@@ -22,7 +22,8 @@ import numpy as np
 from scipy.special import ndtr
 
 from .bessel import iv_scaled
-from .network import BankNetwork, boundaries, nondim_context, shifted_levels
+from .network import (BankNetwork, TwoBankDomains, nondim_context, shifted_levels,
+                      two_bank_domains)
 
 __all__ = [
     "WedgeContext", "TwoBankDomains", "norm_cdf", "survival_1d",
@@ -211,62 +212,6 @@ def boundary_flux(ctx: WedgeContext, t, coord, x_src,
         )
     out[live] = scale_factor[live] * total
     return out
-
-
-@dataclass
-class TwoBankDomains:
-    """Terminal settlement geometry of the two-bank quadrant."""
-
-    lambda_lt: np.ndarray      # interior boundaries (money units)
-    lambda_eq: np.ndarray      # terminal boundaries
-    lambda_tilde_lt: np.ndarray
-    lambda_tilde_eq: np.ndarray
-    delta: float               # L1 L2 + L1 L21 + L2 L12
-    m_eq: np.ndarray           # terminal boundaries, scaled coordinates
-    m_tilde_eq: np.ndarray     # post-removal terminal levels, scaled
-    zeta: np.ndarray
-    _net: BankNetwork
-
-    def theta_curve(self, i: int, x_other) -> np.ndarray:
-        """Scaled curvilinear boundary Theta_i(X_other) separating
-        'bank i survives' from 'bank i defaults' while the other bank
-        settles below par."""
-        net = self._net
-        j = 1 - i
-        l_i = net.external_liabilities[i]
-        l_j = net.external_liabilities[j]
-        l_ij = net.mutual[i, j]
-        l_ji = net.mutual[j, i]
-        a_other = self.lambda_lt[j] * np.exp(np.asarray(x_other, float) / self.zeta[j])
-        arg = (self.delta - l_ji * a_other) / (self.lambda_lt[i] * (l_j + l_ji))
-        return self.zeta[i] * np.log(np.maximum(arg, 1e-300))
-
-
-def two_bank_domains(net: BankNetwork) -> TwoBankDomains:
-    if net.n != 2:
-        raise ValueError("two banks required")
-    b = boundaries(net)
-    l = net.external_liabilities
-    m = net.mutual
-    r = net.recoveries
-    tilde_lt = np.array([
-        r[0] * (l[0] + m[0, 1] - r[1] * m[1, 0]),
-        r[1] * (l[1] + m[1, 0] - r[0] * m[0, 1]),
-    ])
-    tilde_eq = np.array([
-        l[0] + m[0, 1] - r[1] * m[1, 0],
-        l[1] + m[1, 0] - r[0] * m[0, 1],
-    ])
-    delta = l[0] * l[1] + l[0] * m[1, 0] + l[1] * m[0, 1]
-    ctx = nondim_context(net)
-    m_eq = ctx.m_terminal
-    m_tilde_eq = ctx.zeta * np.log(tilde_eq / b.interior)
-    return TwoBankDomains(
-        lambda_lt=b.interior, lambda_eq=b.terminal,
-        lambda_tilde_lt=tilde_lt, lambda_tilde_eq=tilde_eq,
-        delta=float(delta), m_eq=m_eq, m_tilde_eq=m_tilde_eq,
-        zeta=ctx.zeta, _net=net,
-    )
 
 
 # ---------------------------------------------------------------------------
