@@ -436,11 +436,12 @@ def simulate_paths(
             b = min(step_block, n_steps - k_step)
             zb = noise.normals(b, n)            # (b, n, width)
             for j in range(b):
-                dw = (chol @ zb[j]).T * sqdt
+                # column by column: a BLAS product's rounding depends on width
+                z = np.ascontiguousarray(zb[j])
+                dw = sum(chol[:, c, None] * z[c] for c in range(n)).T * sqdt
                 log_a = log_a + drift + net.sigma * dw
-                ev = jump_events.get(k_step)
-                if ev is not None:
-                    rows, banks, amps = ev
+                if k_step in jump_events:
+                    rows, banks, amps = jump_events[k_step]
                     np.add.at(log_a, (rows, banks), amps)
                 breach = alive & (log_a <= log_interior)
                 if np.any(breach):

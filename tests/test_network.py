@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from circuitlab.network import (
     BankNetwork,
@@ -271,3 +274,114 @@ def test_interior_settlement_near_recovery():
     assert crossed.any()
     payouts = rec.omega[crossed, 0]
     assert abs(np.median(payouts) - net.recoveries[0]) < 0.1
+
+
+@st.composite
+def clearing_batches(draw):
+    n = draw(st.integers(1, 6))
+    mutual = draw(arrays(float, (n, n), elements=st.floats(0.0, 20.0)))
+    np.fill_diagonal(mutual, 0.0)
+    net = BankNetwork(
+        external_assets=np.ones(n),
+        external_liabilities=draw(arrays(float, n, elements=st.floats(30.0, 90.0))),
+        mutual=mutual, recoveries=np.full(n, 0.5), sigma=np.full(n, 0.2))
+    paths = draw(st.integers(1, 9))
+    return net, draw(arrays(float, (paths, n), elements=st.floats(0.0, 150.0)))
+
+
+@settings(deadline=None, max_examples=150)
+@given(batch=clearing_batches())
+def test_batched_clearing_rows_are_single_path_fixed_points(batch):
+    net, a_t = batch
+    cv = clearing_vector(net, a_t)
+    assert cv.omega.shape == a_t.shape and cv.solvent.shape == a_t.shape
+    assert np.all((cv.omega >= 0.0) & (cv.omega <= 1.0))
+    total = net.external_liabilities + net.interbank_liabilities
+    sweeps = []
+    for row, a_row in enumerate(a_t):
+        single = clearing_vector(net, a_row)
+        sweeps.append(single.iterations)
+        # a path's payouts do not depend on the paths batched with it
+        assert np.array_equal(cv.omega[row], single.omega)
+        assert np.array_equal(cv.solvent[row], single.solvent)
+        fixed = np.minimum((a_row + net.mutual.T @ cv.omega[row]) / total, 1.0)
+        assert np.max(np.abs(fixed - cv.omega[row])) <= 1e-10
+    assert cv.iterations == max(sweeps)
+
+
+def stressed_network(rng, n, rho=0.0, jumps=False):
+    """Random N-bank network started near its terminal boundaries, so that
+    paths default both at crossings and at clearing."""
+    mutual = rng.uniform(0.0, 20.0, (n, n))
+    np.fill_diagonal(mutual, 0.0)
+    ext = rng.uniform(30.0, 90.0, n)
+    terminal = ext + mutual.sum(axis=1) - mutual.sum(axis=0)
+    net = BankNetwork(
+        external_assets=np.maximum(terminal, 1.0) * rng.uniform(0.8, 1.4, n),
+        external_liabilities=ext, mutual=mutual,
+        recoveries=rng.uniform(0.4, 0.9, n), sigma=rng.uniform(0.3, 0.6, n),
+        corr=CorrelationMatrix.from_scalar(rho, n))
+    if jumps:
+        net.jumps = JumpSpec.systemic_idiosyncratic(0.3, np.full(n, 0.2), np.full(n, 2.0))
+    return net
+
+
+N_BANK_CASES = [(3, 0.3, False), (4, 0.0, True), (5, 0.3, False), (4, 0.3, True)]
+
+
+def _records_equal(a, b):
+    return (np.array_equal(a.omega, b.omega)
+            and np.array_equal(a.default_time, b.default_time, equal_nan=True)
+            and np.array_equal(a.interior_default, b.interior_default)
+            and np.array_equal(a.terminal_assets, b.terminal_assets, equal_nan=True))
+
+
+@pytest.mark.parametrize("case", range(len(N_BANK_CASES)))
+def test_n_bank_paths_do_not_depend_on_chunking(case):
+    n, rho, jumps = N_BANK_CASES[case]
+    net = stressed_network(np.random.default_rng(60 + case), n, rho, jumps)
+    dynamics = "jump-diffusion" if jumps else "lognormal"
+    runs = [simulate_paths(net, 3.0, 0.01, paths=50, stream=RngStream(70 + case),
+                           dynamics=dynamics, chunk=chunk)
+            for chunk in (4096, 16, 7, 1)]
+    assert runs[0].interior_default.any()
+    assert (runs[0].default_time == 3.0).any()
+    for other in runs[1:]:
+        assert _records_equal(runs[0], other)
+
+
+def test_survival_grid_does_not_depend_on_chunking():
+    net = fig15_network(rho=0.3)
+    grids = [two_bank_survival_grid(net, 2.0, 0.01, 60, stream=RngStream(8), chunk=chunk)
+             for chunk in (256, 7, 1)]
+    assert 0.0 < grids[0].joint.mean() < 1.0
+    for other in grids[1:]:
+        assert np.array_equal(grids[0].joint, other.joint)
+        assert np.array_equal(grids[0].marginal1, other.marginal1)
+
+
+@pytest.mark.parametrize("case", range(len(N_BANK_CASES)))
+def test_n_bank_terminal_settlement_clears_reduced_networks(case):
+    # survivors settle on the network left after removing the crossed banks,
+    # here removed in their order of default rather than by index
+    n, rho, jumps = N_BANK_CASES[case]
+    net = stressed_network(np.random.default_rng(60 + case), n, rho, jumps)
+    horizon = 3.0
+    rec = simulate_paths(net, horizon, 0.01, paths=200, stream=RngStream(80 + case),
+                         dynamics="jump-diffusion" if jumps else "lognormal")
+    cleared = 0
+    for row in range(rec.n_paths):
+        crossed = np.flatnonzero(rec.interior_default[row])
+        alive = np.flatnonzero(~rec.interior_default[row])
+        if alive.size == 0:
+            continue
+        reduced, idx = net, list(range(n))
+        for k in crossed[np.argsort(rec.default_time[row, crossed], kind="stable")]:
+            reduced = remove_bank(reduced, idx.index(k))
+            idx.remove(k)
+        cv = clearing_vector(reduced, rec.terminal_assets[row, alive])
+        assert np.max(np.abs(rec.omega[row, alive] - cv.omega)) <= 1e-15
+        assert np.all((rec.default_time[row, alive] == horizon) == ~cv.solvent)
+        assert np.all(np.isnan(rec.default_time[row, alive]) == cv.solvent)
+        cleared += int((~cv.solvent).any())
+    assert cleared > 0 and (rec.interior_default.sum(axis=1) >= 2).any()
