@@ -279,7 +279,6 @@ def nondim_context(net: BankNetwork) -> NondimContext:
         )
     sigma_bar = float(np.exp(np.mean(np.log(net.sigma))))
     zeta = sigma_bar / net.sigma
-    lam_bar = None
     xi = -net.sigma / (2.0 * sigma_bar)
     varsigma = None
     if net.jumps is not None:
@@ -548,7 +547,8 @@ def _settle_terminal(sets, net, log_a, alive, omega, terminal_assets,
             continue
         s = _survivors(sets, net, mask)
         rows = np.flatnonzero((alive == mask).all(axis=1))
-        short = rows[~np.all(a_t[np.ix_(rows, s.idx)] >= boundaries(s.net).terminal, axis=1)]
+        covered = np.all(a_t[np.ix_(rows, s.idx)] >= boundaries(s.net).terminal, axis=1)
+        short = rows[~covered]
         if short.size:
             cv = clearing_vector(s.net, a_t[np.ix_(short, s.idx)])
             omega[np.ix_(short, s.idx)] = cv.omega
@@ -650,10 +650,7 @@ def two_bank_survival_grid(
 
     m1_eq, m2_eq = ctx.m_terminal
     (m1_shift_lt,), (m1_shift_eq,) = shifted_levels(net, 1)
-    if abs(net.corr.rho[0, 1]) > 1e-14:
-        corr_chol = net.corr.cholesky
-    else:
-        corr_chol = None
+    correlated = abs(net.corr.rho[0, 1]) > 1e-14
 
     n1, n2 = len(x1_grid), len(x2_grid)
     joint_hits = np.zeros((n1, n2), dtype=np.int64)
@@ -672,10 +669,7 @@ def two_bank_survival_grid(
         while pos < n_steps:
             b = min(block, n_steps - pos)
             z = noise.normals(b, 2)            # (b, 2, width)
-            if corr_chol is not None:
-                zc = np.einsum("ij,sjw->siw", corr_chol, z)
-            else:
-                zc = z
+            zc = np.einsum("ij,sjw->siw", net.corr.cholesky, z) if correlated else z
             y1[:, pos + 1:pos + b + 1] = np.cumsum(zc[:, 0, :].T * sq, axis=1) \
                 + y1[:, pos:pos + 1] + ctx.xi[0] * dt_scaled * np.arange(1, b + 1)
             y2[:, pos + 1:pos + b + 1] = np.cumsum(zc[:, 1, :].T * sq, axis=1) \
