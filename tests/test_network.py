@@ -312,15 +312,10 @@ def test_batched_clearing_rows_are_single_path_fixed_points(batch):
 def stressed_network(rng, n, rho=0.0, jumps=False):
     """Random N-bank network started near its terminal boundaries, so that
     paths default both at crossings and at clearing."""
-    mutual = rng.uniform(0.0, 20.0, (n, n))
-    np.fill_diagonal(mutual, 0.0)
-    ext = rng.uniform(30.0, 90.0, n)
-    terminal = ext + mutual.sum(axis=1) - mutual.sum(axis=0)
-    net = BankNetwork(
-        external_assets=np.maximum(terminal, 1.0) * rng.uniform(0.8, 1.4, n),
-        external_liabilities=ext, mutual=mutual,
-        recoveries=rng.uniform(0.4, 0.9, n), sigma=rng.uniform(0.3, 0.6, n),
-        corr=CorrelationMatrix.from_scalar(rho, n))
+    net = random_network(rng, n)
+    terminal = np.maximum(boundaries(net).terminal, 1.0)
+    net.external_assets = terminal * rng.uniform(0.8, 1.4, n)
+    net.corr = CorrelationMatrix.from_scalar(rho, n)
     if jumps:
         net.jumps = JumpSpec.systemic_idiosyncratic(0.3, np.full(n, 0.2), np.full(n, 2.0))
     return net
@@ -339,7 +334,7 @@ def _records_equal(a, b):
 @pytest.mark.parametrize("case", range(len(N_BANK_CASES)))
 def test_n_bank_paths_do_not_depend_on_chunking(case):
     n, rho, jumps = N_BANK_CASES[case]
-    net = stressed_network(np.random.default_rng(60 + case), n, rho, jumps)
+    net = stressed_network(np.random.default_rng(30 + case), n, rho, jumps)
     dynamics = "jump-diffusion" if jumps else "lognormal"
     runs = [simulate_paths(net, 3.0, 0.01, paths=50, stream=RngStream(70 + case),
                            dynamics=dynamics, chunk=chunk)
@@ -365,7 +360,7 @@ def test_n_bank_terminal_settlement_clears_reduced_networks(case):
     # survivors settle on the network left after removing the crossed banks,
     # here removed in their order of default rather than by index
     n, rho, jumps = N_BANK_CASES[case]
-    net = stressed_network(np.random.default_rng(60 + case), n, rho, jumps)
+    net = stressed_network(np.random.default_rng(30 + case), n, rho, jumps)
     horizon = 3.0
     rec = simulate_paths(net, horizon, 0.01, paths=200, stream=RngStream(80 + case),
                          dynamics="jump-diffusion" if jumps else "lognormal")
