@@ -147,12 +147,11 @@ class UpsilonError(RuntimeError):
 UPSILON_MAX = 1.0 - 1e-9
 
 
-def _upsilon_map(u, c_r, d_f, l_f, k_f, p: MmcParams):
-    z = (p.upsilon0
-         + p.upsilon1 * c_r / ((1.0 - u) * p.nu_f * k_f)
-         + p.upsilon2 * d_f / k_f
-         + p.upsilon3 * l_f / k_f)
-    return logistic(z)
+def _index_coeffs(c_r, d_f, l_f, k_f, p: MmcParams):
+    """Coefficients of the propensity index z(u) = b + a / (1 - u): returns
+    (a, b), so that dz/du = a / (1 - u)**2."""
+    return (p.upsilon1 * c_r / (p.nu_f * k_f),
+            p.upsilon0 + p.upsilon2 * d_f / k_f + p.upsilon3 * l_f / k_f)
 
 
 def solve_upsilon(
@@ -164,25 +163,32 @@ def solve_upsilon(
 ) -> float:
     """Investment propensity upsilon_f in (0, 1).
 
+    upsilon_f is the root of u = phi(u), phi = logistic(z(u)), on the stable
+    branch phi'(u) < 1.  The map has at most two roots (in v = u / (1 - u)
+    the condition reads ln v = 2 z, and ln v - 2 z is concave in v): the
+    stable one and, above it, an unstable one with phi' > 1.  Past the fold,
+    where no root exists, the propensity is degenerate and UpsilonError is
+    raised.
+
     one-step evaluates the single-iteration approximation seeded at
-    logistic(upsilon_0); fixed-point damps the self-consistency map by 0.5;
-    newton solves the same equation quadratically.
+    logistic(upsilon_0); fixed-point damps the self-consistency map by 0.5,
+    which converges only to the stable root; newton runs the safeguarded
+    Newton iteration of the simulator, which accepts a root only where
+    phi' < 1.
     """
     if state.k_f <= 0:
         raise ValueError("K_f must be positive")
     if state.c_r <= 0:
         raise ValueError("C_r must be positive")
-    c_r, d_f, l_f, k_f = state.c_r, state.d_f, state.l_f, state.k_f
-
-    if mode == "one-step":
-        u0 = float(logistic(params.upsilon0))
-        return float(_upsilon_map(u0, c_r, d_f, l_f, k_f, params))
+    sheet = (state.c_r, state.d_f, state.l_f, state.k_f)
+    a, b = _index_coeffs(*sheet, params)
 
     u = float(logistic(params.upsilon0))
+    if mode == "one-step":
+        return float(logistic(b + a / (1.0 - u)))
     if mode == "fixed-point":
         for _ in range(max_iter):
-            target = float(_upsilon_map(u, c_r, d_f, l_f, k_f, params))
-            step = 0.5 * (target - u)
+            step = 0.5 * (float(logistic(b + a / (1.0 - u))) - u)
             u += step
             if u > UPSILON_MAX:
                 raise UpsilonError(
@@ -194,37 +200,41 @@ def solve_upsilon(
             f"fixed-point iteration did not converge; last step {step:.3e}"
         )
     if mode == "newton":
-        for _ in range(max_iter):
-            phi = float(_upsilon_map(u, c_r, d_f, l_f, k_f, params))
-            # d(logistic(z))/du = 2*phi*(1-phi) * dz/du
-            dz_du = params.upsilon1 * c_r / (params.nu_f * k_f * (1.0 - u) ** 2)
-            g = phi - u
-            gp = 2.0 * phi * (1.0 - phi) * dz_du - 1.0
-            step = -g / gp
-            u += step
-            if u > UPSILON_MAX:
-                raise UpsilonError(
-                    f"degenerate investment propensity: upsilon_f saturated at {u}"
-                )
-            if abs(step) < tol:
-                return u
-        raise UpsilonError(f"newton did not converge; last step {step:.3e}")
+        return float(_upsilon_vec(np.array([u]), *sheet, params, tol, max_iter)[0])
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _upsilon_vec(u, c_r, d_f, l_f, k_f, params, tol=1e-12, max_iter=200):
-    """Damped fixed point, vectorized over paths, warm-started at u."""
+def _newton(u, a, b, tol, max_iter):
+    """Newton on g(u) = phi(u) - u, vectorized over paths, from u.
+
+    Stops once |step| < tol on every path or once a path leaves
+    (0, UPSILON_MAX); returns the iterate and the paths accepted there:
+    converged, inside the range, and on the stable branch phi' < 1."""
     for _ in range(max_iter):
-        target = _upsilon_map(u, c_r, d_f, l_f, k_f, params)
-        step = 0.5 * (target - u)
+        w = 1.0 / (1.0 - u)
+        phi = logistic(b + a * w)
+        slope = 2.0 * phi * (1.0 - phi) * a * w * w      # phi'(u)
+        step = (phi - u) / (1.0 - slope)
         u = u + step
-        if np.any(u > UPSILON_MAX):
+        if not (u.min() > 0.0 and u.max() < UPSILON_MAX) or np.max(np.abs(step)) < tol:
+            break
+    return u, (u > 0.0) & (u < UPSILON_MAX) & (np.abs(step) < tol) & (slope < 1.0)
+
+
+def _upsilon_vec(u, c_r, d_f, l_f, k_f, params, tol=1e-12, max_iter=200):
+    """Stable-branch propensity by Newton, vectorized over paths, warm-started
+    at u.  A path whose warm start leaves (0, 1), stalls or lands where
+    phi' >= 1 restarts from u = 0: g(0) > 0 and g is convex while phi < 1/2,
+    so Newton climbs from there to the lower, stable root."""
+    a, b = _index_coeffs(c_r, d_f, l_f, k_f, params)
+    u, ok = _newton(u, a, b, tol, max_iter)
+    if not ok.all():
+        u, ok = _newton(np.where(ok, u, 0.0), a, b, tol, max_iter)
+        if not ok.all():
             raise UpsilonError(
-                f"degenerate investment propensity on {int(np.sum(u > UPSILON_MAX))} path(s)"
+                f"degenerate investment propensity on {int((~ok).sum())} path(s)"
             )
-        if np.max(np.abs(step)) < tol:
-            return u
-    raise UpsilonError(f"fixed-point iteration stalled at step {np.max(np.abs(step)):.3e}")
+    return u
 
 
 @dataclass

@@ -80,17 +80,6 @@ class BankNetwork:
         return (self.external_assets + self.interbank_assets
                 - self.external_liabilities - self.interbank_liabilities)
 
-    def asset_matrix(self) -> np.ndarray:
-        """Diagonal A_i with off-diagonal claims A_ij = L_ji."""
-        a = self.mutual.T.copy()
-        np.fill_diagonal(a, self.external_assets)
-        return a
-
-    def liability_matrix(self) -> np.ndarray:
-        l = self.mutual.copy()
-        np.fill_diagonal(l, self.external_liabilities)
-        return l
-
 
 def fig15_network(sigma=(0.4, 0.4), rho=0.0, mu=0.0,
                   external_assets=(60.0, 80.0)) -> BankNetwork:

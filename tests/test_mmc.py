@@ -1,11 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from circuitlab import mmc
 from circuitlab.mmc import (
     FIG8_PARAMS,
     FIG8_STATE,
     MmcParams,
     MmcState,
+    UpsilonError,
     derived_quantities,
     logistic,
     mmc_drift_and_diffusion,
@@ -15,12 +21,13 @@ from circuitlab.mmc import (
 )
 from circuitlab.rng import RngStream
 
+ENSEMBLE_PARAMS = replace(FIG8_PARAMS, sigma_c=0.04, sigma_k=0.02,
+                          sigma_s=0.01, sigma_lambda=0.01)
+
 
 def random_consistent_state(rng):
     """Balanced sheet in the non-degenerate propensity regime (retries states
     whose investment propensity saturates)."""
-    from circuitlab.mmc import UpsilonError
-
     while True:
         d_r, l_r, d_f, l_f = rng.uniform(5.0, 60.0, 4)
         k_b = l_r + l_f - d_r - d_f
@@ -214,3 +221,128 @@ def test_degenerate_upsilon_rejected():
     with pytest.raises(ValueError, match="positive"):
         solve_upsilon(MmcState(c_r=0.0, d_r=1, l_r=1, d_f=1, l_f=1,
                                k_f=10, k_b=0), FIG8_PARAMS)
+
+
+# --------------------------------------------------------------------------
+# the investment-propensity root u = phi(u), phi = logistic(z(u))
+
+def _phi_and_slope(u, st_, p):
+    """phi(u) and phi'(u) in definitional form, for a float or an array u."""
+    k_f = st_.k_f
+    z = (p.upsilon0 + p.upsilon1 * st_.c_r / ((1.0 - u) * p.nu_f * k_f)
+         + p.upsilon2 * st_.d_f / k_f + p.upsilon3 * st_.l_f / k_f)
+    phi = logistic(z)
+    dz_du = p.upsilon1 * st_.c_r / (p.nu_f * k_f * (1.0 - u) ** 2)
+    return phi, 2.0 * phi * (1.0 - phi) * dz_du
+
+
+def _columns(states):
+    return [np.array([getattr(s, k) for s in states]) for k in ("c_r", "d_f", "l_f", "k_f")]
+
+
+@st.composite
+def sheets(draw):
+    d_r, l_r, d_f, l_f = (draw(st.floats(5.0, 60.0)) for _ in range(4))
+    return MmcState(c_r=draw(st.floats(0.5, 6.0)), d_r=d_r, l_r=l_r, d_f=d_f, l_f=l_f,
+                    k_f=draw(st.floats(20.0, 80.0)), k_b=l_r + l_f - d_r - d_f)
+
+
+upsilon_params = st.builds(
+    lambda u0, u1, u2, u3: replace(FIG8_PARAMS, upsilon0=u0, upsilon1=u1,
+                                   upsilon2=u2, upsilon3=u3),
+    st.floats(-3.0, 0.5), st.floats(0.05, 3.0), st.floats(0.0, 1.0), st.floats(-1.0, 0.0))
+warm_start = st.floats(1e-3, 0.999)
+
+
+@settings(deadline=None, max_examples=150)
+@given(states=st.lists(sheets(), min_size=1, max_size=4), p=upsilon_params, data=st.data())
+def test_upsilon_newton_property(states, p, data):
+    """From any warm start in (0, 1) the vectorised Newton solve returns the
+    stable root: it agrees with the damped fixed point wherever that
+    converges, and every root it accepts has phi' < 1."""
+    u0 = np.array([data.draw(warm_start) for _ in states])
+    try:
+        u = mmc._upsilon_vec(u0, *_columns(states), p)
+    except UpsilonError:
+        u = None
+    fixed = []
+    for s in states:
+        try:
+            fixed.append(solve_upsilon(s, p, mode="fixed-point"))
+        except UpsilonError:
+            fixed.append(None)
+    if all(f is not None for f in fixed):
+        assert u is not None
+        assert np.max(np.abs(u - np.array(fixed))) < 1e-10
+    if u is not None:
+        for s, ui in zip(states, u):
+            phi, slope = _phi_and_slope(ui, s, p)
+            assert abs(phi - ui) < 1e-12
+            assert slope < 1.0
+
+
+@settings(deadline=None, max_examples=100)
+@given(s=sheets(), p=upsilon_params)
+def test_upsilon_warm_start_on_unstable_root(s, p):
+    """Newton started on the upper root (phi' > 1) stays there; the solve must
+    reject it and return the lower, stable root."""
+    def g(u):
+        return _phi_and_slope(u, s, p)[0] - u
+
+    grid = np.linspace(0.0, 1.0, 20_001)[1:-1]
+    neg = np.flatnonzero(g(grid) < 0.0)
+    assume(neg.size > 0 and neg[-1] + 1 < grid.size)
+    lo, hi = grid[neg[-1]], grid[neg[-1] + 1]     # g(lo) < 0 < g(hi)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if g(mid) < 0.0 else (lo, mid)
+    assume(_phi_and_slope(hi, s, p)[1] > 1.0 + 1e-6)
+    u = mmc._upsilon_vec(np.array([hi]), *_columns([s]), p)[0]
+    phi, slope = _phi_and_slope(u, s, p)
+    assert abs(phi - u) < 1e-12 and slope < 1.0
+    assert u < lo
+
+
+@settings(deadline=None, max_examples=100)
+@given(s=sheets(), p=upsilon_params, margin=st.floats(1e-3, 3.0), u0=warm_start)
+def test_upsilon_without_root_is_degenerate(s, p, margin, u0):
+    """Past the fold the map has no root and the solve raises the named error.
+
+    With z(u) = b + a / (1 - u) and v = u / (1 - u), u = phi(u) reads
+    ln v = 2b + 2a + 2av, whose gap is concave in v and peaks at v = 1/(2a):
+    there is no root exactly when ln(2a) + 2a + 2b + 1 > 0.  upsilon0 is set
+    `margin` past that fold; a dense grid confirms g = phi - u > 0."""
+    a = p.upsilon1 * s.c_r / (p.nu_f * s.k_f)
+    b = (margin - np.log(2.0 * a) - 2.0 * a - 1.0) / 2.0
+    p = replace(p, upsilon0=b - p.upsilon2 * s.d_f / s.k_f - p.upsilon3 * s.l_f / s.k_f)
+    grid = np.linspace(0.0, 1.0, 100_001)[1:-1]
+    assert np.all(_phi_and_slope(grid, s, p)[0] - grid > 0.0)
+    with pytest.raises(UpsilonError, match="degenerate investment propensity"):
+        mmc._upsilon_vec(np.array([u0]), *_columns([s]), p)
+    with pytest.raises(UpsilonError, match="degenerate investment propensity"):
+        solve_upsilon(s, p, mode="newton")
+
+
+def test_stochastic_fig8_batch_reaches_horizon():
+    # a batch that reaches phi' ~ 0.8, where a damped fixed point contracts
+    # by only ~0.9 per round and runs out of 200 iterations
+    res = simulate(FIG8_STATE, ENSEMBLE_PARAMS, horizon=10.0, dt=0.01, paths=2,
+                   stream=RngStream(12), record_stride=100)
+    assert res.t[-1] == pytest.approx(10.0)
+    assert res.credit_crunch_steps == 0
+    stocks = np.concatenate([res.series[k].ravel() for k in
+                             ("d_r", "l_r", "d_f", "l_f", "k_f")])
+    assert res.max_identity_residual < 1e-8 * stocks.max()
+
+
+def test_fig8_logistic_evaluations_per_step(monkeypatch):
+    calls = 0
+
+    def counted(x):
+        nonlocal calls
+        calls += 1
+        return logistic(x)
+
+    monkeypatch.setattr(mmc, "logistic", counted)
+    simulate(FIG8_STATE, FIG8_PARAMS, horizon=10.0, dt=0.01, record_stride=100)
+    assert calls / 1000 <= 5.0
