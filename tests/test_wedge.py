@@ -2,11 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from circuitlab import wedge
+from circuitlab.bessel import iv_scaled
 from circuitlab.network import fig15_network, nondim_context, shifted_levels
 from circuitlab.rng import RngStream
 from circuitlab.wedge import (
     QuadratureSpec,
+    SeriesError,
     WedgeContext,
     boundary_flux,
     conservation_check,
@@ -208,3 +213,163 @@ def test_wedge_context_rejects_jumps_and_bad_rho():
         wedge_context(net)
     with pytest.raises(ValueError, match="correlation"):
         WedgeContext.build(1.0, [0.0, 0.0])
+
+
+def test_boundary_flux_rejects_unknown_face():
+    ctx = WedgeContext.build(0.3, [-0.5, -0.5])
+    for face in (0, 3, -2):
+        with pytest.raises(ValueError, match="face"):
+            boundary_flux(ctx, 1.0, np.array([1.0]), (1.3, 2.1), face=face)
+
+
+def test_boundary_flux_rejects_source_off_the_interior():
+    ctx = WedgeContext.build(0.3, [-0.5, -0.5])
+    for src in ((0.0, 1.5), (1.5, 0.0), (-0.2, 1.0)):
+        for face in (1, 2):
+            with pytest.raises(ValueError, match="interior"):
+                boundary_flux(ctx, 1.0, np.array([1.0]), src, face=face)
+
+
+# ---------------------------------------------------------------------------
+# the per-point truncated series against an untruncated sum
+
+TOL = 1e-14            # the default truncation tolerance of wedge_green / boundary_flux
+REF_ORDERS = 250       # fixed order count of the untruncated reference
+SERIES_MARGIN = 3.0    # truncation error over tol * largest partial sum (measured 0.75)
+
+
+def _green_reference(ctx, t, x1, x2, xs):
+    """Prefactor, z and per-order (term, envelope) rows of the density series."""
+    r, phi = ctx.polar(x1, x2)
+    r_src, phi_src = ctx.polar(*xs)
+    pre = (np.exp(-0.5 * ctx.theta_dot_xi * t + ctx.theta[0] * (x1 - xs[0])
+                  + ctx.theta[1] * (x2 - xs[1]))
+           * 2.0 / (ctx.rho_bar * ctx.varpi * t) * np.exp(-((r - r_src) ** 2) / (2.0 * t)))
+    z = r * r_src / t
+    envs = np.array([iv_scaled(ctx.order(n), z) for n in range(1, REF_ORDERS + 1)])
+    nus = np.array([ctx.order(n) for n in range(1, REF_ORDERS + 1)])[:, None]
+    return pre, z, envs * np.sin(nus * phi) * np.sin(nus * phi_src), envs
+
+
+def _flux_reference(ctx, t, coord, xs, face):
+    r_src, phi_src = ctx.polar(*xs)
+    drift = ctx.theta[0] if face == 2 else ctx.theta[1]
+    pre = (np.exp(-0.5 * ctx.theta_dot_xi * t + drift * coord - ctx.theta @ np.asarray(xs))
+           / (ctx.varpi * t * coord) * np.exp(-((coord / ctx.rho_bar - r_src) ** 2) / (2.0 * t)))
+    z = coord * r_src / (ctx.rho_bar * t)
+    nus = np.array([ctx.order(n) for n in range(1, REF_ORDERS + 1)])[:, None]
+    envs = nus * np.array([iv_scaled(nu, z) for nu in nus[:, 0]])
+    signs = np.where((face == 2) & (np.arange(1, REF_ORDERS + 1) % 2 == 0), -1.0, 1.0)
+    return pre, z, envs * np.sin(nus * phi_src) * signs[:, None], envs
+
+
+def _check_truncation(out, pre, z, terms, envs, seen):
+    """`seen` holds the arguments iv_scaled received, one array per order."""
+    live = pre > 1e-30
+    assert np.all(out[~live] == 0.0)
+    assert len(seen) < REF_ORDERS - 10
+    assert np.array_equal(seen[0], z[live])
+    partial = np.cumsum(terms[:, live], axis=0)
+    envs = envs[:, live]
+    # last order each point took part in; the live set only ever shrinks
+    last = np.array([sum(np.isin(v, calls) for calls in seen) for v in z[live]])
+    assert np.all(last >= 2)
+    frozen = partial[np.minimum(np.arange(REF_ORDERS)[:, None], last - 1), np.arange(last.size)]
+    scale = np.maximum.accumulate(np.max(np.abs(frozen), axis=1))
+    # every dropped point's last two envelopes were under the threshold
+    for k in (last - 1, last - 2):
+        assert np.all(envs[k, np.arange(last.size)] <= TOL * scale[k] * (1.0 + 1e-9))
+    # and what it dropped is within the margin of that threshold
+    err = np.abs(out[live] - pre[live] * partial[-1])
+    assert np.all(err <= SERIES_MARGIN * TOL * pre[live] * scale[-1] + 1e-300)
+
+
+def _recording_iv(monkeypatch):
+    seen = []
+
+    def recording(nu, z):
+        seen.append(np.array(z, copy=True))
+        return iv_scaled(nu, z)
+
+    monkeypatch.setattr(wedge, "iv_scaled", recording)
+    return seen
+
+
+coords = st.floats(0.01, 6.0)
+
+
+@settings(deadline=None, max_examples=25)
+@given(rho=st.floats(-0.9, 0.8), log_t=st.floats(math.log(0.01), math.log(12.0)),
+       xi=st.tuples(st.floats(-1.0, 0.5), st.floats(-1.0, 0.5)),
+       src=st.tuples(st.floats(0.1, 4.0), st.floats(0.1, 4.0)),
+       points=st.lists(st.tuples(coords, coords), min_size=1, max_size=12),
+       face=st.sampled_from([1, 2]))
+def test_truncated_series_match_untruncated_sum(rho, log_t, xi, src, points, face):
+    ctx = WedgeContext.build(rho, xi)
+    t = math.exp(log_t)
+    x1, x2 = np.array(points).T
+    # iv_scaled meets its 1e-12 target on its power-series branch, z <= 700;
+    # beyond it the result depends on the batch, and the reference's batch
+    # is not the loop's
+    r_src = ctx.polar(*src)[0]
+    keep = (ctx.polar(x1, x2)[0] * r_src / t <= 700.0) & (x1 * r_src / (ctx.rho_bar * t) <= 700.0)
+    x1, x2 = x1[keep], x2[keep]
+    with pytest.MonkeyPatch.context() as mp:
+        seen = _recording_iv(mp)
+        green = wedge_green(ctx, t, x1, x2, src)
+        if seen:
+            _check_truncation(green, *_green_reference(ctx, t, x1, x2, src), seen)
+        seen.clear()
+        flux = boundary_flux(ctx, t, x1, src, face=face)
+        if seen:
+            _check_truncation(flux, *_flux_reference(ctx, t, x1, src, face), seen)
+
+
+def test_too_few_orders_raise_series_error():
+    ctx = WedgeContext.build(0.3, [-0.5, -0.5])
+    x = np.array([1.0, 2.0, 3.0])
+    with pytest.raises(SeriesError, match="not converged after 3 terms"):
+        wedge_green(ctx, 0.5, x, x[::-1], (2.0, 2.0), n_terms=3)
+    with pytest.raises(SeriesError, match="not converged after 3 terms"):
+        boundary_flux(ctx, 0.5, x, (2.0, 2.0), face=2, n_terms=3)
+
+
+def test_q1_series_work_drops_converged_points(monkeypatch):
+    # Fig 15 at rho = 0.3 with a small rule: truncating the series over the
+    # whole batch sends 729,443 points to iv_scaled, per point 311,043
+    counts = {"calls": 0, "points": 0}
+
+    def counting(nu, z):
+        counts["calls"] += 1
+        counts["points"] += np.size(z)
+        return iv_scaled(nu, z)
+
+    monkeypatch.setattr(wedge, "iv_scaled", counting)
+    spec = QuadratureSpec(panels=4, order=8, time_panels=6, target=1.0)
+    q1, _ = marginal_survival_Q1(fig15_network(rho=0.3), (2.0, 2.0), 12.5, spec)
+    assert q1 == pytest.approx(0.15632480508177263, abs=1e-12)
+    assert counts["points"] < 729_443 // 2
+    assert counts["calls"] < 250
+
+
+def test_gauss_legendre_rules_built_once_and_read_only(monkeypatch):
+    builds = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counting(order):
+        builds.append(order)
+        return leggauss(order)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+    wedge._gl_rule.cache_clear()
+    spec = QuadratureSpec(panels=4, order=8, time_panels=6, target=1.0)
+    marginal_survival_Q1(fig15_network(rho=0.3), (2.0, 2.0), 12.5, spec)
+    assert sorted(builds) == [8, 10]
+
+    nodes, weights = wedge._gl_rule(8)
+    fresh_nodes, fresh_weights = leggauss(8)
+    assert np.array_equal(nodes, fresh_nodes) and np.array_equal(weights, fresh_weights)
+    for arr in (nodes, weights):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+    assert wedge._gl_rule(8)[0] is nodes
