@@ -10,8 +10,9 @@ The density and the boundary flux share one series loop that stops per
 point: a point leaves once its envelope w_n ive(nu_n, z) (the term without
 its sines) has been at most tol times the largest |partial sum| for two
 orders in a row; the envelope decreases in n, so it bounds every later term.
-The alternating flux sums cancel at small t, so the flux has an absolute
-floor of a few 1e-12 there (4.6e-12 at t = 0.02 against a 3,000-order sum).
+The alternating flux sums cancel at small t, so there the flux has an
+absolute error floor, about 1e-12 at unit prefactor (4.6e-12 measured at
+t = 0.02 against a 3,000-order sum).
 
 Survival probabilities are then quadratures of this density over the
 terminal settlement domains, plus (for the marginal) the time integral of
@@ -115,8 +116,9 @@ def _bessel_series(ctx: WedgeContext, z: np.ndarray, weight, n_terms: int,
     any point) for two orders in a row: I_nu(z) decreases in nu, and so does
     nu I_nu(z) once nu^2 exceeds about z, so the envelope bounds every later
     term.  The bound is relative to the largest partial sum, so where the
-    sums cancel (the flux at small t) the result keeps an absolute error of
-    a few 1e-12.  SeriesError if a point is still live after n_terms orders."""
+    sums cancel (the flux at small t) the error is absolute, about 1e-12
+    at unit prefactor.  SeriesError if a point is still live after n_terms
+    orders."""
     total = np.empty_like(z)
     idx = np.arange(z.size)
     acc = np.zeros_like(z)

@@ -238,6 +238,10 @@ REF_ORDERS = 250       # fixed order count of the untruncated reference
 SERIES_MARGIN = 3.0    # truncation error over tol * largest partial sum (measured 0.75)
 
 
+def _orders(ctx):
+    return np.array([ctx.order(n) for n in range(1, REF_ORDERS + 1)])[:, None]
+
+
 def _green_reference(ctx, t, x1, x2, xs):
     """Prefactor, z and per-order (term, envelope) rows of the density series."""
     r, phi = ctx.polar(x1, x2)
@@ -246,18 +250,19 @@ def _green_reference(ctx, t, x1, x2, xs):
                   + ctx.theta[1] * (x2 - xs[1]))
            * 2.0 / (ctx.rho_bar * ctx.varpi * t) * np.exp(-((r - r_src) ** 2) / (2.0 * t)))
     z = r * r_src / t
-    envs = np.array([iv_scaled(ctx.order(n), z) for n in range(1, REF_ORDERS + 1)])
-    nus = np.array([ctx.order(n) for n in range(1, REF_ORDERS + 1)])[:, None]
+    nus = _orders(ctx)
+    envs = np.array([iv_scaled(nu, z) for nu in nus[:, 0]])
     return pre, z, envs * np.sin(nus * phi) * np.sin(nus * phi_src), envs
 
 
 def _flux_reference(ctx, t, coord, xs, face):
+    """The same rows for the flux series through `face`."""
     r_src, phi_src = ctx.polar(*xs)
     drift = ctx.theta[0] if face == 2 else ctx.theta[1]
     pre = (np.exp(-0.5 * ctx.theta_dot_xi * t + drift * coord - ctx.theta @ np.asarray(xs))
            / (ctx.varpi * t * coord) * np.exp(-((coord / ctx.rho_bar - r_src) ** 2) / (2.0 * t)))
     z = coord * r_src / (ctx.rho_bar * t)
-    nus = np.array([ctx.order(n) for n in range(1, REF_ORDERS + 1)])[:, None]
+    nus = _orders(ctx)
     envs = nus * np.array([iv_scaled(nu, z) for nu in nus[:, 0]])
     signs = np.where((face == 2) & (np.arange(1, REF_ORDERS + 1) % 2 == 0), -1.0, 1.0)
     return pre, z, envs * np.sin(nus * phi_src) * signs[:, None], envs
