@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import ndtr
 
-from .bessel import iv_scaled
+from .bessel import _SERIES_MAX_Z, iv_scaled
 from .network import (BankNetwork, TwoBankDomains, nondim_context, shifted_levels,
                       two_bank_domains)
 
@@ -117,12 +117,16 @@ def _bessel_series(ctx: WedgeContext, z: np.ndarray, weight, n_terms: int,
     nu I_nu(z) once nu^2 exceeds about z, so the envelope bounds every later
     term.  The bound is relative to the largest partial sum, so where the
     sums cancel (the flux at small t) the error is absolute, about 1e-12
-    at unit prefactor.  SeriesError if a point is still live after n_terms
+    at unit prefactor.  Above z = 700 iv_scaled's values depend on which of
+    those points share the call, so those points leave together, once all of
+    them are quiet.  SeriesError if a point is still live after n_terms
     orders."""
     total = np.empty_like(z)
     idx = np.arange(z.size)
     acc = np.zeros_like(z)
     quiet = np.zeros(z.size, dtype=int)
+    batched = z > _SERIES_MAX_Z
+    env = np.full_like(z, np.inf)
     scale = 0.0
     for n in range(1, n_terms + 1):
         nu = ctx.order(n)
@@ -132,12 +136,15 @@ def _bessel_series(ctx: WedgeContext, z: np.ndarray, weight, n_terms: int,
         scale = max(scale, float(np.max(np.abs(acc))))
         quiet = np.where(env <= tol * max(scale, 1e-300), quiet + 1, 0)
         done = quiet >= 2
+        if np.any(batched):
+            done[batched] = np.all(done[batched])
         if np.any(done):
             total[idx[done]] = acc[done]
             keep = ~done
             if not np.any(keep):
                 return total
-            idx, z, acc, quiet = idx[keep], z[keep], acc[keep], quiet[keep]
+            idx, z, acc, quiet, batched, env = (
+                a[keep] for a in (idx, z, acc, quiet, batched, env))
             if phi is not None:
                 phi = phi[keep]
     raise SeriesError(

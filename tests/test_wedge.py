@@ -337,6 +337,24 @@ def test_too_few_orders_raise_series_error():
         wedge_green(ctx, 0.5, x, x[::-1], (2.0, 2.0), n_terms=3)
     with pytest.raises(SeriesError, match="not converged after 3 terms"):
         boundary_flux(ctx, 0.5, x, (2.0, 2.0), face=2, n_terms=3)
+    with pytest.raises(SeriesError, match="not converged after 0 terms"):
+        wedge_green(ctx, 0.5, x, x[::-1], (2.0, 2.0), n_terms=0)
+
+
+def test_points_above_z_700_leave_the_series_together(monkeypatch):
+    # z = 13,000-14,400 at a short horizon near the source.  Above z = 700
+    # iv_scaled's values depend on the batch: dropping these points one by
+    # one changes the others' values, and the last density reads -0.70.
+    # Together they give 0.05578236394859798, which a 3,000-order
+    # scipy.special.ive sum confirms to 10 digits.  (The third point's
+    # -5.1e-5 is iv_scaled's large-argument defect, outside this loop.)
+    ctx = WedgeContext.build(-0.8523537982945857, [-0.5905236867859487, -0.7506776087696074])
+    x1 = np.array([5.63630521036327, 3.483308969407087, 4.928169829303059, 4.256132040459786])
+    x2 = np.array([1.7597576333064393, 3.9195319732975844, 1.7426479799339254, 2.79081821719066])
+    seen = _recording_iv(monkeypatch)
+    g = wedge_green(ctx, 0.012311190845945527, x1, x2, (3.8762971805736552, 3.122683451170018))
+    assert all(calls.size == 4 for calls in seen)
+    assert g[3] == pytest.approx(0.05578236394859798, rel=1e-12)
 
 
 def test_q1_series_work_drops_converged_points(monkeypatch):
