@@ -4,13 +4,16 @@ The workhorse is the exponentially scaled value ive(nu, z) = I_nu(z)*e^{-z},
 which stays bounded for large arguments and is what the wedge Green's
 function consumes (its Gaussian prefactor absorbs the e^{+z}).
 
-The power series has all-positive terms, so it is cancellation-free for any
-argument; evaluation starts from the scaled first term and runs the term
-ratio forward, bucketing points by magnitude to bound the iteration count.
-A log-domain two-sided summation backs up the rare regime where the scaled
-first term underflows, and the large-argument Hankel expansion covers
-z > 700 (where the series would need thousands of terms).  Relative
-accuracy target: 1e-12 against arbitrary-precision references.
+For 0 < z <= 700 the power series runs: its terms are all positive, so it
+is cancellation-free; evaluation starts from the scaled first term and runs
+the term ratio forward, bucketing points by magnitude to bound the iteration
+count.  Every other non-zero point (z > 700, or a scaled first term that
+underflows) goes to scipy.special.ive (Amos's algorithm), elementwise, so no
+value depends on the other points of the call.  The series stays because it
+is about 5x faster than ive on the wedge's inputs: over the 21.9 M points of
+one `deterministic` benchmark pass's wedge calls (all below z = 435) it took
+3.6 s against ive's 17.9 s on a 2-vCPU Xeon.  Relative accuracy target:
+1e-12 against arbitrary-precision references.
 """
 
 from __future__ import annotations
@@ -18,8 +21,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.special import ive
 
-__all__ = ["iv_scaled", "iv"]
+__all__ = ["iv_scaled"]
 
 _SERIES_MAX_Z = 700.0
 _BUCKETS = (3.0, 25.0, 80.0, 200.0, 420.0, _SERIES_MAX_Z)
@@ -27,8 +31,8 @@ _BUCKETS = (3.0, 25.0, 80.0, 200.0, 420.0, _SERIES_MAX_Z)
 
 def iv_scaled(nu: float, z) -> np.ndarray | float:
     """I_nu(z) * exp(-z) for nu >= 0 and z >= 0, vectorized over z."""
-    if nu < 0:
-        raise ValueError(f"order must be non-negative, got {nu}")
+    if not (math.isfinite(nu) and nu >= 0):
+        raise ValueError(f"order must be finite and non-negative, got {nu}")
     z_arr = np.asarray(z, dtype=float)
     scalar = z_arr.ndim == 0
     z_arr = np.atleast_1d(z_arr).astype(float)
@@ -39,49 +43,25 @@ def iv_scaled(nu: float, z) -> np.ndarray | float:
     zero = z_arr == 0.0
     out[zero] = 1.0 if nu == 0.0 else 0.0
 
+    slow = (~zero) & (z_arr > _SERIES_MAX_Z)
     lo = 0.0
     for hi in _BUCKETS:
-        sel = (~zero) & (z_arr > lo) & (z_arr <= hi)
-        if np.any(sel):
-            out[sel] = _series_scaled(nu, z_arr[sel], hi)
+        sel = np.nonzero((~zero) & (z_arr > lo) & (z_arr <= hi))[0]
+        if sel.size:
+            out[sel], slow[sel] = _series_scaled(nu, z_arr[sel], hi)
         lo = hi
 
-    big = (~zero) & (z_arr > _SERIES_MAX_Z)
-    if np.any(big):
-        idx = np.nonzero(big)[0]
-        vals, ok = _hankel_scaled(nu, z_arr[idx])
-        out[idx] = vals
-        bad = idx[~ok]
-        if bad.size:
-            # narrow magnitude buckets share one anchored sweep; the sweep
-            # width must cover the peak drift across the bucket
-            zb = z_arr[bad]
-            lo_b = float(zb.min())
-            while True:
-                hi_b = 1.4 * lo_b
-                sel = (zb >= lo_b) & (zb <= hi_b)
-                if np.any(sel):
-                    out[bad[sel]] = _series_anchored(nu, zb[sel], hi_b)
-                rest = zb > hi_b
-                if not np.any(rest):
-                    break
-                lo_b = float(zb[rest].min())
-
+    if np.any(slow):
+        out[slow] = ive(nu, z_arr[slow])
     return float(out[0]) if scalar else out
 
 
-def iv(nu: float, z) -> np.ndarray | float:
-    """Unscaled I_nu(z); overflows for z beyond ~700 as the true value does."""
-    z_arr = np.asarray(z, dtype=float)
-    return iv_scaled(nu, z_arr) * np.exp(z_arr)
-
-
-def _series_scaled(nu: float, z: np.ndarray, z_hi: float) -> np.ndarray:
-    """Forward power series times e^{-z}, iteration count sized by z_hi."""
+def _series_scaled(nu: float, z: np.ndarray, z_hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Forward power series times e^{-z}, iteration count sized by z_hi, and
+    a mask of the points whose scaled first term underflows."""
     log_t0 = nu * np.log(0.5 * z) - math.lgamma(nu + 1.0) - z
     t = np.exp(log_t0)
     s = t.copy()
-    needs_slow = log_t0 < -700.0
     q = 0.25 * z * z
     k_star = 0.5 * (-(nu + 1.0) + math.sqrt((nu + 1.0) ** 2 + z_hi * z_hi))
     k_max = int(k_star + 12.0 * math.sqrt(max(z_hi, 1.0)) + 30.0)
@@ -90,73 +70,4 @@ def _series_scaled(nu: float, z: np.ndarray, z_hi: float) -> np.ndarray:
         s = s + t
         if (k & 15) == 15 and np.all(t <= 1e-17 * s):
             break
-    if np.any(needs_slow):
-        idx = np.nonzero(needs_slow)[0]
-        s[idx] = _series_anchored(nu, z[idx], z_hi)
-    return s
-
-
-def _series_anchored(nu: float, z: np.ndarray, z_hi: float) -> np.ndarray:
-    """Two-sided scaled series anchored at the peak term, vectorized.
-
-    Covers huge arguments where the k = 0 scaled term underflows: the sum
-    starts at a common index k0 near the peak (terms there are O(1/sqrt(z))
-    after scaling) and ratio sweeps run outward in both directions.
-    """
-    from scipy.special import gammaln
-
-    k0 = max(int(0.5 * (-(nu + 1.0) + math.sqrt((nu + 1.0) ** 2 + z_hi * z_hi))), 0)
-    log_anchor = ((nu + 2.0 * k0) * np.log(0.5 * z)
-                  - gammaln(k0 + 1.0) - gammaln(nu + k0 + 1.0) - z)
-    anchor = np.exp(log_anchor)
-    total = anchor.copy()
-    q = 0.25 * z * z
-    # cover both the peak drift across the bucket and the peak's own width
-    width = int(0.5 * k0 + 14.0 * math.sqrt(z_hi) + 40.0)
-    t = anchor.copy()
-    for k in range(k0, k0 + width):
-        t = t * q / ((k + 1.0) * (nu + k + 1.0))
-        total += t
-        if (k - k0) % 16 == 15 and np.all(t <= 1e-17 * total):
-            break
-    t = anchor.copy()
-    for k in range(k0, max(k0 - width, 0), -1):
-        t = t * (k * (nu + k)) / q
-        total += t
-        if (k0 - k) % 16 == 15 and np.all(t <= 1e-17 * total):
-            break
-    return total
-
-
-def _hankel_scaled(nu: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Large-argument expansion of I_nu(z)e^{-z}, truncated per point at its
-    smallest term.  Returns values and a flag marking where the smallest
-    retained term certifies ~1e-13 relative accuracy."""
-    mu = 4.0 * nu * nu
-    s = np.ones_like(z)
-    term = np.ones_like(z)
-    smallest = np.ones_like(z)
-    largest = np.ones_like(z)
-    frozen = np.zeros(z.shape, dtype=bool)
-    decaying = np.zeros(z.shape, dtype=bool)
-    for k in range(1, 80):
-        factor = -(mu - (2.0 * k - 1.0) ** 2) / (8.0 * k)
-        new_term = term * factor / z
-        grew = np.abs(new_term) >= np.abs(term)
-        # terms may hump upward initially when mu > 8z; truncate only when
-        # growth resumes after the decaying stretch (the asymptotic minimum)
-        frozen |= decaying & grew
-        decaying |= ~grew
-        active = ~frozen
-        if not np.any(active):
-            break
-        term = np.where(active, new_term, term)
-        s = s + np.where(active, term, 0.0)
-        smallest = np.where(active, np.abs(term), smallest)
-        largest = np.maximum(largest, np.where(active, np.abs(term), 0.0))
-        if np.all(frozen | (smallest <= 1e-17 * np.abs(s))):
-            break
-    # accuracy certificate: tail bounded by the smallest term and no
-    # cancellation-inducing hump in the alternating stretch
-    ok = (smallest <= 1e-13 * np.abs(s)) & (largest <= 4.0 * np.abs(s))
-    return s / np.sqrt(2.0 * math.pi * z), ok
+    return s, log_t0 < -700.0

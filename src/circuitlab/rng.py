@@ -18,8 +18,6 @@ __all__ = [
     "JumpSpec",
     "PathNoise",
     "gaussian_increments",
-    "marshall_olkin_arrivals",
-    "sample_jump_amplitudes",
     "euler_step",
 ]
 
@@ -198,40 +196,6 @@ class PathNoise:
 
     def generator(self, j: int) -> np.random.Generator:
         return self._gens[j]
-
-
-def sample_jump_amplitudes(
-    gen: np.random.Generator, theta: float, size: int
-) -> np.ndarray:
-    """Draw negative-exponential jump sizes J <= 0 with density theta*exp(theta*j)."""
-    return -gen.exponential(scale=1.0 / theta, size=size)
-
-
-def marshall_olkin_arrivals(
-    stream: RngStream | np.random.Generator,
-    spec: JumpSpec,
-    dt: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One step of common-shock jump arrivals.
-
-    Returns (counts, log_jumps): per-bank arrival counts over dt and the
-    summed log amplitudes sum(J) to apply multiplicatively as exp(sum J).
-    """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    gen = stream.generator() if isinstance(stream, RngStream) else stream
-    counts = np.zeros(spec.n_banks, dtype=np.int64)
-    log_jumps = np.zeros(spec.n_banks)
-    for subset, lam in sorted(
-        spec.subset_intensities.items(), key=lambda kv: sorted(kv[0])
-    ):
-        k = gen.poisson(lam * dt)
-        if k == 0:
-            continue
-        for i in sorted(subset):
-            counts[i] += k
-            log_jumps[i] += sample_jump_amplitudes(gen, spec.theta[i], k).sum()
-    return counts, log_jumps
 
 
 def euler_step(

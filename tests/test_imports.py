@@ -1,9 +1,13 @@
-"""Every name a `circuitlab` module imports is used there or re-exported.
+"""Every name a `circuitlab` module imports is used there or re-exported,
+and every private top-level name is used somewhere in the package.
 
-No linter ships with the test environment, so this is a stdlib `ast` check:
-a module-level or local import binds names, and each bound name must be
+No linter ships with the test environment, so these are stdlib `ast` checks.
+A module-level or local import binds names, and each bound name must be
 read somewhere in the module or listed in its `__all__`.  `__future__`
-imports are directives, not names, and are skipped.
+imports are directives, not names, and are skipped.  A top-level function,
+class or constant whose name starts with one underscore must be read, or
+imported, somewhere in `src/circuitlab/` outside its own definition, so a
+helper whose last caller was deleted does not linger.
 """
 
 import ast
@@ -44,3 +48,54 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, ast.stmt]:
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                out[name] = node
+    return out
+
+
+def _references(tree: ast.Module) -> set[tuple[str, int]]:
+    """(name, id of the top-level statement holding the read) per read."""
+    out = set()
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                out.add((node.id, id(top)))
+            elif isinstance(node, ast.Attribute):
+                out.add((node.attr, id(top)))
+            elif isinstance(node, ast.ImportFrom):
+                out.update((alias.name, id(top)) for alias in node.names)
+    return out
+
+
+def unreferenced_privates(sources: dict[str, str]) -> list[str]:
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    reads = set().union(*(_references(t) for t in trees.values()))
+    return sorted(f"{module}: {name}" for module, tree in trees.items()
+                  for name, node in _private_definitions(tree).items()
+                  if not any(n == name and top != id(node) for n, top in reads))
+
+
+def test_checker_flags_an_unreferenced_private_name():
+    src = ("def _helper():\n    return _helper()\n"
+           "_LIMIT = 7\n_UNUSED = 3\nclass _Box: pass\n"
+           "def public():\n    return _LIMIT\n")
+    other = "from .a import _Box\n"
+    assert unreferenced_privates({"a.py": src, "b.py": other}) == ["a.py: _UNUSED", "a.py: _helper"]
+
+
+def test_no_unreferenced_private_names():
+    sources = {p.name: p.read_text() for p in MODULES}
+    assert unreferenced_privates(sources) == []

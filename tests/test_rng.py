@@ -9,9 +9,8 @@ from circuitlab.rng import (
     RngStream,
     euler_step,
     gaussian_increments,
-    marshall_olkin_arrivals,
-    sample_jump_amplitudes,
 )
+from circuitlab.network import _draw_jump_events
 
 
 def test_stream_reproducible():
@@ -78,33 +77,51 @@ def test_jump_spec_validation():
         JumpSpec(2, {frozenset([0]): 0.1}, np.array([1.0, -1.0]))
 
 
+def _jump_events(seed, spec, horizon, dt, width):
+    """The network simulator's jump draws, as (rows, banks, amps, steps)."""
+    events = _draw_jump_events(PathNoise(RngStream(seed), width), spec, horizon, dt, width)
+    steps = sorted(events)
+    cols = [np.concatenate([events[k][c] for k in steps]) for c in range(3)]
+    step_of = np.repeat(steps, [events[k][0].size for k in steps])
+    return (*cols, step_of)
+
+
+def _counts(spec, rows, banks, width):
+    """Arrivals per (path, bank) over the whole horizon."""
+    out = np.zeros((width, spec.n_banks), dtype=np.int64)
+    np.add.at(out, (rows, banks), 1)
+    return out
+
+
 def test_compensator_matches_monte_carlo():
     # kappa = E[e^J - 1] = -1/(theta+1) for negative-exponential J
     theta = 2.5
     spec = JumpSpec(1, {frozenset([0]): 1.0}, np.array([theta]))
-    gen = RngStream(7).generator()
-    draws = np.exp(sample_jump_amplitudes(gen, theta, 10**6)) - 1.0
+    _, _, amps, _ = _jump_events(7, spec, horizon=100.0, dt=1.0, width=1000)
+    assert amps.size > 90_000 and np.all(amps <= 0.0)
+    draws = np.exp(amps) - 1.0
     se = draws.std() / np.sqrt(draws.size)
     assert abs(draws.mean() - spec.compensators[0]) < 3 * se
     assert spec.compensators[0] == pytest.approx(-1.0 / 3.5)
 
 
 def test_common_shock_always_joint():
+    # every common-shock arrival hits both banks at the same step and path
     spec = JumpSpec(2, {frozenset([0, 1]): 0.1}, np.array([1.0, 1.0]))
-    gen = RngStream(11).generator()
-    for _ in range(2000):
-        counts, _ = marshall_olkin_arrivals(gen, spec, dt=1.0)
-        assert counts[0] == counts[1]
+    rows, banks, _, steps = _jump_events(11, spec, horizon=10.0, dt=0.5, width=2000)
+    hits = [sorted(zip(rows[banks == b], steps[banks == b])) for b in (0, 1)]
+    assert len(hits[0]) > 1000
+    assert hits[0] == hits[1]
 
 
 def test_singleton_subsets_uncorrelated():
     spec = JumpSpec(
         2, {frozenset([0]): 0.3, frozenset([1]): 0.3}, np.array([1.0, 1.0])
     )
-    gen = RngStream(12).generator()
-    counts = np.array([marshall_olkin_arrivals(gen, spec, dt=1.0)[0] for _ in range(20000)])
-    r = np.corrcoef(counts.T)[0, 1]
-    assert abs(r) < 3.0 / np.sqrt(20000)
+    n = 20000
+    rows, banks, _, _ = _jump_events(12, spec, horizon=1.0, dt=1.0, width=n)
+    r = np.corrcoef(_counts(spec, rows, banks, n).T)[0, 1]
+    assert abs(r) < 3.0 / np.sqrt(n)
 
 
 def test_marshall_olkin_projection():
@@ -114,14 +131,11 @@ def test_marshall_olkin_projection():
     )
     assert spec.bank_intensities()[0] == pytest.approx(0.07)
     assert spec.bank_intensities()[1] == pytest.approx(0.05)
-    gen = RngStream(13).generator()
-    n = 20000
-    totals = np.zeros(n)
-    for i in range(n):
-        counts, _ = marshall_olkin_arrivals(gen, spec, dt=10.0)
-        totals[i] = counts[0]
-    se = totals.std() / np.sqrt(n)
-    assert abs(totals.mean() - 0.7) < 3 * se
+    n, horizon = 20000, 10.0
+    rows, banks, _, _ = _jump_events(13, spec, horizon=horizon, dt=0.5, width=n)
+    totals = _counts(spec, rows, banks, n)
+    se = totals.std(axis=0) / np.sqrt(n)
+    assert np.all(np.abs(totals.mean(axis=0) - spec.bank_intensities() * horizon) < 3 * se)
 
 
 def test_euler_identity():

@@ -313,12 +313,6 @@ def test_truncated_series_match_untruncated_sum(rho, log_t, xi, src, points, fac
     ctx = WedgeContext.build(rho, xi)
     t = math.exp(log_t)
     x1, x2 = np.array(points).T
-    # iv_scaled meets its 1e-12 target on its power-series branch, z <= 700;
-    # beyond it the result depends on the batch, and the reference's batch
-    # is not the loop's
-    r_src = ctx.polar(*src)[0]
-    keep = (ctx.polar(x1, x2)[0] * r_src / t <= 700.0) & (x1 * r_src / (ctx.rho_bar * t) <= 700.0)
-    x1, x2 = x1[keep], x2[keep]
     with pytest.MonkeyPatch.context() as mp:
         seen = _recording_iv(mp)
         green = wedge_green(ctx, t, x1, x2, src)
@@ -341,20 +335,24 @@ def test_too_few_orders_raise_series_error():
         wedge_green(ctx, 0.5, x, x[::-1], (2.0, 2.0), n_terms=0)
 
 
-def test_points_above_z_700_leave_the_series_together(monkeypatch):
-    # z = 13,000-14,400 at a short horizon near the source.  Above z = 700
-    # iv_scaled's values depend on the batch: dropping these points one by
-    # one changes the others' values, and the last density reads -0.70.
-    # Together they give 0.05578236394859798, which a 3,000-order
-    # scipy.special.ive sum confirms to 10 digits.  (The third point's
-    # -5.1e-5 is iv_scaled's large-argument defect, outside this loop.)
+def test_points_above_z_700_leave_the_series_on_their_own():
+    # z = 13,000-14,400 at a short horizon near the source.  Each point
+    # leaves on its own envelope, so a batch value and the point's value on
+    # its own differ only by truncation.  A 3,000-order scipy.special.ive
+    # sum gives 0.0557823639382926 for the fourth point and 5.8e-18 for the
+    # third.
     ctx = WedgeContext.build(-0.8523537982945857, [-0.5905236867859487, -0.7506776087696074])
     x1 = np.array([5.63630521036327, 3.483308969407087, 4.928169829303059, 4.256132040459786])
     x2 = np.array([1.7597576333064393, 3.9195319732975844, 1.7426479799339254, 2.79081821719066])
-    seen = _recording_iv(monkeypatch)
-    g = wedge_green(ctx, 0.012311190845945527, x1, x2, (3.8762971805736552, 3.122683451170018))
-    assert all(calls.size == 4 for calls in seen)
-    assert g[3] == pytest.approx(0.05578236394859798, rel=1e-12)
+    t, xs = 0.012311190845945527, (3.8762971805736552, 3.122683451170018)
+    g = wedge_green(ctx, t, x1, x2, xs)
+    alone = np.array([wedge_green(ctx, t, x1[i:i + 1], x2[i:i + 1], xs)[0] for i in range(4)])
+    pre, z, terms, _ = _green_reference(ctx, t, x1, x2, xs)
+    assert np.all(z > 700.0)
+    scale = np.max(np.abs(np.cumsum(terms, axis=0)))
+    assert np.all(np.abs(g - alone) <= SERIES_MARGIN * TOL * pre * scale)
+    assert g[3] == pytest.approx(0.0557823639382926, rel=1e-12)
+    assert abs(g[2]) <= 1e-15
 
 
 def test_q1_series_work_drops_converged_points(monkeypatch):
