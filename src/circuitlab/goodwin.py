@@ -20,7 +20,7 @@ import warnings
 import numpy as np
 
 from .rng import RngStream
-from .sde import employment_drift, euler_paths
+from .sde import employment_drift, euler_paths, jacobi_noise
 
 __all__ = ["GoodwinParams", "GoodwinState", "GoodwinResult",
            "classical_drift", "regularized_drift", "conservation",
@@ -190,16 +190,12 @@ def simulate(
     violations remain observable.  record_stride > 1 thins the stored
     trajectory; extremes are still tracked per step.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
     if regularized is None:
         regularized = params.omega > 0
     run = euler_paths(
         lambda s, lam: _drift(s, lam, params, regularized),
         (initial.s_w, initial.lambda_w), horizon, dt, paths, stream,
-        (params.sigma_s, params.sigma_lambda), regularized, clamp_eps, record_stride)
+        jacobi_noise(params.sigma_s, params.sigma_lambda), regularized, clamp_eps, record_stride)
     s_rec, lam_rec = run.records
     return GoodwinResult(t=run.t, s_w=s_rec, lambda_w=lam_rec,
                          clamp_events=run.clamp_events, total_steps=run.total_steps,

@@ -17,7 +17,7 @@ import numpy as np
 
 from .goodwin import GoodwinParams
 from .rng import RngStream
-from .sde import employment_drift, euler_paths
+from .sde import employment_drift, euler_paths, jacobi_noise
 
 __all__ = ["KeenParams", "KeenState", "KeenResult", "profit_function",
            "keen_drift", "simulate", "FIG4_PARAMS", "FIG5_PARAMS", "FIG6_PARAMS"]
@@ -164,8 +164,6 @@ def simulate(
     free.  Paths whose leverage crosses gamma_cap freeze at the crossing
     ("Minsky event") and the crossing time is reported per path.
     """
-    if dt <= 0 or horizon <= 0:
-        raise ValueError("dt and horizon must be positive")
     if regularized is None:
         regularized = params.omega > 0
 
@@ -174,7 +172,8 @@ def simulate(
         return _drift(s, lam, g, fx, params, regularized, with_nu_factor)
 
     run = euler_paths(drift, (initial.s_w, initial.lambda_w, initial.gamma_f),
-                      horizon, dt, paths, stream, (params.sigma_s, params.sigma_lambda),
+                      horizon, dt, paths, stream,
+                      jacobi_noise(params.sigma_s, params.sigma_lambda),
                       regularized, clamp_eps, record_stride, cap=gamma_cap)
     s_rec, lam_rec, g_rec = run.records
     return KeenResult(t=run.t, s_w=s_rec, lambda_w=lam_rec, gamma_f=g_rec,

@@ -14,14 +14,13 @@ while the banking sector's capital capacity is exhausted (credit crunch).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
 
-from .rng import PathNoise, RngStream
-from .sde import employment_drift, jacobi, noise_rows, record_index
+from .rng import RngStream
+from .sde import employment_drift, euler_paths, jacobi, record_index
 
 __all__ = [
     "MmcParams", "MmcState", "MmcDerived", "MmcResult",
@@ -298,10 +297,13 @@ def derived_quantities(state: MmcState, params: MmcParams,
     )
 
 
-STOCK_NAMES = ("c_r", "d_r", "l_r", "d_f", "l_f", "k_f", "k_b",
-               "theta_w", "n_w", "s_w", "lambda_w")
+# the employment pair first: euler_paths clamps the first two components
+STOCK_NAMES = ("s_w", "lambda_w", "c_r", "d_r", "l_r", "d_f", "l_f", "k_f",
+               "k_b", "theta_w", "n_w")
 # components loaded with noise, in the order of the simulator's normals
 NOISE_NAMES = ("c_r", "k_f", "s_w", "lambda_w")
+# stocks held non-negative (C_r positive) by a floor after each step
+FLOORED = ("c_r", "d_r", "l_r", "d_f", "l_f", "k_f")
 
 
 def _output(c_r, u, s_w):
@@ -351,13 +353,9 @@ def _flows(x, u, p: MmcParams):
 
 
 def _diffusion(x, p: MmcParams):
-    """Noise loadings of the NOISE_NAMES components."""
-    return {
-        "c_r": p.sigma_c * x["c_r"],
-        "k_f": p.sigma_k * x["k_f"],
-        "s_w": p.sigma_s * jacobi(x["s_w"]),
-        "lambda_w": p.sigma_lambda * jacobi(x["lambda_w"]),
-    }
+    """Noise loadings of the NOISE_NAMES components, in that order."""
+    return [p.sigma_c * x["c_r"], p.sigma_k * x["k_f"],
+            p.sigma_s * jacobi(x["s_w"]), p.sigma_lambda * jacobi(x["lambda_w"])]
 
 
 @dataclass
@@ -382,7 +380,7 @@ def mmc_drift_and_diffusion(state: MmcState, params: MmcParams,
     x = {k: getattr(state, k) for k in STOCK_NAMES}
     drift, capital_ok, unmet, capped = _flows(x, u, params)
     return MmcDrift(drift={k: float(v) for k, v in drift.items()},
-                    diffusion={k: float(v) for k, v in _diffusion(x, params).items()},
+                    diffusion={k: float(v) for k, v in zip(NOISE_NAMES, _diffusion(x, params))},
                     credit_crunch=not capital_ok, unmet_financing=float(unmet),
                     capacity_capped=bool(capped), upsilon_f=u)
 
@@ -416,94 +414,62 @@ def simulate(
     record_stride: int = 1,
 ) -> MmcResult:
     """Joint Euler evolution of the circuit stocks, the employment block, and
-    the diagnostic price level.
+    the diagnostic price level, stepped by `sde.euler_paths`.
 
-    The initial sheet must satisfy K_b = L_r + L_f - D_r - D_f.  New-loan
-    terms are switched off during credit-crunch intervals; stock floors and
-    unit-square clamps are counted.  The running maximum of the balance
-    identity residual is reported (meaningful while the crunch never binds).
+    The initial sheet must satisfy K_b = L_r + L_f - D_r - D_f.  Upsilon is
+    solved once per step, warm-started at the previous step's root; a
+    recorded row keeps the upsilon of the step that leaves it (the last
+    row's is solved after the run), and production and price are computed
+    from the recorded rows.  New-loan terms are switched off during
+    credit-crunch intervals; C_r is floored at c_r_floor and the other
+    FLOORED stocks at zero, and stock floors and unit-square clamps are
+    counted.  The running maximum of the balance identity residual over
+    every state is reported (meaningful while the crunch never binds).
     """
-    if dt <= 0 or horizon <= 0:
-        raise ValueError("dt and horizon must be positive")
+    rows = record_index(horizon, dt, record_stride)
     initial.validate()
     p = params
-    n_steps = int(round(horizon / dt))
-    rec_idx = record_index(n_steps, record_stride)
-
-    cur = {k: np.full(paths, float(getattr(initial, k))) for k in STOCK_NAMES}
-    series = {k: np.empty((len(rec_idx), paths)) for k in STOCK_NAMES}
-    ups_rec = np.empty((len(rec_idx), paths))
-    yf_rec = np.empty((len(rec_idx), paths))
-    price_rec = np.empty((len(rec_idx), paths))
-
-    stochastic = p.sigma_c > 0 or p.sigma_k > 0 or p.sigma_s > 0 or p.sigma_lambda > 0
-    noise = PathNoise(stream or RngStream(0), paths) if stochastic else None
-    sqdt = math.sqrt(dt)
-    lo, hi = clamp_eps, 1.0 - clamp_eps
-
-    u = np.full(paths, float(logistic(p.upsilon0)))
-    crunch_steps = 0
-    cap_steps = 0
-    floor_hits = 0
-    clamp_events = 0
+    # every path starts from the same sheet, so one solve seeds them all
+    u = solve_upsilon(initial, p, mode="newton")
+    ups: list[np.ndarray] = []
+    step = crunch_steps = cap_steps = 0
     max_resid = 0.0
-    # theta_w and n_w take their Euler step as a growth factor
-    scale = {"theta_w": 1.0 + p.alpha * dt, "n_w": 1.0 + p.beta * dt}
 
-    def record(i):
-        # upsilon re-solved at the recorded state so stored derived series
-        # are self-consistent with the stored stocks
-        u_rec = _upsilon_vec(u.copy(), cur["c_r"], cur["d_f"],
-                             cur["l_f"], cur["k_f"], p)
-        for k in STOCK_NAMES:
-            series[k][i] = cur[k]
-        ups_rec[i] = u_rec
-        yf_rec[i] = np.minimum(_output(cur["c_r"], u_rec, cur["s_w"]), p.nu_f * cur["k_f"])
-        price_rec[i] = cur["c_r"] / ((1.0 - u_rec) * (1.0 - cur["s_w"]) * cur["lambda_w"]
-                                     * cur["theta_w"] * cur["n_w"])
+    def residual(x):
+        return float(np.abs(x["k_b"] - (x["l_r"] + x["l_f"] - x["d_r"] - x["d_f"])).max())
 
-    u = _upsilon_vec(u, cur["c_r"], cur["d_f"], cur["l_f"], cur["k_f"], p)
-    record(0)
-    next_rec = 1
-
-    for k_step, z in enumerate(noise_rows(noise, n_steps, len(NOISE_NAMES)), start=1):
-        u = _upsilon_vec(u, cur["c_r"], cur["d_f"], cur["l_f"], cur["k_f"], p)
-        drift, capital_ok, _, capped = _flows(cur, u, p)
+    def drift(*state):
+        nonlocal u, step, crunch_steps, cap_steps, max_resid
+        x = dict(zip(STOCK_NAMES, state))
+        u = _upsilon_vec(u, x["c_r"], x["d_f"], x["l_f"], x["k_f"], p)
+        if step == rows[len(ups)]:
+            ups.append(u)
+        step += 1
+        flows, capital_ok, _, capped = _flows(x, u, p)
         crunch_steps += int((~capital_ok).sum())
         cap_steps += int(capped.sum())
-        step = {k: drift[k] * dt for k in STOCK_NAMES}
-        if stochastic:
-            loads = _diffusion(cur, p)
-            for k, zk in zip(NOISE_NAMES, z):
-                step[k] = step[k] + loads[k] * sqdt * zk
-        for k in STOCK_NAMES:
-            cur[k] = cur[k] * scale[k] if k in scale else cur[k] + step[k]
+        max_resid = max(max_resid, residual(x))
+        return [flows[k] for k in STOCK_NAMES]
 
-        # floors and clamps
-        low = cur["c_r"] < c_r_floor
-        floor_hits += int(low.sum())
-        cur["c_r"] = np.maximum(cur["c_r"], c_r_floor)
-        for name in ("d_r", "l_r", "d_f", "l_f", "k_f"):
-            neg = cur[name] < 0.0
-            floor_hits += int(neg.sum())
-            cur[name] = np.maximum(cur[name], 0.0)
-        out = ((cur["s_w"] < lo) | (cur["s_w"] > hi)
-               | (cur["lambda_w"] < lo) | (cur["lambda_w"] > hi))
-        clamp_events += int(out.sum())
-        cur["s_w"] = np.clip(cur["s_w"], lo, hi)
-        cur["lambda_w"] = np.clip(cur["lambda_w"], lo, hi)
+    stochastic = p.sigma_c > 0 or p.sigma_k > 0 or p.sigma_s > 0 or p.sigma_lambda > 0
+    run = euler_paths(
+        drift, tuple(getattr(initial, k) for k in STOCK_NAMES), horizon, dt, paths, stream,
+        (lambda *state: _diffusion(dict(zip(STOCK_NAMES, state)), p)) if stochastic else None,
+        True, clamp_eps, record_stride,
+        loaded=tuple(STOCK_NAMES.index(k) for k in NOISE_NAMES),
+        floors={STOCK_NAMES.index(k): c_r_floor if k == "c_r" else 0.0 for k in FLOORED})
 
-        resid = np.abs(cur["k_b"] - (cur["l_r"] + cur["l_f"]
-                                     - cur["d_r"] - cur["d_f"]))
-        max_resid = max(max_resid, float(resid.max()))
-
-        if next_rec < len(rec_idx) and k_step == rec_idx[next_rec]:
-            record(next_rec)
-            next_rec += 1
-
+    series = dict(zip(STOCK_NAMES, run.records))
+    last = {k: v[-1] for k, v in series.items()}
+    ups.append(_upsilon_vec(u, last["c_r"], last["d_f"], last["l_f"], last["k_f"], p))
+    upsilon = np.array(ups)
+    c_r, s_w = series["c_r"], series["s_w"]
     return MmcResult(
-        t=rec_idx * dt, series=series, upsilon_f=ups_rec, y_f=yf_rec,
-        price=price_rec, credit_crunch_steps=crunch_steps,
-        capacity_cap_steps=cap_steps, floor_hits=floor_hits,
-        clamp_events=clamp_events, max_identity_residual=max_resid,
+        t=run.t, series=series, upsilon_f=upsilon,
+        y_f=np.minimum(_output(c_r, upsilon, s_w), p.nu_f * series["k_f"]),
+        price=c_r / ((1.0 - upsilon) * (1.0 - s_w) * series["lambda_w"]
+                     * series["theta_w"] * series["n_w"]),
+        credit_crunch_steps=crunch_steps, capacity_cap_steps=cap_steps,
+        floor_hits=run.floor_hits, clamp_events=run.clamp_events,
+        max_identity_residual=max(max_resid, residual(last)),
     )

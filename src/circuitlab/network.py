@@ -256,6 +256,8 @@ class NondimContext:
         return self.interior_levels * np.exp(np.asarray(x, float) / self.zeta)
 
     def scaled_time(self, t: float) -> float:
+        if not (math.isfinite(t) and t > 0):
+            raise ValueError(f"horizon must be finite and positive, got {t}")
         return self.sigma_bar ** 2 * t
 
 
@@ -387,8 +389,8 @@ def simulate_paths(
         raise ValueError(f"unknown dynamics {dynamics!r}")
     if dynamics == "jump-diffusion" and net.jumps is None:
         raise ValueError("jump-diffusion dynamics require a jump specification")
-    if horizon <= 0 or dt <= 0:
-        raise ValueError("horizon and dt must be positive")
+    if not (math.isfinite(horizon) and horizon > 0 and math.isfinite(dt) and dt > 0):
+        raise ValueError(f"horizon and dt must be finite and positive, got {horizon}, {dt}")
     n = net.n
     n_steps = int(round(horizon / dt))
     stream = stream or RngStream(0)
@@ -629,6 +631,10 @@ def two_bank_survival_grid(
         raise ValueError("the grid evaluator is specific to two banks")
     if net.jumps is not None:
         raise ValueError("the scaled grid evaluator covers diffusion dynamics only")
+    if not (math.isfinite(dt_scaled) and dt_scaled > 0):
+        raise ValueError(f"dt_scaled must be finite and positive, got {dt_scaled}")
+    if not paths >= 1:
+        raise ValueError(f"paths must be at least 1, got {paths}")
     ctx = nondim_context(net)
     t_bar = ctx.scaled_time(horizon)
     n_steps = int(round(t_bar / dt_scaled))

@@ -1,4 +1,4 @@
-"""Deterministic random drivers and time stepping shared by all simulators.
+"""Deterministic random drivers shared by all simulators.
 
 Streams are counter-based (Philox) and keyed by (master_seed, stream_index),
 so results never depend on scheduling or worker count: path k always draws
@@ -17,8 +17,6 @@ __all__ = [
     "CorrelationMatrix",
     "JumpSpec",
     "PathNoise",
-    "gaussian_increments",
-    "euler_step",
 ]
 
 
@@ -96,24 +94,6 @@ def _psd_cholesky(a: np.ndarray, pivot_tol: float = 1e-10) -> np.ndarray:
         for i in range(j + 1, n):
             l[i, j] = (a[i, j] - np.dot(l[i, :j], l[j, :j])) / l[j, j]
     return l
-
-
-def gaussian_increments(
-    stream: RngStream | np.random.Generator,
-    corr: CorrelationMatrix,
-    dt: float,
-    size: int | None = None,
-) -> np.ndarray:
-    """Correlated normal increments with covariance corr * dt.
-
-    Returns shape (n,) for size=None, else (size, n).
-    """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    gen = stream.generator() if isinstance(stream, RngStream) else stream
-    shape = (corr.n,) if size is None else (size, corr.n)
-    z = gen.standard_normal(shape)
-    return math.sqrt(dt) * (z @ corr.cholesky.T)
 
 
 @dataclass
@@ -196,42 +176,3 @@ class PathNoise:
 
     def generator(self, j: int) -> np.random.Generator:
         return self._gens[j]
-
-
-def euler_step(
-    state: np.ndarray,
-    drift: np.ndarray,
-    diffusion: np.ndarray | None,
-    dw: np.ndarray | None,
-    dt: float,
-    jumps: np.ndarray | None = None,
-) -> np.ndarray:
-    """Euler-Maruyama update: state + drift*dt + diffusion @ dW + jumps.
-
-    No clamping is applied here; boundary policy belongs to the caller.
-    """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    state = np.asarray(state, dtype=float)
-    drift = np.asarray(drift, dtype=float)
-    _require_finite("state", state)
-    _require_finite("drift", drift)
-    out = state + drift * dt
-    if diffusion is not None and dw is not None:
-        diffusion = np.asarray(diffusion, dtype=float)
-        _require_finite("diffusion", diffusion)
-        if diffusion.ndim == 1:
-            out = out + diffusion * dw
-        else:
-            out = out + diffusion @ dw
-    if jumps is not None:
-        jumps = np.asarray(jumps, dtype=float)
-        _require_finite("jumps", jumps)
-        out = out + jumps
-    return out
-
-
-def _require_finite(name: str, arr: np.ndarray) -> None:
-    if not np.all(np.isfinite(arr)):
-        bad = np.argwhere(~np.isfinite(np.atleast_1d(arr)))
-        raise FloatingPointError(f"non-finite {name} at component {bad[0].tolist()}")

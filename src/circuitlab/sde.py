@@ -1,8 +1,8 @@
-"""Pieces shared by the Goodwin, Keen and MMC Euler schemes.
+"""The Euler-Maruyama loop of the Goodwin, Keen and MMC models.
 
-All three models carry the same (s_w, lambda_w) employment block and differ
-only in the employment growth rate; their noise is drawn per path in time
-blocks, and their stored trajectories are thinned by a record stride.
+All three carry the same (s_w, lambda_w) employment block and differ in its
+growth rate and in the components they add.  `euler_paths` takes every
+model's step: drift, noise, clamps, floors, a freezing cap and the record.
 """
 
 from __future__ import annotations
@@ -20,8 +20,18 @@ from .rng import PathNoise, RngStream
 NOISE_BLOCK = 4096
 
 
-def record_index(n_steps: int, stride: int) -> np.ndarray:
-    """Steps whose state is stored: every stride-th one plus the last."""
+def record_index(horizon: float, dt: float, stride: int) -> np.ndarray:
+    """Steps whose state is stored: every stride-th one plus the last.
+
+    The run has round(horizon / dt) steps; horizon and dt must be finite
+    and positive and the stride at least 1."""
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ValueError(f"horizon must be finite and positive, got {horizon}")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and positive, got {dt}")
+    if not stride >= 1:
+        raise ValueError(f"record_stride must be at least 1, got {stride}")
+    n_steps = int(round(horizon / dt))
     idx = np.arange(0, n_steps + 1, stride)
     return idx if idx[-1] == n_steps else np.append(idx, n_steps)
 
@@ -39,6 +49,14 @@ def noise_rows(noise: PathNoise | None, n_steps: int, dims: int) -> Iterator:
 def jacobi(x):
     """Jacobi volatility sqrt(x(1-x)), vanishing on the unit-interval boundary."""
     return np.sqrt(np.clip(x * (1.0 - x), 0.0, None))
+
+
+def jacobi_noise(sigma_s: float, sigma_lambda: float) -> Callable | None:
+    """euler_paths diffusion loading sigma sqrt(x(1-x)) on (s_w, lambda_w),
+    or None when both volatilities vanish."""
+    if sigma_s <= 0 and sigma_lambda <= 0:
+        return None
+    return lambda s, lam, *_: (sigma_s * jacobi(s), sigma_lambda * jacobi(lam))
 
 
 def employment_drift(s, lam, growth, params, regularized: bool):
@@ -59,6 +77,7 @@ class EulerPaths:
     t: np.ndarray
     records: list[np.ndarray]      # s_w, lambda_w, then the extra components
     clamp_events: int
+    floor_hits: int
     total_steps: int
     s_range: tuple[float, float]
     lambda_range: tuple[float, float]
@@ -72,28 +91,35 @@ def euler_paths(
     dt: float,
     paths: int,
     stream: RngStream | None,
-    sigma: tuple[float, float],
+    diffusion: Callable | None,
     regularized: bool,
     clamp_eps: float,
     record_stride: int,
+    loaded: tuple[int, ...] = (0, 1),
+    floors: dict[int, float] | None = None,
     cap: float | None = None,
 ) -> EulerPaths:
     """Euler paths of (s_w, lambda_w, *extra) with drift(*state) -> drifts.
 
-    sigma loads Jacobi noise on (s_w, lambda_w); the extra components are
-    deterministic given the pair.  Regularized or stochastic runs clamp the
-    pair to [eps, 1-eps] after each step and count clamp events.  With a cap,
-    a path whose first extra component exceeds it freezes at that step and
-    the crossing time is reported.  Extremes of the pair are tracked over
-    every step of the paths still running, whatever the record stride.
+    Each step is x + drift(x) dt, plus diffusion(x)[j] sqrt(dt) z_j on
+    component loaded[j]; the normals z are drawn in the order of `loaded`,
+    and diffusion=None makes the run deterministic.  Regularized or
+    stochastic runs clamp the pair to [eps, 1-eps] after each step and count
+    clamp events.  A component i in `floors` is raised to floors[i] after
+    each step, and each raised entry is a floor hit.  With a cap, a path
+    whose first extra component exceeds it freezes at that step and the
+    crossing time is reported.  Extremes of the pair are tracked over every
+    step of the paths still running, whatever the record stride.
     """
-    stochastic = sigma[0] > 0 or sigma[1] > 0
+    rec_idx = record_index(horizon, dt, record_stride)
+    if not paths >= 1:
+        raise ValueError(f"paths must be at least 1, got {paths}")
+    stochastic = diffusion is not None
     clamp = regularized or stochastic
     if clamp and not (0 < initial[0] < 1 and 0 < initial[1] < 1):
         raise ValueError("initial state must be interior for regularized/stochastic runs")
 
-    n_steps = int(round(horizon / dt))
-    rec_idx = record_index(n_steps, record_stride)
+    n_steps = int(rec_idx[-1])
     x = [np.full(paths, float(v)) for v in initial]
     records = [np.empty((len(rec_idx), paths)) for _ in initial]
     for rec, v in zip(records, x):
@@ -104,23 +130,25 @@ def euler_paths(
     sqdt = math.sqrt(dt)
     lo, hi = clamp_eps, 1.0 - clamp_eps
     clamped = 0
+    floored = 0
     s_min = s_max = float(initial[0])
     l_min = l_max = float(initial[1])
     cap_times = None if cap is None else np.full(paths, np.nan)
     alive = np.ones(paths, dtype=bool)
 
-    for k, z in enumerate(noise_rows(noise, n_steps, 2), start=1):
+    for k, z in enumerate(noise_rows(noise, n_steps, len(loaded)), start=1):
         nxt = [v + d * dt for v, d in zip(x, drift(*x))]
         if stochastic:
-            nxt[0] += sigma[0] * jacobi(x[0]) * sqdt * z[0]
-            nxt[1] += sigma[1] * jacobi(x[1]) * sqdt * z[1]
+            for i, load, z_i in zip(loaded, diffusion(*x), z):
+                nxt[i] += load * sqdt * z_i
         if clamp:
             out = (nxt[0] < lo) | (nxt[0] > hi) | (nxt[1] < lo) | (nxt[1] > hi)
-            if cap is not None:
-                out &= alive
-            clamped += int(out.sum())
+            clamped += int((out & alive).sum())
             nxt[0] = np.clip(nxt[0], lo, hi)
             nxt[1] = np.clip(nxt[1], lo, hi)
+        for i, floor in (floors or {}).items():
+            floored += int(((nxt[i] < floor) & alive).sum())
+            nxt[i] = np.maximum(nxt[i], floor)
         if cap is None:
             x = nxt
             s_live, l_live = x[0], x[1]
@@ -143,5 +171,6 @@ def euler_paths(
             next_rec += 1
 
     return EulerPaths(t=rec_idx * dt, records=records, clamp_events=clamped,
-                      total_steps=n_steps * paths, s_range=(s_min, s_max),
-                      lambda_range=(l_min, l_max), cap_times=cap_times)
+                      floor_hits=floored, total_steps=n_steps * paths,
+                      s_range=(s_min, s_max), lambda_range=(l_min, l_max),
+                      cap_times=cap_times)

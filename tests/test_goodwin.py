@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from _invalid_runs import INVALID_RUNS
 from circuitlab.goodwin import (
     FIG1_PARAMS,
     FIG2_PARAMS,
@@ -173,7 +174,8 @@ def test_composites_assembly():
 def test_invalid_inputs():
     with pytest.raises(ValueError):
         GoodwinParams(a=-1, b=0.2, c=0.4, d=0.6)
-    with pytest.raises(ValueError, match="dt"):
-        simulate(GoodwinState(0.5, 0.5), FIG1_PARAMS, horizon=1.0, dt=0.0)
-    with pytest.raises(ValueError, match="horizon"):
-        simulate(GoodwinState(0.5, 0.5), FIG1_PARAMS, horizon=-1.0, dt=0.1)
+    for params in (FIG1_PARAMS, FIG3_PARAMS):
+        for overrides, message in INVALID_RUNS:
+            run = {"horizon": 1.0, "dt": 0.1, **overrides}
+            with pytest.raises(ValueError, match=message):
+                simulate(GoodwinState(0.5, 0.5), params, **run)

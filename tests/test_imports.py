@@ -1,5 +1,6 @@
 """Every name a `circuitlab` module imports is used there or re-exported,
-and every private top-level name is used somewhere in the package.
+every private top-level name is used somewhere in the package, and only
+`rng.py` reaches numpy's random module.
 
 No linter ships with the test environment, so these are stdlib `ast` checks.
 A module-level or local import binds names, and each bound name must be
@@ -7,7 +8,8 @@ read somewhere in the module or listed in its `__all__`.  `__future__`
 imports are directives, not names, and are skipped.  A top-level function,
 class or constant whose name starts with one underscore must be read, or
 imported, somewhere in `src/circuitlab/` outside its own definition, so a
-helper whose last caller was deleted does not linger.
+helper whose last caller was deleted does not linger.  Every random draw
+comes from `RngStream` or `PathNoise`, so `np.random` is read nowhere else.
 """
 
 import ast
@@ -99,3 +101,39 @@ def test_checker_flags_an_unreferenced_private_name():
 def test_no_unreferenced_private_names():
     sources = {p.name: p.read_text() for p in MODULES}
     assert unreferenced_privates(sources) == []
+
+
+def random_reads(source: str) -> list[int]:
+    """Lines that reach numpy's random module: `np.random` on a name bound to
+    numpy, or an import of `numpy.random` or of `random` from numpy."""
+    tree = ast.parse(source)
+    numpy_names = {alias.asname or alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.Import) for alias in node.names
+                   if alias.name == "numpy"}
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            hit = (node.attr == "random" and isinstance(node.value, ast.Name)
+                   and node.value.id in numpy_names)
+        elif isinstance(node, ast.Import):
+            hit = any(a.name.startswith("numpy.random") for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            hit = (module.startswith("numpy.random")
+                   or module == "numpy" and any(a.name == "random" for a in node.names))
+        else:
+            hit = False
+        if hit:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_checker_flags_a_random_read():
+    src = ("import numpy as xp\nfrom numpy import random\nimport numpy.random\n"
+           "from numpy.random import default_rng\nx = xp.random.default_rng(1)\n"
+           "y = xp.linspace(0.0, 1.0)\nrandom = 3\n")
+    assert random_reads(src) == [2, 3, 4, 5]
+
+
+def test_only_rng_reads_numpy_random():
+    assert {p.name for p in MODULES if random_reads(p.read_text())} == {"rng.py"}

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from _invalid_runs import INVALID_RUNS
 from circuitlab.goodwin import GoodwinState, classical_drift
 from circuitlab.keen import (
     FIG4_PARAMS,
@@ -89,6 +90,14 @@ def test_reduction_to_goodwin_with_identity_profit():
 def test_boundary_rejected_in_regularized_mode():
     with pytest.raises(ValueError, match="interior"):
         keen_drift(KeenState(1.0, 0.5, 0.1), FIG5_PARAMS, regularized=True)
+
+
+def test_invalid_inputs():
+    for params in (FIG4_PARAMS, FIG6_PARAMS):
+        for overrides, message in INVALID_RUNS:
+            run = {"horizon": 1.0, "dt": 0.1, **overrides}
+            with pytest.raises(ValueError, match=message):
+                simulate(KeenState(0.5, 0.5, 0.1), params, **run)
 
 
 def test_classical_run_violates_unit_square():

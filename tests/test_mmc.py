@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from _invalid_runs import INVALID_RUNS
 from circuitlab import mmc
 from circuitlab.mmc import (
     FIG8_PARAMS,
@@ -160,6 +161,14 @@ def test_simulate_requires_consistent_sheet():
                    k_f=40.0, k_b=19.0)
     with pytest.raises(ValueError, match="residual"):
         simulate(bad, FIG8_PARAMS, horizon=1.0, dt=0.01)
+
+
+def test_simulate_rejects_invalid_inputs():
+    for params in (FIG8_PARAMS, ENSEMBLE_PARAMS):
+        for overrides, message in INVALID_RUNS:
+            run = {"horizon": 1.0, "dt": 0.1, **overrides}
+            with pytest.raises(ValueError, match=message):
+                simulate(FIG8_STATE, params, **run)
 
 
 def test_deterministic_fig8_run_identity_and_flags():
@@ -346,3 +355,21 @@ def test_fig8_logistic_evaluations_per_step(monkeypatch):
     monkeypatch.setattr(mmc, "logistic", counted)
     simulate(FIG8_STATE, FIG8_PARAMS, horizon=10.0, dt=0.01, record_stride=100)
     assert calls / 1000 <= 5.0
+
+
+def test_fig8_solves_upsilon_once_per_step(monkeypatch):
+    # one solve at the initial state, one per Euler step, and one for the
+    # last recorded row; the other rows keep the solve of the step leaving them
+    calls = 0
+    solve = mmc._upsilon_vec
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(mmc, "_upsilon_vec", counted)
+    for stride in (1, 100):
+        calls = 0
+        simulate(FIG8_STATE, FIG8_PARAMS, horizon=10.0, dt=0.01, record_stride=stride)
+        assert calls == 1000 + 2

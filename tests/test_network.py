@@ -219,6 +219,22 @@ def test_grid_evaluator_matches_simulate_paths():
     assert grid.marginal1[0, 0] == pytest.approx(est.marginal[0], abs=1e-12)
 
 
+def test_monte_carlo_rejects_bad_run_settings():
+    net = fig15_network()
+    grid = {"horizon": 1.0, "dt_scaled": 0.01, "paths": 10}
+    for overrides, message in (
+            ({"dt_scaled": 0.0}, "dt_scaled"), ({"dt_scaled": -0.1}, "dt_scaled"),
+            ({"dt_scaled": math.nan}, "dt_scaled"), ({"dt_scaled": math.inf}, "dt_scaled"),
+            ({"paths": 0}, "paths"), ({"paths": -3}, "paths"),
+            ({"horizon": -1.0}, "horizon"), ({"horizon": math.nan}, "horizon")):
+        with pytest.raises(ValueError, match=message):
+            two_bank_survival_grid(net, **{**grid, **overrides})
+    for horizon, dt in ((math.nan, 0.01), (math.inf, 0.01), (-1.0, 0.01),
+                        (1.0, math.nan), (1.0, math.inf), (1.0, 0.0)):
+        with pytest.raises(ValueError, match="finite and positive"):
+            simulate_paths(net, horizon, dt, paths=10)
+
+
 def test_jump_dynamics_increase_defaults():
     spec = JumpSpec.systemic_idiosyncratic(0.4, np.array([0.3, 0.3]),
                                            np.array([1.5, 1.5]))

@@ -1,15 +1,20 @@
-"""One deterministic simulator step equals state + dt * drift(state), exactly.
+"""The Euler loop shared by the three circuit models.
 
-The simulators and the scalar drift helpers must evaluate the same formula;
-states and dt are drawn where no clamp, floor or cap fires."""
+One deterministic simulator step equals state + dt * drift(state), exactly:
+the simulators and the scalar drift helpers must evaluate the same formula;
+states and dt are drawn where no clamp, floor or cap fires.  A thinned
+record holds the stride-1 rows bit for bit, and floors are applied and
+counted."""
 
-import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from circuitlab import goodwin, keen, mmc
+from circuitlab import goodwin, keen, mmc, sde
+from circuitlab.rng import RngStream
 
 PROFILE = settings(deadline=None, max_examples=60)
 
@@ -88,10 +93,48 @@ def test_mmc_step_is_drift(stocks, c_r, k_f, theta_w, n_w, s, lam, rates, shares
     assert res.credit_crunch_steps == int(out.credit_crunch)
     assert res.capacity_cap_steps == int(out.capacity_capped)
     for k in mmc.STOCK_NAMES:
-        expected = _euler(getattr(state, k), out.drift[k], dt)
-        if k in ("theta_w", "n_w"):
-            # the simulator takes this Euler step as the growth factor
-            # x (1 + rate dt), equal up to rounding
-            assert math.isclose(res.series[k][-1, 0], expected, rel_tol=1e-15)
+        assert res.series[k][-1, 0] == _euler(getattr(state, k), out.drift[k], dt), k
+
+
+# a record stride that does not divide the 60 steps, so the last row is extra
+STRIDE, DT, N_STEPS = 7, 0.01, 60
+
+
+def _assert_thinned(thin, full):
+    """Every recorded array of a stride-7 run equals the matching rows of the
+    stride-1 run, bit for bit, and every counter agrees."""
+    rows = np.rint(thin.t / DT).astype(int)
+    assert rows.tolist() == [*range(0, N_STEPS + 1, STRIDE), N_STEPS]
+    for name, value in vars(thin).items():
+        other = vars(full)[name]
+        if name == "series":
+            for k in value:
+                assert np.array_equal(value[k], other[k][rows]), k
+        elif name == "t" or isinstance(value, np.ndarray) and value.ndim == 2:
+            assert np.array_equal(value, other[rows]), name
         else:
-            assert res.series[k][-1, 0] == expected, k
+            assert np.array_equal(value, other, equal_nan=True), name
+
+
+@pytest.mark.parametrize("model, state, params, options", [
+    (goodwin, goodwin.GoodwinState(0.75, 0.8), goodwin.FIG3_PARAMS, {}),
+    (keen, keen.KeenState(0.75, 0.8, 0.1), keen.FIG6_PARAMS, {"gamma_cap": 0.106}),
+    (mmc, mmc.FIG8_STATE, replace(mmc.FIG8_PARAMS, sigma_c=0.04, sigma_k=0.02,
+                                  sigma_s=0.01, sigma_lambda=0.01), {}),
+], ids=["goodwin", "keen", "mmc"])
+def test_record_stride_keeps_the_stride_one_rows(model, state, params, options):
+    def run(stride):
+        return model.simulate(state, params, horizon=N_STEPS * DT, dt=DT, paths=4,
+                              stream=RngStream(12), record_stride=stride, **options)
+    _assert_thinned(run(STRIDE), run(1))
+
+
+def test_floors_raise_and_count():
+    # a component falling at rate 1 from 0.25 crosses its zero floor at the
+    # third of ten steps and is held there: eight hits on each of two paths
+    run = sde.euler_paths(lambda s, lam, y: (0.0 * s, 0.0 * lam, -1.0 + 0.0 * y),
+                          (0.5, 0.5, 0.25), horizon=1.0, dt=0.1, paths=2, stream=None,
+                          diffusion=None, regularized=False, clamp_eps=1e-9,
+                          record_stride=1, floors={2: 0.0})
+    assert run.floor_hits == 16 and run.clamp_events == 0
+    assert np.all(run.records[2][3:] == 0.0) and np.all(run.records[2][:3] > 0.0)

@@ -7,10 +7,8 @@ from circuitlab.rng import (
     JumpSpec,
     PathNoise,
     RngStream,
-    euler_step,
-    gaussian_increments,
 )
-from circuitlab.network import _draw_jump_events
+from circuitlab.network import BankNetwork, _draw_jump_events, simulate_paths
 
 
 def test_stream_reproducible():
@@ -32,29 +30,49 @@ def test_path_noise_independent_of_total_count():
     assert np.array_equal(small, big[:, :, :3])
 
 
+SIGMA = np.array([0.3, 0.2])
+
+
+def _default_free(rho, jumps=None):
+    """Two banks that never default: with recoveries 0 and no mutual
+    liabilities both interior boundaries sit at zero."""
+    return BankNetwork(external_assets=np.array([100.0, 80.0]),
+                       external_liabilities=np.array([5.0, 4.0]),
+                       mutual=np.zeros((2, 2)), recoveries=np.zeros(2), sigma=SIGMA,
+                       corr=CorrelationMatrix.from_scalar(rho, 2), jumps=jumps)
+
+
+def _log_returns(net, seed, horizon, dt, paths=20_000, dynamics="lognormal"):
+    """ln(A_T / A_0) of simulate_paths, deflated by e^{mu T}: (paths, 2)."""
+    rec = simulate_paths(net, horizon, dt, paths, RngStream(seed), dynamics=dynamics)
+    assert not rec.interior_default.any()
+    return np.log(rec.terminal_assets / net.external_assets)
+
+
 def test_gaussian_identity_variance():
-    corr = CorrelationMatrix(np.eye(1))
-    draws = gaussian_increments(RngStream(42), corr, dt=1.0, size=10**6)
-    assert abs(draws.var() - 1.0) < 0.01
+    # ln(A_T / A_0) = -sigma^2 T / 2 + sigma W_T: variance sigma^2 T, and the
+    # sample variance of n normals has relative standard error sqrt(2 / (n-1))
+    horizon, n = 1.0, 20_000
+    r = _log_returns(_default_free(0.0), 42, horizon, dt=0.25, paths=n)
+    ratio = r.var(axis=0, ddof=1) / (SIGMA ** 2 * horizon)
+    assert np.all(np.abs(ratio - 1.0) < 3.0 * np.sqrt(2.0 / (n - 1)))
 
 
 def test_gaussian_zero_cross_correlation():
-    corr = CorrelationMatrix.from_scalar(0.0, 2)
-    draws = gaussian_increments(RngStream(43), corr, dt=1.0, size=10**6)
-    r = np.corrcoef(draws.T)[0, 1]
-    assert abs(r) < 3.0 / np.sqrt(10**6)
+    n = 20_000
+    r = _log_returns(_default_free(0.0), 43, 1.0, dt=0.25, paths=n)
+    assert abs(np.corrcoef(r.T)[0, 1]) < 3.0 / np.sqrt(n)
 
 
 def test_gaussian_covariance_rho_half():
-    # cov = rho * dt = 0.5 * 0.25 = 0.125; 3 MC standard errors of the
-    # sample covariance of bivariate normals
-    n = 10**6
-    corr = CorrelationMatrix.from_scalar(0.5, 2)
-    draws = gaussian_increments(RngStream(44), corr, dt=0.25, size=n)
-    cov = np.cov(draws.T)[0, 1]
-    # var of sample cov of (X,Y) ~ (var_x*var_y + cov^2)/n
-    se = np.sqrt((0.25 * 0.25 + 0.125**2) / n)
-    assert abs(cov - 0.125) < 3 * se
+    # cov = rho sigma_1 sigma_2 T; the sample covariance of bivariate normals
+    # has variance (var_1 var_2 + cov^2) / n
+    rho, horizon, n = 0.5, 0.5, 20_000
+    r = _log_returns(_default_free(rho), 44, horizon, dt=0.125, paths=n)
+    var = SIGMA ** 2 * horizon
+    cov = rho * SIGMA[0] * SIGMA[1] * horizon
+    se = np.sqrt((var[0] * var[1] + cov ** 2) / n)
+    assert abs(np.cov(r.T)[0, 1] - cov) < 3 * se
 
 
 def test_non_psd_reports_pivot():
@@ -64,10 +82,12 @@ def test_non_psd_reports_pivot():
 
 
 def test_degenerate_psd_allowed():
-    # perfectly correlated pair is PSD with a zero pivot
-    corr = CorrelationMatrix.from_scalar(1.0, 2)
-    draws = gaussian_increments(RngStream(5), corr, dt=1.0, size=1000)
-    assert np.allclose(draws[:, 0], draws[:, 1])
+    # a perfectly correlated pair is PSD with a zero pivot: both banks are
+    # driven by one Brownian path W_T = (ln(A_T / A_0) + sigma^2 T / 2) / sigma
+    horizon = 1.0
+    r = _log_returns(_default_free(1.0), 5, horizon, dt=0.1, paths=1000)
+    w = (r + 0.5 * SIGMA ** 2 * horizon) / SIGMA
+    np.testing.assert_allclose(w[:, 0], w[:, 1], rtol=0.0, atol=1e-12)
 
 
 def test_jump_spec_validation():
@@ -138,31 +158,12 @@ def test_marshall_olkin_projection():
     assert np.all(np.abs(totals.mean(axis=0) - spec.bank_intensities() * horizon) < 3 * se)
 
 
-def test_euler_identity():
-    state = np.array([1.0, 2.0])
-    out = euler_step(state, np.zeros(2), None, None, dt=0.1)
-    assert np.array_equal(out, state)
-
-
-def test_euler_deterministic_drift():
-    out = euler_step(np.array([1.0]), np.array([3.0]), None, None, dt=0.5)
-    assert out[0] == pytest.approx(2.5)
-
-
-def test_euler_rejects_nonfinite():
-    with pytest.raises(FloatingPointError, match="drift"):
-        euler_step(np.array([1.0]), np.array([np.nan]), None, None, dt=0.1)
-
-
-def test_euler_gbm_terminal_mean():
-    # E[S_T] = exp(mu*T); Euler bias at this dt is far below MC noise
-    mu, sigma, horizon, dt, n = 0.05, 0.2, 1.0, 0.01, 10**5
-    gen = RngStream(99).generator()
-    s = np.ones(n)
-    steps = int(horizon / dt)
-    sqdt = np.sqrt(dt)
-    for _ in range(steps):
-        dw = gen.standard_normal(n) * sqdt
-        s = euler_step(s, mu * s, sigma * s, dw, dt)
-    se = s.std() / np.sqrt(n)
-    assert abs(s.mean() - np.exp(mu * horizon)) < 3 * se
+def test_jump_diffusion_terminal_mean():
+    # the drift's compensator -kappa lambda makes the deflated assets a
+    # martingale under jump-diffusion: E[A_T / A_0] = 1
+    jumps = JumpSpec.systemic_idiosyncratic(0.5, np.array([0.3, 0.4]), np.array([2.0, 3.0]))
+    r = _log_returns(_default_free(0.3, jumps), 99, 2.0, dt=0.05,
+                     dynamics="jump-diffusion")
+    growth = np.exp(r)
+    se = growth.std(axis=0, ddof=1) / np.sqrt(growth.shape[0])
+    assert np.all(np.abs(growth.mean(axis=0) - 1.0) < 3 * se)

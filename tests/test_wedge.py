@@ -205,6 +205,18 @@ def test_q1_below_standalone():
             assert q1_standalone(net, x1, 12.5) - q1 >= -1e-9
 
 
+@pytest.mark.parametrize("horizon", [math.nan, math.inf, -1.0, 0.0])
+def test_survival_entry_points_reject_a_bad_horizon(horizon):
+    net = fig15_network()
+    with pytest.raises(ValueError, match="horizon"):
+        nondim_context(net).scaled_time(horizon)
+    for entry in (joint_survival_Q, marginal_survival_Q1, conservation_check):
+        with pytest.raises(ValueError, match="horizon"):
+            entry(net, (2.0, 2.0), horizon)
+    with pytest.raises(ValueError, match="horizon"):
+        q1_standalone(net, 2.0, horizon)
+
+
 def test_wedge_context_rejects_jumps_and_bad_rho():
     from circuitlab.rng import JumpSpec
     net = fig15_network()
