@@ -6,11 +6,16 @@ The six flow equations are redundant by construction, so cash is evolved
 and equity recomputed from the balance identity each step, while an
 independently integrated equity path is kept as a consistency residual
 (exactly zero under a common Euler discretization).
+
+Constant controls may be arrays, run as one batch: every recorded path has
+their broadcast shape plus a last time axis (scalars give 1-D paths), and
+`cashflow_objective` and `constraints_report` give one value per row.  A
+stochastic batch shares one normal per step (common random numbers), so
+each row equals its controls' run alone, bit for bit.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -18,6 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .rng import RngStream
+from .sde import record_index
 
 __all__ = [
     "FlowParams", "FlowState", "Controls", "RegWeights", "Trajectory",
@@ -64,13 +70,17 @@ class FlowState:
 
 
 def _as_fn(v) -> Callable[[float], float]:
-    return v if callable(v) else (lambda t, _v=float(v): _v)
+    if callable(v):
+        return v
+    const = float(v) if np.ndim(v) == 0 else np.asarray(v, dtype=float)
+    return lambda t: const
 
 
 @dataclass
 class Controls:
-    """Control paths; scalars mean constant controls.  Pre-history before
-    t = 0 defaults to the t = 0 value for the lag terms."""
+    """Control paths; scalars or arrays mean constant controls (arrays
+    broadcast into a batch).  Pre-history before t = 0 defaults to the
+    t = 0 value for the lag terms."""
 
     phi: float | Callable[[float], float] = 0.0      # new loans
     psi: float | Callable[[float], float] = 0.0      # new borrowings
@@ -79,16 +89,9 @@ class Controls:
     delta: float | Callable[[float], float] = 0.0    # dividends (<0 issues stock)
 
     def bound(self):
-        phi = _as_fn(self.phi)
-        psi = _as_fn(self.psi)
-
-        def phi_hist(t):
-            return phi(t) if t >= 0.0 else phi(0.0)
-
-        def psi_hist(t):
-            return psi(t) if t >= 0.0 else psi(0.0)
-
-        return phi_hist, psi_hist, _as_fn(self.omega), _as_fn(self.pi), _as_fn(self.delta)
+        phi, psi = _as_fn(self.phi), _as_fn(self.psi)
+        return (lambda t: phi(max(t, 0.0)), lambda t: psi(max(t, 0.0)),
+                _as_fn(self.omega), _as_fn(self.pi), _as_fn(self.delta))
 
 
 def lagged_loan_inflow(phi, t: float, params: FlowParams) -> float:
@@ -102,6 +105,8 @@ def lagged_borrow_inflow(psi, t: float, params: FlowParams) -> float:
 
 @dataclass
 class Trajectory:
+    """Recorded paths, shaped (control batch..., time)."""
+
     t: np.ndarray
     x: np.ndarray
     i: np.ndarray
@@ -111,12 +116,12 @@ class Trajectory:
     e: np.ndarray          # recomputed from the balance identity
     j: np.ndarray          # expected investments with dividends reinvested
     delta_path: np.ndarray
-    max_consistency_residual: float   # |independently integrated E - identity E|
+    max_consistency_residual: float   # worst |independently integrated E - identity E|
     params: FlowParams
 
     def state_at(self, k: int) -> FlowState:
-        return FlowState(self.x[k], self.i[k], self.c[k],
-                         self.d[k], self.y[k], self.e[k])
+        return FlowState(self.x[..., k], self.i[..., k], self.c[..., k],
+                         self.d[..., k], self.y[..., k], self.e[..., k])
 
 
 def evolve(
@@ -132,34 +137,29 @@ def evolve(
 
     Cash follows its flow equation and equity is recomputed from the balance
     identity; the equity flow equation is also integrated independently and
-    the worst deviation reported (zero to rounding under shared Euler
-    increments, which the acceptance suite asserts).
-    """
-    if dt <= 0 or horizon <= 0:
-        raise ValueError("dt and horizon must be positive")
+    its worst deviation over the batch reported (zero to rounding under
+    shared Euler increments).  Array controls run as one batch: each path
+    is shaped (broadcast control shape..., time), and a stochastic batch
+    draws one normal per step for every row."""
     res0 = initial.balance_residual()
     if abs(res0) > 1e-10 * max(1.0, initial.total_assets()):
         raise ValueError(f"initial state violates the balance identity by {res0:.3g}")
-    phi, psi, omega, pi, delta = controls.bound()
-    n = int(round(horizon / dt))
-    t = np.arange(n + 1) * dt
-    out = {k: np.empty(n + 1) for k in "xicdyej"}
-    dpath = np.empty(n + 1)
+    phi, psi, omega, pi, delta = fns = controls.bound()
+    t = record_index(horizon, dt, 1) * dt
+    n = len(t) - 1
+    shape = np.broadcast_shapes(*(np.shape(f(0.0)) for f in fns)) + (n + 1,)
+    out = {k: np.empty(shape) for k in ("x", "i", "c", "d", "y", "e", "e_indep", "j", "delta")}
     x, i_v, c, d, y = initial.x, initial.i, initial.c, initial.d, initial.y
     e_indep = initial.e
     j = initial.i
     gen = (stream or RngStream(0)).generator() if stochastic else None
     sqdt = math.sqrt(dt)
-    worst = 0.0
 
     for k in range(n + 1):
         tk = t[k]
-        e_identity = x + i_v + c - d - y
-        out["x"][k], out["i"][k], out["c"][k] = x, i_v, c
-        out["d"][k], out["y"][k], out["e"][k] = d, y, e_identity
-        out["j"][k] = j
-        dpath[k] = delta(tk)
-        worst = max(worst, abs(e_indep - e_identity))
+        for path, value in zip(out.values(), (x, i_v, c, d, y, x + i_v + c - d - y,
+                                              e_indep, j, delta(tk))):
+            path[..., k] = value
         if k == n:
             break
 
@@ -183,24 +183,26 @@ def evolve(
         dj = (params.r * j + om) * dt
 
         x, i_v, c, d, y = x + dx, i_v + di, c + dc, d + dd, y + dy
-        e_indep += de
-        j += dj
+        e_indep, j = e_indep + de, j + dj
 
+    worst = float(np.max(np.abs(out["e_indep"] - out["e"]), initial=0.0))
     return Trajectory(t=t, x=out["x"], i=out["i"], c=out["c"], d=out["d"],
-                      y=out["y"], e=out["e"], j=out["j"], delta_path=dpath,
+                      y=out["y"], e=out["e"], j=out["j"], delta_path=out["delta"],
                       max_consistency_residual=worst, params=params)
 
 
-def cashflow_objective(traj: Trajectory, params: FlowParams | None = None) -> float:
+def cashflow_objective(traj: Trajectory, params: FlowParams | None = None):
     """Discounted shareholder cash flow CF(T): trapezoidal quadrature of
-    e^{-RT} (nu X + r J - beta D - xi Y + (e^{-R(t-T)} - 1) delta)."""
+    e^{-RT} (nu X + r J - beta D - xi Y + (e^{-R(t-T)} - 1) delta) over the
+    last (time) axis: a float for 1-D paths, else the leading control shape."""
     p = params or traj.params
     t = traj.t
     horizon = t[-1]
     integrand = (p.nu * traj.x + p.r * traj.j - p.beta * traj.d
                  - p.xi * traj.y
                  + (np.exp(-p.discount * (t - horizon)) - 1.0) * traj.delta_path)
-    return float(math.exp(-p.discount * horizon) * np.trapezoid(integrand, t))
+    out = math.exp(-p.discount * horizon) * np.trapezoid(integrand, t)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 @dataclass(frozen=True)
@@ -236,17 +238,19 @@ class ConstraintReport:
     required_capital: float
 
     @property
-    def all_pass(self) -> bool:
-        return (self.funding_slack > 0 and self.liquidity_slack > 0
-                and self.capital_slack > 0)
+    def all_pass(self):
+        return (self.funding_slack > 0) & (self.liquidity_slack > 0) & (self.capital_slack > 0)
 
     @property
-    def min_slack(self) -> float:
-        return min(self.funding_slack, self.liquidity_slack, self.capital_slack)
+    def min_slack(self):
+        return np.minimum(np.minimum(self.funding_slack, self.liquidity_slack),
+                          self.capital_slack)
 
 
-def constraints_report(state: FlowState, weights: RegWeights) -> ConstraintReport:
-    """Stable-funding, 30-day liquidity, and capital checks with slacks."""
+def constraints_report(state: FlowState | Trajectory, weights: RegWeights) -> ConstraintReport:
+    """Stable-funding, 30-day liquidity, and capital checks with slacks,
+    elementwise: on a whole Trajectory each slack has its paths' shape
+    (control axes..., time)."""
     w = weights
     asf = w.asf_d * state.d + w.asf_y * state.y + state.e
     rsf = w.rsf_x * state.x + w.rsf_i * state.i
@@ -266,7 +270,7 @@ class SearchRecord:
     controls: dict[str, float]
     cashflow: float
     feasible: bool
-    min_slack: float
+    min_slack: float          # smallest constraint slack over every step
 
 
 @dataclass
@@ -286,34 +290,25 @@ def constant_control_search(
     horizon: float,
     dt: float,
     grid: dict[str, np.ndarray],
-    constraint_stride: int = 1,
 ) -> SearchResult:
     """Exhaustive grid over constant controls, maximizing deterministic
-    CF(T) subject to the regulatory constraints holding at every sampled
-    step.  An empty feasible set is reported, not raised."""
+    CF(T) subject to the regulatory constraints holding at every step.
+
+    The whole grid is one batched `evolve` run.  The table lists the
+    controls in `itertools.product` order over (phi, psi, omega, pi,
+    delta); the best record is the first maximum among feasible ones.  An
+    empty feasible set is reported, not raised."""
     names = ("phi", "psi", "omega", "pi", "delta")
     axes = [np.atleast_1d(np.asarray(grid.get(n, [0.0]), dtype=float)) for n in names]
-    table: list[SearchRecord] = []
-    best: SearchRecord | None = None
-    for values in itertools.product(*axes):
-        ctrl = dict(zip(names, (float(v) for v in values)))
-        traj = evolve(initial, params,
-                      Controls(phi=ctrl["phi"], psi=ctrl["psi"],
-                               omega=ctrl["omega"], pi=ctrl["pi"],
-                               delta=ctrl["delta"]),
-                      horizon, dt)
-        min_slack = math.inf
-        feasible = True
-        for k in range(0, len(traj.t), constraint_stride):
-            rep = constraints_report(traj.state_at(k), weights)
-            min_slack = min(min_slack, rep.min_slack)
-            if not rep.all_pass:
-                feasible = False
-                break
-        cf = cashflow_objective(traj, params)
-        rec = SearchRecord(controls=ctrl, cashflow=cf, feasible=feasible,
-                           min_slack=min_slack)
-        table.append(rec)
-        if feasible and (best is None or cf > best.cashflow):
-            best = rec
+    mesh = [m.ravel() for m in np.meshgrid(*axes, indexing="ij")]
+    traj = evolve(initial, params, Controls(**dict(zip(names, mesh))), horizon, dt)
+    report = constraints_report(traj, weights)
+    feasible = np.all(report.all_pass, axis=-1)
+    min_slack = np.min(report.min_slack, axis=-1)
+    cashflow = cashflow_objective(traj, params)
+    rows = zip(zip(*(m.tolist() for m in mesh)), cashflow.tolist(), feasible.tolist(),
+               min_slack.tolist())
+    table = [SearchRecord(dict(zip(names, ctrl)), cf, ok, slack) for ctrl, cf, ok, slack in rows]
+    candidates = np.flatnonzero(feasible)
+    best = table[candidates[np.argmax(cashflow[candidates])]] if candidates.size else None
     return SearchResult(best=best, table=table)

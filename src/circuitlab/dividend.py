@@ -99,7 +99,7 @@ def _symbol_derivative(xi: float, params: EquityParams) -> float:
     return out
 
 
-def symbol_roots(params: EquityParams, require_real: bool = True) -> np.ndarray:
+def symbol_roots(params: EquityParams) -> np.ndarray:
     """All roots of the symbol: four with both jump sources active, fewer as
     intensities vanish.  Companion-matrix roots of the cleared-denominator
     polynomial, Newton-polished on the symbol itself."""
@@ -121,7 +121,7 @@ def symbol_roots(params: EquityParams, require_real: bool = True) -> np.ndarray:
     raw = np.roots(poly)
     imag_scale = np.max(np.abs(raw))
     complex_mask = np.abs(raw.imag) > 1e-9 * imag_scale
-    if np.any(complex_mask) and require_real:
+    if np.any(complex_mask):
         raise ValueError(
             f"symbol has complex roots {raw[complex_mask]}; outside the "
             "all-real regime"
@@ -229,13 +229,19 @@ def stationary_barrier(
                            params=params)
 
 
+def _cell_weights(delta: float, h: float) -> tuple[float, float, float]:
+    """Exact one-cell update of I' = delta (V - I) for linear V: the decay
+    of I, the weight of the left value and the weight of the slope."""
+    decay = math.exp(-delta * h)
+    w0 = 1.0 - decay
+    return decay, w0, h - w0 / delta
+
+
 def jump_integral(v: np.ndarray, grid: np.ndarray, delta: float) -> np.ndarray:
     """I(E) = delta * int_0^E V(u) e^{-delta (E-u)} du for piecewise-linear V,
     via the exact per-cell exponential update of I' = delta (V - I)."""
     h = grid[1] - grid[0]
-    decay = math.exp(-delta * h)
-    w0 = 1.0 - decay                      # weight of the left value
-    w1 = h - w0 / delta                   # weight of the slope
+    decay, w0, w1 = _cell_weights(delta, h)
     out = np.empty_like(v)
     out[0] = 0.0
     slope = np.diff(v) / h
@@ -275,8 +281,11 @@ def solve_variational(
     the monotone envelope V_k >= V_{k-1} + h after each step.  Boundary
     rows: V = 0 at E = 0 and V_E = 1 at the truncated top (deep in the
     payout region)."""
-    if e_max <= 0 or horizon <= 0:
-        raise ValueError("horizon and e_max must be positive")
+    for name, value in (("horizon", horizon), ("e_max", e_max), ("dtau", dtau)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
+    if not n_grid >= 3:
+        raise ValueError(f"n_grid must be at least 3, got {n_grid}")
     c = SymbolCoefficients.from_params(params)
     grid = np.linspace(0.0, e_max, n_grid)
     h = grid[1] - grid[0]
@@ -308,12 +317,8 @@ def solve_variational(
     banded[2, -2] = -1.0    # top row: V_{n-1} - V_{n-2} = h
     banded[1, -1] = 1.0
 
-    dec1 = math.exp(-params.delta1 * h)
-    w0_1 = 1.0 - dec1
-    w1_1 = h - w0_1 / params.delta1
-    dec2 = math.exp(-params.delta2 * h)
-    w0_2 = 1.0 - dec2
-    w1_2 = h - w0_2 / params.delta2
+    jumps = [(params.lambda1, _jump_scan(params.delta1, h, n_grid)),
+             (params.lambda2, _jump_scan(params.delta2, h, n_grid))]
 
     rec_every = max(n_steps // max(record, 1), 1)
     taus = [0.0]
@@ -321,13 +326,11 @@ def solve_variational(
     fbs = [float(grid[_free_boundary_index(v, h)])]
 
     for step in range(1, n_steps + 1):
-        i1 = _stable_jump_scan(v, dec1, w0_1, w1_1, h)
-        i2 = _stable_jump_scan(v, dec2, w0_2, w1_2, h)
+        i1, i2 = (lam * scan(v)[:-1] for lam, scan in jumps)
         rhs = np.empty(n_grid)
         rhs[1:-1] = (v[1:-1]
                      + half * (a_lo * v[:-2] + a_mid * v[1:-1] + a_hi * v[2:])
-                     + dtau * (params.lambda1 * i1[1:-1]
-                               + params.lambda2 * i2[1:-1]))
+                     + dtau * (i1 + i2))
         rhs[0] = 0.0
         rhs[-1] = h
         v = solve_banded((1, 1), banded, rhs)
@@ -343,16 +346,15 @@ def solve_variational(
                            free_boundary=np.array(fbs), params=params)
 
 
-def _stable_jump_scan(v, decay, w0, w1, h):
-    """Jump integral of a grid slice: the recurrence of ``jump_integral``,
-    acc_k = decay acc_{k-1} + c_k, run as forward substitution on the unit
-    lower-bidiagonal system with -decay below the diagonal (one BLAS call;
-    no power of decay is formed, so long grids cannot underflow)."""
-    band = np.ones((2, len(v) - 1), order="F")
+def _jump_scan(delta: float, h: float, n_grid: int):
+    """``jump_integral`` at nodes 1..n_grid-1 of a slice, as one BLAS call:
+    its recurrence acc_k = decay acc_{k-1} + c_k is forward substitution on
+    the unit lower-bidiagonal band with -decay below the diagonal, built
+    once here (no power of decay is formed, so long grids cannot underflow)."""
+    decay, w0, w1 = _cell_weights(delta, h)
+    band = np.ones((2, n_grid - 1), order="F")
     band[1] = -decay
-    out = np.zeros(len(v))
-    out[1:] = dtbsv(1, band, v[:-1] * w0 + (np.diff(v) / h) * w1, lower=1)
-    return out
+    return lambda v: dtbsv(1, band, v[:-1] * w0 + (np.diff(v) / h) * w1, lower=1)
 
 
 def _free_boundary_index(v: np.ndarray, h: float, tol: float = 1e-10) -> int:
@@ -360,11 +362,6 @@ def _free_boundary_index(v: np.ndarray, h: float, tol: float = 1e-10) -> int:
     from there upward); the last index if the obstacle never binds."""
     slopes = np.diff(v) / h
     pinned = slopes <= 1.0 + tol
-    # find the start of the trailing pinned run
-    idx = len(v) - 1
-    for k in range(len(pinned) - 1, -1, -1):
-        if pinned[k]:
-            idx = k
-        else:
-            break
-    return idx
+    unpinned = np.flatnonzero(~pinned)
+    # the trailing pinned run starts after the last unpinned slope
+    return int(unpinned[-1]) + 1 if unpinned.size else 0

@@ -22,7 +22,7 @@ from .sde import employment_drift, euler_paths, jacobi_noise
 __all__ = ["KeenParams", "KeenState", "KeenResult", "profit_function",
            "keen_drift", "simulate", "FIG4_PARAMS", "FIG5_PARAMS", "FIG6_PARAMS"]
 
-EXP_CAP_DEFAULT = 700.0
+EXP_CAP = 700.0     # profit exponents above this are capped against overflow
 
 
 @dataclass(frozen=True)
@@ -64,18 +64,18 @@ FIG5_PARAMS = replace(FIG4_PARAMS, omega=0.005)
 FIG6_PARAMS = replace(FIG5_PARAMS, sigma_s=0.005, sigma_lambda=0.005)
 
 
-def _capped_profit(x, params: KeenParams, exp_cap: float):
-    """f(x) = p + exp(min(q*x + r, exp_cap)) and the uncapped exponent."""
+def _capped_profit(x, params: KeenParams):
+    """f(x) = p + exp(min(q*x + r, EXP_CAP)) and the uncapped exponent."""
     arg = params.q * x + params.r
-    return params.p + np.exp(np.minimum(arg, exp_cap)), arg
+    return params.p + np.exp(np.minimum(arg, EXP_CAP)), arg
 
 
-def profit_function(x, params: KeenParams, exp_cap: float = EXP_CAP_DEFAULT):
+def profit_function(x, params: KeenParams):
     """Net-profit response f(x) = p + exp(q*x + r), exponent capped against overflow."""
-    out, arg = _capped_profit(np.asarray(x, dtype=float), params, exp_cap)
-    if np.any(arg > exp_cap):
+    out, arg = _capped_profit(np.asarray(x, dtype=float), params)
+    if np.any(arg > EXP_CAP):
         warnings.warn(
-            f"profit exponent capped at {exp_cap} (max arg {np.max(arg):.3g})",
+            f"profit exponent capped at {EXP_CAP} (max arg {np.max(arg):.3g})",
             stacklevel=2,
         )
     return float(out) if np.isscalar(x) else out
@@ -168,7 +168,7 @@ def simulate(
         regularized = params.omega > 0
 
     def drift(s, lam, g):
-        fx, _ = _capped_profit(_profit_share(s, g, params), params, EXP_CAP_DEFAULT)
+        fx, _ = _capped_profit(_profit_share(s, g, params), params)
         return _drift(s, lam, g, fx, params, regularized, with_nu_factor)
 
     run = euler_paths(drift, (initial.s_w, initial.lambda_w, initial.gamma_f),

@@ -11,7 +11,8 @@ cash held at the central bank is excluded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 from typing import Iterable
 
 __all__ = ["BankLedger", "LedgerEvent", "LedgerError", "apply_event",
@@ -58,6 +59,9 @@ class BankLedger:
         return self.total_assets - self.total_liabilities - self.equity
 
     def check(self, tol: float = 1e-9) -> "BankLedger":
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise LedgerError(f"{f.name} is not finite: {getattr(self, f.name)}")
         if abs(self.balance_residual()) > tol * max(1.0, abs(self.total_assets)):
             raise LedgerError(
                 f"balance identity violated by {self.balance_residual():.6g}"
@@ -80,10 +84,10 @@ class LedgerEvent:
     def __post_init__(self) -> None:
         if self.kind not in EVENT_KINDS:
             raise LedgerError(f"unknown event kind {self.kind!r}")
-        if self.amount <= 0:
-            raise LedgerError(f"event amount must be positive, got {self.amount}")
-        if self.interest < 0:
-            raise LedgerError("interest must be non-negative")
+        if not (math.isfinite(self.amount) and self.amount > 0):
+            raise LedgerError(f"event amount must be finite and positive, got {self.amount}")
+        if not (math.isfinite(self.interest) and self.interest >= 0):
+            raise LedgerError(f"interest must be finite and non-negative, got {self.interest}")
 
 
 def money_supply(ledgers: Iterable[BankLedger]) -> float:
@@ -184,10 +188,10 @@ def two_bank_creation(
     event is rejected; with the fallback, a repo for the shortfall is
     synthesized first.
     """
+    if not (math.isfinite(amount) and amount >= 0):
+        raise LedgerError(f"amount must be finite and non-negative, got {amount}")
     if amount == 0:
         return [(bank1, bank2)] * 3
-    if amount < 0:
-        raise LedgerError("amount must be non-negative")
     ledgers = [bank1.check(), bank2.check()]
     steps = [tuple(ledgers)]
 

@@ -160,6 +160,10 @@ def _reduce_jumps(spec: JumpSpec, k: int) -> JumpSpec:
     return JumpSpec(spec.n_banks - 1, subsets, spec.theta[keep])
 
 
+# a path's clearing sweep stops once no payout fraction moves by this much
+CLEARING_TOL = 1e-12
+
+
 @dataclass
 class ClearingVector:
     omega: np.ndarray
@@ -167,11 +171,7 @@ class ClearingVector:
     iterations: int
 
 
-def clearing_vector(
-    net: BankNetwork,
-    terminal_assets: np.ndarray,
-    tol: float = 1e-12,
-) -> ClearingVector:
+def clearing_vector(net: BankNetwork, terminal_assets: np.ndarray) -> ClearingVector:
     """Eisenberg-Noe terminal payout fractions.
 
     Iterates omega <- min((A_T + claims received) / total liabilities, 1)
@@ -202,7 +202,7 @@ def clearing_vector(
                 "clearing iteration from the all-ones vector must be "
                 f"monotone non-increasing; step {it} increased a component"
             )
-        done = np.max(np.abs(new_omega - omega), axis=1) < tol
+        done = np.max(np.abs(new_omega - omega), axis=1) < CLEARING_TOL
         omega[active] = new_omega[active]
         active &= ~done
         if not active.any():

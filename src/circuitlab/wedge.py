@@ -47,6 +47,10 @@ def norm_cdf(x):
     return ndtr(np.asarray(x, dtype=float))
 
 
+# a point whose series prefactor is at most this is zero: |ive| <= 1 bounds each term
+PRUNE = 1e-30
+
+
 class SeriesError(RuntimeError):
     """Bessel series failed to reach the truncation target."""
 
@@ -148,13 +152,9 @@ def _bessel_series(ctx: WedgeContext, z: np.ndarray, weight, n_terms: int,
 
 
 def wedge_green(ctx: WedgeContext, t: float, x1, x2, x_src,
-                n_terms: int = 800, tol: float = 1e-14,
-                prune: float = 1e-30) -> np.ndarray:
-    """Absorbed transition density G(t, X; X') on the open quadrant.
-
-    Points whose Gaussian envelope falls below `prune` are returned as zero
-    without evaluating the Bessel series (scaled I_nu is bounded by one, so
-    the envelope dominates every term)."""
+                n_terms: int = 800, tol: float = 1e-14) -> np.ndarray:
+    """Absorbed transition density G(t, X; X') on the open quadrant; zero
+    where the series prefactor is at most PRUNE."""
     if t <= 0:
         raise ValueError("t must be positive")
     x1 = np.asarray(x1, dtype=float)
@@ -169,7 +169,7 @@ def wedge_green(ctx: WedgeContext, t: float, x1, x2, x_src,
                   + ctx.theta[0] * (x1 - xs1) + ctx.theta[1] * (x2 - xs2))
     scale = tilt * 2.0 / (ctx.rho_bar * ctx.varpi * t) * gauss
     out = np.zeros_like(scale)
-    live = scale > prune
+    live = scale > PRUNE
     if np.any(live):
         z = r[live] * r_src / t
         series = _bessel_series(ctx, z, lambda n, nu: (1.0, math.sin(nu * phi_src)),
@@ -206,7 +206,7 @@ def boundary_flux(ctx: WedgeContext, t, coord, x_src,
         base = np.where(coord > 0, 2.0 / (ctx.varpi * t * coord), 0.0)
     scale_factor = 0.5 * tilt * base * gauss
     out = np.zeros_like(coord)
-    live = np.abs(scale_factor) > 1e-30
+    live = np.abs(scale_factor) > PRUNE
     if not np.any(live):
         return out
     z = coord[live] * r_src / (ctx.rho_bar * t[live])

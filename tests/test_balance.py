@@ -1,8 +1,13 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from _invalid_runs import INVALID_RUNS
+from circuitlab import balance
 from circuitlab.balance import (
     Controls,
     FlowParams,
@@ -45,12 +50,13 @@ def test_loan_decay_converges_to_closed_form():
 
 def test_balance_identity_random_controls():
     rng = np.random.default_rng(12)
-    for _ in range(6):
-        ctrl = Controls(phi=rng.uniform(0, 5), psi=rng.uniform(0, 3),
-                        omega=rng.uniform(0, 2), pi=rng.uniform(0, 4),
-                        delta=rng.uniform(-1, 1))
+    for size in (None,) * 6 + (200,):
+        # six single runs, then one batch of 200 controls
+        ctrl = Controls(phi=rng.uniform(0, 5, size), psi=rng.uniform(0, 3, size),
+                        omega=rng.uniform(0, 2, size), pi=rng.uniform(0, 4, size),
+                        delta=rng.uniform(-1, 1, size))
         traj = evolve(START, BASE, ctrl, horizon=3.0, dt=1e-3)
-        scale = np.max(traj.x + traj.i + traj.c)
+        scale = np.min(np.max(traj.x + traj.i + traj.c, axis=-1))
         assert traj.max_consistency_residual < 1e-10 * scale
 
 
@@ -59,6 +65,14 @@ def test_balance_identity_stochastic():
                   dt=1e-3, stochastic=True, stream=RngStream(3))
     scale = np.max(traj.x + traj.i + traj.c)
     assert traj.max_consistency_residual < 1e-10 * scale
+    # a batch shares one normal per step, so each row is its control's run alone
+    phis = np.array([2.0, 0.5, 4.0])
+    batch = evolve(START, BASE, Controls(phi=phis, delta=0.5), horizon=2.0,
+                   dt=1e-3, stochastic=True, stream=RngStream(3))
+    for phi, row in zip(phis, batch.i):
+        alone = evolve(START, BASE, Controls(phi=phi, delta=0.5), horizon=2.0,
+                       dt=1e-3, stochastic=True, stream=RngStream(3))
+        assert np.array_equal(row, alone.i)
 
 
 def test_lag_consistency_constant_control():
@@ -192,7 +206,126 @@ def test_search_interior_argmax_matches_refinement():
     assert abs(res.best.controls["delta"] - refined) <= (grid_vals[1] - grid_vals[0])
 
 
+def test_evolve_rejects_a_bad_time_grid():
+    for overrides, message in INVALID_RUNS:
+        if set(overrides) <= {"horizon", "dt"}:
+            run = {"horizon": 1.0, "dt": 0.01, **overrides}
+            with pytest.raises(ValueError, match=message):
+                evolve(START, BASE, Controls(), **run)
+
+
 def test_initial_imbalance_rejected():
     bad = FlowState(x=100.0, i=20.0, c=10.0, d=90.0, y=25.0, e=14.0)
     with pytest.raises(ValueError, match="balance identity"):
         evolve(bad, BASE, Controls(), 1.0, 0.01)
+
+
+# --------------------------------------------------------------------------
+# batched constant controls
+
+BANK_WEIGHTS = RegWeights(rwa=0.8, kappa=0.105, k2=1.0, rsf_x=0.4, asf_d=0.8,
+                          co_d=0.05, ci_x=0.02)
+CONTROL_RANGES = {"phi": (0.0, 8.0), "psi": (0.0, 3.0), "omega": (0.0, 2.0),
+                  "pi": (0.0, 4.0), "delta": (-1.0, 12.0)}
+rates = st.floats(0.0, 0.5)
+flow_params = st.builds(FlowParams, lam=rates, mu=rates, nu=rates, xi=rates, alpha=rates,
+                        beta=rates, r=rates, zeta=rates, sigma=st.just(0.0),
+                        discount=rates, t_lag=st.floats(0.05, 2.0))
+
+
+@st.composite
+def control_batches(draw):
+    """Constant controls that broadcast to shape (n,) or (a, b); each
+    control is a scalar or an array of a shape that broadcasts there."""
+    shape = draw(st.sampled_from([(1,), (3,), (5,), (2, 3), (3, 1), (1, 4)]))
+    shapes = [(), shape] + ([(shape[0], 1), (1, shape[1])] if len(shape) == 2 else [])
+    values = {}
+    for name, (lo, hi) in CONTROL_RANGES.items():
+        sub = draw(st.sampled_from(shapes))
+        v = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(lo, hi, sub)
+        values[name] = float(v) if sub == () else v
+    # at least one control carries the full batch shape
+    values["phi"] = np.broadcast_to(values["phi"], shape).copy()
+    return shape, values
+
+
+@settings(deadline=None, max_examples=40)
+@given(params=flow_params, batch=control_batches(),
+       horizon=st.floats(0.1, 2.0), dt=st.floats(0.01, 0.2))
+# controls of different shapes: the state takes the batch shape in steps
+@example(params=BASE, horizon=1.0, dt=0.125,
+         batch=((2, 3), {"phi": np.full((2, 3), 5.0), "psi": 1.0, "omega": 1.0, "pi": 2.0,
+                         "delta": np.array([[7.0], [2.5]])}))
+def test_batched_evolve_equals_each_control_alone(params, batch, horizon, dt):
+    shape, values = batch
+    traj = evolve(START, params, Controls(**values), horizon, dt)
+    cf = cashflow_objective(traj)
+    rep = constraints_report(traj, BANK_WEIGHTS)
+    assert traj.x.shape == shape + traj.t.shape and cf.shape == shape
+    residuals = []
+    for row in np.ndindex(shape):
+        alone = {k: float(np.broadcast_to(v, shape)[row]) for k, v in values.items()}
+        single = evolve(START, params, Controls(**alone), horizon, dt)
+        assert np.array_equal(single.t, traj.t)
+        for name in ("x", "i", "c", "d", "y", "e", "j", "delta_path"):
+            assert np.array_equal(getattr(traj, name)[row], getattr(single, name)), name
+        assert cf[row] == cashflow_objective(single)
+        single_rep = constraints_report(single, BANK_WEIGHTS)
+        for name in ("funding_slack", "liquidity_slack", "capital_slack"):
+            assert np.array_equal(getattr(rep, name)[row], getattr(single_rep, name)), name
+        assert np.array_equal(rep.all_pass[row], single_rep.all_pass)
+        assert np.array_equal(rep.min_slack[row], single_rep.min_slack)
+        residuals.append(single.max_consistency_residual)
+    assert traj.max_consistency_residual == max(residuals)
+
+
+def brute_force_search(params, weights, horizon, dt, grid):
+    """The search as one scalar run per control and one report per step."""
+    names = ("phi", "psi", "omega", "pi", "delta")
+    table, best = [], None
+    for values in itertools.product(*(grid.get(n, [0.0]) for n in names)):
+        ctrl = dict(zip(names, (float(v) for v in values)))
+        traj = evolve(START, params, Controls(**ctrl), horizon, dt)
+        reports = [constraints_report(traj.state_at(k), weights) for k in range(len(traj.t))]
+        feasible = all(r.all_pass for r in reports)
+        cf = cashflow_objective(traj)
+        table.append((ctrl, cf, feasible, min(float(r.min_slack) for r in reports)))
+        if feasible and (best is None or cf > table[best][1]):
+            best = len(table) - 1
+    return table, best
+
+
+@settings(deadline=None, max_examples=25)
+@given(params=flow_params, horizon=st.floats(0.2, 3.0), dt=st.floats(0.02, 0.2),
+       sizes=st.lists(st.integers(1, 3), min_size=5, max_size=5),
+       seed=st.integers(0, 2**32 - 1))
+def test_search_equals_scalar_brute_force(params, horizon, dt, sizes, seed):
+    rng = np.random.default_rng(seed)
+    grid = {name: np.sort(rng.uniform(lo, hi, n))
+            for (name, (lo, hi)), n in zip(CONTROL_RANGES.items(), sizes)}
+    res = constant_control_search(START, params, BANK_WEIGHTS, horizon, dt, grid)
+    table, best = brute_force_search(params, BANK_WEIGHTS, horizon, dt, grid)
+    assert [(r.controls, r.cashflow, r.feasible, r.min_slack) for r in res.table] == table
+    assert (res.best is None) == (best is None)
+    if best is not None:
+        assert res.best is res.table[best]
+
+
+def test_search_makes_one_evolve_and_one_report(monkeypatch):
+    calls = {"evolve": 0, "constraints_report": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(balance, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(balance, name, counted)
+    grid = {"phi": np.linspace(0.0, 8.0, 5), "omega": np.array([0.0, 1.0, 2.0]),
+            "pi": np.array([0.0, 2.0, 4.0]), "delta": np.linspace(0.0, 12.0, 9)}
+    res = constant_control_search(START, BASE, BANK_WEIGHTS, 4.0, 0.02, grid)
+    assert len(res.table) == 405
+    assert calls == {"evolve": 1, "constraints_report": 1}
+
+
+def test_search_over_an_empty_axis():
+    res = constant_control_search(START, BASE, BANK_WEIGHTS, 1.0, 0.05,
+                                  {"phi": np.array([1.0, 2.0]), "delta": np.array([])})
+    assert res.table == [] and res.best is None and res.feasible_count == 0

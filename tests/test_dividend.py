@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from circuitlab.dividend import (
@@ -130,13 +132,9 @@ def test_jump_integral_matches_quadrature():
             0.0, e, points=[0.4], limit=200, epsabs=1e-13, epsrel=1e-13)
         assert abs(ours[e_idx] - ref) < 1e-10
     # the blocked scan used inside the solver agrees with the reference loop
-    from circuitlab.dividend import _stable_jump_scan
-    h = grid[1] - grid[0]
-    dec = math.exp(-delta * h)
-    w0 = 1.0 - dec
-    w1 = h - w0 / delta
-    fast = _stable_jump_scan(v, dec, w0, w1, h)
-    assert np.max(np.abs(fast - ours)) < 1e-12
+    from circuitlab.dividend import _jump_scan
+    fast = _jump_scan(delta, grid[1] - grid[0], len(v))(v)
+    assert np.max(np.abs(fast - ours[1:])) < 1e-12
 
 
 def test_variational_terminal_condition_and_dominance():
@@ -196,3 +194,29 @@ def test_cfl_warning():
     with pytest.warns(UserWarning, match="exceeds"):
         solve_variational(FIG13_PARAMS, horizon=0.01, e_max=1.0,
                           n_grid=2001, dtau=0.01, cfl_bound=100.0)
+
+
+@settings(deadline=None, max_examples=200)
+@given(pinned=st.lists(st.booleans(), max_size=12))
+def test_free_boundary_index_is_the_trailing_pinned_run(pinned):
+    from circuitlab.dividend import _free_boundary_index
+    v = np.concatenate([[0.0], np.cumsum(np.where(pinned, 1.0, 2.0))])
+    # the start of the trailing run of pinned slopes, found from the top
+    idx = len(v) - 1
+    for k in range(len(pinned) - 1, -1, -1):
+        if not pinned[k]:
+            break
+        idx = k
+    assert _free_boundary_index(v, 1.0) == idx
+
+
+@pytest.mark.parametrize("override, message", [
+    ({"dtau": -1e-3}, "dtau"), ({"dtau": 0.0}, "dtau"), ({"dtau": math.nan}, "dtau"),
+    ({"horizon": math.nan}, "horizon"), ({"horizon": math.inf}, "horizon"),
+    ({"horizon": 0.0}, "horizon"), ({"e_max": math.inf}, "e_max"),
+    ({"e_max": -1.0}, "e_max"), ({"n_grid": 1}, "n_grid"), ({"n_grid": 2}, "n_grid"),
+])
+def test_variational_rejects_bad_inputs(override, message):
+    run = {"horizon": 0.1, "e_max": 2.0, "n_grid": 50, "dtau": 1e-2, **override}
+    with pytest.raises(ValueError, match=message):
+        solve_variational(FIG13_PARAMS, **run)

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from circuitlab.ledger import (
@@ -148,3 +150,18 @@ def test_capital_check_edges():
     assert ok and slack == pytest.approx(3.0)
     with pytest.raises(ValueError):
         capital_check(no_loans, 1.5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_entries_rejected(bad):
+    with pytest.raises(LedgerError, match="amount"):
+        LedgerEvent("issue_loan_single", bad)
+    with pytest.raises(LedgerError, match="interest"):
+        LedgerEvent("repay_with_interest", 1.0, interest=bad)
+    with pytest.raises(LedgerError, match="not finite"):
+        BankLedger(external_assets=bad, external_liabilities=1.0).check()
+    with pytest.raises(LedgerError, match="not finite"):
+        apply_event([BankLedger(external_assets=20, external_liabilities=15, equity=bad)],
+                    LedgerEvent("issue_loan_single", 2.0))
+    with pytest.raises(LedgerError, match="amount"):
+        two_bank_creation(STEP_I[0], STEP_I[1], amount=bad)
