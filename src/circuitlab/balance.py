@@ -130,7 +130,6 @@ def evolve(
     controls: Controls,
     horizon: float,
     dt: float,
-    stochastic: bool = False,
     stream: RngStream | None = None,
 ) -> Trajectory:
     """Euler integration of the six balance-sheet flow equations.
@@ -138,9 +137,10 @@ def evolve(
     Cash follows its flow equation and equity is recomputed from the balance
     identity; the equity flow equation is also integrated independently and
     its worst deviation over the batch reported (zero to rounding under
-    shared Euler increments).  Array controls run as one batch: each path
-    is shaped (broadcast control shape..., time), and a stochastic batch
-    draws one normal per step for every row."""
+    shared Euler increments).  The run is stochastic exactly when a stream
+    is given.  Array controls run as one batch: each path is shaped
+    (broadcast control shape..., time), and a stochastic batch draws one
+    normal per step for every row."""
     res0 = initial.balance_residual()
     if abs(res0) > 1e-10 * max(1.0, initial.total_assets()):
         raise ValueError(f"initial state violates the balance identity by {res0:.3g}")
@@ -152,7 +152,7 @@ def evolve(
     x, i_v, c, d, y = initial.x, initial.i, initial.c, initial.d, initial.y
     e_indep = initial.e
     j = initial.i
-    gen = (stream or RngStream(0)).generator() if stochastic else None
+    gen = None if stream is None else stream.generator()
     sqdt = math.sqrt(dt)
 
     for k in range(n + 1):
@@ -166,7 +166,7 @@ def evolve(
         cap_phi = lagged_loan_inflow(phi, tk, params)
         cap_psi = lagged_borrow_inflow(psi, tk, params)
         om, pv, dv = omega(tk), pi(tk), delta(tk)
-        di_noise = params.sigma * i_v * sqdt * gen.standard_normal() if stochastic else 0.0
+        di_noise = 0.0 if gen is None else params.sigma * i_v * sqdt * gen.standard_normal()
 
         dx = (-params.lam * x + cap_phi) * dt
         di = (params.r - params.zeta) * i_v * dt + om * dt + di_noise

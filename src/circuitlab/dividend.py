@@ -26,6 +26,8 @@ from scipy.linalg import solve_banded
 from scipy.linalg.blas import dtbsv
 from scipy.optimize import brentq
 
+from .sde import step_count
+
 __all__ = [
     "EquityParams", "SymbolCoefficients", "BarrierSolution", "EquityValueGrid",
     "symbol", "symbol_roots", "stationary_barrier", "solve_variational",
@@ -53,6 +55,15 @@ class EquityParams:
         if self.discount <= 0:
             raise ValueError("discount rate must be positive")
 
+
+# trial barriers E*: a geometric scan of BARRIER_BRACKET, searched for a sign
+# change of the curvature residual (Fig 13's E* is about 0.31)
+BARRIER_BRACKET = (1e-3, 50.0)
+BARRIER_SCAN_POINTS = 220
+# above this dtau/dE^2 the explicit jump terms of the march may lose accuracy
+CFL_BOUND = 2000.0
+# a slope within this of 1 counts as pinned by the obstacle V_E >= 1
+FREE_BOUNDARY_TOL = 1e-10
 
 FIG13_PARAMS = EquityParams(mu=0.05, sigma=0.25, discount=0.10,
                             lambda1=0.05, delta1=3.00,
@@ -111,11 +122,12 @@ def symbol_roots(params: EquityParams) -> np.ndarray:
         if lam > 0.0:
             poly = np.convolve(poly, np.array([1.0, delta]))
             poles.append((lam, delta))
-    # add lam*delta times the product of the OTHER active pole factors
-    for lam, delta in poles:
+    # add lam*delta times the product of the OTHER active pole factors,
+    # skipped by position: equal sources still have two factors
+    for k, (lam, delta) in enumerate(poles):
         extra = np.array([lam * delta])
-        for lam2, delta2 in poles:
-            if delta2 != delta or lam2 != lam:
+        for k2, (_, delta2) in enumerate(poles):
+            if k2 != k:
                 extra = np.convolve(extra, np.array([1.0, delta2]))
         poly[len(poly) - len(extra):] += extra
     raw = np.roots(poly)
@@ -195,31 +207,27 @@ def _coeffs_for_barrier(roots: np.ndarray, params: EquityParams,
     return coeffs, residual
 
 
-def stationary_barrier(
-    params: EquityParams,
-    bracket: tuple[float, float] = (1e-3, 50.0),
-    scan_points: int = 220,
-) -> BarrierSolution:
+def stationary_barrier(params: EquityParams) -> BarrierSolution:
     """Stationary value function and optimal barrier E*.
 
     For each trial barrier the linear block enforces V(0) = 0, both jump
     consistency rows, and V_E(E*) = 1; the barrier is then the root of the
     remaining curvature condition V_EE(E*) = 0, bracketed on a geometric
-    scan and polished to ~1e-12."""
+    scan of BARRIER_BRACKET and polished to ~1e-12."""
     roots = symbol_roots(params)
     if len(roots) != 4:
         raise ValueError(
             "the stationary construction needs both jump sources active "
             f"(four symbol roots); got {len(roots)}"
         )
-    scan = np.geomspace(bracket[0], bracket[1], scan_points)
+    scan = np.geomspace(*BARRIER_BRACKET, BARRIER_SCAN_POINTS)
     vals = np.array([_coeffs_for_barrier(roots, params, e)[1] for e in scan])
     sign_flip = np.nonzero(np.diff(np.sign(vals)) != 0)[0]
     if len(sign_flip) == 0:
         raise RuntimeError(
             "no sign change of the curvature residual on the scan grid; "
             f"residual range [{vals.min():.3e}, {vals.max():.3e}] over "
-            f"barriers [{bracket[0]}, {bracket[1]}]"
+            f"barriers [{BARRIER_BRACKET[0]}, {BARRIER_BRACKET[1]}]"
         )
     lo, hi = scan[sign_flip[0]], scan[sign_flip[0] + 1]
     e_star = brentq(lambda e: _coeffs_for_barrier(roots, params, e)[1],
@@ -271,7 +279,6 @@ def solve_variational(
     n_grid: int = 2000,
     dtau: float = 1e-3,
     record: int = 8,
-    cfl_bound: float = 2000.0,
 ) -> EquityValueGrid:
     """Crank-Nicolson march of the dividend variational inequality.
 
@@ -281,19 +288,18 @@ def solve_variational(
     the monotone envelope V_k >= V_{k-1} + h after each step.  Boundary
     rows: V = 0 at E = 0 and V_E = 1 at the truncated top (deep in the
     payout region)."""
-    for name, value in (("horizon", horizon), ("e_max", e_max), ("dtau", dtau)):
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be finite and positive, got {value}")
+    n_steps = step_count(horizon, dtau, "dtau")
+    if not (math.isfinite(e_max) and e_max > 0):
+        raise ValueError(f"e_max must be finite and positive, got {e_max}")
     if not n_grid >= 3:
         raise ValueError(f"n_grid must be at least 3, got {n_grid}")
     c = SymbolCoefficients.from_params(params)
     grid = np.linspace(0.0, e_max, n_grid)
     h = grid[1] - grid[0]
-    if dtau / h**2 > cfl_bound:
+    if dtau / h**2 > CFL_BOUND:
         warnings.warn(
-            f"dtau/dE^2 = {dtau / h**2:.1f} exceeds {cfl_bound}; accuracy of "
+            f"dtau/dE^2 = {dtau / h**2:.1f} exceeds {CFL_BOUND}; accuracy of "
             "the explicit jump terms may degrade", stacklevel=2)
-    n_steps = int(round(horizon / dtau))
     v = grid.copy()                       # tau = 0 payoff
 
     lower = np.empty(n_grid)
@@ -357,11 +363,11 @@ def _jump_scan(delta: float, h: float, n_grid: int):
     return lambda v: dtbsv(1, band, v[:-1] * w0 + (np.diff(v) / h) * w1, lower=1)
 
 
-def _free_boundary_index(v: np.ndarray, h: float, tol: float = 1e-10) -> int:
+def _free_boundary_index(v: np.ndarray, h: float) -> int:
     """First grid index where the payout region begins (V_E pinned at 1
     from there upward); the last index if the obstacle never binds."""
     slopes = np.diff(v) / h
-    pinned = slopes <= 1.0 + tol
+    pinned = slopes <= 1.0 + FREE_BOUNDARY_TOL
     unpinned = np.flatnonzero(~pinned)
     # the trailing pinned run starts after the last unpinned slope
     return int(unpinned[-1]) + 1 if unpinned.size else 0

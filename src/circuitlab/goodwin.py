@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-import warnings
 
 import numpy as np
 
@@ -45,35 +44,10 @@ class GoodwinParams:
             raise ValueError("omega and volatilities must be non-negative")
 
     @classmethod
-    def from_composites(
-        cls,
-        a: float,
-        b: float,
-        alpha: float,
-        beta: float,
-        gamma: float,
-        nu_f: float,
-        xi_a: float,
-        c: float | None = None,
-        d: float | None = None,
-        **kw,
-    ) -> "GoodwinParams":
-        """Assemble c = nu_f - (alpha+beta+gamma+xi_a), d = nu_f.
-
-        Directly supplied c, d win on conflict with a warning.
-        """
-        c_comp = nu_f - (alpha + beta + gamma + xi_a)
-        d_comp = nu_f
-        if c is not None and not math.isclose(c, c_comp, rel_tol=1e-9):
-            warnings.warn(
-                f"explicit c={c} overrides composite value {c_comp}", stacklevel=2
-            )
-        if d is not None and not math.isclose(d, d_comp, rel_tol=1e-9):
-            warnings.warn(
-                f"explicit d={d} overrides composite value {d_comp}", stacklevel=2
-            )
-        return cls(a=a, b=b, c=c if c is not None else c_comp,
-                   d=d if d is not None else d_comp, **kw)
+    def from_composites(cls, a: float, b: float, alpha: float, beta: float,
+                        gamma: float, nu_f: float, xi_a: float, **kw) -> "GoodwinParams":
+        """Assemble c = nu_f - (alpha+beta+gamma+xi_a), d = nu_f."""
+        return cls(a=a, b=b, c=nu_f - (alpha + beta + gamma + xi_a), d=nu_f, **kw)
 
 
 @dataclass(frozen=True)
@@ -179,15 +153,14 @@ def simulate(
     paths: int = 1,
     stream: RngStream | None = None,
     regularized: bool | None = None,
-    clamp_eps: float = 1e-9,
     record_stride: int = 1,
 ) -> GoodwinResult:
     """Euler paths of the Goodwin pair.
 
     regularized=None picks the regularized drift whenever omega > 0.
-    Regularized/stochastic paths are clamped to [eps, 1-eps] after each step
-    and clamp events are counted; classical runs are left free so boundary
-    violations remain observable.  record_stride > 1 thins the stored
+    Regularized/stochastic paths are clamped to [eps, 1-eps], eps =
+    `sde.CLAMP_EPS`, after each step and clamp events are counted; classical
+    runs are left free so boundary violations remain observable.  record_stride > 1 thins the stored
     trajectory; extremes are still tracked per step.
     """
     if regularized is None:
@@ -195,7 +168,7 @@ def simulate(
     run = euler_paths(
         lambda s, lam: _drift(s, lam, params, regularized),
         (initial.s_w, initial.lambda_w), horizon, dt, paths, stream,
-        jacobi_noise(params.sigma_s, params.sigma_lambda), regularized, clamp_eps, record_stride)
+        jacobi_noise(params.sigma_s, params.sigma_lambda), regularized, record_stride)
     s_rec, lam_rec = run.records
     return GoodwinResult(t=run.t, s_w=s_rec, lambda_w=lam_rec,
                          clamp_events=run.clamp_events, total_steps=run.total_steps,

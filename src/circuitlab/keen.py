@@ -10,7 +10,6 @@ crossing time.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
 import warnings
 
 import numpy as np
@@ -100,7 +99,6 @@ def keen_drift(
     params: KeenParams,
     regularized: bool = False,
     with_nu_factor: bool = True,
-    profit_fn: Callable | None = None,
 ) -> tuple[float, float, float]:
     """Time derivative of (s_w, lambda_w, Gamma_f).
 
@@ -111,8 +109,7 @@ def keen_drift(
     drift is identical in both.
     """
     s, lam, g = state.s_w, state.lambda_w, state.gamma_f
-    f = profit_fn if profit_fn is not None else (lambda x: profit_function(x, params))
-    fx = f(_profit_share(s, g, params))
+    fx = profit_function(_profit_share(s, g, params), params)
     if regularized and not (0 < s < 1 and 0 < lam < 1):
         raise ValueError("regularized drift requires interior (s_w, lambda_w)")
     return _drift(s, lam, g, fx, params, regularized, with_nu_factor)
@@ -154,7 +151,6 @@ def simulate(
     stream: RngStream | None = None,
     regularized: bool | None = None,
     with_nu_factor: bool = True,
-    clamp_eps: float = 1e-9,
     gamma_cap: float = 10.0,
     record_stride: int = 1,
 ) -> KeenResult:
@@ -174,7 +170,7 @@ def simulate(
     run = euler_paths(drift, (initial.s_w, initial.lambda_w, initial.gamma_f),
                       horizon, dt, paths, stream,
                       jacobi_noise(params.sigma_s, params.sigma_lambda),
-                      regularized, clamp_eps, record_stride, cap=gamma_cap)
+                      regularized, record_stride, cap=gamma_cap)
     s_rec, lam_rec, g_rec = run.records
     return KeenResult(t=run.t, s_w=s_rec, lambda_w=lam_rec, gamma_f=g_rec,
                       clamp_events=run.clamp_events, total_steps=run.total_steps,

@@ -19,6 +19,10 @@ __all__ = ["BankLedger", "LedgerEvent", "LedgerError", "apply_event",
            "two_bank_creation", "capital_check", "money_supply",
            "EVENT_KINDS"]
 
+# tolerance of the balance identity (relative to total assets) and of the
+# non-negative entries (absolute): rounding of the postings, not a slack
+IDENTITY_TOL = 1e-9
+
 EVENT_KINDS = (
     "issue_loan_single",
     "repay_with_interest",
@@ -58,17 +62,17 @@ class BankLedger:
     def balance_residual(self) -> float:
         return self.total_assets - self.total_liabilities - self.equity
 
-    def check(self, tol: float = 1e-9) -> "BankLedger":
+    def check(self) -> "BankLedger":
         for f in fields(self):
             if not math.isfinite(getattr(self, f.name)):
                 raise LedgerError(f"{f.name} is not finite: {getattr(self, f.name)}")
-        if abs(self.balance_residual()) > tol * max(1.0, abs(self.total_assets)):
+        if abs(self.balance_residual()) > IDENTITY_TOL * max(1.0, abs(self.total_assets)):
             raise LedgerError(
                 f"balance identity violated by {self.balance_residual():.6g}"
             )
         for name in ("external_assets", "interbank_assets", "cash",
                      "external_liabilities", "interbank_liabilities"):
-            if getattr(self, name) < -tol:
+            if getattr(self, name) < -IDENTITY_TOL:
                 raise LedgerError(f"{name} went negative")
         return self
 
@@ -175,7 +179,6 @@ def two_bank_creation(
     bank2: BankLedger,
     amount: float,
     central_bank_fallback: bool = False,
-    repo_haircut: float = 0.0,
 ) -> list[tuple[BankLedger, BankLedger]]:
     """Three-stage money creation across two banks.
 
@@ -185,8 +188,8 @@ def two_bank_creation(
     Returns the ledger pair at each of the three stages.
 
     If bank 1's cash is short and no central-bank fallback is configured the
-    event is rejected; with the fallback, a repo for the shortfall is
-    synthesized first.
+    event is rejected; with the fallback, a repo for the shortfall (no
+    haircut) is synthesized first.
     """
     if not (math.isfinite(amount) and amount >= 0):
         raise LedgerError(f"amount must be finite and non-negative, got {amount}")
@@ -202,10 +205,7 @@ def two_bank_creation(
                 "and no central-bank fallback is configured"
             )
         shortfall = amount - ledgers[0].cash
-        ledgers, _ = apply_event(
-            ledgers, LedgerEvent("central_bank_repo", shortfall, bank=0),
-            repo_haircut=repo_haircut,
-        )
+        ledgers, _ = apply_event(ledgers, LedgerEvent("central_bank_repo", shortfall, bank=0))
 
     ledgers, delta = apply_event(ledgers, LedgerEvent("lend_from_cash", amount, bank=0))
     ledgers, delta2 = apply_event(ledgers, LedgerEvent("deposit_at_other", amount, bank=1))

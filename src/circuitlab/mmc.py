@@ -28,6 +28,12 @@ __all__ = [
     "mmc_drift_and_diffusion", "simulate", "FIG8_PARAMS", "FIG8_STATE",
 ]
 
+# relative tolerance of the balance identity on an initial sheet: rounding
+# of the stocks, not a modelling slack
+IDENTITY_TOL = 1e-9
+# C_r is floored just above zero: the state and the upsilon solve need C_r > 0
+C_R_FLOOR = 1e-9
+
 
 def net_interest(deposits: float, loans: float, params: "MmcParams") -> float:
     """Net interest flow r_D * D - r_L * L."""
@@ -107,7 +113,7 @@ class MmcState:
         """K_b - (L_r + L_f - D_r - D_f); zero on a consistent sheet."""
         return self.k_b - (self.l_r + self.l_f - self.d_r - self.d_f)
 
-    def validate(self, tol: float = 1e-9) -> None:
+    def validate(self) -> None:
         stocks = (self.d_r, self.l_r, self.d_f, self.l_f, self.k_f)
         if any(s < 0 for s in stocks):
             raise ValueError("stocks must be non-negative")
@@ -117,7 +123,7 @@ class MmcState:
             raise ValueError("(s_w, lambda_w) must lie inside the unit square")
         scale = max(abs(v) for v in stocks) + abs(self.k_b) + 1.0
         res = self.balance_residual()
-        if abs(res) > tol * scale:
+        if abs(res) > IDENTITY_TOL * scale:
             raise ValueError(
                 f"initial sheet violates K_b = L_r+L_f-D_r-D_f, residual {res:.6g}"
             )
@@ -144,6 +150,11 @@ class UpsilonError(RuntimeError):
 # no interior fixed point (the propensity saturates); flows ~ C_r/(1-u)
 # degenerate there
 UPSILON_MAX = 1.0 - 1e-9
+# upsilon solves stop once a step is below UPSILON_TOL; the damped fixed
+# point may need UPSILON_MAX_ITER iterations where phi' approaches 1, Newton
+# a handful
+UPSILON_TOL = 1e-12
+UPSILON_MAX_ITER = 200
 
 
 def _index_coeffs(c_r, d_f, l_f, k_f, p: MmcParams):
@@ -157,8 +168,6 @@ def solve_upsilon(
     state: MmcState,
     params: MmcParams,
     mode: Literal["one-step", "fixed-point", "newton"] = "fixed-point",
-    tol: float = 1e-12,
-    max_iter: int = 200,
 ) -> float:
     """Investment propensity upsilon_f in (0, 1).
 
@@ -186,49 +195,49 @@ def solve_upsilon(
     if mode == "one-step":
         return float(logistic(b + a / (1.0 - u)))
     if mode == "fixed-point":
-        for _ in range(max_iter):
+        for _ in range(UPSILON_MAX_ITER):
             step = 0.5 * (float(logistic(b + a / (1.0 - u))) - u)
             u += step
             if u > UPSILON_MAX:
                 raise UpsilonError(
                     f"degenerate investment propensity: upsilon_f saturated at {u}"
                 )
-            if abs(step) < tol:
+            if abs(step) < UPSILON_TOL:
                 return u
         raise UpsilonError(
             f"fixed-point iteration did not converge; last step {step:.3e}"
         )
     if mode == "newton":
-        return float(_upsilon_vec(np.array([u]), *sheet, params, tol, max_iter)[0])
+        return float(_upsilon_vec(np.array([u]), *sheet, params)[0])
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _newton(u, a, b, tol, max_iter):
+def _newton(u, a, b):
     """Newton on g(u) = phi(u) - u, vectorized over paths, from u.
 
-    Stops once |step| < tol on every path or once a path leaves
+    Stops once |step| < UPSILON_TOL on every path or once a path leaves
     (0, UPSILON_MAX); returns the iterate and the paths accepted there:
     converged, inside the range, and on the stable branch phi' < 1."""
-    for _ in range(max_iter):
+    for _ in range(UPSILON_MAX_ITER):
         w = 1.0 / (1.0 - u)
         phi = logistic(b + a * w)
         slope = 2.0 * phi * (1.0 - phi) * a * w * w      # phi'(u)
         step = (phi - u) / (1.0 - slope)
         u = u + step
-        if not (u.min() > 0.0 and u.max() < UPSILON_MAX) or np.max(np.abs(step)) < tol:
+        if not (u.min() > 0.0 and u.max() < UPSILON_MAX) or np.max(np.abs(step)) < UPSILON_TOL:
             break
-    return u, (u > 0.0) & (u < UPSILON_MAX) & (np.abs(step) < tol) & (slope < 1.0)
+    return u, (u > 0.0) & (u < UPSILON_MAX) & (np.abs(step) < UPSILON_TOL) & (slope < 1.0)
 
 
-def _upsilon_vec(u, c_r, d_f, l_f, k_f, params, tol=1e-12, max_iter=200):
+def _upsilon_vec(u, c_r, d_f, l_f, k_f, params):
     """Stable-branch propensity by Newton, vectorized over paths, warm-started
     at u.  A path whose warm start leaves (0, 1), stalls or lands where
     phi' >= 1 restarts from u = 0: g(0) > 0 and g is convex while phi < 1/2,
     so Newton climbs from there to the lower, stable root."""
     a, b = _index_coeffs(c_r, d_f, l_f, k_f, params)
-    u, ok = _newton(u, a, b, tol, max_iter)
+    u, ok = _newton(u, a, b)
     if not ok.all():
-        u, ok = _newton(np.where(ok, u, 0.0), a, b, tol, max_iter)
+        u, ok = _newton(np.where(ok, u, 0.0), a, b)
         if not ok.all():
             raise UpsilonError(
                 f"degenerate investment propensity on {int((~ok).sum())} path(s)"
@@ -261,12 +270,10 @@ class MmcDerived:
     price: float
 
 
-def derived_quantities(state: MmcState, params: MmcParams,
-                       upsilon: float | None = None) -> MmcDerived:
-    """All intermediate flows implied by the current stocks."""
-    u = solve_upsilon(state, params) if upsilon is None else upsilon
-    if u >= 1.0:
-        raise UpsilonError(f"degenerate investment propensity upsilon_f={u}")
+def derived_quantities(state: MmcState, params: MmcParams) -> MmcDerived:
+    """All intermediate flows implied by the current stocks, at the
+    fixed-point propensity (below UPSILON_MAX, or UpsilonError)."""
+    u = solve_upsilon(state, params)
     s_f = 1.0 - state.s_w
     ni_r = net_interest(state.d_r, state.l_r, params)
     ni_f = net_interest(state.d_f, state.l_f, params)
@@ -409,8 +416,6 @@ def simulate(
     dt: float,
     paths: int = 1,
     stream: RngStream | None = None,
-    c_r_floor: float = 1e-9,
-    clamp_eps: float = 1e-9,
     record_stride: int = 1,
 ) -> MmcResult:
     """Joint Euler evolution of the circuit stocks, the employment block, and
@@ -421,7 +426,7 @@ def simulate(
     recorded row keeps the upsilon of the step that leaves it (the last
     row's is solved after the run), and production and price are computed
     from the recorded rows.  New-loan terms are switched off during
-    credit-crunch intervals; C_r is floored at c_r_floor and the other
+    credit-crunch intervals; C_r is floored at C_R_FLOOR and the other
     FLOORED stocks at zero, and stock floors and unit-square clamps are
     counted.  The running maximum of the balance identity residual over
     every state is reported (meaningful while the crunch never binds).
@@ -455,9 +460,9 @@ def simulate(
     run = euler_paths(
         drift, tuple(getattr(initial, k) for k in STOCK_NAMES), horizon, dt, paths, stream,
         (lambda *state: _diffusion(dict(zip(STOCK_NAMES, state)), p)) if stochastic else None,
-        True, clamp_eps, record_stride,
+        True, record_stride,
         loaded=tuple(STOCK_NAMES.index(k) for k in NOISE_NAMES),
-        floors={STOCK_NAMES.index(k): c_r_floor if k == "c_r" else 0.0 for k in FLOORED})
+        floors={STOCK_NAMES.index(k): C_R_FLOOR if k == "c_r" else 0.0 for k in FLOORED})
 
     series = dict(zip(STOCK_NAMES, run.records))
     last = {k: v[-1] for k, v in series.items()}

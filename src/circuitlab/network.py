@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import CorrelationMatrix, JumpSpec, PathNoise, RngStream
+from .sde import step_count
 
 __all__ = [
     "BankNetwork", "DefaultBoundarySet", "ClearingVector", "NondimContext",
@@ -247,7 +248,6 @@ class NondimContext:
     xi: np.ndarray            # scaled drifts
     m_terminal: np.ndarray    # terminal boundary levels in X units
     interior_levels: np.ndarray   # Lambda^< in money units (initial scale)
-    varsigma: np.ndarray | None = None
 
     def x_from_assets(self, assets: np.ndarray) -> np.ndarray:
         return self.zeta * np.log(np.asarray(assets, float) / self.interior_levels)
@@ -271,15 +271,12 @@ def nondim_context(net: BankNetwork) -> NondimContext:
     sigma_bar = float(np.exp(np.mean(np.log(net.sigma))))
     zeta = sigma_bar / net.sigma
     xi = -net.sigma / (2.0 * sigma_bar)
-    varsigma = None
     if net.jumps is not None:
         lam_bar = net.jumps.bank_intensities() / sigma_bar ** 2
         xi = xi - net.jumps.compensators * lam_bar * zeta
-        varsigma = net.sigma * net.jumps.theta / sigma_bar
     m_term = zeta * np.log(b.terminal / b.interior)
     return NondimContext(sigma_bar=sigma_bar, zeta=zeta, xi=xi,
-                         m_terminal=m_term, interior_levels=b.interior,
-                         varsigma=varsigma)
+                         m_terminal=m_term, interior_levels=b.interior)
 
 
 def shifted_levels(net: BankNetwork, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -299,11 +296,7 @@ class TwoBankDomains:
     """Terminal settlement geometry of the two-bank quadrant."""
 
     lambda_lt: np.ndarray      # interior boundaries (money units)
-    lambda_eq: np.ndarray      # terminal boundaries
-    lambda_tilde_lt: np.ndarray
-    lambda_tilde_eq: np.ndarray
     delta: float               # L1 L2 + L1 L21 + L2 L12
-    m_eq: np.ndarray           # terminal boundaries, scaled coordinates
     m_tilde_eq: np.ndarray     # post-removal terminal levels, scaled
     zeta: np.ndarray
     _net: BankNetwork
@@ -328,22 +321,14 @@ def two_bank_domains(net: BankNetwork) -> TwoBankDomains:
     l = net.external_liabilities
     m = net.mutual
     r = net.recoveries
-    tilde_lt = np.array([
-        r[0] * (l[0] + m[0, 1] - r[1] * m[1, 0]),
-        r[1] * (l[1] + m[1, 0] - r[0] * m[0, 1]),
-    ])
     tilde_eq = np.array([
         l[0] + m[0, 1] - r[1] * m[1, 0],
         l[1] + m[1, 0] - r[0] * m[0, 1],
     ])
     ctx = nondim_context(net)
-    m_eq = ctx.m_terminal
-    m_tilde_eq = ctx.zeta * np.log(tilde_eq / b.interior)
     return TwoBankDomains(
-        lambda_lt=b.interior, lambda_eq=b.terminal,
-        lambda_tilde_lt=tilde_lt, lambda_tilde_eq=tilde_eq,
-        delta=float(_delta(net)), m_eq=m_eq, m_tilde_eq=m_tilde_eq,
-        zeta=ctx.zeta, _net=net,
+        lambda_lt=b.interior, delta=float(_delta(net)),
+        m_tilde_eq=ctx.zeta * np.log(tilde_eq / b.interior), zeta=ctx.zeta, _net=net,
     )
 
 
@@ -389,10 +374,10 @@ def simulate_paths(
         raise ValueError(f"unknown dynamics {dynamics!r}")
     if dynamics == "jump-diffusion" and net.jumps is None:
         raise ValueError("jump-diffusion dynamics require a jump specification")
-    if not (math.isfinite(horizon) and horizon > 0 and math.isfinite(dt) and dt > 0):
-        raise ValueError(f"horizon and dt must be finite and positive, got {horizon}, {dt}")
+    n_steps = step_count(horizon, dt)
+    if not paths >= 1:
+        raise ValueError(f"paths must be at least 1, got {paths}")
     n = net.n
-    n_steps = int(round(horizon / dt))
     stream = stream or RngStream(0)
     chol = net.corr.cholesky
     sqdt = math.sqrt(dt)
@@ -482,6 +467,7 @@ def _draw_jump_events(noise: PathNoise, spec: JumpSpec, horizon: float,
                       dt: float, width: int) -> dict:
     """Arrival steps, banks, and log amplitudes per path, drawn path-first so
     results are independent of chunking.  Returns {step: (rows, banks, amps)}."""
+    last_step = step_count(horizon, dt) - 1
     per_step: dict[int, list[tuple[int, int, float]]] = {}
     subsets = sorted(spec.subset_intensities.items(), key=lambda kv: sorted(kv[0]))
     for j in range(width):
@@ -492,7 +478,7 @@ def _draw_jump_events(noise: PathNoise, spec: JumpSpec, horizon: float,
                 t += gen.exponential(1.0 / lam)
                 if t >= horizon:
                     break
-                step = min(int(t / dt), int(round(horizon / dt)) - 1)
+                step = min(int(t / dt), last_step)
                 for bank in sorted(subset):
                     amp = -gen.exponential(1.0 / spec.theta[bank])
                     per_step.setdefault(step, []).append((j, bank, amp))
@@ -631,13 +617,10 @@ def two_bank_survival_grid(
         raise ValueError("the grid evaluator is specific to two banks")
     if net.jumps is not None:
         raise ValueError("the scaled grid evaluator covers diffusion dynamics only")
-    if not (math.isfinite(dt_scaled) and dt_scaled > 0):
-        raise ValueError(f"dt_scaled must be finite and positive, got {dt_scaled}")
+    ctx = nondim_context(net)
+    n_steps = step_count(ctx.scaled_time(horizon), dt_scaled, "dt_scaled")
     if not paths >= 1:
         raise ValueError(f"paths must be at least 1, got {paths}")
-    ctx = nondim_context(net)
-    t_bar = ctx.scaled_time(horizon)
-    n_steps = int(round(t_bar / dt_scaled))
     sq = math.sqrt(dt_scaled)
     stream = stream or RngStream(0)
     x1_grid = np.asarray(x1_grid if x1_grid is not None else np.linspace(1.0, 4.0, 5))

@@ -76,17 +76,22 @@ class CorrelationMatrix:
         return self._chol
 
 
-def _psd_cholesky(a: np.ndarray, pivot_tol: float = 1e-10) -> np.ndarray:
+# a Cholesky pivot within this of zero is a semi-definite direction (rounding
+# of a singular correlation matrix); below -PIVOT_TOL the matrix is rejected
+PIVOT_TOL = 1e-10
+
+
+def _psd_cholesky(a: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor allowing zero pivots; reports the offending pivot."""
     n = a.shape[0]
     l = np.zeros_like(a)
     for j in range(n):
         d = a[j, j] - np.dot(l[j, :j], l[j, :j])
-        if d < -pivot_tol:
+        if d < -PIVOT_TOL:
             raise CorrelationError(
                 f"correlation matrix is not positive semi-definite: pivot {j} = {d:.3e}"
             )
-        if d <= pivot_tol:
+        if d <= PIVOT_TOL:
             # semi-definite direction: column contributes nothing
             l[j, j] = 0.0
             continue

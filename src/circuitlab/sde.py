@@ -18,20 +18,30 @@ from .rng import PathNoise, RngStream
 
 # steps of noise drawn per PathNoise.normals call
 NOISE_BLOCK = 4096
+# clamped runs keep (s_w, lambda_w) in [CLAMP_EPS, 1 - CLAMP_EPS], off the
+# boundary where the Jacobi volatility and the barrier drifts degenerate
+CLAMP_EPS = 1e-9
 
 
-def record_index(horizon: float, dt: float, stride: int) -> np.ndarray:
-    """Steps whose state is stored: every stride-th one plus the last.
-
-    The run has round(horizon / dt) steps; horizon and dt must be finite
-    and positive and the stride at least 1."""
+def step_count(horizon: float, dt: float, dt_name: str = "dt") -> int:
+    """round(horizon / dt), the number of steps of a run; horizon and dt
+    must be finite and positive and the horizon at least half a step."""
     if not (math.isfinite(horizon) and horizon > 0):
         raise ValueError(f"horizon must be finite and positive, got {horizon}")
     if not (math.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be finite and positive, got {dt}")
+        raise ValueError(f"{dt_name} must be finite and positive, got {dt}")
+    n_steps = int(round(horizon / dt))
+    if n_steps < 1:
+        raise ValueError(f"horizon {horizon} is shorter than half a step ({dt_name} = {dt})")
+    return n_steps
+
+
+def record_index(horizon: float, dt: float, stride: int) -> np.ndarray:
+    """Steps whose state is stored: every stride-th one plus the last, of a
+    run of step_count(horizon, dt) steps; the stride must be at least 1."""
+    n_steps = step_count(horizon, dt)
     if not stride >= 1:
         raise ValueError(f"record_stride must be at least 1, got {stride}")
-    n_steps = int(round(horizon / dt))
     idx = np.arange(0, n_steps + 1, stride)
     return idx if idx[-1] == n_steps else np.append(idx, n_steps)
 
@@ -93,7 +103,6 @@ def euler_paths(
     stream: RngStream | None,
     diffusion: Callable | None,
     regularized: bool,
-    clamp_eps: float,
     record_stride: int,
     loaded: tuple[int, ...] = (0, 1),
     floors: dict[int, float] | None = None,
@@ -104,12 +113,13 @@ def euler_paths(
     Each step is x + drift(x) dt, plus diffusion(x)[j] sqrt(dt) z_j on
     component loaded[j]; the normals z are drawn in the order of `loaded`,
     and diffusion=None makes the run deterministic.  Regularized or
-    stochastic runs clamp the pair to [eps, 1-eps] after each step and count
-    clamp events.  A component i in `floors` is raised to floors[i] after
-    each step, and each raised entry is a floor hit.  With a cap, a path
-    whose first extra component exceeds it freezes at that step and the
-    crossing time is reported.  Extremes of the pair are tracked over every
-    step of the paths still running, whatever the record stride.
+    stochastic runs clamp the pair to [CLAMP_EPS, 1 - CLAMP_EPS] after each
+    step and count clamp events.  A component i in `floors` is raised to
+    floors[i] after each step, and each raised entry is a floor hit.  With
+    a cap, a path whose first extra component exceeds it freezes at that
+    step and the crossing time is reported.  Extremes of the pair are
+    tracked over every step of the paths still running, whatever the record
+    stride.
     """
     rec_idx = record_index(horizon, dt, record_stride)
     if not paths >= 1:
@@ -128,7 +138,7 @@ def euler_paths(
 
     noise = PathNoise(stream or RngStream(0), paths) if stochastic else None
     sqdt = math.sqrt(dt)
-    lo, hi = clamp_eps, 1.0 - clamp_eps
+    lo, hi = CLAMP_EPS, 1.0 - CLAMP_EPS
     clamped = 0
     floored = 0
     s_min = s_max = float(initial[0])

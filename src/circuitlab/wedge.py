@@ -8,7 +8,7 @@ Bessel series of orders n*pi/varpi, where cos(varpi) = -rho.
 
 The density and the boundary flux share one series loop that stops per
 point: a point leaves once its envelope w_n ive(nu_n, z) (the term without
-its sines) has been at most tol times the largest |partial sum| for two
+its sines) has been at most SERIES_TOL times the largest |partial sum| for two
 orders in a row; the envelope decreases in n, so it bounds every later term.
 The alternating flux sums cancel at small t, so there the flux has an
 absolute error floor, about 1e-12 at unit prefactor (4.6e-12 measured at
@@ -49,6 +49,16 @@ def norm_cdf(x):
 
 # a point whose series prefactor is at most this is zero: |ive| <= 1 bounds each term
 PRUNE = 1e-30
+# the Bessel series stops per point at SERIES_TOL relative to its largest
+# partial sum (double-precision resolution), or raises SeriesError after
+# SERIES_ORDERS orders
+SERIES_ORDERS = 800
+SERIES_TOL = 1e-14
+# the terminal quadrature is cut TAIL_SIGMAS standard deviations above the
+# drifted source: the Gaussian tail beyond it is below 1e-16
+TAIL_SIGMAS = 8.5
+# geometric panels toward a quadrant axis: the smallest spans 2**-30 of the cut
+GRADED_LEVELS = 30
 
 
 class SeriesError(RuntimeError):
@@ -100,9 +110,11 @@ def wedge_context(net: BankNetwork) -> WedgeContext:
 def survival_1d(x: float, xi: float, m_lt: float, m_eq: float, tau: float):
     """Closed-form survival of drifted Brownian motion: never touch m_lt on
     [0, tau] and finish at or above m_eq (with m_eq >= m_lt)."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    if not (math.isfinite(tau) and tau > 0):
+        raise ValueError(f"tau must be positive and finite, got {tau}")
     x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("source point must be finite")
     sq = math.sqrt(tau)
     first = norm_cdf(-(m_eq - x - xi * tau) / sq)
     refl = np.exp(-2.0 * xi * (x - m_lt)) * norm_cdf(
@@ -112,30 +124,38 @@ def survival_1d(x: float, xi: float, m_lt: float, m_eq: float, tau: float):
     return out if out.ndim else float(out)
 
 
-def _bessel_series(ctx: WedgeContext, z: np.ndarray, weight, n_terms: int,
-                   tol: float, phi: np.ndarray | None = None) -> np.ndarray:
+def _source(x_src) -> tuple[float, float]:
+    """The source point as two floats, both finite and positive."""
+    xs1, xs2 = float(x_src[0]), float(x_src[1])
+    if not (0 < xs1 < math.inf and 0 < xs2 < math.inf):
+        raise ValueError(f"source point must be interior, got ({xs1}, {xs2})")
+    return xs1, xs2
+
+
+def _bessel_series(ctx: WedgeContext, z: np.ndarray, weight,
+                   phi: np.ndarray | None = None) -> np.ndarray:
     """Per point, Sum_n s_n w_n ive(nu_n, z) [sin(nu_n phi)], where
     `weight(n, nu)` gives w_n >= 0 and |s_n| <= 1.  A point leaves once its
-    envelope w_n ive(nu_n, z) has been <= tol * (largest |partial sum| of
-    any point) for two orders in a row: I_nu(z) decreases in nu, and so does
-    nu I_nu(z) once nu^2 exceeds about z, so the envelope bounds every later
-    term.  The bound is relative to the largest partial sum, so where the
+    envelope w_n ive(nu_n, z) has been <= SERIES_TOL * (largest |partial
+    sum| of any point) for two orders in a row: I_nu(z) decreases in nu, and
+    so does nu I_nu(z) once nu^2 exceeds about z, so the envelope bounds
+    every later term.  The bound is relative to the largest partial sum, so where the
     sums cancel (the flux at small t) the error is absolute, about 1e-12
-    at unit prefactor.  SeriesError if a point is still live after n_terms
-    orders."""
+    at unit prefactor.  SeriesError if a point is still live after
+    SERIES_ORDERS orders."""
     total = np.empty_like(z)
     idx = np.arange(z.size)
     acc = np.zeros_like(z)
     quiet = np.zeros(z.size, dtype=int)
     env = np.full_like(z, np.inf)
     scale = 0.0
-    for n in range(1, n_terms + 1):
+    for n in range(1, SERIES_ORDERS + 1):
         nu = ctx.order(n)
         amp, sign = weight(n, nu)
         env = amp * iv_scaled(nu, z)
         acc += (env if phi is None else env * np.sin(nu * phi)) * sign
         scale = max(scale, float(np.max(np.abs(acc))))
-        quiet = np.where(env <= tol * max(scale, 1e-300), quiet + 1, 0)
+        quiet = np.where(env <= SERIES_TOL * max(scale, 1e-300), quiet + 1, 0)
         done = quiet >= 2
         if np.any(done):
             total[idx[done]] = acc[done]
@@ -146,22 +166,19 @@ def _bessel_series(ctx: WedgeContext, z: np.ndarray, weight, n_terms: int,
             if phi is not None:
                 phi = phi[keep]
     raise SeriesError(
-        f"Bessel series not converged after {n_terms} terms at {idx.size} "
+        f"Bessel series not converged after {SERIES_ORDERS} terms at {idx.size} "
         f"point(s); largest envelope {float(np.max(env)):.3e}"
     )
 
 
-def wedge_green(ctx: WedgeContext, t: float, x1, x2, x_src,
-                n_terms: int = 800, tol: float = 1e-14) -> np.ndarray:
+def wedge_green(ctx: WedgeContext, t: float, x1, x2, x_src) -> np.ndarray:
     """Absorbed transition density G(t, X; X') on the open quadrant; zero
     where the series prefactor is at most PRUNE."""
-    if t <= 0:
-        raise ValueError("t must be positive")
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError(f"t must be positive and finite, got {t}")
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
-    xs1, xs2 = float(x_src[0]), float(x_src[1])
-    if xs1 <= 0 or xs2 <= 0:
-        raise ValueError("source point must be interior")
+    xs1, xs2 = _source(x_src)
     r, phi = ctx.polar(x1, x2)
     r_src, phi_src = ctx.polar(xs1, xs2)
     gauss = np.exp(-((r - r_src) ** 2) / (2.0 * t))
@@ -173,13 +190,12 @@ def wedge_green(ctx: WedgeContext, t: float, x1, x2, x_src,
     if np.any(live):
         z = r[live] * r_src / t
         series = _bessel_series(ctx, z, lambda n, nu: (1.0, math.sin(nu * phi_src)),
-                                n_terms, tol, phi=phi[live])
+                                phi=phi[live])
         out[live] = scale[live] * series
     return out
 
 
-def boundary_flux(ctx: WedgeContext, t, coord, x_src,
-                  face: int = 2, n_terms: int = 800, tol: float = 1e-14) -> np.ndarray:
+def boundary_flux(ctx: WedgeContext, t, coord, x_src, face: int = 2) -> np.ndarray:
     """Absorption flux density g_k = G_{X_k}/2 on the face {X_k = 0}.
 
     face=2 gives the flux through bank 2's boundary as a function of X_1
@@ -190,13 +206,11 @@ def boundary_flux(ctx: WedgeContext, t, coord, x_src,
     if face not in (1, 2):
         raise ValueError(f"face must be 1 or 2, got {face!r}")
     t = np.asarray(t, dtype=float)
-    if np.any(t <= 0):
-        raise ValueError("t must be positive")
+    if not np.all(np.isfinite(t) & (t > 0)):
+        raise ValueError("t must be positive and finite")
     coord = np.asarray(coord, dtype=float)
     t, coord = np.broadcast_arrays(t, coord)
-    xs1, xs2 = float(x_src[0]), float(x_src[1])
-    if xs1 <= 0 or xs2 <= 0:
-        raise ValueError("source point must be interior")
+    xs1, xs2 = _source(x_src)
     r_src, phi_src = ctx.polar(xs1, xs2)
     gauss = np.exp(-((coord / ctx.rho_bar - r_src) ** 2) / (2.0 * t))
     drift_component = ctx.theta[0] if face == 2 else ctx.theta[1]
@@ -217,7 +231,7 @@ def boundary_flux(ctx: WedgeContext, t, coord, x_src,
         s = math.sin(nu * phi_src)
         return nu, (-s if face == 2 and n % 2 == 0 else s)
 
-    out[live] = scale_factor[live] * _bessel_series(ctx, z, weight, n_terms, tol)
+    out[live] = scale_factor[live] * _bessel_series(ctx, z, weight)
     return out
 
 
@@ -249,10 +263,10 @@ def _gl_panels(a: float, b: float, panels: int, order: int):
     return _gl_on_edges(np.linspace(a, b, panels + 1), order)
 
 
-def _gl_panels_graded(cut: float, panels: int, order: int, levels: int = 30):
+def _gl_panels_graded(cut: float, panels: int, order: int):
     """Panels on (0, cut] refined geometrically toward 0, where absorbed
     densities behave like fractional powers x^(nu_1 - 1)."""
-    edges = [cut * 0.5 ** j for j in range(levels, 0, -1)]
+    edges = [cut * 0.5 ** j for j in range(GRADED_LEVELS, 0, -1)]
     edges = [0.0] + edges + list(np.linspace(cut * 0.5, cut, max(panels // 2, 2) + 1)[1:])
     return _gl_on_edges(edges, order)
 
@@ -263,11 +277,13 @@ class QuadratureSpec:
     order: int = 16
     time_panels: int = 24
     target: float = 1e-6
-    tail_sigmas: float = 8.5
 
 
-def _upper_cut(x_src: float, xi: float, t: float, spec: QuadratureSpec) -> float:
-    return x_src + max(xi * t, 0.0) + spec.tail_sigmas * math.sqrt(t) + 1.0
+def _upper_cuts(x_src, xi, t: float) -> tuple[float, float]:
+    """Per axis, the cut TAIL_SIGMAS standard deviations above the drifted
+    source, which must be interior."""
+    return tuple(x + max(d * t, 0.0) + TAIL_SIGMAS * math.sqrt(t) + 1.0
+                 for x, d in zip(_source(x_src), xi))
 
 
 def _terminal_integral(wctx: WedgeContext, t: float, x_src,
@@ -323,8 +339,7 @@ def joint_survival_Q(net: BankNetwork, x_src, horizon: float,
     nctx = nondim_context(net)
     t_bar = nctx.scaled_time(horizon)
     m1_eq, m2_eq = nctx.m_terminal
-    u1 = _upper_cut(float(x_src[0]), wctx.xi[0], t_bar, spec)
-    u2 = _upper_cut(float(x_src[1]), wctx.xi[1], t_bar, spec)
+    u1, u2 = _upper_cuts(x_src, wctx.xi, t_bar)
     val = _terminal_integral(wctx, t_bar, x_src, m1_eq, u1, m2_eq, u2, spec)
     finer = replace(spec, panels=spec.panels + spec.panels // 2)
     val2 = _terminal_integral(wctx, t_bar, x_src, m1_eq, u1, m2_eq, u2, finer)
@@ -371,8 +386,7 @@ def _q1_once(net: BankNetwork, x_src, horizon: float, spec: QuadratureSpec) -> f
     t_bar = nctx.scaled_time(horizon)
     m1_eq, m2_eq = nctx.m_terminal
     (m1_shift_lt,), (m1_shift_eq,) = shifted_levels(net, 1)
-    u1 = _upper_cut(float(x_src[0]), wctx.xi[0], t_bar, spec)
-    u2 = _upper_cut(float(x_src[1]), wctx.xi[1], t_bar, spec)
+    u1, u2 = _upper_cuts(x_src, wctx.xi, t_bar)
 
     # terminal: D(1,1) plus the curvilinear bank-2-defaults strip D(1,0)
     both = _terminal_integral(wctx, t_bar, x_src, m1_eq, u1, m2_eq, u2, spec)
@@ -398,15 +412,14 @@ def _q1_once(net: BankNetwork, x_src, horizon: float, spec: QuadratureSpec) -> f
     return both + strip + flux_total
 
 
-def conservation_check(net: BankNetwork, x_src, horizon: float,
-                       spec: QuadratureSpec | None = None) -> dict:
-    """Interior mass plus cumulative boundary outflow; must total 1."""
-    spec = spec or QuadratureSpec()
+def conservation_check(net: BankNetwork, x_src, horizon: float) -> dict:
+    """Interior mass plus cumulative boundary outflow; must total 1, on the
+    default QuadratureSpec."""
+    spec = QuadratureSpec()
     wctx = wedge_context(net)
     nctx = nondim_context(net)
     t_bar = nctx.scaled_time(horizon)
-    u1 = _upper_cut(float(x_src[0]), wctx.xi[0], t_bar, spec)
-    u2 = _upper_cut(float(x_src[1]), wctx.xi[1], t_bar, spec)
+    u1, u2 = _upper_cuts(x_src, wctx.xi, t_bar)
     interior = _terminal_integral(wctx, t_bar, x_src, 0.0, u1, 0.0, u2, spec)
 
     flux = {face: _flux_integral(wctx, t_bar, x_src, face,

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from _invalid_runs import INVALID_RUNS
@@ -62,16 +62,16 @@ def test_balance_identity_random_controls():
 
 def test_balance_identity_stochastic():
     traj = evolve(START, BASE, Controls(phi=2.0, delta=0.5), horizon=2.0,
-                  dt=1e-3, stochastic=True, stream=RngStream(3))
+                  dt=1e-3, stream=RngStream(3))
     scale = np.max(traj.x + traj.i + traj.c)
     assert traj.max_consistency_residual < 1e-10 * scale
     # a batch shares one normal per step, so each row is its control's run alone
     phis = np.array([2.0, 0.5, 4.0])
     batch = evolve(START, BASE, Controls(phi=phis, delta=0.5), horizon=2.0,
-                   dt=1e-3, stochastic=True, stream=RngStream(3))
+                   dt=1e-3, stream=RngStream(3))
     for phi, row in zip(phis, batch.i):
         alone = evolve(START, BASE, Controls(phi=phi, delta=0.5), horizon=2.0,
-                       dt=1e-3, stochastic=True, stream=RngStream(3))
+                       dt=1e-3, stream=RngStream(3))
         assert np.array_equal(row, alone.i)
 
 
@@ -257,6 +257,7 @@ def control_batches(draw):
          batch=((2, 3), {"phi": np.full((2, 3), 5.0), "psi": 1.0, "omega": 1.0, "pi": 2.0,
                          "delta": np.array([[7.0], [2.5]])}))
 def test_batched_evolve_equals_each_control_alone(params, batch, horizon, dt):
+    assume(round(horizon / dt) >= 1)   # a shorter horizon is a named error
     shape, values = batch
     traj = evolve(START, params, Controls(**values), horizon, dt)
     cf = cashflow_objective(traj)

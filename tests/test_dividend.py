@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from circuitlab import dividend
 from circuitlab.dividend import (
     FIG13_PARAMS,
     EquityParams,
@@ -31,6 +32,12 @@ def test_symbol_at_zero_is_minus_discount():
 def test_symbol_pole_rejected():
     with pytest.raises(ZeroDivisionError, match="pole"):
         symbol(-FIG13_PARAMS.delta1, FIG13_PARAMS)
+    # identical (lambda, delta) sources are two pole factors, not none: the
+    # cleared polynomial has the root -delta, which is refused by name
+    p = EquityParams(mu=0.05, sigma=0.25, discount=0.10,
+                     lambda1=0.05, delta1=3.0, lambda2=0.05, delta2=3.0)
+    with pytest.raises(ValueError, match="collides with the symbol pole at -3.0"):
+        symbol_roots(p)
 
 
 def test_fig13_root_near_positive_value():
@@ -178,11 +185,13 @@ def test_variational_free_boundary_monotone_to_barrier():
     assert abs(fb[-1] - sol.e_star) < 0.03
 
 
-def test_no_bracket_reported():
+def test_no_bracket_reported(monkeypatch):
     # a bracket that excludes the true barrier must be reported with the
     # scanned residual range rather than fabricating a root
+    monkeypatch.setattr(dividend, "BARRIER_BRACKET", (1e-3, 0.05))
+    monkeypatch.setattr(dividend, "BARRIER_SCAN_POINTS", 40)
     with pytest.raises(RuntimeError, match="sign change"):
-        stationary_barrier(FIG13_PARAMS, bracket=(1e-3, 0.05), scan_points=40)
+        stationary_barrier(FIG13_PARAMS)
     # the stationary construction requires both jump sources
     p = EquityParams(mu=0.05, sigma=0.25, discount=0.10,
                      lambda1=0.0, delta1=3.0, lambda2=0.0, delta2=1.0)
@@ -193,7 +202,7 @@ def test_no_bracket_reported():
 def test_cfl_warning():
     with pytest.warns(UserWarning, match="exceeds"):
         solve_variational(FIG13_PARAMS, horizon=0.01, e_max=1.0,
-                          n_grid=2001, dtau=0.01, cfl_bound=100.0)
+                          n_grid=2001, dtau=0.01)
 
 
 @settings(deadline=None, max_examples=200)
@@ -215,6 +224,7 @@ def test_free_boundary_index_is_the_trailing_pinned_run(pinned):
     ({"horizon": math.nan}, "horizon"), ({"horizon": math.inf}, "horizon"),
     ({"horizon": 0.0}, "horizon"), ({"e_max": math.inf}, "e_max"),
     ({"e_max": -1.0}, "e_max"), ({"n_grid": 1}, "n_grid"), ({"n_grid": 2}, "n_grid"),
+    ({"horizon": 4e-4, "dtau": 1e-3}, "horizon"),
 ])
 def test_variational_rejects_bad_inputs(override, message):
     run = {"horizon": 0.1, "e_max": 2.0, "n_grid": 50, "dtau": 1e-2, **override}

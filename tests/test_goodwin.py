@@ -165,10 +165,6 @@ def test_composites_assembly():
                                       gamma=0.02, nu_f=0.5, xi_a=0.01)
     assert p.c == pytest.approx(0.45)
     assert p.d == pytest.approx(0.5)
-    with pytest.warns(UserWarning, match="overrides"):
-        p2 = GoodwinParams.from_composites(a=0.2, b=0.3, alpha=0.01, beta=0.01,
-                                           gamma=0.02, nu_f=0.5, xi_a=0.01, c=0.4)
-    assert p2.c == 0.4
 
 
 def test_invalid_inputs():

@@ -10,6 +10,10 @@ class or constant whose name starts with one underscore must be read, or
 imported, somewhere in `src/circuitlab/` outside its own definition, so a
 helper whose last caller was deleted does not linger.  Every random draw
 comes from `RngStream` or `PathNoise`, so `np.random` is read nowhere else.
+Every defaulted parameter of a function or method in `src/circuitlab/` is
+passed by some call in `src/circuitlab/` or `bench/` (the benchmark's
+workloads are the package's traffic), or is allowlisted with its reason, so
+a setting nothing sets becomes a constant instead of a configuration to test.
 """
 
 import ast
@@ -17,7 +21,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "circuitlab"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "circuitlab"
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -137,3 +142,113 @@ def test_checker_flags_a_random_read():
 
 def test_only_rng_reads_numpy_random():
     assert {p.name for p in MODULES if random_reads(p.read_text())} == {"rng.py"}
+
+
+def _defaulted_parameters(tree: ast.Module, module: str) -> list[tuple[str, str, int | None]]:
+    """(qualified name, parameter, its index among a call's positional
+    arguments, or None if keyword-only) per defaulted parameter.  A method's
+    self or cls takes no call argument, and __init__ is called by its class."""
+    out = []
+
+    def visit(node, prefix, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.", True)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in child.decorator_list)
+                shift = 1 if in_class and not static else 0
+                name = prefix[:-1] if child.name == "__init__" else prefix + child.name
+                args = child.args
+                positional = args.posonlyargs + args.args
+                first = len(positional) - len(args.defaults)
+                out.extend((name, positional[i].arg, i - shift)
+                           for i in range(first, len(positional)))
+                out.extend((name, arg.arg, None)
+                           for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                           if default is not None)
+                visit(child, f"{name}.", False)
+            else:
+                visit(child, prefix, in_class)
+
+    visit(tree, f"{module}.", False)
+    return out
+
+
+def _passes(call: ast.Call, param: str, index: int | None) -> bool:
+    if any(k.arg in (param, None) for k in call.keywords):
+        return True
+    if index is None:
+        return False
+    return len(call.args) > index or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def unset_settings(defining: dict[str, str], calling: dict[str, str],
+                   allowed=frozenset()) -> list[str]:
+    """`module.function(parameter)` for each defaulted parameter in the
+    `defining` sources that no call in `calling` passes and `allowed` does
+    not list, plus each `allowed` entry that is passed or does not exist.
+    Calls match by the function's name, whatever they are called on."""
+    calls: dict[str, list[ast.Call]] = {}
+    for src in calling.values():
+        for node in ast.walk(ast.parse(src)):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unset = set()
+    for module, src in defining.items():
+        for name, param, index in _defaulted_parameters(ast.parse(src), module):
+            short = name.rsplit(".", 1)[-1]
+            if not any(_passes(c, param, index) for c in calls.get(short, [])):
+                unset.add((name, param))
+    report = [f"{name}({param})" for name, param in unset - set(allowed)]
+    report += [f"allowlisted but set or absent: {name}({param})"
+               for name, param in set(allowed) - unset]
+    return sorted(report)
+
+
+def test_checker_flags_a_setting_no_caller_passes():
+    lib = ("def f(x, tol=1e-9, mode='a', *, scale=1.0):\n    return x\n"
+           "class Box:\n    def __init__(self, size=1):\n        pass\n"
+           "    def get(self, k=0):\n        return k\n"
+           "def g(n=3):\n    return f(1, 2, scale=2.0)\n")
+    user = "from a import Box\nBox(4).get()\n"
+    sources = {"a": lib, "b": user}
+    assert unset_settings({"a": lib}, sources) == ["a.Box.get(k)", "a.f(mode)", "a.g(n)"]
+    allowed = {("a.g", "n"), ("a.f", "tol"), ("a.f", "gone")}
+    assert unset_settings({"a": lib}, sources, allowed) == [
+        "a.Box.get(k)", "a.f(mode)",
+        "allowlisted but set or absent: a.f(gone)", "allowlisted but set or absent: a.f(tol)"]
+
+
+# defaulted parameters that no call in the package or the benchmark sets,
+# each kept for the reason given
+KEPT_SETTINGS = {
+    ("goodwin.conservation", "regularized"): "model variant: the regularized conservation law",
+    ("goodwin.fixed_point", "regularized"): "model variant: the regularized fixed point",
+    ("goodwin.simulate", "regularized"): "model variant: classical or regularized drift",
+    ("keen.keen_drift", "regularized"): "model variant: classical or regularized drift",
+    ("keen.keen_drift", "with_nu_factor"): "model variant: the two printed regularized drifts",
+    ("keen.simulate", "regularized"): "model variant: classical or regularized drift",
+    ("keen.simulate", "with_nu_factor"): "model variant: the two printed regularized drifts",
+    ("keen.simulate", "gamma_cap"): "model parameter: the Minsky leverage threshold",
+    ("network.fig15_network", "sigma"): "model parameter of the Fig 15 network",
+    ("network.fig15_network", "mu"): "model parameter of the Fig 15 network",
+    ("dividend.solve_variational", "record"): "output sampling: the recorded slices",
+    ("network.simulate_paths", "chunk"): "lever of the chunk-invariance property tests",
+    ("network.two_bank_survival_grid", "chunk"): "lever of the chunk-invariance tests",
+    ("ledger.apply_event", "repo_haircut"): "the paper's central-bank repo collateral rule",
+    ("ledger.two_bank_creation", "central_bank_fallback"):
+        "the paper's central-bank funding of a cash shortfall",
+    ("mmc.mmc_drift_and_diffusion", "upsilon"): "flows at a given propensity, e.g. a path's",
+    ("mmc.MmcResult.state_at", "path"): "reads any path of a batch",
+    ("balance.evolve", "stream"): "a given stream makes the run stochastic",
+}
+
+
+def test_every_setting_is_passed_by_a_caller_or_kept_for_a_reason():
+    defining = {p.stem: p.read_text() for p in MODULES}
+    calling = {**defining, **{f"bench/{p.name}": p.read_text()
+                              for p in sorted((ROOT / "bench").glob("*.py"))}}
+    assert unset_settings(defining, calling, KEPT_SETTINGS) == []

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from _invalid_runs import INVALID_RUNS
+from circuitlab import keen
 from circuitlab.goodwin import GoodwinState, classical_drift
 from circuitlab.keen import (
     FIG4_PARAMS,
@@ -73,8 +74,9 @@ def test_nu_factor_variants_differ():
     assert with_nu[0] == without[0] and with_nu[2] == without[2]
 
 
-def test_reduction_to_goodwin_with_identity_profit():
+def test_reduction_to_goodwin_with_identity_profit(monkeypatch):
     # f = id, Gamma_f = 0, r_L = 0 collapses to the classical pair
+    monkeypatch.setattr(keen, "profit_function", lambda x, params: x)
     p = KeenParams(a=0.225, b=0.2, c=0.075, d=0.03, r_l=0.0, nu_f=0.1,
                    p=-0.0065, q=20.0, r=-5.0)
     gp = goodwin_equivalent(p)
@@ -82,7 +84,7 @@ def test_reduction_to_goodwin_with_identity_profit():
     for _ in range(20):
         s, lam = rng.uniform(0.05, 0.95, 2)
         st = KeenState(s, lam, 0.0)
-        ds, dl, _ = keen_drift(st, p, profit_fn=lambda x: x)
+        ds, dl, _ = keen_drift(st, p)
         gds, gdl = classical_drift(GoodwinState(s, lam), gp)
         assert (ds, dl) == pytest.approx((gds, gdl), rel=1e-12)
 

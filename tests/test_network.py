@@ -226,13 +226,19 @@ def test_monte_carlo_rejects_bad_run_settings():
             ({"dt_scaled": 0.0}, "dt_scaled"), ({"dt_scaled": -0.1}, "dt_scaled"),
             ({"dt_scaled": math.nan}, "dt_scaled"), ({"dt_scaled": math.inf}, "dt_scaled"),
             ({"paths": 0}, "paths"), ({"paths": -3}, "paths"),
-            ({"horizon": -1.0}, "horizon"), ({"horizon": math.nan}, "horizon")):
+            ({"horizon": -1.0}, "horizon"), ({"horizon": math.nan}, "horizon"),
+            ({"horizon": 1e-6}, "horizon")):
         with pytest.raises(ValueError, match=message):
             two_bank_survival_grid(net, **{**grid, **overrides})
     for horizon, dt in ((math.nan, 0.01), (math.inf, 0.01), (-1.0, 0.01),
                         (1.0, math.nan), (1.0, math.inf), (1.0, 0.0)):
         with pytest.raises(ValueError, match="finite and positive"):
             simulate_paths(net, horizon, dt, paths=10)
+    with pytest.raises(ValueError, match="half a step"):
+        simulate_paths(net, 0.004, 0.01, paths=4)
+    for paths in (0, -1):
+        with pytest.raises(ValueError, match="paths"):
+            simulate_paths(net, 1.0, 0.01, paths=paths)
 
 
 def test_jump_dynamics_increase_defaults():

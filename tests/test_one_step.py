@@ -134,7 +134,7 @@ def test_floors_raise_and_count():
     # third of ten steps and is held there: eight hits on each of two paths
     run = sde.euler_paths(lambda s, lam, y: (0.0 * s, 0.0 * lam, -1.0 + 0.0 * y),
                           (0.5, 0.5, 0.25), horizon=1.0, dt=0.1, paths=2, stream=None,
-                          diffusion=None, regularized=False, clamp_eps=1e-9,
+                          diffusion=None, regularized=False,
                           record_stride=1, floors={2: 0.0})
     assert run.floor_hits == 16 and run.clamp_events == 0
     assert np.all(run.records[2][3:] == 0.0) and np.all(run.records[2][:3] > 0.0)

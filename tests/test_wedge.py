@@ -215,6 +215,8 @@ def test_survival_entry_points_reject_a_bad_horizon(horizon):
             entry(net, (2.0, 2.0), horizon)
     with pytest.raises(ValueError, match="horizon"):
         q1_standalone(net, 2.0, horizon)
+    with pytest.raises(ValueError, match="tau"):
+        survival_1d(2.0, -0.1, 0.0, 0.5, horizon)
 
 
 def test_wedge_context_rejects_jumps_and_bad_rho():
@@ -236,16 +238,32 @@ def test_boundary_flux_rejects_unknown_face():
 
 def test_boundary_flux_rejects_source_off_the_interior():
     ctx = WedgeContext.build(0.3, [-0.5, -0.5])
-    for src in ((0.0, 1.5), (1.5, 0.0), (-0.2, 1.0)):
+    x = np.array([1.0])
+    for src in ((0.0, 1.5), (1.5, 0.0), (-0.2, 1.0), (math.nan, 1.5), (1.5, math.inf)):
         for face in (1, 2):
             with pytest.raises(ValueError, match="interior"):
-                boundary_flux(ctx, 1.0, np.array([1.0]), src, face=face)
+                boundary_flux(ctx, 1.0, x, src, face=face)
+        with pytest.raises(ValueError, match="interior"):
+            wedge_green(ctx, 1.0, x, x, src)
+    for t in (math.nan, math.inf, 0.0):
+        with pytest.raises(ValueError, match="positive"):
+            boundary_flux(ctx, t, x, (1.5, 1.5))
+        with pytest.raises(ValueError, match="positive"):
+            wedge_green(ctx, t, x, x, (1.5, 1.5))
+    net = fig15_network()
+    for src in ((math.nan, 2.0), (2.0, math.inf), (2.0, math.nan)):
+        for entry in (joint_survival_Q, marginal_survival_Q1, conservation_check):
+            with pytest.raises(ValueError, match="interior"):
+                entry(net, src, 12.5)
+    for x1 in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="source point"):
+            q1_standalone(net, x1, 12.5)
 
 
 # ---------------------------------------------------------------------------
 # the per-point truncated series against an untruncated sum
 
-TOL = 1e-14            # the default truncation tolerance of wedge_green / boundary_flux
+TOL = 1e-14            # wedge.SERIES_TOL, the truncation tolerance of the series
 REF_ORDERS = 250       # fixed order count of the untruncated reference
 SERIES_MARGIN = 3.0    # truncation error over tol * largest partial sum (measured 0.75)
 
@@ -336,15 +354,17 @@ def test_truncated_series_match_untruncated_sum(rho, log_t, xi, src, points, fac
             _check_truncation(flux, *_flux_reference(ctx, t, x1, src, face), seen)
 
 
-def test_too_few_orders_raise_series_error():
+def test_too_few_orders_raise_series_error(monkeypatch):
     ctx = WedgeContext.build(0.3, [-0.5, -0.5])
     x = np.array([1.0, 2.0, 3.0])
+    monkeypatch.setattr(wedge, "SERIES_ORDERS", 3)
     with pytest.raises(SeriesError, match="not converged after 3 terms"):
-        wedge_green(ctx, 0.5, x, x[::-1], (2.0, 2.0), n_terms=3)
+        wedge_green(ctx, 0.5, x, x[::-1], (2.0, 2.0))
     with pytest.raises(SeriesError, match="not converged after 3 terms"):
-        boundary_flux(ctx, 0.5, x, (2.0, 2.0), face=2, n_terms=3)
+        boundary_flux(ctx, 0.5, x, (2.0, 2.0), face=2)
+    monkeypatch.setattr(wedge, "SERIES_ORDERS", 0)
     with pytest.raises(SeriesError, match="not converged after 0 terms"):
-        wedge_green(ctx, 0.5, x, x[::-1], (2.0, 2.0), n_terms=0)
+        wedge_green(ctx, 0.5, x, x[::-1], (2.0, 2.0))
 
 
 def test_points_above_z_700_leave_the_series_on_their_own():
