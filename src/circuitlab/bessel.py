@@ -10,10 +10,10 @@ the term ratio forward, bucketing points by magnitude to bound the iteration
 count.  Every other non-zero point (z > 700, or a scaled first term that
 underflows) goes to scipy.special.ive (Amos's algorithm), elementwise, so no
 value depends on the other points of the call.  The series stays because it
-is about 5x faster than ive on the wedge's inputs: over the 21.9 M points of
-one `deterministic` benchmark pass's wedge calls (all below z = 435) it took
-3.6 s against ive's 17.9 s on a 2-vCPU Xeon.  Relative accuracy target:
-1e-12 against arbitrary-precision references.
+is about 5x faster than ive on the wedge's inputs: over the 15.5 M
+point-orders of one `deterministic` benchmark pass's wedge calls (all below
+z = 435) it took 1.33 s against ive's 6.79 s, best of 3 on a 2-vCPU Xeon.
+Relative accuracy target: 1e-12 against arbitrary-precision references.
 """
 
 from __future__ import annotations

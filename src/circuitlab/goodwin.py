@@ -8,7 +8,8 @@ rate.  The classical system is the predator-prey pair
 
 The regularized system adds barrier terms omega/lambda_u and omega/s_f to
 the drifts and Jacobi volatilities sigma*sqrt(x(1-x)) that vanish on the
-boundary, confining paths to the open unit square.
+boundary, confining paths to the open unit square.  A run's result,
+`GoodwinResult`, is the shared `sde.EulerPaths` with nothing added.
 """
 
 from __future__ import annotations
@@ -16,10 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .rng import RngStream
-from .sde import employment_drift, euler_paths, jacobi_noise
+from .sde import EulerPaths, employment_drift, jacobi_noise
 
 __all__ = ["GoodwinParams", "GoodwinState", "GoodwinResult",
            "classical_drift", "regularized_drift", "conservation",
@@ -124,25 +123,7 @@ def fixed_point(params: GoodwinParams, regularized: bool = False) -> tuple[float
     return s, lam
 
 
-@dataclass
-class GoodwinResult:
-    """Simulated trajectories: arrays indexed (recorded step, path).
-
-    Extremes are tracked over every step, including those thinned out by
-    record_stride, so boundary checks do not depend on the stored sampling.
-    """
-
-    t: np.ndarray
-    s_w: np.ndarray
-    lambda_w: np.ndarray
-    clamp_events: int
-    total_steps: int
-    s_range: tuple[float, float]
-    lambda_range: tuple[float, float]
-
-    @property
-    def clamp_rate(self) -> float:
-        return self.clamp_events / max(self.total_steps, 1)
+GoodwinResult = EulerPaths
 
 
 def simulate(
@@ -160,16 +141,13 @@ def simulate(
     regularized=None picks the regularized drift whenever omega > 0.
     Regularized/stochastic paths are clamped to [eps, 1-eps], eps =
     `sde.CLAMP_EPS`, after each step and clamp events are counted; classical
-    runs are left free so boundary violations remain observable.  record_stride > 1 thins the stored
-    trajectory; extremes are still tracked per step.
+    runs are left free so boundary violations remain observable.
+    record_stride > 1 thins the stored trajectory; extremes are still
+    tracked per step.
     """
     if regularized is None:
         regularized = params.omega > 0
-    run = euler_paths(
+    return GoodwinResult.run(
         lambda s, lam: _drift(s, lam, params, regularized),
         (initial.s_w, initial.lambda_w), horizon, dt, paths, stream,
         jacobi_noise(params.sigma_s, params.sigma_lambda), regularized, record_stride)
-    s_rec, lam_rec = run.records
-    return GoodwinResult(t=run.t, s_w=s_rec, lambda_w=lam_rec,
-                         clamp_events=run.clamp_events, total_steps=run.total_steps,
-                         s_range=run.s_range, lambda_range=run.lambda_range)

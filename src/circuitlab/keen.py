@@ -3,8 +3,9 @@
 Adds firms' leverage Gamma_f = D_f / K_f to the Goodwin pair.  Investment
 responds to the net profit share through f(x) = p + exp(q*x + r), so high
 profits drive debt-financed expansion and leverage can run away (a Minsky
-blow-up); runs crossing a leverage threshold stop early and report the
-crossing time.
+blow-up); paths crossing a leverage threshold freeze there and report the
+crossing time.  A run's result, `KeenResult`, is the shared
+`sde.EulerPaths` with views of its leverage and Minsky events added.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .goodwin import GoodwinParams
 from .rng import RngStream
-from .sde import employment_drift, euler_paths, jacobi_noise
+from .sde import EulerPaths, employment_drift, jacobi_noise
 
 __all__ = ["KeenParams", "KeenState", "KeenResult", "profit_function",
            "keen_drift", "simulate", "FIG4_PARAMS", "FIG5_PARAMS", "FIG6_PARAMS"]
@@ -121,21 +122,18 @@ def goodwin_equivalent(params: KeenParams) -> GoodwinParams:
                          c=params.nu_f - params.c, d=params.nu_f)
 
 
-@dataclass
-class KeenResult:
-    t: np.ndarray
-    s_w: np.ndarray
-    lambda_w: np.ndarray
-    gamma_f: np.ndarray
-    clamp_events: int
-    total_steps: int
-    s_range: tuple[float, float]
-    lambda_range: tuple[float, float]
-    minsky_times: np.ndarray  # per path; nan when the threshold was never hit
+class KeenResult(EulerPaths):
+    """The Euler run of (s_w, lambda_w, Gamma_f); the cap is the Minsky
+    leverage threshold."""
 
     @property
-    def clamp_rate(self) -> float:
-        return self.clamp_events / max(self.total_steps, 1)
+    def gamma_f(self) -> np.ndarray:
+        return self.records[2]
+
+    @property
+    def minsky_times(self) -> np.ndarray:
+        """Per path; nan when the threshold was never hit."""
+        return self.cap_times
 
     @property
     def minsky_paths(self) -> int:
@@ -167,12 +165,7 @@ def simulate(
         fx, _ = _capped_profit(_profit_share(s, g, params), params)
         return _drift(s, lam, g, fx, params, regularized, with_nu_factor)
 
-    run = euler_paths(drift, (initial.s_w, initial.lambda_w, initial.gamma_f),
-                      horizon, dt, paths, stream,
-                      jacobi_noise(params.sigma_s, params.sigma_lambda),
-                      regularized, record_stride, cap=gamma_cap)
-    s_rec, lam_rec, g_rec = run.records
-    return KeenResult(t=run.t, s_w=s_rec, lambda_w=lam_rec, gamma_f=g_rec,
-                      clamp_events=run.clamp_events, total_steps=run.total_steps,
-                      s_range=run.s_range, lambda_range=run.lambda_range,
-                      minsky_times=run.cap_times)
+    return KeenResult.run(drift, (initial.s_w, initial.lambda_w, initial.gamma_f),
+                          horizon, dt, paths, stream,
+                          jacobi_noise(params.sigma_s, params.sigma_lambda),
+                          regularized, record_stride, cap=gamma_cap)

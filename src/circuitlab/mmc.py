@@ -10,17 +10,20 @@ under the printed drifts, which the test suite asserts step by step.
 Sign conventions: positive rentier/firm cash flow adds to deposits, negative
 cash flow is financed by new loans, and new-loan creation is switched off
 while the banking sector's capital capacity is exhausted (credit crunch).
+
+A run's result, `MmcResult`, is the shared `sde.EulerPaths` of the eleven
+components, with their records by name and what the run derives from them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Literal
 
 import numpy as np
 
 from .rng import RngStream
-from .sde import employment_drift, euler_paths, jacobi, record_index
+from .sde import EulerPaths, employment_drift, jacobi, record_index
 
 __all__ = [
     "MmcParams", "MmcState", "MmcDerived", "MmcResult",
@@ -304,7 +307,7 @@ def derived_quantities(state: MmcState, params: MmcParams) -> MmcDerived:
     )
 
 
-# the employment pair first: euler_paths clamps the first two components
+# the employment pair first: EulerPaths.run clamps the first two components
 STOCK_NAMES = ("s_w", "lambda_w", "c_r", "d_r", "l_r", "d_f", "l_f", "k_f",
                "k_b", "theta_w", "n_w")
 # components loaded with noise, in the order of the simulator's normals
@@ -393,20 +396,26 @@ def mmc_drift_and_diffusion(state: MmcState, params: MmcParams,
 
 
 @dataclass
-class MmcResult:
-    t: np.ndarray
-    series: dict[str, np.ndarray]      # each (recorded step, path)
-    upsilon_f: np.ndarray
-    y_f: np.ndarray
-    price: np.ndarray
-    credit_crunch_steps: int
-    capacity_cap_steps: int
-    floor_hits: int
-    clamp_events: int
-    max_identity_residual: float
+class MmcResult(EulerPaths):
+    """The Euler run of the STOCK_NAMES components, in that order, and what
+    the simulator derives from it: the propensity of each recorded row,
+    capped production and price on those rows, the crunch and capacity
+    step counts, and the largest identity residual."""
+
+    upsilon_f: np.ndarray = field(init=False)
+    y_f: np.ndarray = field(init=False)
+    price: np.ndarray = field(init=False)
+    credit_crunch_steps: int = field(init=False)
+    capacity_cap_steps: int = field(init=False)
+    max_identity_residual: float = field(init=False)
+
+    @property
+    def series(self) -> dict[str, np.ndarray]:
+        """Each component's record, by name."""
+        return dict(zip(STOCK_NAMES, self.records))
 
     def state_at(self, idx: int, path: int = 0) -> MmcState:
-        return MmcState(**{k: float(self.series[k][idx, path]) for k in STOCK_NAMES})
+        return MmcState(**{k: float(v[idx, path]) for k, v in self.series.items()})
 
 
 def simulate(
@@ -419,7 +428,7 @@ def simulate(
     record_stride: int = 1,
 ) -> MmcResult:
     """Joint Euler evolution of the circuit stocks, the employment block, and
-    the diagnostic price level, stepped by `sde.euler_paths`.
+    the diagnostic price level, stepped by `sde.EulerPaths.run`.
 
     The initial sheet must satisfy K_b = L_r + L_f - D_r - D_f.  Upsilon is
     solved once per step, warm-started at the previous step's root; a
@@ -457,24 +466,21 @@ def simulate(
         return [flows[k] for k in STOCK_NAMES]
 
     stochastic = p.sigma_c > 0 or p.sigma_k > 0 or p.sigma_s > 0 or p.sigma_lambda > 0
-    run = euler_paths(
+    run = MmcResult.run(
         drift, tuple(getattr(initial, k) for k in STOCK_NAMES), horizon, dt, paths, stream,
         (lambda *state: _diffusion(dict(zip(STOCK_NAMES, state)), p)) if stochastic else None,
         True, record_stride,
         loaded=tuple(STOCK_NAMES.index(k) for k in NOISE_NAMES),
         floors={STOCK_NAMES.index(k): C_R_FLOOR if k == "c_r" else 0.0 for k in FLOORED})
 
-    series = dict(zip(STOCK_NAMES, run.records))
+    series = run.series
     last = {k: v[-1] for k, v in series.items()}
     ups.append(_upsilon_vec(u, last["c_r"], last["d_f"], last["l_f"], last["k_f"], p))
-    upsilon = np.array(ups)
+    run.upsilon_f = upsilon = np.array(ups)
     c_r, s_w = series["c_r"], series["s_w"]
-    return MmcResult(
-        t=run.t, series=series, upsilon_f=upsilon,
-        y_f=np.minimum(_output(c_r, upsilon, s_w), p.nu_f * series["k_f"]),
-        price=c_r / ((1.0 - upsilon) * (1.0 - s_w) * series["lambda_w"]
-                     * series["theta_w"] * series["n_w"]),
-        credit_crunch_steps=crunch_steps, capacity_cap_steps=cap_steps,
-        floor_hits=run.floor_hits, clamp_events=run.clamp_events,
-        max_identity_residual=max(max_resid, residual(last)),
-    )
+    run.y_f = np.minimum(_output(c_r, upsilon, s_w), p.nu_f * series["k_f"])
+    run.price = c_r / ((1.0 - upsilon) * (1.0 - s_w) * series["lambda_w"]
+                       * series["theta_w"] * series["n_w"])
+    run.credit_crunch_steps, run.capacity_cap_steps = crunch_steps, cap_steps
+    run.max_identity_residual = max(max_resid, residual(last))
+    return run

@@ -293,12 +293,14 @@ def shifted_levels(net: BankNetwork, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class TwoBankDomains:
-    """Terminal settlement geometry of the two-bank quadrant."""
+    """Terminal settlement geometry of the two-bank quadrant, in the scaled
+    coordinates of `ctx`."""
 
-    lambda_lt: np.ndarray      # interior boundaries (money units)
+    ctx: NondimContext
     delta: float               # L1 L2 + L1 L21 + L2 L12
     m_tilde_eq: np.ndarray     # post-removal terminal levels, scaled
-    zeta: np.ndarray
+    m1_shift_lt: float         # bank 1's interior and terminal levels once
+    m1_shift_eq: float         # bank 2 has defaulted (shifted_levels), scaled
     _net: BankNetwork
 
     def theta_curve(self, i: int, x_other) -> np.ndarray:
@@ -306,18 +308,18 @@ class TwoBankDomains:
         'bank i survives' from 'bank i defaults' while the other bank
         settles below par."""
         net = self._net
+        lambda_lt, zeta = self.ctx.interior_levels, self.ctx.zeta
         j = 1 - i
         l_j = net.external_liabilities[j]
         l_ji = net.mutual[j, i]
-        a_other = self.lambda_lt[j] * np.exp(np.asarray(x_other, float) / self.zeta[j])
-        arg = (self.delta - l_ji * a_other) / (self.lambda_lt[i] * (l_j + l_ji))
-        return self.zeta[i] * np.log(np.maximum(arg, 1e-300))
+        a_other = lambda_lt[j] * np.exp(np.asarray(x_other, float) / zeta[j])
+        arg = (self.delta - l_ji * a_other) / (lambda_lt[i] * (l_j + l_ji))
+        return zeta[i] * np.log(np.maximum(arg, 1e-300))
 
 
 def two_bank_domains(net: BankNetwork) -> TwoBankDomains:
     if net.n != 2:
         raise ValueError("two banks required")
-    b = boundaries(net)
     l = net.external_liabilities
     m = net.mutual
     r = net.recoveries
@@ -326,9 +328,11 @@ def two_bank_domains(net: BankNetwork) -> TwoBankDomains:
         l[1] + m[1, 0] - r[0] * m[0, 1],
     ])
     ctx = nondim_context(net)
+    (m1_shift_lt,), (m1_shift_eq,) = shifted_levels(net, 1)
     return TwoBankDomains(
-        lambda_lt=b.interior, delta=float(_delta(net)),
-        m_tilde_eq=ctx.zeta * np.log(tilde_eq / b.interior), zeta=ctx.zeta, _net=net,
+        ctx=ctx, delta=float(_delta(net)),
+        m_tilde_eq=ctx.zeta * np.log(tilde_eq / ctx.interior_levels),
+        m1_shift_lt=m1_shift_lt, m1_shift_eq=m1_shift_eq, _net=net,
     )
 
 
@@ -411,9 +415,7 @@ def simulate_paths(
             b = min(step_block, n_steps - k_step)
             zb = noise.normals(b, n)            # (b, n, width)
             for j in range(b):
-                # column by column: a BLAS product's rounding depends on width
-                z = np.ascontiguousarray(zb[j])
-                dw = sum(chol[:, c, None] * z[c] for c in range(n)).T * sqdt
+                dw = _correlate(chol, np.ascontiguousarray(zb[j])).T * sqdt
                 log_a = log_a + drift + net.sigma * dw
                 if k_step in jump_events:
                     rows, banks, amps = jump_events[k_step]
@@ -436,6 +438,12 @@ def simulate_paths(
         interior_default=interior_default, omega=omega_out,
         terminal_assets=terminal_assets,
     )
+
+
+def _correlate(chol: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """chol @ z over z's bank axis, z of shape (..., N, paths), applied
+    column by column: a BLAS product's rounding depends on the width."""
+    return sum(chol[:, c, None] * z[..., c, None, :] for c in range(len(chol)))
 
 
 @dataclass(frozen=True)
@@ -617,7 +625,8 @@ def two_bank_survival_grid(
         raise ValueError("the grid evaluator is specific to two banks")
     if net.jumps is not None:
         raise ValueError("the scaled grid evaluator covers diffusion dynamics only")
-    ctx = nondim_context(net)
+    dom = two_bank_domains(net)
+    ctx = dom.ctx
     n_steps = step_count(ctx.scaled_time(horizon), dt_scaled, "dt_scaled")
     if not paths >= 1:
         raise ValueError(f"paths must be at least 1, got {paths}")
@@ -625,48 +634,37 @@ def two_bank_survival_grid(
     stream = stream or RngStream(0)
     x1_grid = np.asarray(x1_grid if x1_grid is not None else np.linspace(1.0, 4.0, 5))
     x2_grid = np.asarray(x2_grid if x2_grid is not None else np.linspace(1.0, 4.0, 5))
-
     m1_eq, m2_eq = ctx.m_terminal
-    (m1_shift_lt,), (m1_shift_eq,) = shifted_levels(net, 1)
-    correlated = abs(net.corr.rho[0, 1]) > 1e-14
 
     n1, n2 = len(x1_grid), len(x2_grid)
     joint_hits = np.zeros((n1, n2), dtype=np.int64)
     marg_hits = np.zeros((n1, n2), dtype=np.int64)
 
-    dom = two_bank_domains(net)
-
     for start in range(0, paths, chunk):
         width = min(chunk, paths - start)
         noise = PathNoise(stream, width, first_path=start)
-        # driver increments: unit-variance correlated Brownian steps + drift
-        y1 = np.zeros((width, n_steps + 1))
-        y2 = np.zeros((width, n_steps + 1))
+        # driver increments per bank: unit-variance correlated Brownian
+        # steps plus drift
+        y = np.zeros((2, width, n_steps + 1))
         block = 2048
         pos = 0
         while pos < n_steps:
             b = min(block, n_steps - pos)
-            z = noise.normals(b, 2)            # (b, 2, width)
-            zc = np.einsum("ij,sjw->siw", net.corr.cholesky, z) if correlated else z
-            y1[:, pos + 1:pos + b + 1] = np.cumsum(zc[:, 0, :].T * sq, axis=1) \
-                + y1[:, pos:pos + 1] + ctx.xi[0] * dt_scaled * np.arange(1, b + 1)
-            y2[:, pos + 1:pos + b + 1] = np.cumsum(zc[:, 1, :].T * sq, axis=1) \
-                + y2[:, pos:pos + 1] + ctx.xi[1] * dt_scaled * np.arange(1, b + 1)
+            zc = _correlate(net.corr.cholesky, noise.normals(b, 2))    # (b, 2, width)
+            y[:, :, pos + 1:pos + b + 1] = np.cumsum(zc.transpose(1, 2, 0) * sq, axis=2) \
+                + y[:, :, pos:pos + 1] + ctx.xi[:, None, None] * dt_scaled * np.arange(1, b + 1)
             pos += b
-        p1 = np.minimum.accumulate(y1, axis=1)     # prefix minima
-        p2 = np.minimum.accumulate(y2, axis=1)
-        s1 = np.minimum.accumulate(y1[:, ::-1], axis=1)[:, ::-1]   # suffix minima
-        y1_t = y1[:, -1]
-        y2_t = y2[:, -1]
-        p1_tot = p1[:, -1]
-        p2_tot = p2[:, -1]
+        p = np.minimum.accumulate(y, axis=2)     # prefix minima
+        s1 = np.minimum.accumulate(y[0, :, ::-1], axis=1)[:, ::-1]   # bank 1's suffix minima
+        y1_t, y2_t = y[:, :, -1]
+        p1_tot, p2_tot = p[:, :, -1]
 
         for i2, x20 in enumerate(x2_grid):
             # first step index at which bank 2 breaches level 0: y2 <= -x20
             crossed2 = p2_tot <= -x20
-            k2 = np.argmax(p2 <= -x20, axis=1)
+            k2 = np.argmax(p[1] <= -x20, axis=1)
             rowidx = np.arange(width)
-            p1_at_k2 = p1[rowidx, k2]
+            p1_at_k2 = p[0, rowidx, k2]
             s1_at_k2 = s1[rowidx, k2]
             for i1, x10 in enumerate(x1_grid):
                 alive1_no2 = p1_tot > -x10
@@ -683,8 +681,8 @@ def two_bank_survival_grid(
                 # the shifted terminal level
                 okB = (crossed2
                        & (p1_at_k2 > -x10)
-                       & (s1_at_k2 > m1_shift_lt - x10)
-                       & (x1t >= m1_shift_eq))
+                       & (s1_at_k2 > dom.m1_shift_lt - x10)
+                       & (x1t >= dom.m1_shift_eq))
                 marg_hits[i1, i2] += int(np.count_nonzero(margA)) \
                     + int(np.count_nonzero(okB))
 

@@ -1,8 +1,11 @@
 """The Euler-Maruyama loop of the Goodwin, Keen and MMC models.
 
 All three carry the same (s_w, lambda_w) employment block and differ in its
-growth rate and in the components they add.  `euler_paths` takes every
+growth rate and in the components they add.  `EulerPaths.run` takes every
 model's step: drift, noise, clamps, floors, a freezing cap and the record.
+The `EulerPaths` it returns is every circuit run's result: Goodwin returns
+it as it is, Keen and MMC as subclasses that add views of their extra
+components and what they derive from them.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Self
 
 import numpy as np
 
@@ -21,11 +24,14 @@ NOISE_BLOCK = 4096
 # clamped runs keep (s_w, lambda_w) in [CLAMP_EPS, 1 - CLAMP_EPS], off the
 # boundary where the Jacobi volatility and the barrier drifts degenerate
 CLAMP_EPS = 1e-9
+# a horizon is a whole number n of steps when horizon / dt is within
+# STEP_TOL * n of n: rounding of the division, not a part step
+STEP_TOL = 1e-9
 
 
 def step_count(horizon: float, dt: float, dt_name: str = "dt") -> int:
-    """round(horizon / dt), the number of steps of a run; horizon and dt
-    must be finite and positive and the horizon at least half a step."""
+    """The number of steps of a run: horizon and dt must be finite and
+    positive, and the horizon a whole number of steps, at least one."""
     if not (math.isfinite(horizon) and horizon > 0):
         raise ValueError(f"horizon must be finite and positive, got {horizon}")
     if not (math.isfinite(dt) and dt > 0):
@@ -33,6 +39,8 @@ def step_count(horizon: float, dt: float, dt_name: str = "dt") -> int:
     n_steps = int(round(horizon / dt))
     if n_steps < 1:
         raise ValueError(f"horizon {horizon} is shorter than half a step ({dt_name} = {dt})")
+    if abs(horizon / dt - n_steps) > STEP_TOL * n_steps:
+        raise ValueError(f"horizon {horizon} is not a whole number of steps ({dt_name} = {dt})")
     return n_steps
 
 
@@ -62,7 +70,7 @@ def jacobi(x):
 
 
 def jacobi_noise(sigma_s: float, sigma_lambda: float) -> Callable | None:
-    """euler_paths diffusion loading sigma sqrt(x(1-x)) on (s_w, lambda_w),
+    """EulerPaths.run diffusion loading sigma sqrt(x(1-x)) on (s_w, lambda_w),
     or None when both volatilities vanish."""
     if sigma_s <= 0 and sigma_lambda <= 0:
         return None
@@ -82,7 +90,11 @@ def employment_drift(s, lam, growth, params, regularized: bool):
 
 @dataclass
 class EulerPaths:
-    """Recorded components, indexed (recorded step, path), and counters."""
+    """A circuit run: recorded components, indexed (recorded step, path),
+    and the loop's counters.  The extremes of (s_w, lambda_w) cover every
+    step of the paths still running, whatever the record stride.  A model's
+    result is this or a subclass that adds views of `records`; `run` builds
+    either."""
 
     t: np.ndarray
     records: list[np.ndarray]      # s_w, lambda_w, then the extra components
@@ -93,94 +105,106 @@ class EulerPaths:
     lambda_range: tuple[float, float]
     cap_times: np.ndarray | None   # per path; nan when the cap was never hit
 
+    @property
+    def s_w(self) -> np.ndarray:
+        return self.records[0]
 
-def euler_paths(
-    drift: Callable,
-    initial: tuple[float, ...],
-    horizon: float,
-    dt: float,
-    paths: int,
-    stream: RngStream | None,
-    diffusion: Callable | None,
-    regularized: bool,
-    record_stride: int,
-    loaded: tuple[int, ...] = (0, 1),
-    floors: dict[int, float] | None = None,
-    cap: float | None = None,
-) -> EulerPaths:
-    """Euler paths of (s_w, lambda_w, *extra) with drift(*state) -> drifts.
+    @property
+    def lambda_w(self) -> np.ndarray:
+        return self.records[1]
 
-    Each step is x + drift(x) dt, plus diffusion(x)[j] sqrt(dt) z_j on
-    component loaded[j]; the normals z are drawn in the order of `loaded`,
-    and diffusion=None makes the run deterministic.  Regularized or
-    stochastic runs clamp the pair to [CLAMP_EPS, 1 - CLAMP_EPS] after each
-    step and count clamp events.  A component i in `floors` is raised to
-    floors[i] after each step, and each raised entry is a floor hit.  With
-    a cap, a path whose first extra component exceeds it freezes at that
-    step and the crossing time is reported.  Extremes of the pair are
-    tracked over every step of the paths still running, whatever the record
-    stride.
-    """
-    rec_idx = record_index(horizon, dt, record_stride)
-    if not paths >= 1:
-        raise ValueError(f"paths must be at least 1, got {paths}")
-    stochastic = diffusion is not None
-    clamp = regularized or stochastic
-    if clamp and not (0 < initial[0] < 1 and 0 < initial[1] < 1):
-        raise ValueError("initial state must be interior for regularized/stochastic runs")
+    @property
+    def clamp_rate(self) -> float:
+        return self.clamp_events / max(self.total_steps, 1)
 
-    n_steps = int(rec_idx[-1])
-    x = [np.full(paths, float(v)) for v in initial]
-    records = [np.empty((len(rec_idx), paths)) for _ in initial]
-    for rec, v in zip(records, x):
-        rec[0] = v
-    next_rec = 1
+    @classmethod
+    def run(
+        cls,
+        drift: Callable,
+        initial: tuple[float, ...],
+        horizon: float,
+        dt: float,
+        paths: int,
+        stream: RngStream | None,
+        diffusion: Callable | None,
+        regularized: bool,
+        record_stride: int,
+        loaded: tuple[int, ...] = (0, 1),
+        floors: dict[int, float] | None = None,
+        cap: float | None = None,
+    ) -> Self:
+        """Euler paths of (s_w, lambda_w, *extra) with drift(*state) -> drifts,
+        returned as an instance of cls.
 
-    noise = PathNoise(stream or RngStream(0), paths) if stochastic else None
-    sqdt = math.sqrt(dt)
-    lo, hi = CLAMP_EPS, 1.0 - CLAMP_EPS
-    clamped = 0
-    floored = 0
-    s_min = s_max = float(initial[0])
-    l_min = l_max = float(initial[1])
-    cap_times = None if cap is None else np.full(paths, np.nan)
-    alive = np.ones(paths, dtype=bool)
+        Each step is x + drift(x) dt, plus diffusion(x)[j] sqrt(dt) z_j on
+        component loaded[j]; the normals z are drawn in the order of `loaded`,
+        and diffusion=None makes the run deterministic.  Regularized or
+        stochastic runs clamp the pair to [CLAMP_EPS, 1 - CLAMP_EPS] after
+        each step and count clamp events.  A component i in `floors` is raised
+        to floors[i] after each step, and each raised entry is a floor hit.
+        With a cap, a path whose first extra component exceeds it freezes at
+        that step and the crossing time is reported; its state at the
+        crossing stays out of the extremes.  A running path whose pair turns
+        NaN makes that component's range NaN.
+        """
+        rec_idx = record_index(horizon, dt, record_stride)
+        if not paths >= 1:
+            raise ValueError(f"paths must be at least 1, got {paths}")
+        stochastic = diffusion is not None
+        clamp = regularized or stochastic
+        if clamp and not (0 < initial[0] < 1 and 0 < initial[1] < 1):
+            raise ValueError("initial state must be interior for regularized/stochastic runs")
 
-    for k, z in enumerate(noise_rows(noise, n_steps, len(loaded)), start=1):
-        nxt = [v + d * dt for v, d in zip(x, drift(*x))]
-        if stochastic:
-            for i, load, z_i in zip(loaded, diffusion(*x), z):
-                nxt[i] += load * sqdt * z_i
-        if clamp:
-            out = (nxt[0] < lo) | (nxt[0] > hi) | (nxt[1] < lo) | (nxt[1] > hi)
-            clamped += int((out & alive).sum())
-            nxt[0] = np.clip(nxt[0], lo, hi)
-            nxt[1] = np.clip(nxt[1], lo, hi)
-        for i, floor in (floors or {}).items():
-            floored += int(((nxt[i] < floor) & alive).sum())
-            nxt[i] = np.maximum(nxt[i], floor)
-        if cap is None:
-            x = nxt
-            s_live, l_live = x[0], x[1]
-        else:
-            # paths frozen at the cap keep their last state
-            x = [np.where(alive, new, old) for new, old in zip(nxt, x)]
-            blown = alive & (x[2] > cap)
-            if np.any(blown):
-                cap_times[blown] = k * dt
-                alive &= ~blown
-            s_live, l_live = x[0][alive], x[1][alive]
-        if s_live.size:
-            s_min = min(s_min, float(s_live.min()))
-            s_max = max(s_max, float(s_live.max()))
-            l_min = min(l_min, float(l_live.min()))
-            l_max = max(l_max, float(l_live.max()))
-        if next_rec < len(rec_idx) and k == rec_idx[next_rec]:
-            for rec, v in zip(records, x):
-                rec[next_rec] = v
-            next_rec += 1
+        n_steps = int(rec_idx[-1])
+        x = [np.full(paths, float(v)) for v in initial]
+        records = [np.empty((len(rec_idx), paths)) for _ in initial]
+        for rec, v in zip(records, x):
+            rec[0] = v
+        next_rec = 1
 
-    return EulerPaths(t=rec_idx * dt, records=records, clamp_events=clamped,
-                      floor_hits=floored, total_steps=n_steps * paths,
-                      s_range=(s_min, s_max), lambda_range=(l_min, l_max),
-                      cap_times=cap_times)
+        noise = PathNoise(stream or RngStream(0), paths) if stochastic else None
+        sqdt = math.sqrt(dt)
+        lo, hi = CLAMP_EPS, 1.0 - CLAMP_EPS
+        clamped = 0
+        floored = 0
+        # per-path running extremes of (s_w, lambda_w)
+        lows = [x[0].copy(), x[1].copy()]
+        highs = [x[0].copy(), x[1].copy()]
+        cap_times = None if cap is None else np.full(paths, np.nan)
+        alive = np.ones(paths, dtype=bool)
+
+        for k, z in enumerate(noise_rows(noise, n_steps, len(loaded)), start=1):
+            nxt = [v + d * dt for v, d in zip(x, drift(*x))]
+            if stochastic:
+                for i, load, z_i in zip(loaded, diffusion(*x), z):
+                    nxt[i] += load * sqdt * z_i
+            if clamp:
+                out = (nxt[0] < lo) | (nxt[0] > hi) | (nxt[1] < lo) | (nxt[1] > hi)
+                clamped += int((out & alive).sum())
+                nxt[0] = np.clip(nxt[0], lo, hi)
+                nxt[1] = np.clip(nxt[1], lo, hi)
+            for i, floor in (floors or {}).items():
+                floored += int(((nxt[i] < floor) & alive).sum())
+                nxt[i] = np.maximum(nxt[i], floor)
+            if cap is None:
+                x = nxt
+            else:
+                # paths frozen at the cap keep their last state
+                x = [np.where(alive, new, old) for new, old in zip(nxt, x)]
+                blown = alive & (x[2] > cap)
+                if np.any(blown):
+                    cap_times[blown] = k * dt
+                    alive &= ~blown
+            for low, high, v in zip(lows, highs, x):
+                np.minimum(low, v, out=low, where=alive)
+                np.maximum(high, v, out=high, where=alive)
+            if next_rec < len(rec_idx) and k == rec_idx[next_rec]:
+                for rec, v in zip(records, x):
+                    rec[next_rec] = v
+                next_rec += 1
+
+        s_range, lambda_range = ((float(low.min()), float(high.max()))
+                                 for low, high in zip(lows, highs))
+        return cls(t=rec_idx * dt, records=records, clamp_events=clamped,
+                   floor_hits=floored, total_steps=n_steps * paths,
+                   s_range=s_range, lambda_range=lambda_range, cap_times=cap_times)

@@ -31,8 +31,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .bessel import iv_scaled
-from .network import (BankNetwork, TwoBankDomains, nondim_context, shifted_levels,
-                      two_bank_domains)
+from .network import BankNetwork, TwoBankDomains, nondim_context, two_bank_domains
 
 __all__ = [
     "WedgeContext", "TwoBankDomains", "norm_cdf", "survival_1d",
@@ -178,6 +177,8 @@ def wedge_green(ctx: WedgeContext, t: float, x1, x2, x_src) -> np.ndarray:
         raise ValueError(f"t must be positive and finite, got {t}")
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
+    if not (np.all(np.isfinite(x1)) and np.all(np.isfinite(x2))):
+        raise ValueError("evaluation points must be finite")
     xs1, xs2 = _source(x_src)
     r, phi = ctx.polar(x1, x2)
     r_src, phi_src = ctx.polar(xs1, xs2)
@@ -209,6 +210,8 @@ def boundary_flux(ctx: WedgeContext, t, coord, x_src, face: int = 2) -> np.ndarr
     if not np.all(np.isfinite(t) & (t > 0)):
         raise ValueError("t must be positive and finite")
     coord = np.asarray(coord, dtype=float)
+    if not np.all(np.isfinite(coord)):
+        raise ValueError("evaluation points must be finite")
     t, coord = np.broadcast_arrays(t, coord)
     xs1, xs2 = _source(x_src)
     r_src, phi_src = ctx.polar(xs1, xs2)
@@ -330,26 +333,32 @@ def _flux_integral(wctx: WedgeContext, t_bar: float, x_src, face: int,
     return float(np.dot(np.concatenate(w_all), g))
 
 
+def _refined(value, spec: QuadratureSpec, name: str) -> tuple[float, float]:
+    """value(spec) on 1.5 times the panels of spec, and its distance from
+    value(spec) as the error estimate, which must meet spec.target."""
+    coarse = value(spec)
+    fine = value(replace(spec, panels=spec.panels + spec.panels // 2,
+                         time_panels=spec.time_panels + spec.time_panels // 2))
+    err = abs(fine - coarse)
+    if err > spec.target:
+        raise RuntimeError(
+            f"{name} quadrature achieved only {err:.2e} (target {spec.target:.2e})"
+        )
+    return fine, err
+
+
 def joint_survival_Q(net: BankNetwork, x_src, horizon: float,
                      spec: QuadratureSpec | None = None) -> tuple[float, float]:
     """Probability that neither bank touches its interior boundary on
     [0, T] and both settle in full at T; returns (value, error estimate)."""
-    spec = spec or QuadratureSpec()
     wctx = wedge_context(net)
     nctx = nondim_context(net)
     t_bar = nctx.scaled_time(horizon)
     m1_eq, m2_eq = nctx.m_terminal
     u1, u2 = _upper_cuts(x_src, wctx.xi, t_bar)
-    val = _terminal_integral(wctx, t_bar, x_src, m1_eq, u1, m2_eq, u2, spec)
-    finer = replace(spec, panels=spec.panels + spec.panels // 2)
-    val2 = _terminal_integral(wctx, t_bar, x_src, m1_eq, u1, m2_eq, u2, finer)
-    err = abs(val2 - val)
-    if err > spec.target:
-        raise RuntimeError(
-            f"joint-survival quadrature achieved only {err:.2e} "
-            f"(target {spec.target:.2e})"
-        )
-    return val2, err
+    return _refined(
+        lambda s: _terminal_integral(wctx, t_bar, x_src, m1_eq, u1, m2_eq, u2, s),
+        spec or QuadratureSpec(), "joint-survival")
 
 
 def q1_standalone(net: BankNetwork, x1, horizon: float):
@@ -365,27 +374,17 @@ def marginal_survival_Q1(net: BankNetwork, x_src, horizon: float,
     """Bank 1 survival probability: terminal mass over the domains where
     bank 1 settles in full plus the flux of bank-2 defaults followed by
     bank 1 surviving alone behind its shifted boundaries."""
-    spec = spec or QuadratureSpec()
-    coarse = _q1_once(net, x_src, horizon, spec)
-    finer = replace(spec, panels=spec.panels + spec.panels // 2,
-                    time_panels=spec.time_panels + spec.time_panels // 2)
-    fine = _q1_once(net, x_src, horizon, finer)
-    err = abs(fine - coarse)
-    if err > spec.target:
-        raise RuntimeError(
-            f"marginal-survival quadrature achieved only {err:.2e} "
-            f"(target {spec.target:.2e})"
-        )
-    return fine, err
-
-
-def _q1_once(net: BankNetwork, x_src, horizon: float, spec: QuadratureSpec) -> float:
     wctx = wedge_context(net)
-    nctx = nondim_context(net)
     dom = two_bank_domains(net)
-    t_bar = nctx.scaled_time(horizon)
-    m1_eq, m2_eq = nctx.m_terminal
-    (m1_shift_lt,), (m1_shift_eq,) = shifted_levels(net, 1)
+    t_bar = dom.ctx.scaled_time(horizon)
+    return _refined(lambda s: _q1_once(wctx, dom, x_src, t_bar, s),
+                    spec or QuadratureSpec(), "marginal-survival")
+
+
+def _q1_once(wctx: WedgeContext, dom: TwoBankDomains, x_src, t_bar: float,
+             spec: QuadratureSpec) -> float:
+    m1_eq, m2_eq = dom.ctx.m_terminal
+    m1_shift_lt, m1_shift_eq = dom.m1_shift_lt, dom.m1_shift_eq
     u1, u2 = _upper_cuts(x_src, wctx.xi, t_bar)
 
     # terminal: D(1,1) plus the curvilinear bank-2-defaults strip D(1,0)

@@ -1,6 +1,7 @@
 """Run settings every simulator rejects with a named ValueError, as
 (keyword overrides, message fragment).  Each override applies to a run
-with dt of at least 0.01, so a 0.004 horizon is shorter than half a step."""
+with dt of at least 0.01, so a 0.004 horizon is shorter than half a step;
+0.015 is a step and a half at the dt it sets."""
 
 import math
 
@@ -8,6 +9,7 @@ INVALID_RUNS = [
     ({"dt": 0.0}, "dt"), ({"dt": math.nan}, "dt"), ({"dt": math.inf}, "dt"),
     ({"horizon": -1.0}, "horizon"), ({"horizon": math.nan}, "horizon"),
     ({"horizon": math.inf}, "horizon"), ({"horizon": 0.004}, "horizon"),
+    ({"horizon": 0.015, "dt": 0.01}, "whole"),
     ({"record_stride": 0}, "record_stride"), ({"record_stride": -1}, "record_stride"),
     ({"paths": 0}, "paths"),
 ]

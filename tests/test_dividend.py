@@ -224,7 +224,7 @@ def test_free_boundary_index_is_the_trailing_pinned_run(pinned):
     ({"horizon": math.nan}, "horizon"), ({"horizon": math.inf}, "horizon"),
     ({"horizon": 0.0}, "horizon"), ({"e_max": math.inf}, "e_max"),
     ({"e_max": -1.0}, "e_max"), ({"n_grid": 1}, "n_grid"), ({"n_grid": 2}, "n_grid"),
-    ({"horizon": 4e-4, "dtau": 1e-3}, "horizon"),
+    ({"horizon": 4e-4, "dtau": 1e-3}, "horizon"), ({"horizon": 0.015}, "whole"),
 ])
 def test_variational_rejects_bad_inputs(override, message):
     run = {"horizon": 0.1, "e_max": 2.0, "n_grid": 50, "dtau": 1e-2, **override}

@@ -183,24 +183,46 @@ def _passes(call: ast.Call, param: str, index: int | None) -> bool:
     return len(call.args) > index or any(isinstance(a, ast.Starred) for a in call.args)
 
 
+def _module_names(tree: ast.Module) -> dict[str, str]:
+    """Names an import binds to a `circuitlab` module, mapped to the module."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module == "circuitlab"
+                                                 or node.level and not node.module):
+            out.update((alias.asname or alias.name, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Import):
+            out.update((alias.asname, alias.name.split(".", 1)[1]) for alias in node.names
+                       if alias.asname and alias.name.startswith("circuitlab."))
+    return out
+
+
 def unset_settings(defining: dict[str, str], calling: dict[str, str],
                    allowed=frozenset()) -> list[str]:
     """`module.function(parameter)` for each defaulted parameter in the
     `defining` sources that no call in `calling` passes and `allowed` does
     not list, plus each `allowed` entry that is passed or does not exist.
-    Calls match by the function's name, whatever they are called on."""
-    calls: dict[str, list[ast.Call]] = {}
+    A call on a name bound to a `circuitlab` module, `module.function(...)`,
+    matches only that module's function; any other call matches by the
+    function's name, whatever it is called on."""
+    calls: dict[tuple[str | None, str], list[ast.Call]] = {}
     for src in calling.values():
-        for node in ast.walk(ast.parse(src)):
+        tree = ast.parse(src)
+        modules = _module_names(tree)
+        for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 func = node.func
+                owner = (modules.get(func.value.id) if isinstance(func, ast.Attribute)
+                         and isinstance(func.value, ast.Name) else None)
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                calls.setdefault(name, []).append(node)
+                calls.setdefault((owner, name), []).append(node)
     unset = set()
     for module, src in defining.items():
         for name, param, index in _defaulted_parameters(ast.parse(src), module):
             short = name.rsplit(".", 1)[-1]
-            if not any(_passes(c, param, index) for c in calls.get(short, [])):
+            found = calls.get((None, short), [])
+            if name == f"{module}.{short}":
+                found = found + calls.get((module, short), [])
+            if not any(_passes(c, param, index) for c in found):
                 unset.add((name, param))
     report = [f"{name}({param})" for name, param in unset - set(allowed)]
     report += [f"allowlisted but set or absent: {name}({param})"
@@ -216,6 +238,11 @@ def test_checker_flags_a_setting_no_caller_passes():
     user = "from a import Box\nBox(4).get()\n"
     sources = {"a": lib, "b": user}
     assert unset_settings({"a": lib}, sources) == ["a.Box.get(k)", "a.f(mode)", "a.g(n)"]
+    # a call on another module's name passes nothing to a.f; one on a's does
+    libs = {"a": "def f(x, tol=1e-9):\n    return x\n", "other": "def f(x, y):\n    return x\n"}
+    caller = "from circuitlab import a, other\nother.f(1, 2)\n"
+    assert unset_settings(libs, {**libs, "c": caller}) == ["a.f(tol)"]
+    assert unset_settings(libs, {**libs, "c": caller + "a.f(1, 2)\n"}) == []
     allowed = {("a.g", "n"), ("a.f", "tol"), ("a.f", "gone")}
     assert unset_settings({"a": lib}, sources, allowed) == [
         "a.Box.get(k)", "a.f(mode)",

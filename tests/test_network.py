@@ -200,23 +200,22 @@ def test_marginal_at_least_joint():
 
 
 def test_grid_evaluator_matches_simulate_paths():
-    # identical probabilistic content and identical drivers: estimates agree
-    # to well inside one standard error on a common point
-    net = fig15_network()
-    ctx = nondim_context(net)
-    x_pt = np.array([2.0, 2.0])
-    assets = ctx.assets_from_x(x_pt)
-    net_pt = fig15_network(external_assets=assets)
+    # identical probabilistic content and identical drivers, correlated
+    # through one Cholesky rule: estimates agree on a common point
     horizon = 12.5
     dt_cal = horizon / 2000.0
-    rec = simulate_paths(net_pt, horizon, dt=dt_cal, paths=8000,
-                         stream=RngStream(7))
-    est = survival_probabilities(rec)
-    grid = two_bank_survival_grid(net, horizon, dt_scaled=0.16 * dt_cal,
-                                  paths=8000, stream=RngStream(7),
-                                  x1_grid=x_pt[:1], x2_grid=x_pt[1:])
-    assert grid.joint[0, 0] == pytest.approx(est.joint, abs=1e-12)
-    assert grid.marginal1[0, 0] == pytest.approx(est.marginal[0], abs=1e-12)
+    x_pt = np.array([2.0, 2.0])
+    for rho in (0.0, 0.3, -0.5):
+        net = fig15_network(rho=rho)
+        assets = nondim_context(net).assets_from_x(x_pt)
+        rec = simulate_paths(fig15_network(rho=rho, external_assets=assets), horizon,
+                             dt=dt_cal, paths=8000, stream=RngStream(7))
+        est = survival_probabilities(rec)
+        grid = two_bank_survival_grid(net, horizon, dt_scaled=0.16 * dt_cal,
+                                      paths=8000, stream=RngStream(7),
+                                      x1_grid=x_pt[:1], x2_grid=x_pt[1:])
+        assert grid.joint[0, 0] == pytest.approx(est.joint, abs=1e-12), rho
+        assert grid.marginal1[0, 0] == pytest.approx(est.marginal[0], abs=1e-12), rho
 
 
 def test_monte_carlo_rejects_bad_run_settings():
@@ -227,7 +226,7 @@ def test_monte_carlo_rejects_bad_run_settings():
             ({"dt_scaled": math.nan}, "dt_scaled"), ({"dt_scaled": math.inf}, "dt_scaled"),
             ({"paths": 0}, "paths"), ({"paths": -3}, "paths"),
             ({"horizon": -1.0}, "horizon"), ({"horizon": math.nan}, "horizon"),
-            ({"horizon": 1e-6}, "horizon")):
+            ({"horizon": 1e-6}, "horizon"), ({"horizon": 1.05}, "whole")):
         with pytest.raises(ValueError, match=message):
             two_bank_survival_grid(net, **{**grid, **overrides})
     for horizon, dt in ((math.nan, 0.01), (math.inf, 0.01), (-1.0, 0.01),
@@ -236,6 +235,8 @@ def test_monte_carlo_rejects_bad_run_settings():
             simulate_paths(net, horizon, dt, paths=10)
     with pytest.raises(ValueError, match="half a step"):
         simulate_paths(net, 0.004, 0.01, paths=4)
+    with pytest.raises(ValueError, match="whole"):
+        simulate_paths(net, 0.015, 0.01, paths=4)
     for paths in (0, -1):
         with pytest.raises(ValueError, match="paths"):
             simulate_paths(net, 1.0, 0.01, paths=paths)

@@ -107,11 +107,13 @@ def _assert_thinned(thin, full):
     assert rows.tolist() == [*range(0, N_STEPS + 1, STRIDE), N_STEPS]
     for name, value in vars(thin).items():
         other = vars(full)[name]
-        if name == "series":
-            for k in value:
-                assert np.array_equal(value[k], other[k][rows]), k
+        if name == "records":
+            for i, rec in enumerate(value):
+                assert np.array_equal(rec, other[i][rows]), i
         elif name == "t" or isinstance(value, np.ndarray) and value.ndim == 2:
             assert np.array_equal(value, other[rows]), name
+        elif value is None:
+            assert other is None, name
         else:
             assert np.array_equal(value, other, equal_nan=True), name
 
@@ -132,9 +134,18 @@ def test_record_stride_keeps_the_stride_one_rows(model, state, params, options):
 def test_floors_raise_and_count():
     # a component falling at rate 1 from 0.25 crosses its zero floor at the
     # third of ten steps and is held there: eight hits on each of two paths
-    run = sde.euler_paths(lambda s, lam, y: (0.0 * s, 0.0 * lam, -1.0 + 0.0 * y),
-                          (0.5, 0.5, 0.25), horizon=1.0, dt=0.1, paths=2, stream=None,
-                          diffusion=None, regularized=False,
-                          record_stride=1, floors={2: 0.0})
+    run = sde.EulerPaths.run(lambda s, lam, y: (0.0 * s, 0.0 * lam, -1.0 + 0.0 * y),
+                             (0.5, 0.5, 0.25), horizon=1.0, dt=0.1, paths=2, stream=None,
+                             diffusion=None, regularized=False,
+                             record_stride=1, floors={2: 0.0})
     assert run.floor_hits == 16 and run.clamp_events == 0
     assert np.all(run.records[2][3:] == 0.0) and np.all(run.records[2][:3] > 0.0)
+
+
+def test_a_nan_state_makes_its_range_nan():
+    # path 1's s_w turns NaN at the first step; the range covers every path
+    # still running, so it reads NaN, and lambda_w's stays finite
+    run = sde.EulerPaths.run(lambda s, lam: (np.array([0.0, np.nan]) * s, 0.0 * lam),
+                             (0.5, 0.5), horizon=0.3, dt=0.1, paths=2, stream=None,
+                             diffusion=None, regularized=False, record_stride=1)
+    assert np.isnan(run.s_range).all() and run.lambda_range == (0.5, 0.5)

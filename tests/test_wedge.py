@@ -250,6 +250,12 @@ def test_boundary_flux_rejects_source_off_the_interior():
             boundary_flux(ctx, t, x, (1.5, 1.5))
         with pytest.raises(ValueError, match="positive"):
             wedge_green(ctx, t, x, x, (1.5, 1.5))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="evaluation points"):
+            wedge_green(ctx, 1.0, [bad, 1.0], [1.0, bad], (2, 2))
+        for face in (1, 2):
+            with pytest.raises(ValueError, match="evaluation points"):
+                boundary_flux(ctx, 1.0, [1.0, bad], (1.5, 1.5), face=face)
     net = fig15_network()
     for src in ((math.nan, 2.0), (2.0, math.inf), (2.0, math.nan)):
         for entry in (joint_survival_Q, marginal_survival_Q1, conservation_check):
