@@ -279,10 +279,10 @@ def nondim_context(net: BankNetwork) -> NondimContext:
                          m_terminal=m_term, interior_levels=b.interior)
 
 
-def shifted_levels(net: BankNetwork, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Post-default boundaries of the survivors, expressed in the ORIGINAL
-    X coordinates (per surviving bank, in original indexing)."""
-    ctx = nondim_context(net)
+def shifted_levels(net: BankNetwork, ctx: NondimContext,
+                   k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Post-default boundaries of the survivors in the ORIGINAL X coordinates,
+    ctx = nondim_context(net) (per surviving bank, in original indexing)."""
     reduced = remove_bank(net, k)
     b_new = boundaries(reduced)
     keep = [i for i in range(net.n) if i != k]
@@ -328,7 +328,7 @@ def two_bank_domains(net: BankNetwork) -> TwoBankDomains:
         l[1] + m[1, 0] - r[0] * m[0, 1],
     ])
     ctx = nondim_context(net)
-    (m1_shift_lt,), (m1_shift_eq,) = shifted_levels(net, 1)
+    (m1_shift_lt,), (m1_shift_eq,) = shifted_levels(net, ctx, 1)
     return TwoBankDomains(
         ctx=ctx, delta=float(_delta(net)),
         m_tilde_eq=ctx.zeta * np.log(tilde_eq / ctx.interior_levels),

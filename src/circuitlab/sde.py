@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Callable, Iterator, Self
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -132,7 +132,7 @@ class EulerPaths:
         loaded: tuple[int, ...] = (0, 1),
         floors: dict[int, float] | None = None,
         cap: float | None = None,
-    ) -> Self:
+    ) -> EulerPaths:
         """Euler paths of (s_w, lambda_w, *extra) with drift(*state) -> drifts,
         returned as an instance of cls.
 

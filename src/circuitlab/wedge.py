@@ -31,7 +31,8 @@ import numpy as np
 from scipy.special import ndtr
 
 from .bessel import iv_scaled
-from .network import BankNetwork, TwoBankDomains, nondim_context, two_bank_domains
+from .network import (BankNetwork, NondimContext, TwoBankDomains, nondim_context,
+                      two_bank_domains)
 
 __all__ = [
     "WedgeContext", "TwoBankDomains", "norm_cdf", "survival_1d",
@@ -97,12 +98,11 @@ class WedgeContext:
         return r, phi
 
 
-def wedge_context(net: BankNetwork) -> WedgeContext:
+def wedge_context(net: BankNetwork, ctx: NondimContext) -> WedgeContext:
     if net.n != 2:
         raise ValueError("the wedge expansion covers exactly two banks")
     if net.jumps is not None:
         raise ValueError("the wedge expansion is diffusion-only; use Monte Carlo for jumps")
-    ctx = nondim_context(net)
     return WedgeContext.build(float(net.corr.rho[0, 1]), ctx.xi)
 
 
@@ -351,8 +351,8 @@ def joint_survival_Q(net: BankNetwork, x_src, horizon: float,
                      spec: QuadratureSpec | None = None) -> tuple[float, float]:
     """Probability that neither bank touches its interior boundary on
     [0, T] and both settle in full at T; returns (value, error estimate)."""
-    wctx = wedge_context(net)
     nctx = nondim_context(net)
+    wctx = wedge_context(net, nctx)
     t_bar = nctx.scaled_time(horizon)
     m1_eq, m2_eq = nctx.m_terminal
     u1, u2 = _upper_cuts(x_src, wctx.xi, t_bar)
@@ -363,8 +363,8 @@ def joint_survival_Q(net: BankNetwork, x_src, horizon: float,
 
 def q1_standalone(net: BankNetwork, x1, horizon: float):
     """Bank 1 survival if bank 2 could never default: original boundaries."""
-    wctx = wedge_context(net)
     nctx = nondim_context(net)
+    wctx = wedge_context(net, nctx)
     t_bar = nctx.scaled_time(horizon)
     return survival_1d(x1, wctx.xi[0], 0.0, float(nctx.m_terminal[0]), t_bar)
 
@@ -374,8 +374,8 @@ def marginal_survival_Q1(net: BankNetwork, x_src, horizon: float,
     """Bank 1 survival probability: terminal mass over the domains where
     bank 1 settles in full plus the flux of bank-2 defaults followed by
     bank 1 surviving alone behind its shifted boundaries."""
-    wctx = wedge_context(net)
     dom = two_bank_domains(net)
+    wctx = wedge_context(net, dom.ctx)
     t_bar = dom.ctx.scaled_time(horizon)
     return _refined(lambda s: _q1_once(wctx, dom, x_src, t_bar, s),
                     spec or QuadratureSpec(), "marginal-survival")
@@ -415,8 +415,8 @@ def conservation_check(net: BankNetwork, x_src, horizon: float) -> dict:
     """Interior mass plus cumulative boundary outflow; must total 1, on the
     default QuadratureSpec."""
     spec = QuadratureSpec()
-    wctx = wedge_context(net)
     nctx = nondim_context(net)
+    wctx = wedge_context(net, nctx)
     t_bar = nctx.scaled_time(horizon)
     u1, u2 = _upper_cuts(x_src, wctx.xi, t_bar)
     interior = _terminal_integral(wctx, t_bar, x_src, 0.0, u1, 0.0, u2, spec)

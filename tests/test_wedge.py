@@ -172,7 +172,7 @@ def test_domain_endpoint_identities():
         assert dom.theta_curve(1, ctx.m_terminal[0]) == pytest.approx(
             ctx.m_terminal[1], abs=1e-12)
         # the post-removal terminal level IS the tilde boundary
-        (_,), (m_eq_shift,) = shifted_levels(net, 1)
+        (_,), (m_eq_shift,) = shifted_levels(net, ctx, 1)
         assert m_eq_shift == pytest.approx(dom.m_tilde_eq[0], abs=1e-12)
 
 
@@ -224,7 +224,7 @@ def test_wedge_context_rejects_jumps_and_bad_rho():
     net = fig15_network()
     net.jumps = JumpSpec(2, {frozenset([0]): 0.1}, np.array([1.0, 1.0]))
     with pytest.raises(ValueError, match="diffusion-only"):
-        wedge_context(net)
+        wedge_context(net, nondim_context(net))
     with pytest.raises(ValueError, match="correlation"):
         WedgeContext.build(1.0, [0.0, 0.0])
 
