@@ -10,9 +10,11 @@ the term ratio forward, bucketing points by magnitude to bound the iteration
 count.  Every other non-zero point (z > 700, or a scaled first term that
 underflows) goes to scipy.special.ive (Amos's algorithm), elementwise, so no
 value depends on the other points of the call.  The series stays because it
-is about 5x faster than ive on the wedge's inputs: over the 15.5 M
-point-orders of one `deterministic` benchmark pass's wedge calls (all below
-z = 435) it took 1.33 s against ive's 6.79 s, best of 3 on a 2-vCPU Xeon.
+is about 8x faster than ive on the wedge's inputs: over the 10.1 M
+point-orders of one `deterministic` benchmark pass's wedge calls (492 calls,
+all below z = 20, where the wedge hands over to its image sum) it took
+1.0-1.2 s against ive's 8.9-9.7 s, best of 3 in each of two runs on a
+2-vCPU Xeon.
 Relative accuracy target: 1e-12 against arbitrary-precision references.
 """
 

@@ -181,8 +181,8 @@ class EulerPaths:
             if clamp:
                 out = (nxt[0] < lo) | (nxt[0] > hi) | (nxt[1] < lo) | (nxt[1] > hi)
                 clamped += int((out & alive).sum())
-                nxt[0] = np.clip(nxt[0], lo, hi)
-                nxt[1] = np.clip(nxt[1], lo, hi)
+                nxt[0] = np.minimum(np.maximum(nxt[0], lo), hi)
+                nxt[1] = np.minimum(np.maximum(nxt[1], lo), hi)
             for i, floor in (floors or {}).items():
                 floored += int(((nxt[i] < floor) & alive).sum())
                 nxt[i] = np.maximum(nxt[i], floor)

@@ -6,13 +6,19 @@ motion with constant drift, absorbed on the positive-quadrant axes.  The
 transition density is the classical wedge expansion: a drift tilt times a
 Bessel series of orders n*pi/varpi, where cos(varpi) = -rho.
 
-The density and the boundary flux share one series loop that stops per
-point: a point leaves once its envelope w_n ive(nu_n, z) (the term without
-its sines) has been at most SERIES_TOL times the largest |partial sum| for two
-orders in a row; the envelope decreases in n, so it bounds every later term.
-The alternating flux sums cancel at small t, so there the flux has an
-absolute error floor, about 1e-12 at unit prefactor (4.6e-12 measured at
-t = 0.02 against a 3,000-order sum).
+The density and the boundary flux split their points by z = r r'/t.  Below
+IMAGE_MIN_Z = 20 they share one series loop that stops per point: a point
+leaves once its envelope w_n ive(nu_n, z) (the term without its sines) has
+been at most SERIES_TOL times the largest |partial sum| for two orders in a
+row; the envelope decreases in n, so it bounds every later term.  The
+alternating flux sums cancel, so the flux error is absolute: at most 1.7e-15
+at unit prefactor against the exact image sum at rho = 0 and -0.5.  At or
+above IMAGE_MIN_Z the points take the finite image sum, which leaves out the
+wedge's diffraction integral: zero when alpha = pi/varpi is an integer
+(rho = 0, -0.5), otherwise at most e^{-2z}/(2 alpha), below 1e-17 of the
+density's peak 1/(4 alpha).  Against a 40-digit series (1,800 random
+draws, z in [20, 300]) its rounding error measured at most 9.8e-17
+sqrt(z)/(4 alpha) in the density and 4.4e-16 z/(4 alpha) in the flux.
 
 Survival probabilities are then quadratures of this density over the
 terminal settlement domains, plus (for the marginal) the time integral of
@@ -54,6 +60,9 @@ PRUNE = 1e-30
 # SERIES_ORDERS orders
 SERIES_ORDERS = 800
 SERIES_TOL = 1e-14
+# a live point with z = r r'/t at or above IMAGE_MIN_Z takes the finite image
+# sum in place of the Bessel series
+IMAGE_MIN_Z = 20.0
 # the terminal quadrature is cut TAIL_SIGMAS standard deviations above the
 # drifted source: the Gaussian tail beyond it is below 1e-16
 TAIL_SIGMAS = 8.5
@@ -138,10 +147,9 @@ def _bessel_series(ctx: WedgeContext, z: np.ndarray, weight,
     envelope w_n ive(nu_n, z) has been <= SERIES_TOL * (largest |partial
     sum| of any point) for two orders in a row: I_nu(z) decreases in nu, and
     so does nu I_nu(z) once nu^2 exceeds about z, so the envelope bounds
-    every later term.  The bound is relative to the largest partial sum, so where the
-    sums cancel (the flux at small t) the error is absolute, about 1e-12
-    at unit prefactor.  SeriesError if a point is still live after
-    SERIES_ORDERS orders."""
+    every later term.  The bound is relative to the largest partial sum, so
+    where the sums cancel (the alternating flux) the error is absolute.
+    SeriesError if a point is still live after SERIES_ORDERS orders."""
     total = np.empty_like(z)
     idx = np.arange(z.size)
     acc = np.zeros_like(z)
@@ -170,6 +178,37 @@ def _bessel_series(ctx: WedgeContext, z: np.ndarray, weight,
     )
 
 
+def _image_sum(ctx: WedgeContext, z: np.ndarray, phi, phi_src: float,
+               slope: bool = False) -> np.ndarray:
+    """Per point, the density series Sum_n ive(nu_n, z) sin(nu_n phi)
+    sin(nu_n phi_src) as its finite image sum, or with `slope` its
+    derivative in phi:
+    (1/4 alpha) [Sum_j e^{-2z sin^2(psi-_j / 2)} - Sum_j e^{-2z sin^2(psi+_j / 2)}]
+    with alpha = pi/varpi and psi-+_j = phi -+ phi_src + 2 j varpi over the
+    images in (-pi, pi].  The omitted diffraction integral is zero at
+    integer alpha and otherwise at most e^{-2z}/(2 alpha) in the density.
+    `phi` is an array matching `z`, or one angle for every point."""
+    period = 2.0 * ctx.varpi
+    out = np.zeros_like(z)
+    for sign, base in ((1.0, phi - phi_src), (-1.0, phi + phi_src)):
+        # one image either side of the window's range, for rounding; the
+        # window test decides
+        first = math.ceil((-math.pi - np.max(base)) / period) - 1
+        last = math.floor((math.pi - np.min(base)) / period) + 1
+        for j in range(first, last + 1):
+            psi = base + j * period
+            inside = (psi > -math.pi) & (psi <= math.pi)
+            if not np.any(inside):
+                continue
+            # cos(psi) - 1 = -2 sin^2(psi/2), without the cancellation
+            half = np.sin(0.5 * psi)
+            term = np.exp(-2.0 * z * half * half)
+            if slope:
+                term *= -z * np.sin(psi)
+            out += np.where(inside, sign * term, 0.0)
+    return out * (ctx.varpi / (4.0 * math.pi))
+
+
 def wedge_green(ctx: WedgeContext, t: float, x1, x2, x_src) -> np.ndarray:
     """Absorbed transition density G(t, X; X') on the open quadrant; zero
     where the series prefactor is at most PRUNE."""
@@ -190,9 +229,15 @@ def wedge_green(ctx: WedgeContext, t: float, x1, x2, x_src) -> np.ndarray:
     live = scale > PRUNE
     if np.any(live):
         z = r[live] * r_src / t
-        series = _bessel_series(ctx, z, lambda n, nu: (1.0, math.sin(nu * phi_src)),
-                                phi=phi[live])
-        out[live] = scale[live] * series
+        phi = phi[live]
+        far = z >= IMAGE_MIN_Z
+        sums = np.empty_like(z)
+        if np.any(far):
+            sums[far] = _image_sum(ctx, z[far], phi[far], phi_src)
+        if not np.all(far):
+            sums[~far] = _bessel_series(
+                ctx, z[~far], lambda n, nu: (1.0, math.sin(nu * phi_src)), phi=phi[~far])
+        out[live] = scale[live] * sums
     return out
 
 
@@ -234,7 +279,16 @@ def boundary_flux(ctx: WedgeContext, t, coord, x_src, face: int = 2) -> np.ndarr
         s = math.sin(nu * phi_src)
         return nu, (-s if face == 2 and n % 2 == 0 else s)
 
-    out[live] = scale_factor[live] * _bessel_series(ctx, z, weight)
+    # the inward normal derivative: +d/dphi on face 1 (phi = 0), -d/dphi on
+    # face 2 (phi = varpi)
+    face_phi, inward = (0.0, 1.0) if face == 1 else (ctx.varpi, -1.0)
+    far = z >= IMAGE_MIN_Z
+    sums = np.empty_like(z)
+    if np.any(far):
+        sums[far] = inward * _image_sum(ctx, z[far], face_phi, phi_src, slope=True)
+    if not np.all(far):
+        sums[~far] = _bessel_series(ctx, z[~far], weight)
+    out[live] = scale_factor[live] * sums
     return out
 
 

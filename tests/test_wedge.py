@@ -1,9 +1,11 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ive
 
 from circuitlab import wedge
 from circuitlab.bessel import iv_scaled
@@ -272,13 +274,23 @@ def test_boundary_flux_rejects_source_off_the_interior():
 TOL = 1e-14            # wedge.SERIES_TOL, the truncation tolerance of the series
 REF_ORDERS = 250       # fixed order count of the untruncated reference
 SERIES_MARGIN = 3.0    # truncation error over tol * largest partial sum (measured 0.75)
+IMAGE_MARGIN = 20.0    # image sum off the deep reference over tol * its sum of |terms|
+                       # (measured 6.6, near z = 20: scipy's ive, not the image sum)
 
 
-def _orders(ctx):
-    return np.array([ctx.order(n) for n in range(1, REF_ORDERS + 1)])[:, None]
+def _orders(ctx, z, deep):
+    """Order rows and their ive(nu_n, z) rows: REF_ORDERS orders through
+    iv_scaled, or with `deep` scipy.special.ive over the orders up to
+    nu = sqrt(100 max z) + 10, past which the envelope is below e^{-50}."""
+    if not deep:
+        nus = np.array([ctx.order(n) for n in range(1, REF_ORDERS + 1)])[:, None]
+        return nus, np.array([iv_scaled(nu, z) for nu in nus[:, 0]])
+    count = math.ceil((math.sqrt(100.0 * np.max(z)) + 10.0) / ctx.order(1))
+    nus = np.array([ctx.order(n) for n in range(1, count + 1)])[:, None]
+    return nus, ive(nus, z)
 
 
-def _green_reference(ctx, t, x1, x2, xs):
+def _green_reference(ctx, t, x1, x2, xs, deep=False):
     """Prefactor, z and per-order (term, envelope) rows of the density series."""
     r, phi = ctx.polar(x1, x2)
     r_src, phi_src = ctx.polar(*xs)
@@ -286,28 +298,31 @@ def _green_reference(ctx, t, x1, x2, xs):
                   + ctx.theta[1] * (x2 - xs[1]))
            * 2.0 / (ctx.rho_bar * ctx.varpi * t) * np.exp(-((r - r_src) ** 2) / (2.0 * t)))
     z = r * r_src / t
-    nus = _orders(ctx)
-    envs = np.array([iv_scaled(nu, z) for nu in nus[:, 0]])
+    nus, envs = _orders(ctx, z, deep)
     return pre, z, envs * np.sin(nus * phi) * np.sin(nus * phi_src), envs
 
 
-def _flux_reference(ctx, t, coord, xs, face):
+def _flux_reference(ctx, t, coord, xs, face, deep=False):
     """The same rows for the flux series through `face`."""
     r_src, phi_src = ctx.polar(*xs)
     drift = ctx.theta[0] if face == 2 else ctx.theta[1]
     pre = (np.exp(-0.5 * ctx.theta_dot_xi * t + drift * coord - ctx.theta @ np.asarray(xs))
            / (ctx.varpi * t * coord) * np.exp(-((coord / ctx.rho_bar - r_src) ** 2) / (2.0 * t)))
     z = coord * r_src / (ctx.rho_bar * t)
-    nus = _orders(ctx)
-    envs = nus * np.array([iv_scaled(nu, z) for nu in nus[:, 0]])
-    signs = np.where((face == 2) & (np.arange(1, REF_ORDERS + 1) % 2 == 0), -1.0, 1.0)
+    nus, envs = _orders(ctx, z, deep)
+    envs = nus * envs
+    signs = np.where((face == 2) & (np.arange(1, len(nus) + 1) % 2 == 0), -1.0, 1.0)
     return pre, z, envs * np.sin(nus * phi_src) * signs[:, None], envs
 
 
 def _check_truncation(out, pre, z, terms, envs, seen):
-    """`seen` holds the arguments iv_scaled received, one array per order."""
-    live = pre > 1e-30
-    assert np.all(out[~live] == 0.0)
+    """The live points below wedge.IMAGE_MIN_Z take the series; `seen` holds
+    the arguments iv_scaled received, one array per order."""
+    assert np.all(out[pre <= 1e-30] == 0.0)
+    live = (pre > 1e-30) & (z < wedge.IMAGE_MIN_Z)
+    if not np.any(live):
+        assert not seen
+        return
     assert len(seen) < REF_ORDERS - 10
     assert np.array_equal(seen[0], z[live])
     partial = np.cumsum(terms[:, live], axis=0)
@@ -323,6 +338,17 @@ def _check_truncation(out, pre, z, terms, envs, seen):
     # and what it dropped is within the margin of that threshold
     err = np.abs(out[live] - pre[live] * partial[-1])
     assert np.all(err <= SERIES_MARGIN * TOL * pre[live] * scale[-1] + 1e-300)
+
+
+def _check_image_sum(out, pre, z, terms, envs):
+    """The live points at or above wedge.IMAGE_MIN_Z take the image sum: it
+    is within IMAGE_MARGIN * TOL of a deep reference, relative to the sum of
+    the reference's |terms|, which scales its rounding."""
+    far = (pre > 1e-30) & (z >= wedge.IMAGE_MIN_Z)
+    size = np.abs(terms[:, far]).sum(axis=0)
+    assert np.all(envs[-1, far] <= 1e-3 * TOL * size)
+    err = np.abs(out[far] - pre[far] * terms[:, far].sum(axis=0))
+    assert np.all(err <= IMAGE_MARGIN * TOL * pre[far] * size)
 
 
 def _recording_iv(monkeypatch):
@@ -352,12 +378,67 @@ def test_truncated_series_match_untruncated_sum(rho, log_t, xi, src, points, fac
     with pytest.MonkeyPatch.context() as mp:
         seen = _recording_iv(mp)
         green = wedge_green(ctx, t, x1, x2, src)
-        if seen:
-            _check_truncation(green, *_green_reference(ctx, t, x1, x2, src), seen)
+        _check_truncation(green, *_green_reference(ctx, t, x1, x2, src), seen)
+        _check_image_sum(green, *_green_reference(ctx, t, x1, x2, src, deep=True))
         seen.clear()
         flux = boundary_flux(ctx, t, x1, src, face=face)
-        if seen:
-            _check_truncation(flux, *_flux_reference(ctx, t, x1, src, face), seen)
+        _check_truncation(flux, *_flux_reference(ctx, t, x1, src, face), seen)
+        _check_image_sum(flux, *_flux_reference(ctx, t, x1, src, face, deep=True))
+
+
+def _mp_series(ctx, z, phi, phi_src):
+    """The density series and both faces' flux series at one point, summed
+    at 40 digits over the orders up to nu = sqrt(100 z) + 10, past which
+    the envelope is below e^{-50}."""
+    with mpmath.workdps(40):
+        alpha = mpmath.pi / mpmath.mpf(ctx.varpi)
+        z_mp = mpmath.mpf(z)
+        density = face1 = face2 = mpmath.mpf(0)
+        for n in range(1, math.ceil((math.sqrt(100.0 * z) + 10.0) / float(alpha)) + 1):
+            nu = n * alpha
+            term = mpmath.besseli(nu, z_mp) * mpmath.exp(-z_mp) * mpmath.sin(nu * phi_src)
+            density += term * mpmath.sin(nu * phi)
+            face1 += nu * term
+            face2 += (-1) ** (n + 1) * nu * term
+        return float(density), float(face1), float(face2)
+
+
+def _check_image_sum_exact(ctx, z, phi, phi_src, diffraction):
+    """_image_sum against the 40-digit series: the density within the
+    rounding of its image angles, about one ulp of pi times the density's
+    slope sqrt(z) / (4 alpha), plus the omitted diffraction bound; the flux
+    within the same rounding times its slope z / (4 alpha)."""
+    zs = np.array([z])
+    got = (wedge._image_sum(ctx, zs, np.array([phi]), phi_src)[0],
+           wedge._image_sum(ctx, zs, 0.0, phi_src, slope=True)[0],
+           -wedge._image_sum(ctx, zs, ctx.varpi, phi_src, slope=True)[0])
+    density, face1, face2 = _mp_series(ctx, z, phi, phi_src)
+    peak = ctx.varpi / (4.0 * math.pi)       # 1 / (4 alpha)
+    rounding = 2e-15                          # measured at most 5.8e-16
+    assert abs(got[0] - density) <= rounding * peak * max(1.0, math.sqrt(z)) + diffraction
+    for value, ref in zip(got[1:], (face1, face2)):
+        assert abs(value - ref) <= rounding * peak * max(1.0, z)
+
+
+angle_share = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@settings(deadline=None, max_examples=25)
+@given(rho=st.floats(-0.9, 0.8), phi=angle_share, phi_src=angle_share, z=st.floats(20.0, 300.0))
+def test_image_sum_matches_a_40_digit_series(rho, phi, phi_src, z):
+    ctx = WedgeContext.build(rho, [0.0, 0.0])
+    alpha = math.pi / ctx.varpi
+    _check_image_sum_exact(ctx, z, phi * ctx.varpi, phi_src * ctx.varpi,
+                           diffraction=math.exp(-2.0 * z) / (2.0 * alpha))
+
+
+@settings(deadline=None, max_examples=25)
+@given(rho=st.sampled_from([0.0, -0.5]), phi=angle_share, phi_src=angle_share,
+       z=st.floats(0.01, 20.0))
+def test_image_sum_is_exact_at_integer_alpha(rho, phi, phi_src, z):
+    # alpha = 2 and 3: the diffraction integral vanishes at every z
+    ctx = WedgeContext.build(rho, [0.0, 0.0])
+    _check_image_sum_exact(ctx, z, phi * ctx.varpi, phi_src * ctx.varpi, diffraction=0.0)
 
 
 def test_too_few_orders_raise_series_error(monkeypatch):
@@ -373,12 +454,12 @@ def test_too_few_orders_raise_series_error(monkeypatch):
         wedge_green(ctx, 0.5, x, x[::-1], (2.0, 2.0))
 
 
-def test_points_above_z_700_leave_the_series_on_their_own():
-    # z = 13,000-14,400 at a short horizon near the source.  Each point
-    # leaves on its own envelope, so a batch value and the point's value on
-    # its own differ only by truncation.  A 3,000-order scipy.special.ive
-    # sum gives 0.0557823639382926 for the fourth point and 5.8e-18 for the
-    # third.
+def test_points_above_z_700_take_the_image_sum_on_their_own():
+    # z = 13,000-14,400 at a short horizon near the source, far above
+    # IMAGE_MIN_Z: every point takes the image sum, which is elementwise, so
+    # a batch value equals the point's value on its own.  A 3,000-order
+    # scipy.special.ive sum gives 0.0557823639382926 for the fourth point
+    # and 5.8e-18 for the third.
     ctx = WedgeContext.build(-0.8523537982945857, [-0.5905236867859487, -0.7506776087696074])
     x1 = np.array([5.63630521036327, 3.483308969407087, 4.928169829303059, 4.256132040459786])
     x2 = np.array([1.7597576333064393, 3.9195319732975844, 1.7426479799339254, 2.79081821719066])
@@ -394,8 +475,11 @@ def test_points_above_z_700_leave_the_series_on_their_own():
 
 
 def test_q1_series_work_drops_converged_points(monkeypatch):
-    # Fig 15 at rho = 0.3 with a small rule: truncating the series over the
-    # whole batch sends 729,443 points to iv_scaled, per point 311,043
+    # Fig 15 at rho = 0.3 with a small rule.  The points at z >= IMAGE_MIN_Z
+    # take the image sum; the rest send 256,634 points to iv_scaled in 152
+    # calls, where truncating over their whole batch would send 338,053.
+    # The bound is half of the 729,443 that whole-batch truncation sent
+    # when every live point took the series.
     counts = {"calls": 0, "points": 0}
 
     def counting(nu, z):
