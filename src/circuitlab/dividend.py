@@ -323,8 +323,10 @@ def solve_variational(
     banded[2, -2] = -1.0    # top row: V_{n-1} - V_{n-2} = h
     banded[1, -1] = 1.0
 
-    jumps = [(params.lambda1, _jump_scan(params.delta1, h, n_grid)),
-             (params.lambda2, _jump_scan(params.delta2, h, n_grid))]
+    scan1 = _jump_scan(params.delta1, h, n_grid)
+    scan2 = _jump_scan(params.delta2, h, n_grid)
+    ramp = h * np.arange(n_grid)
+    work = np.empty(n_grid - 2)
 
     rec_every = max(n_steps // max(record, 1), 1)
     taus = [0.0]
@@ -332,16 +334,30 @@ def solve_variational(
     fbs = [float(grid[_free_boundary_index(v, h)])]
 
     for step in range(1, n_steps + 1):
-        i1, i2 = (lam * scan(v)[:-1] for lam, scan in jumps)
+        # rhs = v + half (a_lo v_- + a_mid v + a_hi v_+) + dtau (i1 + i2) on
+        # the interior, built in place in that order
+        slope = np.diff(v) / h
+        jumps = scan1(v, slope)
+        jumps *= params.lambda1
+        i2 = scan2(v, slope)
+        i2 *= params.lambda2
+        jumps += i2
+        jumps *= dtau
         rhs = np.empty(n_grid)
-        rhs[1:-1] = (v[1:-1]
-                     + half * (a_lo * v[:-2] + a_mid * v[1:-1] + a_hi * v[2:])
-                     + dtau * (i1 + i2))
+        mid = rhs[1:-1]
+        np.multiply(v[:-2], a_lo, out=mid)
+        mid += np.multiply(v[1:-1], a_mid, out=work)
+        mid += np.multiply(v[2:], a_hi, out=work)
+        mid *= half
+        mid += v[1:-1]
+        mid += jumps[:-1]
         rhs[0] = 0.0
         rhs[-1] = h
-        v = solve_banded((1, 1), banded, rhs)
-        np.maximum.accumulate(v + (-h) * np.arange(n_grid), out=v)
-        v += h * np.arange(n_grid)
+        v = solve_banded((1, 1), banded, rhs, overwrite_b=True)
+        # the monotone envelope V_k >= V_{k-1} + h, in place
+        v -= ramp
+        np.maximum.accumulate(v, out=v)
+        v += ramp
         if step % rec_every == 0 or step == n_steps:
             taus.append(step * dtau)
             slices.append(v.copy())
@@ -353,14 +369,23 @@ def solve_variational(
 
 
 def _jump_scan(delta: float, h: float, n_grid: int):
-    """``jump_integral`` at nodes 1..n_grid-1 of a slice, as one BLAS call:
-    its recurrence acc_k = decay acc_{k-1} + c_k is forward substitution on
-    the unit lower-bidiagonal band with -decay below the diagonal, built
-    once here (no power of decay is formed, so long grids cannot underflow)."""
+    """``jump_integral`` at nodes 1..n_grid-1 of a slice, as one BLAS call.
+
+    The returned scan takes the slice v and its cell slopes np.diff(v) / h,
+    which the march computes once per step for both jump sources.  The
+    recurrence acc_k = decay acc_{k-1} + c_k is forward substitution on the
+    unit lower-bidiagonal band with -decay below the diagonal, built once
+    here (no power of decay is formed, so long grids cannot underflow)."""
     decay, w0, w1 = _cell_weights(delta, h)
     band = np.ones((2, n_grid - 1), order="F")
     band[1] = -decay
-    return lambda v: dtbsv(1, band, v[:-1] * w0 + (np.diff(v) / h) * w1, lower=1)
+
+    def scan(v: np.ndarray, slope: np.ndarray) -> np.ndarray:
+        c = v[:-1] * w0
+        c += slope * w1
+        return dtbsv(1, band, c, lower=1, overwrite_x=1)
+
+    return scan
 
 
 def _free_boundary_index(v: np.ndarray, h: float) -> int:

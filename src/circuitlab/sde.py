@@ -66,7 +66,7 @@ def noise_rows(noise: PathNoise | None, n_steps: int, dims: int) -> Iterator:
 
 def jacobi(x):
     """Jacobi volatility sqrt(x(1-x)), vanishing on the unit-interval boundary."""
-    return np.sqrt(np.clip(x * (1.0 - x), 0.0, None))
+    return np.sqrt(np.maximum(x * (1.0 - x), 0.0))
 
 
 def jacobi_noise(sigma_s: float, sigma_lambda: float) -> Callable | None:

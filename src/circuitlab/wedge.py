@@ -63,6 +63,9 @@ SERIES_TOL = 1e-14
 # a live point with z = r r'/t at or above IMAGE_MIN_Z takes the finite image
 # sum in place of the Bessel series
 IMAGE_MIN_Z = 20.0
+# an image angle within SEAM_TOL of -pi or pi lies on the image window's seam;
+# the image angles' rounding measured at most one ulp of pi (4.4e-16)
+SEAM_TOL = 1e-14
 # the terminal quadrature is cut TAIL_SIGMAS standard deviations above the
 # drifted source: the Gaussian tail beyond it is below 1e-16
 TAIL_SIGMAS = 8.5
@@ -153,16 +156,27 @@ def _bessel_series(ctx: WedgeContext, z: np.ndarray, weight,
     total = np.empty_like(z)
     idx = np.arange(z.size)
     acc = np.zeros_like(z)
+    term = np.empty_like(z)
     quiet = np.zeros(z.size, dtype=int)
     env = np.full_like(z, np.inf)
     scale = 0.0
     for n in range(1, SERIES_ORDERS + 1):
         nu = ctx.order(n)
         amp, sign = weight(n, nu)
-        env = amp * iv_scaled(nu, z)
-        acc += (env if phi is None else env * np.sin(nu * phi)) * sign
-        scale = max(scale, float(np.max(np.abs(acc))))
-        quiet = np.where(env <= SERIES_TOL * max(scale, 1e-300), quiet + 1, 0)
+        # in place, in the order of acc += (amp ive [sin(nu phi)]) sign
+        env = iv_scaled(nu, z)
+        env *= amp
+        if phi is None:
+            np.multiply(env, sign, out=term)
+        else:
+            np.multiply(phi, nu, out=term)
+            np.sin(term, out=term)
+            term *= env
+            term *= sign
+        acc += term
+        scale = max(scale, float(acc.max()), -float(acc.min()))
+        quiet += 1
+        quiet *= env <= SERIES_TOL * max(scale, 1e-300)
         done = quiet >= 2
         if np.any(done):
             total[idx[done]] = acc[done]
@@ -170,6 +184,7 @@ def _bessel_series(ctx: WedgeContext, z: np.ndarray, weight,
             if not np.any(keep):
                 return total
             idx, z, acc, quiet, env = (a[keep] for a in (idx, z, acc, quiet, env))
+            term = term[:z.size]
             if phi is not None:
                 phi = phi[keep]
     raise SeriesError(
@@ -185,19 +200,23 @@ def _image_sum(ctx: WedgeContext, z: np.ndarray, phi, phi_src: float,
     derivative in phi:
     (1/4 alpha) [Sum_j e^{-2z sin^2(psi-_j / 2)} - Sum_j e^{-2z sin^2(psi+_j / 2)}]
     with alpha = pi/varpi and psi-+_j = phi -+ phi_src + 2 j varpi over the
-    images in (-pi, pi].  The omitted diffraction integral is zero at
+    images in [-pi, pi].  An image within SEAM_TOL of -pi or pi lies on the
+    seam and takes half weight: at integer alpha its partner 2 pi away lies
+    on the other side, and rounding may place both images inside the window
+    or both outside it.  The omitted diffraction integral is zero at
     integer alpha and otherwise at most e^{-2z}/(2 alpha) in the density.
     `phi` is an array matching `z`, or one angle for every point."""
     period = 2.0 * ctx.varpi
     out = np.zeros_like(z)
-    for sign, base in ((1.0, phi - phi_src), (-1.0, phi + phi_src)):
+    for add, base in ((np.add, phi - phi_src), (np.subtract, phi + phi_src)):
         # one image either side of the window's range, for rounding; the
         # window test decides
         first = math.ceil((-math.pi - np.max(base)) / period) - 1
         last = math.floor((math.pi - np.min(base)) / period) + 1
         for j in range(first, last + 1):
             psi = base + j * period
-            inside = (psi > -math.pi) & (psi <= math.pi)
+            seam = np.abs(np.abs(psi) - math.pi) <= SEAM_TOL
+            inside = ((psi > -math.pi) & (psi <= math.pi)) | seam
             if not np.any(inside):
                 continue
             # cos(psi) - 1 = -2 sin^2(psi/2), without the cancellation
@@ -205,7 +224,9 @@ def _image_sum(ctx: WedgeContext, z: np.ndarray, phi, phi_src: float,
             term = np.exp(-2.0 * z * half * half)
             if slope:
                 term *= -z * np.sin(psi)
-            out += np.where(inside, sign * term, 0.0)
+            if np.any(seam):
+                term[seam] *= 0.5
+            add(out, term, out=out, where=inside)
     return out * (ctx.varpi / (4.0 * math.pi))
 
 

@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ive
 
@@ -435,10 +435,45 @@ def test_image_sum_matches_a_40_digit_series(rho, phi, phi_src, z):
 @settings(deadline=None, max_examples=25)
 @given(rho=st.sampled_from([0.0, -0.5]), phi=angle_share, phi_src=angle_share,
        z=st.floats(0.01, 20.0))
+# shares summing to 1 put an image on the seam psi = +-pi; at rho = -0.5
+# rounding leaves 3 varpi just above pi, outside the window on both sides
+@example(rho=-0.5, phi=0.25, phi_src=0.75, z=0.01)
+@example(rho=-0.5, phi=0.5, phi_src=0.5, z=0.01)
 def test_image_sum_is_exact_at_integer_alpha(rho, phi, phi_src, z):
     # alpha = 2 and 3: the diffraction integral vanishes at every z
     ctx = WedgeContext.build(rho, [0.0, 0.0])
     _check_image_sum_exact(ctx, z, phi * ctx.varpi, phi_src * ctx.varpi, diffraction=0.0)
+
+
+def _read_only(values) -> np.ndarray:
+    out = np.array(values, dtype=float)
+    out.setflags(write=False)
+    return out
+
+
+def test_kernels_leave_read_only_inputs_unchanged():
+    # the series and image kernels work in place on their own buffers only:
+    # every input here is read-only, so a write to one would raise
+    ctx = WedgeContext.build(0.3, [-0.5, -0.5])
+    src = _read_only([2.0, 1.5])
+    x1 = _read_only([0.3, 1.0, 2.0, 4.0, 9.0])
+    x2 = _read_only([0.5, 2.0, 1.5, 3.0, 8.0])
+    # z = r r'/t spans the series (z < 20) and the image sum at t = 0.05
+    z = _read_only([0.0, 0.4, 2.5, 19.0, 24.0, 150.0, 900.0])
+    phi = _read_only(np.linspace(0.1, 0.9, z.size) * ctx.varpi)
+    t = _read_only([0.05, 0.05, 0.2, 1.0, 3.0])
+    inputs = (src, x1, x2, z, phi, t)
+    before = [a.copy() for a in inputs]
+    iv_scaled(2.5, z)
+    for tt in (0.05, 3.0):
+        wedge_green(ctx, tt, x1, x2, src)
+    for face in (1, 2):
+        boundary_flux(ctx, 0.05, x1, src, face=face)
+        boundary_flux(ctx, t, x1, src, face=face)
+    wedge._image_sum(ctx, z[1:], phi[1:], 0.4)
+    wedge._image_sum(ctx, z[1:], 0.0, 0.4, slope=True)
+    for a, b in zip(inputs, before):
+        assert np.array_equal(a, b)
 
 
 def test_too_few_orders_raise_series_error(monkeypatch):
