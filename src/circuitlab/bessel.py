@@ -65,7 +65,9 @@ def iv_scaled(nu: float, z) -> np.ndarray | float:
 def _series_scaled(nu: float, z: np.ndarray, z_hi: float) -> tuple[np.ndarray, np.ndarray]:
     """Forward power series times e^{-z}, iteration count sized by z_hi, and
     a mask of the points whose scaled first term underflows."""
-    log_t0 = nu * np.log(0.5 * z) - math.lgamma(nu + 1.0) - z
+    # (z/2)^nu is 1 at nu = 0: nu log(z/2) would be 0 * -inf = NaN once z/2
+    # underflows to 0
+    log_t0 = (nu * np.log(0.5 * z) if nu > 0 else 0.0) - math.lgamma(nu + 1.0) - z
     t = np.exp(log_t0)
     s = t.copy()
     q = 0.25 * z * z

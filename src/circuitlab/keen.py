@@ -81,17 +81,18 @@ def profit_function(x, params: KeenParams):
     return float(out) if np.isscalar(x) else out
 
 
-def _profit_share(s, g, params: KeenParams):
+def _profit_share(s_f, g, params: KeenParams):
     """Net profit share after interest, s_f - r_l Gamma_f / nu_f: the argument of f."""
-    return (1.0 - s) - params.r_l * g / params.nu_f
+    return s_f - params.r_l * g / params.nu_f
 
 
-def _drift(s, lam, g, fx, params: KeenParams, regularized: bool, with_nu_factor: bool):
-    """Drift of (s_w, lambda_w, Gamma_f) on floats or path arrays, given fx = f(.)."""
-    scaled = params.nu_f * fx if with_nu_factor or not regularized else fx
-    ds, dl = employment_drift(s, lam, scaled - params.c, params, regularized)
-    dg = (params.r_l - params.nu_f * fx + params.d) * g \
-        + params.nu_f * (fx - (1.0 - s))
+def _drift(s, lam, g, s_f, fx, params: KeenParams, regularized: bool, with_nu_factor: bool):
+    """Drift of (s_w, lambda_w, Gamma_f) on floats or path arrays, given
+    s_f = 1 - s_w and fx = f(.)."""
+    nu_fx = params.nu_f * fx
+    scaled = nu_fx if with_nu_factor or not regularized else fx
+    ds, dl = employment_drift(s, lam, scaled - params.c, params, regularized, s_f)
+    dg = (params.r_l - nu_fx + params.d) * g + params.nu_f * (fx - s_f)
     return ds, dl, dg
 
 
@@ -110,10 +111,10 @@ def keen_drift(
     drift is identical in both.
     """
     s, lam, g = state.s_w, state.lambda_w, state.gamma_f
-    fx = profit_function(_profit_share(s, g, params), params)
+    fx = profit_function(_profit_share(state.s_f, g, params), params)
     if regularized and not (0 < s < 1 and 0 < lam < 1):
         raise ValueError("regularized drift requires interior (s_w, lambda_w)")
-    return _drift(s, lam, g, fx, params, regularized, with_nu_factor)
+    return _drift(s, lam, g, state.s_f, fx, params, regularized, with_nu_factor)
 
 
 def goodwin_equivalent(params: KeenParams) -> GoodwinParams:
@@ -162,8 +163,9 @@ def simulate(
         regularized = params.omega > 0
 
     def drift(s, lam, g):
-        fx, _ = _capped_profit(_profit_share(s, g, params), params)
-        return _drift(s, lam, g, fx, params, regularized, with_nu_factor)
+        s_f = 1.0 - s
+        fx, _ = _capped_profit(_profit_share(s_f, g, params), params)
+        return _drift(s, lam, g, s_f, fx, params, regularized, with_nu_factor)
 
     return KeenResult.run(drift, (initial.s_w, initial.lambda_w, initial.gamma_f),
                           horizon, dt, paths, stream,

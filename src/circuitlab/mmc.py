@@ -218,17 +218,26 @@ def solve_upsilon(
 def _newton(u, a, b):
     """Newton on g(u) = phi(u) - u, vectorized over paths, from u.
 
-    Stops once |step| < UPSILON_TOL on every path or once a path leaves
-    (0, UPSILON_MAX); returns the iterate and the paths accepted there:
-    converged, inside the range, and on the stable branch phi' < 1."""
+    Each path stops at its first |step| < UPSILON_TOL or once it leaves
+    (0, UPSILON_MAX), so its iterate is the one it would reach alone.
+    u, a and b share one shape.  Returns the iterates and the paths accepted
+    there: converged, inside the range, and on the stable branch phi' < 1."""
+    u = np.array(u, dtype=float)
+    step, slope = np.empty_like(u), np.empty_like(u)
+    live = np.arange(u.size)
+    ul, al, bl = u, a, b        # the paths still iterating
     for _ in range(UPSILON_MAX_ITER):
-        w = 1.0 / (1.0 - u)
-        phi = logistic(b + a * w)
-        slope = 2.0 * phi * (1.0 - phi) * a * w * w      # phi'(u)
-        step = (phi - u) / (1.0 - slope)
-        u = u + step
-        if not (u.min() > 0.0 and u.max() < UPSILON_MAX) or np.max(np.abs(step)) < UPSILON_TOL:
-            break
+        w = 1.0 / (1.0 - ul)
+        phi = logistic(bl + al * w)
+        sl = 2.0 * phi * (1.0 - phi) * al * w * w      # phi'(u)
+        st = (phi - ul) / (1.0 - sl)
+        ul = ul + st
+        u[live], step[live], slope[live] = ul, st, sl
+        go = (ul > 0.0) & (ul < UPSILON_MAX) & (np.abs(st) >= UPSILON_TOL)
+        if not go.all():
+            if not go.any():
+                break
+            live, ul, al, bl = live[go], ul[go], al[go], bl[go]
     return u, (u > 0.0) & (u < UPSILON_MAX) & (np.abs(step) < UPSILON_TOL) & (slope < 1.0)
 
 
@@ -236,11 +245,13 @@ def _upsilon_vec(u, c_r, d_f, l_f, k_f, params):
     """Stable-branch propensity by Newton, vectorized over paths, warm-started
     at u.  A path whose warm start leaves (0, 1), stalls or lands where
     phi' >= 1 restarts from u = 0: g(0) > 0 and g is convex while phi < 1/2,
-    so Newton climbs from there to the lower, stable root."""
-    a, b = _index_coeffs(c_r, d_f, l_f, k_f, params)
+    so Newton climbs from there to the lower, stable root.  Each path's root
+    is the one it would reach alone."""
+    a, b, u = np.broadcast_arrays(*_index_coeffs(c_r, d_f, l_f, k_f, params), u)
     u, ok = _newton(u, a, b)
     if not ok.all():
-        u, ok = _newton(np.where(ok, u, 0.0), a, b)
+        redo = ~ok
+        u[redo], ok[redo] = _newton(np.zeros(a[redo].shape), a[redo], b[redo])
         if not ok.all():
             raise UpsilonError(
                 f"degenerate investment propensity on {int((~ok).sum())} path(s)"
@@ -468,7 +479,7 @@ def simulate(
     stochastic = p.sigma_c > 0 or p.sigma_k > 0 or p.sigma_s > 0 or p.sigma_lambda > 0
     run = MmcResult.run(
         drift, tuple(getattr(initial, k) for k in STOCK_NAMES), horizon, dt, paths, stream,
-        (lambda *state: _diffusion(dict(zip(STOCK_NAMES, state)), p)) if stochastic else None,
+        (lambda x: _diffusion(dict(zip(STOCK_NAMES, x)), p)) if stochastic else None,
         True, record_stride,
         loaded=tuple(STOCK_NAMES.index(k) for k in NOISE_NAMES),
         floors={STOCK_NAMES.index(k): C_R_FLOOR if k == "c_r" else 0.0 for k in FLOORED})

@@ -176,7 +176,7 @@ class PathNoise:
         """Standard normals with shape (n_steps, dims, n_paths)."""
         out = np.empty((len(self._gens), n_steps, dims))
         for j, g in enumerate(self._gens):
-            out[j] = g.standard_normal((n_steps, dims))
+            g.standard_normal(out=out[j])
         return out.transpose(1, 2, 0)
 
     def generator(self, j: int) -> np.random.Generator:

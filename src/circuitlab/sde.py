@@ -3,6 +3,12 @@
 All three carry the same (s_w, lambda_w) employment block and differ in its
 growth rate and in the components they add.  `EulerPaths.run` takes every
 model's step: drift, noise, clamps, floors, a freezing cap and the record.
+It holds the state as one float array of shape (components, paths), row 0
+s_w and row 1 lambda_w, and advances the whole block with one ufunc per
+operation; each path's arithmetic is the same as if it ran alone.  A drift
+takes the components as separate rows and returns one array of shape
+(paths,) per component; a diffusion takes the stacked state and returns the
+noise loadings of the loaded rows, stacked the same way.
 The `EulerPaths` it returns is every circuit run's result: Goodwin returns
 it as it is, Keen and MMC as subclasses that add views of their extra
 components and what they derive from them.
@@ -74,17 +80,21 @@ def jacobi_noise(sigma_s: float, sigma_lambda: float) -> Callable | None:
     or None when both volatilities vanish."""
     if sigma_s <= 0 and sigma_lambda <= 0:
         return None
-    return lambda s, lam, *_: (sigma_s * jacobi(s), sigma_lambda * jacobi(lam))
+    sig = np.array([[sigma_s], [sigma_lambda]])
+    return lambda x: sig * jacobi(x[:2])
 
 
-def employment_drift(s, lam, growth, params, regularized: bool):
+def employment_drift(s, lam, growth, params, regularized: bool, s_f=None):
     """Drift of (s_w, lambda_w) given the employment growth rate.
 
     ds_w/s_w = -(a - b lambda_w) and dlambda_w/lambda_w = growth; the
-    regularized form adds the barriers omega/lambda_u and omega/s_f."""
+    regularized form adds the barriers omega/lambda_u and omega/s_f, with
+    s_f = 1 - s_w unless the caller passes it."""
     if regularized:
+        if s_f is None:
+            s_f = 1.0 - s
         return (-(params.a - params.b * lam - params.omega / (1.0 - lam)) * s,
-                (growth - params.omega / (1.0 - s)) * lam)
+                (growth - params.omega / s_f) * lam)
     return -(params.a - params.b * lam) * s, growth * lam
 
 
@@ -133,19 +143,25 @@ class EulerPaths:
         floors: dict[int, float] | None = None,
         cap: float | None = None,
     ) -> EulerPaths:
-        """Euler paths of (s_w, lambda_w, *extra) with drift(*state) -> drifts,
-        returned as an instance of cls.
+        """Euler paths of (s_w, lambda_w, *extra), returned as an instance
+        of cls.
 
-        Each step is x + drift(x) dt, plus diffusion(x)[j] sqrt(dt) z_j on
-        component loaded[j]; the normals z are drawn in the order of `loaded`,
-        and diffusion=None makes the run deterministic.  Regularized or
-        stochastic runs clamp the pair to [CLAMP_EPS, 1 - CLAMP_EPS] after
-        each step and count clamp events.  A component i in `floors` is raised
-        to floors[i] after each step, and each raised entry is a floor hit.
-        With a cap, a path whose first extra component exceeds it freezes at
-        that step and the crossing time is reported; its state at the
-        crossing stays out of the extremes.  A running path whose pair turns
-        NaN makes that component's range NaN.
+        The state is one array x of shape (components, paths).  Each step is
+        x + drift(*x) dt, plus diffusion(x)[j] sqrt(dt) z_j on row loaded[j];
+        the normals z are drawn in the order of `loaded`, and diffusion=None
+        makes the run deterministic.  drift gets one row per component and
+        must return one array of shape (paths,) per component; any other
+        shape raises ValueError instead of broadcasting.  diffusion gets the
+        stacked x and returns the loadings of the `loaded` rows, shape
+        (len(loaded), paths).  Regularized or stochastic runs clamp the pair
+        to [CLAMP_EPS, 1 - CLAMP_EPS] after each step and count the paths
+        clamped.  A component i in `floors` is raised to floors[i] after each
+        step, and each raised entry is a floor hit.  With a cap, a path whose
+        first extra component exceeds it freezes at that step and the
+        crossing time is reported; its state at the crossing stays out of the
+        extremes.  A running path whose pair turns NaN makes that component's
+        range NaN.  `records` holds one (recorded step, path) view per
+        component of a single (components, recorded steps, paths) array.
         """
         rec_idx = record_index(horizon, dt, record_stride)
         if not paths >= 1:
@@ -156,55 +172,89 @@ class EulerPaths:
             raise ValueError("initial state must be interior for regularized/stochastic runs")
 
         n_steps = int(rec_idx[-1])
-        x = [np.full(paths, float(v)) for v in initial]
-        records = [np.empty((len(rec_idx), paths)) for _ in initial]
-        for rec, v in zip(records, x):
-            rec[0] = v
+        x = np.repeat(np.array(initial, dtype=float)[:, None], paths, axis=1)
+        records = np.empty((len(x), len(rec_idx), paths))
+        records[:, 0] = x
         next_rec = 1
 
         noise = PathNoise(stream or RngStream(0), paths) if stochastic else None
+        loaded_rows = _rows(loaded)
+        floors = floors or {}
+        floored_rows = _rows(floors)
+        floor_values = np.array(list(floors.values()), dtype=float)[:, None]
         sqdt = math.sqrt(dt)
         lo, hi = CLAMP_EPS, 1.0 - CLAMP_EPS
         clamped = 0
         floored = 0
         # per-path running extremes of (s_w, lambda_w)
-        lows = [x[0].copy(), x[1].copy()]
-        highs = [x[0].copy(), x[1].copy()]
+        lows = x[:2].copy()
+        highs = x[:2].copy()
         cap_times = None if cap is None else np.full(paths, np.nan)
         alive = np.ones(paths, dtype=bool)
+        # the paths still running as a mask: the scalar True until a path
+        # freezes at the cap, so that until then no step pays for masking
+        running = True
 
         for k, z in enumerate(noise_rows(noise, n_steps, len(loaded)), start=1):
-            nxt = [v + d * dt for v, d in zip(x, drift(*x))]
+            nxt = _drift_block(drift, x)
+            nxt *= dt
+            # x first: of two NaN operands, the first one's sign survives
+            np.add(x, nxt, out=nxt)
             if stochastic:
-                for i, load, z_i in zip(loaded, diffusion(*x), z):
-                    nxt[i] += load * sqdt * z_i
+                # a new array: what the diffusion returned is never written
+                load = np.multiply(diffusion(x), sqdt)
+                load *= z
+                nxt[loaded_rows] += load
             if clamp:
-                out = (nxt[0] < lo) | (nxt[0] > hi) | (nxt[1] < lo) | (nxt[1] > hi)
-                clamped += int((out & alive).sum())
-                nxt[0] = np.minimum(np.maximum(nxt[0], lo), hi)
-                nxt[1] = np.minimum(np.maximum(nxt[1], lo), hi)
-            for i, floor in (floors or {}).items():
-                floored += int(((nxt[i] < floor) & alive).sum())
-                nxt[i] = np.maximum(nxt[i], floor)
-            if cap is None:
-                x = nxt
-            else:
-                # paths frozen at the cap keep their last state
-                x = [np.where(alive, new, old) for new, old in zip(nxt, x)]
+                pair = nxt[:2]
+                out = (pair < lo) | (pair > hi)
+                clamped += np.count_nonzero((out[0] | out[1]) & running)
+                np.maximum(pair, lo, out=pair)
+                np.minimum(pair, hi, out=pair)
+            if floors:
+                held = nxt[floored_rows]
+                floored += np.count_nonzero((held < floor_values) & running)
+                np.maximum(held, floor_values, out=held)
+                nxt[floored_rows] = held    # a no-op when held is a view
+            # paths frozen at the cap keep their last state
+            x = nxt if running is True else np.where(alive, nxt, x)
+            if cap is not None:
                 blown = alive & (x[2] > cap)
                 if np.any(blown):
                     cap_times[blown] = k * dt
                     alive &= ~blown
-            for low, high, v in zip(lows, highs, x):
-                np.minimum(low, v, out=low, where=alive)
-                np.maximum(high, v, out=high, where=alive)
+                    running = alive
+            np.minimum(lows, x[:2], out=lows, where=running)
+            np.maximum(highs, x[:2], out=highs, where=running)
             if next_rec < len(rec_idx) and k == rec_idx[next_rec]:
-                for rec, v in zip(records, x):
-                    rec[next_rec] = v
+                records[:, next_rec] = x
                 next_rec += 1
 
         s_range, lambda_range = ((float(low.min()), float(high.max()))
                                  for low, high in zip(lows, highs))
-        return cls(t=rec_idx * dt, records=records, clamp_events=clamped,
+        return cls(t=rec_idx * dt, records=list(records), clamp_events=clamped,
                    floor_hits=floored, total_steps=n_steps * paths,
                    s_range=s_range, lambda_range=lambda_range, cap_times=cap_times)
+
+
+def _rows(indices) -> slice | np.ndarray:
+    """Index of the given rows of the state: a slice, so that views write in
+    place, when they are a contiguous ascending run; else an index array."""
+    idx = np.array(list(indices), dtype=int)
+    if idx.size and np.array_equal(idx, np.arange(idx[0], idx[0] + idx.size)):
+        return slice(int(idx[0]), int(idx[0]) + idx.size)
+    return idx
+
+
+def _drift_block(drift: Callable, x: np.ndarray) -> np.ndarray:
+    """drift(*x) stacked into a new array of x's shape, (components, paths)."""
+    d = drift(*x)
+    try:
+        block = np.array(d)
+        shape = block.shape
+    except ValueError:  # components of unequal shapes
+        shape = "unequal shapes"
+    if shape != x.shape:
+        raise ValueError(f"drift must return {len(x)} arrays of shape ({x.shape[1]},), "
+                         f"one per component; got {shape}")
+    return block

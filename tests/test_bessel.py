@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ive
 
 from circuitlab import bessel
 from circuitlab.bessel import iv_scaled
@@ -27,6 +28,16 @@ def test_special_values():
     for z in (0.3, 2.0, 9.0):
         exact = math.sqrt(2.0 / (math.pi * z)) * math.sinh(z) * math.exp(-z)
         assert iv_scaled(0.5, z) == pytest.approx(exact, rel=1e-13)
+
+
+def test_order_zero_where_half_the_argument_underflows():
+    # (z/2)^0 = 1 even where z/2 rounds to 0, so I_0(z) e^-z is 1 there, not NaN
+    assert iv_scaled(0.0, 5e-324) == 1.0
+    zs = np.array([5e-324, 0.5, 3.0, 5e-324, 40.0])
+    got = iv_scaled(0.0, zs)
+    assert got[0] == got[3] == 1.0
+    assert np.array_equal(got, [iv_scaled(0.0, z) for z in zs])
+    assert got[[1, 2, 4]] == pytest.approx(ive(0.0, zs[[1, 2, 4]]), rel=1e-13)
 
 
 def test_vectorized_matches_scalar():
@@ -70,8 +81,9 @@ def test_monotone_in_argument():
 
 def _allocating_series(nu, z, z_hi):
     """bessel._series_scaled as it was written before it worked in place:
-    each step allocates t * q / d and s + t."""
-    log_t0 = nu * np.log(0.5 * z) - math.lgamma(nu + 1.0) - z
+    each step allocates t * q / d and s + t.  It shares the series' guard
+    that skips nu log(z/2) at nu = 0."""
+    log_t0 = (nu * np.log(0.5 * z) if nu > 0 else 0.0) - math.lgamma(nu + 1.0) - z
     t = np.exp(log_t0)
     s = t.copy()
     q = 0.25 * z * z
@@ -94,5 +106,5 @@ def test_in_place_series_is_bit_identical_to_the_allocating_loop(nu, z):
     got, got_slow = bessel._series_scaled(nu, z, z_hi)
     ref, ref_slow = _allocating_series(nu, z, z_hi)
     assert np.array_equal(got_slow, ref_slow)
-    # bit for bit; the bytes also match where both loops give the same NaN
+    # bit for bit
     assert got.tobytes() == ref.tobytes()

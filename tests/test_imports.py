@@ -14,6 +14,8 @@ Every defaulted parameter of a function or method in `src/circuitlab/` is
 passed by some call in `src/circuitlab/` or `bench/` (the benchmark's
 workloads are the package's traffic), or is allowlisted with its reason, so
 a setting nothing sets becomes a constant instead of a configuration to test.
+Every source file parses with Python 3.10's grammar, the oldest version the
+package supports.
 """
 
 import ast
@@ -44,6 +46,20 @@ def unused_imports(source: str) -> list[str]:
             exported = set(ast.literal_eval(node.value))
     return sorted(f"{name} (line {line})" for name, line in imported.items()
                   if name not in used and name not in exported)
+
+
+PY310_SOURCES = sorted(p for tree in ("src", "bench", "tests") for p in (ROOT / tree).rglob("*.py"))
+
+
+def test_checker_flags_syntax_newer_than_python_3_10():
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
+
+
+@pytest.mark.parametrize("path", PY310_SOURCES,
+                         ids=[str(p.relative_to(ROOT)) for p in PY310_SOURCES])
+def test_sources_parse_as_python_3_10(path):
+    ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
 
 
 def test_checker_flags_an_unused_import():

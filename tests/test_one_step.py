@@ -4,17 +4,20 @@ One deterministic simulator step equals state + dt * drift(state), exactly:
 the simulators and the scalar drift helpers must evaluate the same formula;
 states and dt are drawn where no clamp, floor or cap fires.  A thinned
 record holds the stride-1 rows bit for bit, and floors are applied and
-counted."""
+counted.  The stacked loop equals the per-component loop it replaced byte
+for byte, and a path's record does not depend on how many paths run beside
+it."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from circuitlab import goodwin, keen, mmc, sde
-from circuitlab.rng import RngStream
+from circuitlab.rng import PathNoise, RngStream
 
 PROFILE = settings(deadline=None, max_examples=60)
 
@@ -149,3 +152,153 @@ def test_a_nan_state_makes_its_range_nan():
                              (0.5, 0.5), horizon=0.3, dt=0.1, paths=2, stream=None,
                              diffusion=None, regularized=False, record_stride=1)
     assert np.isnan(run.s_range).all() and run.lambda_range == (0.5, 0.5)
+
+
+def test_a_drift_of_the_wrong_shape_is_rejected():
+    for bad in (lambda s, lam: (0.0, 0.0),          # scalars would broadcast
+                lambda s, lam: (s, lam[:1]),        # unequal shapes
+                lambda s, lam: (s,)):               # a component missing
+        with pytest.raises(ValueError, match=r"drift must return 2 arrays of shape \(3,\)"):
+            sde.EulerPaths.run(bad, (0.5, 0.5), horizon=0.1, dt=0.1, paths=3, stream=None,
+                               diffusion=None, regularized=False, record_stride=1)
+
+
+def _per_component_run(drift, initial, horizon, dt, paths, stream, diffusion, regularized,
+                       record_stride, loaded, floors, cap):
+    """EulerPaths.run as it was before the state was stacked: one array per
+    component and each rule applied component by component.  Only the
+    diffusion call is adapted: it gets the stacked state."""
+    rec_idx = sde.record_index(horizon, dt, record_stride)
+    stochastic = diffusion is not None
+    clamp = regularized or stochastic
+    n_steps = int(rec_idx[-1])
+    x = [np.full(paths, float(v)) for v in initial]
+    records = [np.empty((len(rec_idx), paths)) for _ in initial]
+    for rec, v in zip(records, x):
+        rec[0] = v
+    next_rec = 1
+    noise = PathNoise(stream, paths) if stochastic else None
+    sqdt = math.sqrt(dt)
+    lo, hi = sde.CLAMP_EPS, 1.0 - sde.CLAMP_EPS
+    clamped = floored = 0
+    lows = [x[0].copy(), x[1].copy()]
+    highs = [x[0].copy(), x[1].copy()]
+    cap_times = None if cap is None else np.full(paths, np.nan)
+    alive = np.ones(paths, dtype=bool)
+    for k, z in enumerate(sde.noise_rows(noise, n_steps, len(loaded)), start=1):
+        nxt = [v + d * dt for v, d in zip(x, drift(*x))]
+        if stochastic:
+            for i, load, z_i in zip(loaded, diffusion(np.array(x)), z):
+                nxt[i] += load * sqdt * z_i
+        if clamp:
+            out = (nxt[0] < lo) | (nxt[0] > hi) | (nxt[1] < lo) | (nxt[1] > hi)
+            clamped += int((out & alive).sum())
+            nxt[0] = np.minimum(np.maximum(nxt[0], lo), hi)
+            nxt[1] = np.minimum(np.maximum(nxt[1], lo), hi)
+        for i, floor in floors.items():
+            floored += int(((nxt[i] < floor) & alive).sum())
+            nxt[i] = np.maximum(nxt[i], floor)
+        if cap is None:
+            x = nxt
+        else:
+            x = [np.where(alive, new, old) for new, old in zip(nxt, x)]
+            blown = alive & (x[2] > cap)
+            if np.any(blown):
+                cap_times[blown] = k * dt
+                alive &= ~blown
+        for low, high, v in zip(lows, highs, x):
+            np.minimum(low, v, out=low, where=alive)
+            np.maximum(high, v, out=high, where=alive)
+        if next_rec < len(rec_idx) and k == rec_idx[next_rec]:
+            for rec, v in zip(records, x):
+                rec[next_rec] = v
+            next_rec += 1
+    s_range, lambda_range = ((float(low.min()), float(high.max()))
+                             for low, high in zip(lows, highs))
+    return dict(t=rec_idx * dt, records=records, clamp_events=clamped, floor_hits=floored,
+                total_steps=n_steps * paths, s_range=s_range, lambda_range=lambda_range,
+                cap_times=cap_times)
+
+
+def _bytes(value):
+    return None if value is None else np.asarray(value, dtype=float).tobytes()
+
+
+# loaded rows (0, 1) and floor rows (2, 3) index by slice, the others by
+# array.  The example holds a -0.0 at a 0.0 floor: np.maximum turns it into
+# +0.0, so a loop that skipped the maximum where nothing is below the floor
+# would keep the sign bit.
+@settings(deadline=None, max_examples=80)
+@example(paths=2, n_steps=3, stride=1, dt=0.01, seed=0, s=0.5, lam=0.5, g=1.0, y=-0.0,
+         sigma=(0.0, 0.0, 0.0), regularized=False, stochastic=False, loaded=(0, 1),
+         floor_rows=(3,), floor_level=0.0, rates=(0.0, 0.0), cap=None, nan_path=None)
+@given(paths=st.integers(1, 9), n_steps=st.integers(1, 40), stride=st.integers(1, 7),
+       dt=st.floats(1e-3, 0.05), seed=st.integers(0, 2**32 - 1),
+       s=st.floats(0.02, 0.98), lam=st.floats(0.02, 0.98),
+       g=st.floats(0.5, 1.5), y=st.one_of(st.just(-0.0), st.floats(-0.1, 0.1)),
+       sigma=st.tuples(st.floats(0.0, 0.6), st.floats(0.0, 0.6), st.floats(0.0, 0.6)),
+       regularized=st.booleans(), stochastic=st.booleans(),
+       loaded=st.sampled_from([(0, 1), (3, 0, 1)]),
+       floor_rows=st.sampled_from([(), (3,), (2, 3), (1, 3)]),
+       floor_level=st.one_of(st.just(0.0), st.floats(-0.05, 0.05)),
+       rates=st.tuples(st.floats(-1.0, 3.0), st.one_of(st.just(0.0), st.floats(0.0, 2.0))),
+       cap=st.one_of(st.none(), st.floats(1.0, 3.0)),
+       nan_path=st.one_of(st.none(), st.integers(0, 8)))
+def test_stacked_run_is_byte_equal_to_the_per_component_loop(
+        paths, n_steps, stride, dt, seed, s, lam, g, y, sigma, regularized, stochastic,
+        loaded, floor_rows, floor_level, rates, cap, nan_path):
+    params = goodwin.GoodwinParams(a=0.225, b=0.2, c=0.4, d=0.6, omega=0.005)
+    poison = np.zeros(paths)
+    if nan_path is not None:
+        poison[nan_path % paths] = np.nan
+    growth, fall = rates
+
+    def drift(s, lam, g, y):
+        ds, dl = sde.employment_drift(s, lam, params.c - params.d * s, params, regularized)
+        return ds + poison * s, dl, growth * g, -fall + 0.0 * y
+
+    sig = np.array([[sigma[0]], [sigma[1]]])
+
+    def diffusion(x):
+        pair = sig * sde.jacobi(x[:2])
+        return pair if loaded == (0, 1) else np.concatenate([sigma[2] * x[3:], pair])
+
+    floors = {i: (floor_level if i > 1 else 0.3) for i in floor_rows}
+    args = (drift, (s, lam, g, y), n_steps * dt, dt, paths, RngStream(seed),
+            diffusion if stochastic else None, regularized, stride)
+    run = sde.EulerPaths.run(*args, loaded=loaded, floors=floors, cap=cap)
+    ref = _per_component_run(*args, loaded=loaded, floors=floors, cap=cap)
+    assert [_bytes(r) for r in run.records] == [_bytes(r) for r in ref["records"]]
+    for name in ("t", "s_range", "lambda_range", "cap_times"):
+        assert _bytes(getattr(run, name)) == _bytes(ref[name]), name
+    for name in ("clamp_events", "floor_hits", "total_steps"):
+        assert getattr(run, name) == ref[name], name
+
+
+@pytest.mark.parametrize("model, state, params, options", [
+    (goodwin, goodwin.GoodwinState(0.75, 0.8),
+     replace(goodwin.FIG3_PARAMS, sigma_s=0.6, sigma_lambda=0.6), {}),
+    (keen, keen.KeenState(0.75, 0.8, 3.0),
+     replace(keen.FIG6_PARAMS, sigma_s=0.3, sigma_lambda=0.3), {"gamma_cap": 3.5}),
+    (mmc, mmc.FIG8_STATE, replace(mmc.FIG8_PARAMS, sigma_c=0.04, sigma_k=0.02,
+                                  sigma_s=0.01, sigma_lambda=0.01), {}),
+], ids=["goodwin", "keen", "mmc"])
+def test_a_path_does_not_depend_on_how_many_paths_run(model, state, params, options):
+    """A run of k paths equals the first k paths of a wider run, byte for
+    byte, in every per-path array: the records, the cap times and, for MMC,
+    the propensity, production and price of each recorded row."""
+    def run(paths):
+        return model.simulate(state, params, horizon=1.0, dt=0.01, paths=paths,
+                              stream=RngStream(0), **options)
+
+    wide = run(5)
+    for k in (1, 3):
+        narrow = run(k)
+        for name, value in vars(narrow).items():
+            other = vars(wide)[name]
+            if name == "records":
+                for i, rec in enumerate(value):
+                    assert rec.tobytes() == other[i][:, :k].tobytes(), (k, i)
+            elif isinstance(value, np.ndarray) and value.shape[-1] == k and name != "t":
+                assert value.tobytes() == np.ascontiguousarray(other[..., :k]).tobytes(), \
+                    (k, name)

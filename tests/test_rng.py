@@ -30,6 +30,16 @@ def test_path_noise_independent_of_total_count():
     assert np.array_equal(small, big[:, :, :3])
 
 
+def test_path_noise_blocks_are_each_paths_own_draws():
+    # each block of path j is the next (n_steps, dims) draw of its generator
+    noise = PathNoise(RngStream(9), n_paths=3)
+    blocks = [noise.normals(7, 2), noise.normals(5, 3)]
+    for j in range(3):
+        g = RngStream(9).substream(j).generator()
+        for block in blocks:
+            assert block[:, :, j].tobytes() == g.standard_normal(block.shape[:2]).tobytes()
+
+
 SIGMA = np.array([0.3, 0.2])
 
 
