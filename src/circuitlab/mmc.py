@@ -327,9 +327,9 @@ NOISE_NAMES = ("c_r", "k_f", "s_w", "lambda_w")
 FLOORED = ("c_r", "d_r", "l_r", "d_f", "l_f", "k_f")
 
 
-def _output(c_r, u, s_w):
+def _output(c_r, one_minus_u, s_f):
     """Uncapped production Y_f = C_r / ((1 - upsilon_f) s_f)."""
-    return c_r / ((1.0 - u) * (1.0 - s_w))
+    return c_r / (one_minus_u * s_f)
 
 
 def _flows(x, u, p: MmcParams):
@@ -345,32 +345,33 @@ def _flows(x, u, p: MmcParams):
     loans = l_r + l_f
     capital_ok = p.nu_b * loans - x["k_b"] < 0.0
 
+    one_minus_u, s_f = 1.0 - u, 1.0 - x["s_w"]
     rentier_income = p.delta_bb * ni_r + (p.delta_rf - p.delta_rb) * ni_f
-    base = (p.delta_ff - u) * c_r / (1.0 - u)
+    base = (p.delta_ff - u) * c_r / one_minus_u
     cf_r = rentier_income - p.delta_rb * p.xi_delta * loans - base
     cf_f = p.delta_ff * ni_f + base
     new_l_r = np.maximum(-cf_r, 0.0)
     new_l_f = np.maximum(-cf_f, 0.0)
     unmet = np.where(capital_ok, 0.0, new_l_r + new_l_f)
-    c_bar = (p.alpha0 * (rentier_income + p.delta_rf * c_r / (1.0 - u))
+    c_bar = (p.alpha0 * (rentier_income + p.delta_rf * c_r / one_minus_u)
              + p.alpha1 * p.nu_f * k_f)
     ds, dl = employment_drift(x["s_w"], x["lambda_w"],
-                              u * c_r / ((1.0 - u) * p.nu_f * k_f) - p.c, p,
-                              regularized=True)
+                              u * c_r / (one_minus_u * p.nu_f * k_f) - p.c, p,
+                              regularized=True, s_f=s_f)
     drift = {
         "c_r": p.kappa_c * (c_bar - c_r),
         "d_r": np.maximum(cf_r, 0.0),
         "l_r": -p.xi_delta * l_r + np.where(capital_ok, new_l_r, 0.0),
         "d_f": np.maximum(cf_f, 0.0),
         "l_f": -p.xi_delta * l_f + np.where(capital_ok, new_l_f, 0.0),
-        "k_f": u * c_r / (1.0 - u) - p.xi_a * k_f,
+        "k_f": u * c_r / one_minus_u - p.xi_a * k_f,
         "k_b": -p.delta_bb * (p.xi_delta * loans + ni_r + ni_f),
         "theta_w": p.alpha * x["theta_w"],
         "n_w": p.beta * x["n_w"],
         "s_w": ds,
         "lambda_w": dl,
     }
-    return drift, capital_ok, unmet, _output(c_r, u, x["s_w"]) > p.nu_f * k_f
+    return drift, capital_ok, unmet, _output(c_r, one_minus_u, s_f) > p.nu_f * k_f
 
 
 def _diffusion(x, p: MmcParams):
@@ -488,9 +489,9 @@ def simulate(
     last = {k: v[-1] for k, v in series.items()}
     ups.append(_upsilon_vec(u, last["c_r"], last["d_f"], last["l_f"], last["k_f"], p))
     run.upsilon_f = upsilon = np.array(ups)
-    c_r, s_w = series["c_r"], series["s_w"]
-    run.y_f = np.minimum(_output(c_r, upsilon, s_w), p.nu_f * series["k_f"])
-    run.price = c_r / ((1.0 - upsilon) * (1.0 - s_w) * series["lambda_w"]
+    c_r, one_minus_u, s_f = series["c_r"], 1.0 - upsilon, 1.0 - series["s_w"]
+    run.y_f = np.minimum(_output(c_r, one_minus_u, s_f), p.nu_f * series["k_f"])
+    run.price = c_r / (one_minus_u * s_f * series["lambda_w"]
                        * series["theta_w"] * series["n_w"])
     run.credit_crunch_steps, run.capacity_cap_steps = crunch_steps, cap_steps
     run.max_identity_residual = max(max_resid, residual(last))

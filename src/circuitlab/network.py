@@ -262,6 +262,12 @@ class NondimContext:
 
 
 def nondim_context(net: BankNetwork) -> NondimContext:
+    """Scaled coordinates of a diffusion network.  The semi-analytics' one
+    diffusion-only check lives here, their one two-bank check in
+    `two_bank_domains`, which builds on this; jumps take the Monte Carlo."""
+    if net.jumps is not None:
+        raise ValueError("the scaled coordinates are diffusion-only; "
+                         "use Monte Carlo for jump networks")
     b = boundaries(net)
     if np.any(b.interior <= 0):
         raise ValueError(
@@ -271,9 +277,6 @@ def nondim_context(net: BankNetwork) -> NondimContext:
     sigma_bar = float(np.exp(np.mean(np.log(net.sigma))))
     zeta = sigma_bar / net.sigma
     xi = -net.sigma / (2.0 * sigma_bar)
-    if net.jumps is not None:
-        lam_bar = net.jumps.bank_intensities() / sigma_bar ** 2
-        xi = xi - net.jumps.compensators * lam_bar * zeta
     m_term = zeta * np.log(b.terminal / b.interior)
     return NondimContext(sigma_bar=sigma_bar, zeta=zeta, xi=xi,
                          m_terminal=m_term, interior_levels=b.interior)
@@ -318,8 +321,10 @@ class TwoBankDomains:
 
 
 def two_bank_domains(net: BankNetwork) -> TwoBankDomains:
+    """The two-bank frame, and the one check that a network has two banks:
+    the wedge semi-analytics and the survival grid build through it."""
     if net.n != 2:
-        raise ValueError("two banks required")
+        raise ValueError(f"the two-bank semi-analytics need two banks, got {net.n}")
     l = net.external_liabilities
     m = net.mutual
     r = net.recoveries
@@ -621,10 +626,6 @@ def two_bank_survival_grid(
     (asserted in the test suite); the shared drivers make a 5x5 grid cost
     one ensemble instead of 25.
     """
-    if net.n != 2:
-        raise ValueError("the grid evaluator is specific to two banks")
-    if net.jumps is not None:
-        raise ValueError("the scaled grid evaluator covers diffusion dynamics only")
     dom = two_bank_domains(net)
     ctx = dom.ctx
     n_steps = step_count(ctx.scaled_time(horizon), dt_scaled, "dt_scaled")
@@ -634,6 +635,8 @@ def two_bank_survival_grid(
     stream = stream or RngStream(0)
     x1_grid = np.asarray(x1_grid if x1_grid is not None else np.linspace(1.0, 4.0, 5))
     x2_grid = np.asarray(x2_grid if x2_grid is not None else np.linspace(1.0, 4.0, 5))
+    if not (np.all(np.isfinite(x1_grid)) and np.all(np.isfinite(x2_grid))):
+        raise ValueError("grid points must be finite")
     m1_eq, m2_eq = ctx.m_terminal
 
     n1, n2 = len(x1_grid), len(x2_grid)

@@ -23,8 +23,10 @@ sqrt(z)/(4 alpha) in the density and 4.4e-16 z/(4 alpha) in the flux.
 Survival probabilities are then quadratures of this density over the
 terminal settlement domains, plus (for the marginal) the time integral of
 the one-dimensional shifted survival law against the absorption flux on the
-other bank's boundary face.  Jump dynamics are outside this module's scope;
-the Monte Carlo engine covers them.
+other bank's boundary face.  Every entry point builds its frame through
+`network.two_bank_domains`, the one check that the network has two banks,
+which builds its scaled coordinates through `network.nondim_context`, the one
+check that it is diffusion-only; the Monte Carlo engine covers jumps.
 """
 
 from __future__ import annotations
@@ -37,14 +39,11 @@ import numpy as np
 from scipy.special import ndtr
 
 from .bessel import iv_scaled
-from .network import (BankNetwork, NondimContext, TwoBankDomains, nondim_context,
-                      two_bank_domains)
+from .network import BankNetwork, TwoBankDomains, two_bank_domains
 
 __all__ = [
-    "WedgeContext", "TwoBankDomains", "norm_cdf", "survival_1d",
-    "wedge_green", "boundary_flux", "joint_survival_Q",
-    "marginal_survival_Q1", "q1_standalone", "conservation_check",
-    "two_bank_domains", "wedge_context",
+    "WedgeContext", "norm_cdf", "survival_1d", "wedge_green", "boundary_flux",
+    "joint_survival_Q", "marginal_survival_Q1", "q1_standalone", "conservation_check",
 ]
 
 
@@ -110,14 +109,6 @@ class WedgeContext:
         return r, phi
 
 
-def wedge_context(net: BankNetwork, ctx: NondimContext) -> WedgeContext:
-    if net.n != 2:
-        raise ValueError("the wedge expansion covers exactly two banks")
-    if net.jumps is not None:
-        raise ValueError("the wedge expansion is diffusion-only; use Monte Carlo for jumps")
-    return WedgeContext.build(float(net.corr.rho[0, 1]), ctx.xi)
-
-
 def survival_1d(x: float, xi: float, m_lt: float, m_eq: float, tau: float):
     """Closed-form survival of drifted Brownian motion: never touch m_lt on
     [0, tau] and finish at or above m_eq (with m_eq >= m_lt)."""
@@ -143,13 +134,15 @@ def _source(x_src) -> tuple[float, float]:
     return xs1, xs2
 
 
-def _bessel_series(ctx: WedgeContext, z: np.ndarray, weight,
-                   phi: np.ndarray | None = None) -> np.ndarray:
-    """Per point, Sum_n s_n w_n ive(nu_n, z) [sin(nu_n phi)], where
-    `weight(n, nu)` gives w_n >= 0 and |s_n| <= 1.  A point leaves once its
-    envelope w_n ive(nu_n, z) has been <= SERIES_TOL * (largest |partial
-    sum| of any point) for two orders in a row: I_nu(z) decreases in nu, and
-    so does nu I_nu(z) once nu^2 exceeds about z, so the envelope bounds
+def _bessel_series(ctx: WedgeContext, z: np.ndarray, phi, phi_src: float,
+                   slope: bool) -> np.ndarray:
+    """Per point, the density series Sum_n ive(nu_n, z) sin(nu_n phi)
+    sin(nu_n phi_src), `phi` an array matching `z`, or with `slope` its
+    derivative in phi at the one angle `phi`, whose terms carry nu_n
+    cos(nu_n phi).  A point leaves once its envelope w_n ive(nu_n, z) (w_n
+    = 1, or nu_n with `slope`) has been <= SERIES_TOL * (largest |partial
+    sum| of any point) for two orders in a row: I_nu(z) decreases in nu,
+    and so does nu I_nu(z) once nu^2 exceeds about z, so the envelope bounds
     every later term.  The bound is relative to the largest partial sum, so
     where the sums cancel (the alternating flux) the error is absolute.
     SeriesError if a point is still live after SERIES_ORDERS orders."""
@@ -162,12 +155,13 @@ def _bessel_series(ctx: WedgeContext, z: np.ndarray, weight,
     scale = 0.0
     for n in range(1, SERIES_ORDERS + 1):
         nu = ctx.order(n)
-        amp, sign = weight(n, nu)
-        # in place, in the order of acc += (amp ive [sin(nu phi)]) sign
+        sign = math.sin(nu * phi_src)
         env = iv_scaled(nu, z)
-        env *= amp
-        if phi is None:
-            np.multiply(env, sign, out=term)
+        # in place, in the order of acc += (nu ive) (cos(nu phi) sign), or
+        # of acc += (ive sin(nu phi)) sign
+        if slope:
+            env *= nu
+            np.multiply(env, math.cos(nu * phi) * sign, out=term)
         else:
             np.multiply(phi, nu, out=term)
             np.sin(term, out=term)
@@ -185,7 +179,7 @@ def _bessel_series(ctx: WedgeContext, z: np.ndarray, weight,
                 return total
             idx, z, acc, quiet, env = (a[keep] for a in (idx, z, acc, quiet, env))
             term = term[:z.size]
-            if phi is not None:
+            if not slope:
                 phi = phi[keep]
     raise SeriesError(
         f"Bessel series not converged after {SERIES_ORDERS} terms at {idx.size} "
@@ -230,6 +224,29 @@ def _image_sum(ctx: WedgeContext, z: np.ndarray, phi, phi_src: float,
     return out * (ctx.varpi / (4.0 * math.pi))
 
 
+def _evaluate(ctx: WedgeContext, prefactor: np.ndarray, z: np.ndarray, phi,
+              phi_src: float, slope: bool = False) -> np.ndarray:
+    """prefactor times the density series at (z, phi), or with `slope` its
+    derivative in phi at the one angle `phi`: the image sum where z >=
+    IMAGE_MIN_Z, the Bessel series below it, and zero where |prefactor| is
+    at most PRUNE."""
+    out = np.zeros_like(prefactor)
+    live = np.abs(prefactor) > PRUNE
+    if np.any(live):
+        z = z[live]
+        if not slope:
+            phi = phi[live]
+        far = z >= IMAGE_MIN_Z
+        near = ~far
+        sums = np.empty_like(z)
+        if np.any(far):
+            sums[far] = _image_sum(ctx, z[far], phi if slope else phi[far], phi_src, slope)
+        if np.any(near):
+            sums[near] = _bessel_series(ctx, z[near], phi if slope else phi[near], phi_src, slope)
+        out[live] = prefactor[live] * sums
+    return out
+
+
 def wedge_green(ctx: WedgeContext, t: float, x1, x2, x_src) -> np.ndarray:
     """Absorbed transition density G(t, X; X') on the open quadrant; zero
     where the series prefactor is at most PRUNE."""
@@ -246,20 +263,7 @@ def wedge_green(ctx: WedgeContext, t: float, x1, x2, x_src) -> np.ndarray:
     tilt = np.exp(-0.5 * ctx.theta_dot_xi * t
                   + ctx.theta[0] * (x1 - xs1) + ctx.theta[1] * (x2 - xs2))
     scale = tilt * 2.0 / (ctx.rho_bar * ctx.varpi * t) * gauss
-    out = np.zeros_like(scale)
-    live = scale > PRUNE
-    if np.any(live):
-        z = r[live] * r_src / t
-        phi = phi[live]
-        far = z >= IMAGE_MIN_Z
-        sums = np.empty_like(z)
-        if np.any(far):
-            sums[far] = _image_sum(ctx, z[far], phi[far], phi_src)
-        if not np.all(far):
-            sums[~far] = _bessel_series(
-                ctx, z[~far], lambda n, nu: (1.0, math.sin(nu * phi_src)), phi=phi[~far])
-        out[live] = scale[live] * sums
-    return out
+    return _evaluate(ctx, scale, r * r_src / t, phi, phi_src)
 
 
 def boundary_flux(ctx: WedgeContext, t, coord, x_src, face: int = 2) -> np.ndarray:
@@ -287,30 +291,11 @@ def boundary_flux(ctx: WedgeContext, t, coord, x_src, face: int = 2) -> np.ndarr
                   - ctx.theta[0] * xs1 - ctx.theta[1] * xs2)
     with np.errstate(divide="ignore", invalid="ignore"):
         base = np.where(coord > 0, 2.0 / (ctx.varpi * t * coord), 0.0)
-    scale_factor = 0.5 * tilt * base * gauss
-    out = np.zeros_like(coord)
-    live = np.abs(scale_factor) > PRUNE
-    if not np.any(live):
-        return out
-    z = coord[live] * r_src / (ctx.rho_bar * t[live])
-
-    # sin(nu_n * phi) vanishes on the face; the differentiated series
-    # carries nu_n and, on face 2, the alternating sign (-1)^{n+1}
-    def weight(n, nu):
-        s = math.sin(nu * phi_src)
-        return nu, (-s if face == 2 and n % 2 == 0 else s)
-
     # the inward normal derivative: +d/dphi on face 1 (phi = 0), -d/dphi on
-    # face 2 (phi = varpi)
+    # face 2 (phi = varpi, where cos(nu_n varpi) = (-1)^n alternates the series)
     face_phi, inward = (0.0, 1.0) if face == 1 else (ctx.varpi, -1.0)
-    far = z >= IMAGE_MIN_Z
-    sums = np.empty_like(z)
-    if np.any(far):
-        sums[far] = inward * _image_sum(ctx, z[far], face_phi, phi_src, slope=True)
-    if not np.all(far):
-        sums[~far] = _bessel_series(ctx, z[~far], weight)
-    out[live] = scale_factor[live] * sums
-    return out
+    return _evaluate(ctx, inward * 0.5 * tilt * base * gauss,
+                     coord * r_src / (ctx.rho_bar * t), face_phi, phi_src, slope=True)
 
 
 # ---------------------------------------------------------------------------
@@ -422,14 +407,19 @@ def _refined(value, spec: QuadratureSpec, name: str) -> tuple[float, float]:
     return fine, err
 
 
+def _frame(net: BankNetwork, horizon: float) -> tuple[TwoBankDomains, WedgeContext, float]:
+    """The two-bank domains, their wedge context and the scaled horizon."""
+    dom = two_bank_domains(net)
+    wctx = WedgeContext.build(float(net.corr.rho[0, 1]), dom.ctx.xi)
+    return dom, wctx, dom.ctx.scaled_time(horizon)
+
+
 def joint_survival_Q(net: BankNetwork, x_src, horizon: float,
                      spec: QuadratureSpec | None = None) -> tuple[float, float]:
     """Probability that neither bank touches its interior boundary on
     [0, T] and both settle in full at T; returns (value, error estimate)."""
-    nctx = nondim_context(net)
-    wctx = wedge_context(net, nctx)
-    t_bar = nctx.scaled_time(horizon)
-    m1_eq, m2_eq = nctx.m_terminal
+    dom, wctx, t_bar = _frame(net, horizon)
+    m1_eq, m2_eq = dom.ctx.m_terminal
     u1, u2 = _upper_cuts(x_src, wctx.xi, t_bar)
     return _refined(
         lambda s: _terminal_integral(wctx, t_bar, x_src, m1_eq, u1, m2_eq, u2, s),
@@ -438,10 +428,8 @@ def joint_survival_Q(net: BankNetwork, x_src, horizon: float,
 
 def q1_standalone(net: BankNetwork, x1, horizon: float):
     """Bank 1 survival if bank 2 could never default: original boundaries."""
-    nctx = nondim_context(net)
-    wctx = wedge_context(net, nctx)
-    t_bar = nctx.scaled_time(horizon)
-    return survival_1d(x1, wctx.xi[0], 0.0, float(nctx.m_terminal[0]), t_bar)
+    ctx = two_bank_domains(net).ctx
+    return survival_1d(x1, ctx.xi[0], 0.0, float(ctx.m_terminal[0]), ctx.scaled_time(horizon))
 
 
 def marginal_survival_Q1(net: BankNetwork, x_src, horizon: float,
@@ -449,9 +437,7 @@ def marginal_survival_Q1(net: BankNetwork, x_src, horizon: float,
     """Bank 1 survival probability: terminal mass over the domains where
     bank 1 settles in full plus the flux of bank-2 defaults followed by
     bank 1 surviving alone behind its shifted boundaries."""
-    dom = two_bank_domains(net)
-    wctx = wedge_context(net, dom.ctx)
-    t_bar = dom.ctx.scaled_time(horizon)
+    dom, wctx, t_bar = _frame(net, horizon)
     return _refined(lambda s: _q1_once(wctx, dom, x_src, t_bar, s),
                     spec or QuadratureSpec(), "marginal-survival")
 
@@ -490,9 +476,7 @@ def conservation_check(net: BankNetwork, x_src, horizon: float) -> dict:
     """Interior mass plus cumulative boundary outflow; must total 1, on the
     default QuadratureSpec."""
     spec = QuadratureSpec()
-    nctx = nondim_context(net)
-    wctx = wedge_context(net, nctx)
-    t_bar = nctx.scaled_time(horizon)
+    _, wctx, t_bar = _frame(net, horizon)
     u1, u2 = _upper_cuts(x_src, wctx.xi, t_bar)
     interior = _terminal_integral(wctx, t_bar, x_src, 0.0, u1, 0.0, u2, spec)
 

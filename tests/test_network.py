@@ -209,10 +209,11 @@ def test_grid_evaluator_matches_simulate_paths():
         net = fig15_network(rho=rho)
         assets = nondim_context(net).assets_from_x(x_pt)
         rec = simulate_paths(fig15_network(rho=rho, external_assets=assets), horizon,
-                             dt=dt_cal, paths=8000, stream=RngStream(7))
+                             dt=dt_cal, paths=1000, stream=RngStream(7))
         est = survival_probabilities(rec)
+        assert 0.0 < est.joint < 1.0, rho      # interior: a mismatch can show
         grid = two_bank_survival_grid(net, horizon, dt_scaled=0.16 * dt_cal,
-                                      paths=8000, stream=RngStream(7),
+                                      paths=1000, stream=RngStream(7),
                                       x1_grid=x_pt[:1], x2_grid=x_pt[1:])
         assert grid.joint[0, 0] == pytest.approx(est.joint, abs=1e-12), rho
         assert grid.marginal1[0, 0] == pytest.approx(est.marginal[0], abs=1e-12), rho
@@ -226,7 +227,9 @@ def test_monte_carlo_rejects_bad_run_settings():
             ({"dt_scaled": math.nan}, "dt_scaled"), ({"dt_scaled": math.inf}, "dt_scaled"),
             ({"paths": 0}, "paths"), ({"paths": -3}, "paths"),
             ({"horizon": -1.0}, "horizon"), ({"horizon": math.nan}, "horizon"),
-            ({"horizon": 1e-6}, "horizon"), ({"horizon": 1.05}, "whole")):
+            ({"horizon": 1e-6}, "horizon"), ({"horizon": 1.05}, "whole"),
+            ({"x1_grid": [math.nan, 2.0, -1.0, math.inf], "x2_grid": [2.0, math.nan]},
+             "grid points must be finite")):
         with pytest.raises(ValueError, match=message):
             two_bank_survival_grid(net, **{**grid, **overrides})
     for horizon, dt in ((math.nan, 0.01), (math.inf, 0.01), (-1.0, 0.01),

@@ -9,8 +9,15 @@ from scipy.special import ive
 
 from circuitlab import wedge
 from circuitlab.bessel import iv_scaled
-from circuitlab.network import fig15_network, nondim_context, shifted_levels
-from circuitlab.rng import RngStream
+from circuitlab.network import (
+    BankNetwork,
+    fig15_network,
+    nondim_context,
+    shifted_levels,
+    two_bank_domains,
+    two_bank_survival_grid,
+)
+from circuitlab.rng import JumpSpec, RngStream
 from circuitlab.wedge import (
     QuadratureSpec,
     SeriesError,
@@ -22,8 +29,6 @@ from circuitlab.wedge import (
     norm_cdf,
     q1_standalone,
     survival_1d,
-    two_bank_domains,
-    wedge_context,
     wedge_green,
 )
 
@@ -221,12 +226,33 @@ def test_survival_entry_points_reject_a_bad_horizon(horizon):
         survival_1d(2.0, -0.1, 0.0, 0.5, horizon)
 
 
-def test_wedge_context_rejects_jumps_and_bad_rho():
-    from circuitlab.rng import JumpSpec
+TWO_BANK_ENTRY_POINTS = {
+    "joint_survival_Q": lambda net: joint_survival_Q(net, (2.0, 2.0), 1.0),
+    "marginal_survival_Q1": lambda net: marginal_survival_Q1(net, (2.0, 2.0), 1.0),
+    "q1_standalone": lambda net: q1_standalone(net, 2.0, 1.0),
+    "conservation_check": lambda net: conservation_check(net, (2.0, 2.0), 1.0),
+    "two_bank_survival_grid": lambda net: two_bank_survival_grid(net, 1.0, 0.01, 4),
+    "two_bank_domains": two_bank_domains,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(TWO_BANK_ENTRY_POINTS))
+def test_two_bank_entry_points_reject_jumps_and_other_bank_counts(entry):
+    # one gate: nondim_context rejects jumps, two_bank_domains other bank counts
+    call = TWO_BANK_ENTRY_POINTS[entry]
     net = fig15_network()
     net.jumps = JumpSpec(2, {frozenset([0]): 0.1}, np.array([1.0, 1.0]))
     with pytest.raises(ValueError, match="diffusion-only"):
-        wedge_context(net, nondim_context(net))
+        call(net)
+    three = BankNetwork(external_assets=np.full(3, 60.0),
+                        external_liabilities=np.full(3, 50.0),
+                        mutual=np.full((3, 3), 5.0) - 5.0 * np.eye(3),
+                        recoveries=np.full(3, 0.4), sigma=np.full(3, 0.4))
+    with pytest.raises(ValueError, match="need two banks, got 3"):
+        call(three)
+
+
+def test_wedge_context_rejects_bad_rho():
     with pytest.raises(ValueError, match="correlation"):
         WedgeContext.build(1.0, [0.0, 0.0])
 
