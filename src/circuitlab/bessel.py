@@ -16,6 +16,7 @@ all below z = 20, where the wedge hands over to its image sum) it took
 0.78-0.92 s against ive's 7.8-8.1 s, best of 3 in each of two runs on a
 2-vCPU Xeon.
 Relative accuracy target: 1e-12 against arbitrary-precision references.
+scipy.special loads on the first call that has such a point, not on import.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import ive
 
 __all__ = ["iv_scaled"]
 
@@ -58,6 +58,7 @@ def iv_scaled(nu: float, z) -> np.ndarray | float:
         lo = hi
 
     if np.any(slow):
+        from scipy.special import ive
         out[slow] = ive(nu, z_arr[slow])
     return float(out[0]) if scalar else out
 

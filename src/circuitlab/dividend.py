@@ -13,6 +13,11 @@ Two solution routes are provided and cross-validated:
     integrals reduced to companion ODEs in E (exact per-cell exponential
     integration) and the obstacle enforced by projection on the monotone
     envelope.
+
+scipy loads on first use, not on import: `stationary_barrier` loads
+scipy.optimize for its root polish, and `solve_variational` scipy.linalg for
+the banded solve of each step (through this module's `solve_banded`) and the
+BLAS jump scan.
 """
 
 from __future__ import annotations
@@ -22,11 +27,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
-from scipy.linalg.blas import dtbsv
-from scipy.optimize import brentq
 
-from .sde import step_count
+from .sde import require_finite, step_count
 
 __all__ = [
     "EquityParams", "SymbolCoefficients", "BarrierSolution", "EquityValueGrid",
@@ -46,6 +48,7 @@ class EquityParams:
     delta2: float      # liquidity jump size decay
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
         if self.lambda1 < 0 or self.lambda2 < 0:
@@ -230,6 +233,7 @@ def stationary_barrier(params: EquityParams) -> BarrierSolution:
             f"barriers [{BARRIER_BRACKET[0]}, {BARRIER_BRACKET[1]}]"
         )
     lo, hi = scan[sign_flip[0]], scan[sign_flip[0] + 1]
+    from scipy.optimize import brentq
     e_star = brentq(lambda e: _coeffs_for_barrier(roots, params, e)[1],
                     lo, hi, xtol=1e-14, rtol=8.9e-16)
     coeffs, _ = _coeffs_for_barrier(roots, params, e_star)
@@ -368,6 +372,14 @@ def solve_variational(
                            free_boundary=np.array(fbs), params=params)
 
 
+def solve_banded(l_and_u, ab, b, overwrite_b=False):
+    """scipy.linalg.solve_banded, loaded on the first call.  A name of this
+    module, which the march calls once per step and the benchmark's tracer
+    wraps to count the solves."""
+    import scipy.linalg
+    return scipy.linalg.solve_banded(l_and_u, ab, b, overwrite_b=overwrite_b)
+
+
 def _jump_scan(delta: float, h: float, n_grid: int):
     """``jump_integral`` at nodes 1..n_grid-1 of a slice, as one BLAS call.
 
@@ -376,6 +388,7 @@ def _jump_scan(delta: float, h: float, n_grid: int):
     recurrence acc_k = decay acc_{k-1} + c_k is forward substitution on the
     unit lower-bidiagonal band with -decay below the diagonal, built once
     here (no power of decay is formed, so long grids cannot underflow)."""
+    from scipy.linalg.blas import dtbsv
     decay, w0, w1 = _cell_weights(delta, h)
     band = np.ones((2, n_grid - 1), order="F")
     band[1] = -decay

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .rng import RngStream
-from .sde import EulerPaths, employment_drift, jacobi_noise
+from .sde import EulerPaths, employment_drift, jacobi_noise, require_finite
 
 __all__ = ["GoodwinParams", "GoodwinState", "GoodwinResult",
            "classical_drift", "regularized_drift", "conservation",
@@ -36,6 +36,7 @@ class GoodwinParams:
     sigma_lambda: float = 0.0
 
     def __post_init__(self) -> None:
+        require_finite(self)
         for name in ("a", "b", "c", "d"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")

@@ -17,7 +17,7 @@ import numpy as np
 
 from .goodwin import GoodwinParams
 from .rng import RngStream
-from .sde import EulerPaths, employment_drift, jacobi_noise
+from .sde import EulerPaths, employment_drift, jacobi_noise, require_finite
 
 __all__ = ["KeenParams", "KeenState", "KeenResult", "profit_function",
            "keen_drift", "simulate", "FIG4_PARAMS", "FIG5_PARAMS", "FIG6_PARAMS"]
@@ -41,6 +41,7 @@ class KeenParams:
     sigma_lambda: float = 0.0
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.nu_f <= 0:
             raise ValueError("nu_f must be positive")
         if self.q <= 0:

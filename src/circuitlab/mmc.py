@@ -23,7 +23,7 @@ from typing import Literal
 import numpy as np
 
 from .rng import RngStream
-from .sde import EulerPaths, employment_drift, jacobi, record_index
+from .sde import EulerPaths, employment_drift, jacobi, record_index, require_finite
 
 __all__ = [
     "MmcParams", "MmcState", "MmcDerived", "MmcResult",
@@ -77,6 +77,7 @@ class MmcParams:
     beta: float = 0.01      # workforce growth (price diagnostics only)
 
     def __post_init__(self) -> None:
+        require_finite(self)
         for name in ("delta_rf", "delta_rb"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:

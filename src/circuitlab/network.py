@@ -59,6 +59,8 @@ class BankNetwork:
             raise ValueError("mutual liabilities must be non-negative")
         if np.any((self.recoveries < 0) | (self.recoveries > 1)):
             raise ValueError("recoveries must lie in [0, 1]")
+        if not np.all(np.isfinite(self.sigma)):
+            raise ValueError(f"sigma must be finite, got {self.sigma}")
         if self.corr is None:
             self.corr = CorrelationMatrix(np.eye(n))
 

@@ -17,7 +17,7 @@ components and what they derive from them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import repeat
 from typing import Callable, Iterator
 
@@ -48,6 +48,15 @@ def step_count(horizon: float, dt: float, dt_name: str = "dt") -> int:
     if abs(horizon / dt - n_steps) > STEP_TOL * n_steps:
         raise ValueError(f"horizon {horizon} is not a whole number of steps ({dt_name} = {dt})")
     return n_steps
+
+
+def require_finite(params) -> None:
+    """ValueError naming the first field of the dataclass `params` that is
+    not finite; a NaN fails no range check (NaN <= 0 is False)."""
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 def record_index(horizon: float, dt: float, stride: int) -> np.ndarray:

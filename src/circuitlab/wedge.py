@@ -27,6 +27,9 @@ other bank's boundary face.  Every entry point builds its frame through
 `network.two_bank_domains`, the one check that the network has two banks,
 which builds its scaled coordinates through `network.nondim_context`, the one
 check that it is diffusion-only; the Monte Carlo engine covers jumps.
+
+scipy loads on first use, not on import: `norm_cdf` (and so `survival_1d`
+and Q1) loads scipy.special, as does `bessel.iv_scaled` at z > 700.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import ndtr
 
 from .bessel import iv_scaled
 from .network import BankNetwork, TwoBankDomains, two_bank_domains
@@ -49,6 +51,7 @@ __all__ = [
 
 def norm_cdf(x):
     """Standard normal distribution function."""
+    from scipy.special import ndtr
     return ndtr(np.asarray(x, dtype=float))
 
 
@@ -111,12 +114,15 @@ class WedgeContext:
 
 def survival_1d(x: float, xi: float, m_lt: float, m_eq: float, tau: float):
     """Closed-form survival of drifted Brownian motion: never touch m_lt on
-    [0, tau] and finish at or above m_eq (with m_eq >= m_lt)."""
+    [0, tau] and finish at or above m_eq.  The reflection formula holds for
+    m_eq >= m_lt; below m_lt a surviving path already finishes above m_eq,
+    so the law is evaluated at max(m_eq, m_lt)."""
     if not (math.isfinite(tau) and tau > 0):
         raise ValueError(f"tau must be positive and finite, got {tau}")
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("source point must be finite")
+    m_eq = max(m_eq, m_lt)
     sq = math.sqrt(tau)
     first = norm_cdf(-(m_eq - x - xi * tau) / sq)
     refl = np.exp(-2.0 * xi * (x - m_lt)) * norm_cdf(

@@ -10,6 +10,8 @@ class or constant whose name starts with one underscore must be read, or
 imported, somewhere in `src/circuitlab/` outside its own definition, so a
 helper whose last caller was deleted does not linger.  Every random draw
 comes from `RngStream` or `PathNoise`, so `np.random` is read nowhere else.
+No module imports scipy outside a function body, so importing the package
+loads numpy only and scipy loads on the first call that needs it.
 Every defaulted parameter of a function or method in `src/circuitlab/` is
 passed by some call in `src/circuitlab/` or `bench/` (the benchmark's
 workloads are the package's traffic), or is allowlisted with its reason, so
@@ -158,6 +160,42 @@ def test_checker_flags_a_random_read():
 
 def test_only_rng_reads_numpy_random():
     assert {p.name for p in MODULES if random_reads(p.read_text())} == {"rng.py"}
+
+
+def module_level_scipy_imports(source: str) -> list[int]:
+    """Lines that import scipy, or a scipy submodule, when the module itself
+    is imported: every import statement outside a function body."""
+    lines = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(child, ast.Import):
+                hit = any(a.name.split(".")[0] == "scipy" for a in child.names)
+            elif isinstance(child, ast.ImportFrom):
+                hit = not child.level and (child.module or "").split(".")[0] == "scipy"
+            else:
+                hit = False
+            if hit:
+                lines.append(child.lineno)
+            visit(child)
+
+    visit(ast.parse(source))
+    return sorted(lines)
+
+
+def test_checker_flags_a_module_level_scipy_import():
+    src = ("import scipy\nfrom scipy.special import ive\nimport scipyx\n"
+           "if True:\n    import scipy.linalg\nclass Box:\n    from scipy import optimize\n"
+           "def f():\n    from scipy.special import ndtr\n    return ndtr\n"
+           "from .scipy import x\n")
+    assert module_level_scipy_imports(src) == [1, 2, 5, 7]
+
+
+def test_no_module_imports_scipy_at_import_time():
+    assert {p.name: lines for p in MODULES
+            if (lines := module_level_scipy_imports(p.read_text()))} == {}
 
 
 def _defaulted_parameters(tree: ast.Module, module: str) -> list[tuple[str, str, int | None]]:

@@ -70,6 +70,18 @@ def test_survival_1d_closed_value():
     assert survival_1d(1.0, 0.0, 0.0, 0.5, 1.0) == pytest.approx(expected, rel=1e-14)
 
 
+def test_survival_1d_with_the_terminal_level_below_the_barrier():
+    # m_eq < m_lt: a path that never touches m_lt finishes above m_eq, so the
+    # value is the m_eq = m_lt one, and driftless 2 N((x - m_lt)/sqrt(tau)) - 1;
+    # the reflection formula taken at m_eq = 0.2 would give 0.36740
+    got = survival_1d(1.0, 0.0, 0.5, 0.2, 1.0)
+    assert got == survival_1d(1.0, 0.0, 0.5, 0.5, 1.0)
+    assert got == pytest.approx(float(2.0 * norm_cdf(0.5) - 1.0), rel=1e-14)
+    x = np.array([0.4, 0.6, 1.0, 3.0])
+    assert np.array_equal(survival_1d(x, -0.3, 0.5, -1.0, 2.0),
+                          survival_1d(x, -0.3, 0.5, 0.5, 2.0))
+
+
 def test_survival_1d_against_bridge_sampler():
     # exact Monte Carlo: terminal draw + Brownian-bridge crossing probability
     x0, m_lt, m_eq, tau = 1.0, 0.0, 0.5, 1.0
@@ -304,13 +316,21 @@ IMAGE_MARGIN = 20.0    # image sum off the deep reference over tol * its sum of 
                        # (measured 6.6, near z = 20: scipy's ive, not the image sum)
 
 
-def _orders(ctx, z, deep):
+def _orders(ctx, z, deep, pre):
     """Order rows and their ive(nu_n, z) rows: REF_ORDERS orders through
     iv_scaled, or with `deep` scipy.special.ive over the orders up to
-    nu = sqrt(100 max z) + 10, past which the envelope is below e^{-50}."""
+    nu = sqrt(100 max z) + 10, past which the envelope is below e^{-50}.
+    The REF_ORDERS rows hold values only at the live points below
+    wedge.IMAGE_MIN_Z, the only ones _check_truncation reads, and NaN
+    elsewhere: at a short horizon z reaches the thousands, where 250 orders
+    of the series cost ten times as much as at z <= 15."""
     if not deep:
         nus = np.array([ctx.order(n) for n in range(1, REF_ORDERS + 1)])[:, None]
-        return nus, np.array([iv_scaled(nu, z) for nu in nus[:, 0]])
+        envs = np.full((REF_ORDERS, z.size), np.nan)
+        near = (pre > 1e-30) & (z < wedge.IMAGE_MIN_Z)
+        if np.any(near):
+            envs[:, near] = [iv_scaled(nu, z[near]) for nu in nus[:, 0]]
+        return nus, envs
     count = math.ceil((math.sqrt(100.0 * np.max(z)) + 10.0) / ctx.order(1))
     nus = np.array([ctx.order(n) for n in range(1, count + 1)])[:, None]
     return nus, ive(nus, z)
@@ -324,7 +344,7 @@ def _green_reference(ctx, t, x1, x2, xs, deep=False):
                   + ctx.theta[1] * (x2 - xs[1]))
            * 2.0 / (ctx.rho_bar * ctx.varpi * t) * np.exp(-((r - r_src) ** 2) / (2.0 * t)))
     z = r * r_src / t
-    nus, envs = _orders(ctx, z, deep)
+    nus, envs = _orders(ctx, z, deep, pre)
     return pre, z, envs * np.sin(nus * phi) * np.sin(nus * phi_src), envs
 
 
@@ -335,7 +355,7 @@ def _flux_reference(ctx, t, coord, xs, face, deep=False):
     pre = (np.exp(-0.5 * ctx.theta_dot_xi * t + drift * coord - ctx.theta @ np.asarray(xs))
            / (ctx.varpi * t * coord) * np.exp(-((coord / ctx.rho_bar - r_src) ** 2) / (2.0 * t)))
     z = coord * r_src / (ctx.rho_bar * t)
-    nus, envs = _orders(ctx, z, deep)
+    nus, envs = _orders(ctx, z, deep, pre)
     envs = nus * envs
     signs = np.where((face == 2) & (np.arange(1, len(nus) + 1) % 2 == 0), -1.0, 1.0)
     return pre, z, envs * np.sin(nus * phi_src) * signs[:, None], envs
@@ -527,7 +547,7 @@ def test_points_above_z_700_take_the_image_sum_on_their_own():
     t, xs = 0.012311190845945527, (3.8762971805736552, 3.122683451170018)
     g = wedge_green(ctx, t, x1, x2, xs)
     alone = np.array([wedge_green(ctx, t, x1[i:i + 1], x2[i:i + 1], xs)[0] for i in range(4)])
-    pre, z, terms, _ = _green_reference(ctx, t, x1, x2, xs)
+    pre, z, terms, _ = _green_reference(ctx, t, x1, x2, xs, deep=True)
     assert np.all(z > 700.0)
     scale = np.max(np.abs(np.cumsum(terms, axis=0)))
     assert np.all(np.abs(g - alone) <= SERIES_MARGIN * TOL * pre * scale)
