@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .rng import RngStream
-from .sde import record_index
+from .sde import record_index, require_finite
 
 __all__ = [
     "FlowParams", "FlowState", "Controls", "RegWeights", "Trajectory",
@@ -47,6 +47,7 @@ class FlowParams:
     t_lag: float = 1.0  # loan/debt maturity entering the lag terms
 
     def __post_init__(self) -> None:
+        require_finite(self)
         for name in ("lam", "mu", "nu", "xi", "alpha", "beta", "sigma",
                      "discount", "t_lag"):
             if getattr(self, name) < 0:
@@ -222,6 +223,7 @@ class RegWeights:
     ci_i: float = 0.0
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if not 0.0 <= self.kappa < 1.0:
             raise ValueError("kappa must lie in [0, 1)")
         for name in ("rwa", "rsf_x", "rsf_i", "asf_d", "asf_y",

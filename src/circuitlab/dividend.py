@@ -93,23 +93,25 @@ def symbol(xi, params: EquityParams):
     c = SymbolCoefficients.from_params(params)
     xi_arr = np.asarray(xi, dtype=float)
     out = c.a2 * xi_arr ** 2 + c.a1 * xi_arr + c.a0
-    for lam, delta in ((params.lambda1, params.delta1),
-                       (params.lambda2, params.delta2)):
-        if lam == 0.0:
-            continue
+    for lam, delta in _jump_sources(params):
         if np.any(np.isclose(xi_arr, -delta, rtol=0.0, atol=1e-12)):
             raise ZeroDivisionError(f"symbol evaluated at its pole xi = {-delta}")
         out = out + lam * delta / (xi_arr + delta)
     return float(out) if np.isscalar(xi) else out
 
 
+def _jump_sources(params: EquityParams) -> list[tuple[float, float]]:
+    """(lambda, delta) of the active jump sources, those with lambda > 0."""
+    return [(lam, delta) for lam, delta in ((params.lambda1, params.delta1),
+                                            (params.lambda2, params.delta2))
+            if lam > 0.0]
+
+
 def _symbol_derivative(xi: float, params: EquityParams) -> float:
     c = SymbolCoefficients.from_params(params)
     out = 2.0 * c.a2 * xi + c.a1
-    for lam, delta in ((params.lambda1, params.delta1),
-                       (params.lambda2, params.delta2)):
-        if lam > 0.0:
-            out -= lam * delta / (xi + delta) ** 2
+    for lam, delta in _jump_sources(params):
+        out -= lam * delta / (xi + delta) ** 2
     return out
 
 
@@ -119,12 +121,9 @@ def symbol_roots(params: EquityParams) -> np.ndarray:
     polynomial, Newton-polished on the symbol itself."""
     c = SymbolCoefficients.from_params(params)
     poly = np.array([c.a2, c.a1, c.a0])
-    poles = []
-    for lam, delta in ((params.lambda1, params.delta1),
-                       (params.lambda2, params.delta2)):
-        if lam > 0.0:
-            poly = np.convolve(poly, np.array([1.0, delta]))
-            poles.append((lam, delta))
+    poles = _jump_sources(params)
+    for _, delta in poles:
+        poly = np.convolve(poly, np.array([1.0, delta]))
     # add lam*delta times the product of the OTHER active pole factors,
     # skipped by position: equal sources still have two factors
     for k, (lam, delta) in enumerate(poles):
@@ -306,26 +305,18 @@ def solve_variational(
             "the explicit jump terms may degrade", stacklevel=2)
     v = grid.copy()                       # tau = 0 payoff
 
-    lower = np.empty(n_grid)
-    diag = np.empty(n_grid)
-    upper = np.empty(n_grid)
     a_lo = c.a2 / h**2 - c.a1 / (2.0 * h)
     a_mid = -2.0 * c.a2 / h**2 + c.a0
     a_hi = c.a2 / h**2 + c.a1 / (2.0 * h)
     half = 0.5 * dtau
-    # implicit side; boundary rows are Dirichlet (bottom) and V_E = 1 (top)
-    lower[:] = -half * a_lo
-    diag[:] = 1.0 - half * a_mid
-    upper[:] = -half * a_hi
-    diag[0] = 1.0
-    diag[-1] = 1.0
+    # implicit side in solve_banded's (1, 1) layout, banded[1 + i - j, j] =
+    # M[i, j]; boundary rows are Dirichlet (bottom) and V_E = 1 (top)
     banded = np.zeros((3, n_grid))
-    banded[0, 1:] = upper[1:]
-    banded[1, :] = diag
-    banded[2, :-1] = lower[1:]
-    banded[0, 1] = 0.0      # row 0 couples to nothing
-    banded[2, -2] = -1.0    # top row: V_{n-1} - V_{n-2} = h
-    banded[1, -1] = 1.0
+    banded[0, 2:] = -half * a_hi    # row 0 couples to nothing
+    banded[1, 1:-1] = 1.0 - half * a_mid
+    banded[1, [0, -1]] = 1.0
+    banded[2, :-2] = -half * a_lo
+    banded[2, -2] = -1.0            # top row: V_{n-1} - V_{n-2} = h
 
     scan1 = _jump_scan(params.delta1, h, n_grid)
     scan2 = _jump_scan(params.delta2, h, n_grid)

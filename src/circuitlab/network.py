@@ -45,24 +45,31 @@ class BankNetwork:
     jumps: JumpSpec | None = None
 
     def __post_init__(self) -> None:
-        self.external_assets = np.asarray(self.external_assets, dtype=float)
-        self.external_liabilities = np.asarray(self.external_liabilities, dtype=float)
-        self.mutual = np.asarray(self.mutual, dtype=float)
-        self.recoveries = np.asarray(self.recoveries, dtype=float)
-        self.sigma = np.asarray(self.sigma, dtype=float)
-        n = self.n
-        if self.mutual.shape != (n, n):
-            raise ValueError(f"mutual matrix must be {n}x{n}")
-        if np.any(np.diag(self.mutual) != 0.0):
-            raise ValueError("mutual matrix must have zero diagonal")
-        if np.any(self.mutual < 0):
-            raise ValueError("mutual liabilities must be non-negative")
+        # external liabilities take either sign: remove_bank nets recovered claims
+        n = np.size(self.external_assets)
+        for name, shape in (("external_assets", (n,)), ("external_liabilities", (n,)),
+                            ("mutual", (n, n)), ("recoveries", (n,)), ("sigma", (n,))):
+            value = np.asarray(getattr(self, name), dtype=float)
+            if value.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {value.shape}")
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite, got {value}")
+            setattr(self, name, value)
+        if not math.isfinite(self.mu):
+            raise ValueError(f"mu must be finite, got {self.mu}")
+        for name in ("external_assets", "sigma"):
+            if np.any(getattr(self, name) <= 0):
+                raise ValueError(f"{name} must be positive")
+        if np.any(self.mutual < 0) or np.any(np.diag(self.mutual) != 0.0):
+            raise ValueError("mutual must be non-negative with a zero diagonal")
         if np.any((self.recoveries < 0) | (self.recoveries > 1)):
             raise ValueError("recoveries must lie in [0, 1]")
-        if not np.all(np.isfinite(self.sigma)):
-            raise ValueError(f"sigma must be finite, got {self.sigma}")
         if self.corr is None:
             self.corr = CorrelationMatrix(np.eye(n))
+        if self.corr.n != n:
+            raise ValueError(f"corr must be {n}x{n}, got {self.corr.n}x{self.corr.n}")
+        if self.jumps is not None and self.jumps.n_banks != n:
+            raise ValueError(f"jumps must cover {n} banks, got {self.jumps.n_banks}")
 
     @property
     def n(self) -> int:
@@ -165,6 +172,8 @@ def _reduce_jumps(spec: JumpSpec, k: int) -> JumpSpec:
 
 # a path's clearing sweep stops once no payout fraction moves by this much
 CLEARING_TOL = 1e-12
+# a payout fraction this close to 1 is solvent: the bank pays in full
+SOLVENT_OMEGA = 1.0 - 1e-9
 
 
 @dataclass
@@ -216,7 +225,7 @@ def clearing_vector(net: BankNetwork, terminal_assets: np.ndarray) -> ClearingVe
     if residual > 1e-10:
         raise RuntimeError(f"clearing output is not a fixed point: residual {residual:.3e}")
     omega = omega.reshape(a_t.shape)
-    return ClearingVector(omega=omega, solvent=omega >= 1.0 - 1e-9, iterations=it)
+    return ClearingVector(omega=omega, solvent=omega >= SOLVENT_OMEGA, iterations=it)
 
 
 def kappa_coeffs(a1: float, a2: float, net: BankNetwork) -> np.ndarray:
@@ -360,7 +369,7 @@ class PathRecords:
 
     @property
     def survived(self) -> np.ndarray:
-        return ~self.interior_default & (self.omega >= 1.0 - 1e-9)
+        return ~self.interior_default & (self.omega >= SOLVENT_OMEGA)
 
 
 def simulate_paths(
@@ -416,26 +425,21 @@ def simulate_paths(
         alive = np.ones((width, n), dtype=bool)
         log_interior = np.tile(_survivors(sets, net, alive[0]).log_interior, (width, 1))
 
-        step_block = 512
-        k_step = 0
-        while k_step < n_steps:
-            b = min(step_block, n_steps - k_step)
-            zb = noise.normals(b, n)            # (b, n, width)
-            for j in range(b):
-                dw = _correlate(chol, np.ascontiguousarray(zb[j])).T * sqdt
-                log_a = log_a + drift + net.sigma * dw
-                if k_step in jump_events:
-                    rows, banks, amps = jump_events[k_step]
-                    np.add.at(log_a, (rows, banks), amps)
-                breach = alive & (log_a <= log_interior)
-                if np.any(breach):
-                    for row in np.nonzero(breach.any(axis=1))[0]:
-                        _settle_interior(
-                            sets, net, (k_step + 1) * dt, log_a[row], alive[row],
-                            log_interior[row], default_time[start + row],
-                            interior_default[start + row], omega_out[start + row],
-                        )
-                k_step += 1
+        for k_step, z in enumerate(noise.rows(n_steps, n)):
+            # contiguous per step: copying whole blocks raises the peak RSS
+            dw = _correlate(chol, np.ascontiguousarray(z)).T * sqdt
+            log_a = log_a + drift + net.sigma * dw
+            if k_step in jump_events:
+                rows, banks, amps = jump_events[k_step]
+                np.add.at(log_a, (rows, banks), amps)
+            breach = alive & (log_a <= log_interior)
+            if np.any(breach):
+                for row in np.nonzero(breach.any(axis=1))[0]:
+                    _settle_interior(
+                        sets, net, (k_step + 1) * dt, log_a[row], alive[row],
+                        log_interior[row], default_time[start + row],
+                        interior_default[start + row], omega_out[start + row],
+                    )
 
         _settle_terminal(sets, net, log_a, alive, omega_out[span],
                          terminal_assets[span], default_time[span], horizon)
@@ -566,11 +570,16 @@ def survival_probabilities(records: PathRecords) -> SurvivalEstimate:
     marg = surv.mean(axis=0)
     return SurvivalEstimate(
         joint=float(joint),
-        joint_stderr=float(np.sqrt(joint * (1.0 - joint) / n)),
+        joint_stderr=float(_binomial_stderr(joint, n)),
         marginal=marg,
-        marginal_stderr=np.sqrt(marg * (1.0 - marg) / n),
+        marginal_stderr=_binomial_stderr(marg, n),
         n_paths=n,
     )
+
+
+def _binomial_stderr(p, n: int):
+    """Standard error of a frequency p observed over n paths."""
+    return np.sqrt(p * (1.0 - p) / n)
 
 
 def instrument_payoffs(records: PathRecords, instrument: str) -> tuple[float, float]:
@@ -641,24 +650,19 @@ def two_bank_survival_grid(
         raise ValueError("grid points must be finite")
     m1_eq, m2_eq = ctx.m_terminal
 
-    n1, n2 = len(x1_grid), len(x2_grid)
-    joint_hits = np.zeros((n1, n2), dtype=np.int64)
-    marg_hits = np.zeros((n1, n2), dtype=np.int64)
+    joint_hits = np.zeros((len(x1_grid), len(x2_grid)), dtype=np.int64)
+    marg_hits = np.zeros_like(joint_hits)
 
     for start in range(0, paths, chunk):
         width = min(chunk, paths - start)
         noise = PathNoise(stream, width, first_path=start)
-        # driver increments per bank: unit-variance correlated Brownian
-        # steps plus drift
+        # driver paths per bank from y = 0, (2, width, n_steps + 1): summed
+        # unit-variance correlated Brownian steps plus drift
+        dw = _correlate(net.corr.cholesky, noise.normals(n_steps, 2))
+        dw *= sq
         y = np.zeros((2, width, n_steps + 1))
-        block = 2048
-        pos = 0
-        while pos < n_steps:
-            b = min(block, n_steps - pos)
-            zc = _correlate(net.corr.cholesky, noise.normals(b, 2))    # (b, 2, width)
-            y[:, :, pos + 1:pos + b + 1] = np.cumsum(zc.transpose(1, 2, 0) * sq, axis=2) \
-                + y[:, :, pos:pos + 1] + ctx.xi[:, None, None] * dt_scaled * np.arange(1, b + 1)
-            pos += b
+        np.cumsum(dw.transpose(1, 2, 0), axis=2, out=y[:, :, 1:])
+        y[:, :, 1:] += ctx.xi[:, None, None] * dt_scaled * np.arange(1, n_steps + 1)
         p = np.minimum.accumulate(y, axis=2)     # prefix minima
         s1 = np.minimum.accumulate(y[0, :, ::-1], axis=1)[:, ::-1]   # bank 1's suffix minima
         y1_t, y2_t = y[:, :, -1]
@@ -672,9 +676,8 @@ def two_bank_survival_grid(
             p1_at_k2 = p[0, rowidx, k2]
             s1_at_k2 = s1[rowidx, k2]
             for i1, x10 in enumerate(x1_grid):
-                alive1_no2 = p1_tot > -x10
                 # branch A: bank 2 never crossed; classify both at T
-                okA = (~crossed2) & alive1_no2
+                okA = ~crossed2 & (p1_tot > -x10)
                 x1t = x10 + y1_t
                 x2t = x20 + y2_t
                 in_d11 = (x1t > m1_eq) & (x2t > m2_eq)
@@ -688,14 +691,13 @@ def two_bank_survival_grid(
                        & (p1_at_k2 > -x10)
                        & (s1_at_k2 > dom.m1_shift_lt - x10)
                        & (x1t >= dom.m1_shift_eq))
-                marg_hits[i1, i2] += int(np.count_nonzero(margA)) \
-                    + int(np.count_nonzero(okB))
+                marg_hits[i1, i2] += int(np.count_nonzero(margA | okB))
 
     joint = joint_hits / paths
     marg = marg_hits / paths
     return GridSurvival(
         x1=x1_grid, x2=x2_grid,
-        joint=joint, joint_stderr=np.sqrt(joint * (1 - joint) / paths),
-        marginal1=marg, marginal1_stderr=np.sqrt(marg * (1 - marg) / paths),
+        joint=joint, joint_stderr=_binomial_stderr(joint, paths),
+        marginal1=marg, marginal1_stderr=_binomial_stderr(marg, paths),
         n_paths=paths,
     )

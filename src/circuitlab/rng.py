@@ -2,13 +2,14 @@
 
 Streams are counter-based (Philox) and keyed by (master_seed, stream_index),
 so results never depend on scheduling or worker count: path k always draws
-from stream k.
+from stream k.  `PathNoise.rows` alone decides how many steps one draw holds.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -158,13 +159,19 @@ class JumpSpec:
         return cls(n, subsets, theta)
 
 
+# values of noise in one `PathNoise.rows` draw: 16.8 MB of float64
+NOISE_VALUES = 2**21
+
+
 class PathNoise:
     """Per-path noise drawn from streams keyed by (master_seed, path_index).
 
     Path j's draws depend only on (master_seed, first_path + j), never on the
     total path count or scheduling, so chunked or parallel execution cannot
-    change results.  Draws can be taken in time blocks; generator state
-    persists between blocks.
+    change results.  Each generator draws in sequence, so `rows`, which owns
+    the time blocking, splits a run into draws of NOISE_VALUES = 2**21 values
+    without changing a value: 4,096 steps of 2 x 256 paths, so the per-path
+    generator loop runs rarely, and 256 of 2 x 4,096, so a block stays small.
     """
 
     def __init__(self, stream: RngStream, n_paths: int, first_path: int = 0):
@@ -178,6 +185,12 @@ class PathNoise:
         for j, g in enumerate(self._gens):
             g.standard_normal(out=out[j])
         return out.transpose(1, 2, 0)
+
+    def rows(self, n_steps: int, dims: int) -> Iterator[np.ndarray]:
+        """One (dims, n_paths) array of standard normals per step, via `normals`."""
+        block = max(1, NOISE_VALUES // (dims * len(self._gens)))
+        for k in range(0, n_steps, block):
+            yield from self.normals(min(block, n_steps - k), dims)
 
     def generator(self, j: int) -> np.random.Generator:
         return self._gens[j]

@@ -8,7 +8,8 @@ s_w and row 1 lambda_w, and advances the whole block with one ufunc per
 operation; each path's arithmetic is the same as if it ran alone.  A drift
 takes the components as separate rows and returns one array of shape
 (paths,) per component; a diffusion takes the stacked state and returns the
-noise loadings of the loaded rows, stacked the same way.
+noise loadings of the loaded rows, stacked the same way.  Each step's
+normals come from `PathNoise.rows`.
 The `EulerPaths` it returns is every circuit run's result: Goodwin returns
 it as it is, Keen and MMC as subclasses that add views of their extra
 components and what they derive from them.
@@ -19,14 +20,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from itertools import repeat
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
 from .rng import PathNoise, RngStream
 
-# steps of noise drawn per PathNoise.normals call
-NOISE_BLOCK = 4096
 # clamped runs keep (s_w, lambda_w) in [CLAMP_EPS, 1 - CLAMP_EPS], off the
 # boundary where the Jacobi volatility and the barrier drifts degenerate
 CLAMP_EPS = 1e-9
@@ -67,16 +66,6 @@ def record_index(horizon: float, dt: float, stride: int) -> np.ndarray:
         raise ValueError(f"record_stride must be at least 1, got {stride}")
     idx = np.arange(0, n_steps + 1, stride)
     return idx if idx[-1] == n_steps else np.append(idx, n_steps)
-
-
-def noise_rows(noise: PathNoise | None, n_steps: int, dims: int) -> Iterator:
-    """Per-step standard normals of shape (dims, paths), drawn in blocks of
-    NOISE_BLOCK steps; None for every step of a deterministic run."""
-    if noise is None:
-        yield from repeat(None, n_steps)
-        return
-    for k in range(0, n_steps, NOISE_BLOCK):
-        yield from noise.normals(min(NOISE_BLOCK, n_steps - k), dims)
 
 
 def jacobi(x):
@@ -186,7 +175,8 @@ class EulerPaths:
         records[:, 0] = x
         next_rec = 1
 
-        noise = PathNoise(stream or RngStream(0), paths) if stochastic else None
+        zs = (PathNoise(stream or RngStream(0), paths).rows(n_steps, len(loaded))
+              if stochastic else repeat(None, n_steps))
         loaded_rows = _rows(loaded)
         floors = floors or {}
         floored_rows = _rows(floors)
@@ -204,7 +194,7 @@ class EulerPaths:
         # freezes at the cap, so that until then no step pays for masking
         running = True
 
-        for k, z in enumerate(noise_rows(noise, n_steps, len(loaded)), start=1):
+        for k, z in enumerate(zs, start=1):
             nxt = _drift_block(drift, x)
             nxt *= dt
             # x first: of two NaN operands, the first one's sign survives

@@ -38,6 +38,48 @@ def random_network(rng, n=None):
     )
 
 
+FIG15_INPUTS = dict(external_assets=[60.0, 80.0], external_liabilities=[50.0, 60.0],
+                    mutual=[[0.0, 10.0], [20.0, 0.0]], recoveries=[0.4, 0.4],
+                    sigma=[0.4, 0.4])
+THREE_BANK_JUMPS = JumpSpec.systemic_idiosyncratic(0.1, np.full(3, 0.1), np.ones(3))
+BAD_INPUTS = [
+    ("sigma", [0.0, 0.4], "sigma must be positive"),
+    ("sigma", [-0.4, 0.4], "sigma must be positive"),
+    ("sigma", [0.4, 0.4, 0.4], r"sigma must have shape \(2,\), got \(3,\)"),
+    ("recoveries", [0.4], r"recoveries must have shape \(2,\), got \(1,\)"),
+    ("mutual", [[0.0, 10.0, 0.0]], r"mutual must have shape \(2, 2\)"),
+    ("external_assets", 60.0, r"external_assets must have shape \(1,\), got \(\)"),
+    ("recoveries", [0.4, math.nan], "recoveries must be finite"),
+    ("mutual", [[0.0, math.nan], [20.0, 0.0]], "mutual must be finite"),
+    ("mutual", [[0.0, -10.0], [20.0, 0.0]], "mutual must be non-negative"),
+    ("mutual", [[1.0, 10.0], [20.0, 0.0]], "mutual must be non-negative with a zero diagonal"),
+    ("recoveries", [0.4, 1.5], r"recoveries must lie in \[0, 1\]"),
+    ("external_liabilities", [50.0, math.nan], "external_liabilities must be finite"),
+    ("external_assets", [60.0, math.inf], "external_assets must be finite"),
+    ("mu", math.inf, "mu must be finite"),
+    ("mu", math.nan, "mu must be finite"),
+    ("external_assets", [0.0, 80.0], "external_assets must be positive"),
+    ("external_assets", [60.0, -1.0], "external_assets must be positive"),
+    ("corr", CorrelationMatrix(np.eye(3)), "corr must be 2x2, got 3x3"),
+    ("jumps", THREE_BANK_JUMPS, "jumps must cover 2 banks, got 3"),
+]
+
+
+@pytest.mark.parametrize("name, value, message", BAD_INPUTS,
+                         ids=[f"{name}-{i}" for i, (name, _, _) in enumerate(BAD_INPUTS)])
+def test_bank_network_rejects_bad_inputs_by_name(name, value, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        BankNetwork(**{**FIG15_INPUTS, name: value})
+
+
+def test_bank_network_accepts_negative_external_liabilities():
+    # remove_bank nets the recovered claim on the defaulted bank against
+    # them: L_1 <- 1 + 10 - 0.9 * 20 < 0
+    net = BankNetwork(**{**FIG15_INPUTS, "external_liabilities": [1.0, 60.0],
+                         "recoveries": [0.9, 0.9]})
+    assert remove_bank(net, 1).external_liabilities[0] == 1.0 + 10.0 - 0.9 * 20.0
+
+
 def test_boundaries_full_recovery_collapse():
     net = fig15_network()
     net.recoveries = np.array([1.0, 1.0])

@@ -10,6 +10,7 @@ it."""
 
 import math
 from dataclasses import replace
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -177,7 +178,8 @@ def _per_component_run(drift, initial, horizon, dt, paths, stream, diffusion, re
     for rec, v in zip(records, x):
         rec[0] = v
     next_rec = 1
-    noise = PathNoise(stream, paths) if stochastic else None
+    zs = (PathNoise(stream, paths).rows(n_steps, len(loaded)) if stochastic
+          else repeat(None, n_steps))
     sqdt = math.sqrt(dt)
     lo, hi = sde.CLAMP_EPS, 1.0 - sde.CLAMP_EPS
     clamped = floored = 0
@@ -185,7 +187,7 @@ def _per_component_run(drift, initial, horizon, dt, paths, stream, diffusion, re
     highs = [x[0].copy(), x[1].copy()]
     cap_times = None if cap is None else np.full(paths, np.nan)
     alive = np.ones(paths, dtype=bool)
-    for k, z in enumerate(sde.noise_rows(noise, n_steps, len(loaded)), start=1):
+    for k, z in enumerate(zs, start=1):
         nxt = [v + d * dt for v, d in zip(x, drift(*x))]
         if stochastic:
             for i, load, z_i in zip(loaded, diffusion(np.array(x)), z):

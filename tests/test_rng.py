@@ -1,6 +1,13 @@
+import pickle
+from dataclasses import replace
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from circuitlab import goodwin, network, rng
 from circuitlab.rng import (
     CorrelationError,
     CorrelationMatrix,
@@ -38,6 +45,54 @@ def test_path_noise_blocks_are_each_paths_own_draws():
         g = RngStream(9).substream(j).generator()
         for block in blocks:
             assert block[:, :, j].tobytes() == g.standard_normal(block.shape[:2]).tobytes()
+
+
+@settings(deadline=None, max_examples=60)
+@given(budget=st.integers(1, 64), n_steps=st.integers(0, 40), dims=st.integers(1, 4),
+       n_paths=st.integers(1, 5))
+def test_rows_are_the_steps_of_one_normals_draw(budget, n_steps, dims, n_paths):
+    # rows draws blocks of max(1, budget // (dims * n_paths)) steps, and
+    # their steps are those of a single draw of the whole run, bit for bit
+    noise = PathNoise(RngStream(4), n_paths)
+    draw = noise.normals
+    blocks = []
+
+    def traced(steps, d):
+        blocks.append(steps)
+        return draw(steps, d)
+
+    noise.normals = traced
+    with mock.patch.object(rng, "NOISE_VALUES", budget):
+        rows = list(noise.rows(n_steps, dims))
+    step = max(1, budget // (dims * n_paths))
+    assert blocks == [min(step, n_steps - k) for k in range(0, n_steps, step)]
+    whole = PathNoise(RngStream(4), n_paths).normals(n_steps, dims)
+    assert len(rows) == n_steps
+    if rows:
+        assert np.stack(rows).tobytes() == whole.tobytes()
+
+
+def _jump_network_run():
+    net = replace(network.fig15_network(rho=0.3, external_assets=(60.0, 90.0)),
+                  jumps=JumpSpec.systemic_idiosyncratic(0.4, np.array([0.3, 0.3]),
+                                                        np.array([1.5, 1.5])))
+    rec = simulate_paths(net, 2.0, 0.02, 37, RngStream(8), dynamics="jump-diffusion",
+                         chunk=16)
+    assert rec.interior_default.any()
+    return rec
+
+
+def _goodwin_run():
+    return goodwin.simulate(goodwin.GoodwinState(0.75, 0.8), goodwin.FIG3_PARAMS,
+                            horizon=1.0, dt=0.01, paths=5, stream=RngStream(3))
+
+
+# budgets of 3 steps per draw of a 2 x 16 network chunk, 7 of 2 x 5 Goodwin paths
+@pytest.mark.parametrize("run, budget", [(_jump_network_run, 96), (_goodwin_run, 70)])
+def test_simulators_do_not_depend_on_the_noise_budget(run, budget, monkeypatch):
+    default = pickle.dumps(run())
+    monkeypatch.setattr(rng, "NOISE_VALUES", budget)
+    assert pickle.dumps(run()) == default
 
 
 SIGMA = np.array([0.3, 0.2])
