@@ -7,7 +7,7 @@ Importing any module loads numpy only.  The circuit models (`goodwin`,
 (`balance`, `ledger`) need nothing else.  scipy loads on the first call that
 uses it: `bessel.iv_scaled` above z = 700 (`scipy.special.ive`),
 `wedge.norm_cdf` (`scipy.special.ndtr`), `dividend.stationary_barrier`
-(`scipy.optimize.brentq`) and `dividend.solve_variational`
-(`scipy.linalg.solve_banded` and the BLAS `dtbsv`)."""
+(`scipy.optimize.brentq`) and `dividend.solve_variational` (LAPACK
+`dgttrf`/`dgttrs` from `scipy.linalg.lapack` and the BLAS `dtbsv`)."""
 
 __version__ = "0.1.0"

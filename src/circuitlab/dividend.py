@@ -16,8 +16,9 @@ Two solution routes are provided and cross-validated:
 
 scipy loads on first use, not on import: `stationary_barrier` loads
 scipy.optimize for its root polish, and `solve_variational` scipy.linalg for
-the banded solve of each step (through this module's `solve_banded`) and the
-BLAS jump scan.
+LAPACK `dgttrf`/`dgttrs` (`scipy.linalg.lapack`), which factor the
+Crank-Nicolson matrix once per march and solve each step through this
+module's `solve_banded`, and for the BLAS jump scan.
 """
 
 from __future__ import annotations
@@ -309,14 +310,7 @@ def solve_variational(
     a_mid = -2.0 * c.a2 / h**2 + c.a0
     a_hi = c.a2 / h**2 + c.a1 / (2.0 * h)
     half = 0.5 * dtau
-    # implicit side in solve_banded's (1, 1) layout, banded[1 + i - j, j] =
-    # M[i, j]; boundary rows are Dirichlet (bottom) and V_E = 1 (top)
-    banded = np.zeros((3, n_grid))
-    banded[0, 2:] = -half * a_hi    # row 0 couples to nothing
-    banded[1, 1:-1] = 1.0 - half * a_mid
-    banded[1, [0, -1]] = 1.0
-    banded[2, :-2] = -half * a_lo
-    banded[2, -2] = -1.0            # top row: V_{n-1} - V_{n-2} = h
+    factors = _factor(_implicit_band(a_lo, a_mid, a_hi, half, n_grid))
 
     scan1 = _jump_scan(params.delta1, h, n_grid)
     scan2 = _jump_scan(params.delta2, h, n_grid)
@@ -348,7 +342,7 @@ def solve_variational(
         mid += jumps[:-1]
         rhs[0] = 0.0
         rhs[-1] = h
-        v = solve_banded((1, 1), banded, rhs, overwrite_b=True)
+        v = solve_banded(factors, rhs)
         # the monotone envelope V_k >= V_{k-1} + h, in place
         v -= ramp
         np.maximum.accumulate(v, out=v)
@@ -363,12 +357,42 @@ def solve_variational(
                            free_boundary=np.array(fbs), params=params)
 
 
-def solve_banded(l_and_u, ab, b, overwrite_b=False):
-    """scipy.linalg.solve_banded, loaded on the first call.  A name of this
-    module, which the march calls once per step and the benchmark's tracer
-    wraps to count the solves."""
-    import scipy.linalg
-    return scipy.linalg.solve_banded(l_and_u, ab, b, overwrite_b=overwrite_b)
+def _implicit_band(a_lo: float, a_mid: float, a_hi: float, half: float,
+                   n_grid: int) -> np.ndarray:
+    """The implicit Crank-Nicolson matrix M in the (1, 1) banded layout
+    banded[1 + i - j, j] = M[i, j].  Interior rows are 1 - half times the
+    stencil (a_lo, a_mid, a_hi); the boundary rows are Dirichlet (bottom) and
+    V_E = 1 (top)."""
+    banded = np.zeros((3, n_grid))
+    banded[0, 2:] = -half * a_hi    # row 0 couples to nothing
+    banded[1, 1:-1] = 1.0 - half * a_mid
+    banded[1, [0, -1]] = 1.0
+    banded[2, :-2] = -half * a_lo
+    banded[2, -2] = -1.0            # top row: V_{n-1} - V_{n-2} = h
+    return banded
+
+
+def _factor(banded: np.ndarray) -> tuple:
+    """LAPACK `dgttrf` LU factors (with partial pivoting) of the tridiagonal
+    matrix held in ``banded``'s (1, 1) layout, for `solve_banded`."""
+    from scipy.linalg.lapack import dgttrf
+    *factors, info = dgttrf(banded[2, :-1], banded[1], banded[0, 1:])
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            f"singular Crank-Nicolson matrix (dgttrf info = {info})")
+    return tuple(factors)
+
+
+def solve_banded(factors: tuple, b: np.ndarray) -> np.ndarray:
+    """Solve the factored Crank-Nicolson system for the right-hand side
+    ``b`` with LAPACK `dgttrs`, overwriting ``b``.  A non-finite ``b`` raises
+    ValueError.  A name of this module, which the march calls once per step
+    and the benchmark's tracer wraps to count the solves."""
+    if not np.isfinite(b).all():
+        raise ValueError("right-hand side must be finite")
+    from scipy.linalg.lapack import dgttrs
+    x, _ = dgttrs(*factors, b, overwrite_b=1)
+    return x
 
 
 def _jump_scan(delta: float, h: float, n_grid: int):

@@ -43,6 +43,22 @@ class BankNetwork:
     mu: float = 0.0
     corr: CorrelationMatrix | None = None
     jumps: JumpSpec | None = None
+    # set once __post_init__ has passed; from then on every field assignment
+    # re-runs the checks
+    _checked = False
+
+    def __setattr__(self, name: str, value) -> None:
+        if not self._checked:
+            object.__setattr__(self, name, value)
+            return
+        old = getattr(self, name)
+        object.__setattr__(self, name, value)
+        try:
+            self.__post_init__()
+        except ValueError:
+            # an assignment that fails the checks leaves the network as it was
+            object.__setattr__(self, name, old)
+            raise
 
     def __post_init__(self) -> None:
         # external liabilities take either sign: remove_bank nets recovered claims
@@ -54,7 +70,7 @@ class BankNetwork:
                 raise ValueError(f"{name} must have shape {shape}, got {value.shape}")
             if not np.all(np.isfinite(value)):
                 raise ValueError(f"{name} must be finite, got {value}")
-            setattr(self, name, value)
+            object.__setattr__(self, name, value)
         if not math.isfinite(self.mu):
             raise ValueError(f"mu must be finite, got {self.mu}")
         for name in ("external_assets", "sigma"):
@@ -65,11 +81,12 @@ class BankNetwork:
         if np.any((self.recoveries < 0) | (self.recoveries > 1)):
             raise ValueError("recoveries must lie in [0, 1]")
         if self.corr is None:
-            self.corr = CorrelationMatrix(np.eye(n))
+            object.__setattr__(self, "corr", CorrelationMatrix(np.eye(n)))
         if self.corr.n != n:
             raise ValueError(f"corr must be {n}x{n}, got {self.corr.n}x{self.corr.n}")
         if self.jumps is not None and self.jumps.n_banks != n:
             raise ValueError(f"jumps must cover {n} banks, got {self.jumps.n_banks}")
+        object.__setattr__(self, "_checked", True)
 
     @property
     def n(self) -> int:

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.integrate import quad
 
 from circuitlab import dividend
@@ -184,6 +186,112 @@ def test_variational_free_boundary_monotone_to_barrier():
     fb = g.free_boundary[1:]
     assert np.all(np.diff(fb) >= -2.0 * (g.grid[1] - g.grid[0]))
     assert abs(fb[-1] - sol.e_star) < 0.03
+
+
+def _scipy_march(params, horizon, e_max, n_grid, dtau):
+    """solve_variational as it was before the matrix was factored once: the
+    same march, with scipy.linalg.solve_banded eliminating the band at every
+    step.  Returns the recorded taus, slices and free boundaries."""
+    c = SymbolCoefficients.from_params(params)
+    grid = np.linspace(0.0, e_max, n_grid)
+    h = grid[1] - grid[0]
+    n_steps = round(horizon / dtau)
+    v = grid.copy()
+    a_lo = c.a2 / h**2 - c.a1 / (2.0 * h)
+    a_mid = -2.0 * c.a2 / h**2 + c.a0
+    a_hi = c.a2 / h**2 + c.a1 / (2.0 * h)
+    half = 0.5 * dtau
+    banded = np.zeros((3, n_grid))
+    banded[0, 2:] = -half * a_hi
+    banded[1, 1:-1] = 1.0 - half * a_mid
+    banded[1, [0, -1]] = 1.0
+    banded[2, :-2] = -half * a_lo
+    banded[2, -2] = -1.0
+    scan1 = dividend._jump_scan(params.delta1, h, n_grid)
+    scan2 = dividend._jump_scan(params.delta2, h, n_grid)
+    ramp = h * np.arange(n_grid)
+    work = np.empty(n_grid - 2)
+    rec_every = max(n_steps // 8, 1)       # record's default, 8
+    taus, slices = [0.0], [v.copy()]
+    fbs = [float(grid[dividend._free_boundary_index(v, h)])]
+    for step in range(1, n_steps + 1):
+        slope = np.diff(v) / h
+        jumps = scan1(v, slope)
+        jumps *= params.lambda1
+        i2 = scan2(v, slope)
+        i2 *= params.lambda2
+        jumps += i2
+        jumps *= dtau
+        rhs = np.empty(n_grid)
+        mid = rhs[1:-1]
+        np.multiply(v[:-2], a_lo, out=mid)
+        mid += np.multiply(v[1:-1], a_mid, out=work)
+        mid += np.multiply(v[2:], a_hi, out=work)
+        mid *= half
+        mid += v[1:-1]
+        mid += jumps[:-1]
+        rhs[0] = 0.0
+        rhs[-1] = h
+        v = scipy.linalg.solve_banded((1, 1), banded, rhs, overwrite_b=True)
+        v -= ramp
+        np.maximum.accumulate(v, out=v)
+        v += ramp
+        if step % rec_every == 0 or step == n_steps:
+            taus.append(step * dtau)
+            slices.append(v.copy())
+            fbs.append(float(grid[dividend._free_boundary_index(v, h)]))
+    return np.array(taus), np.array(slices), np.array(fbs)
+
+
+def test_prefactored_march_matches_the_scipy_march_byte_for_byte():
+    run = dict(horizon=0.5, e_max=2.0, n_grid=400, dtau=2e-3)
+    g = solve_variational(FIG13_PARAMS, **run)
+    taus, slices, fbs = _scipy_march(FIG13_PARAMS, **run)
+    assert g.tau.tobytes() == taus.tobytes()
+    assert g.values.tobytes() == slices.tobytes()
+    assert g.free_boundary.tobytes() == fbs.tobytes()
+
+
+# drifts up to |mu| = 5 against small sigma cost the band its diagonal
+# dominance, so dgttrf swaps rows in some draws
+@settings(deadline=None, max_examples=150)
+@given(mu=st.floats(-5.0, 5.0), sigma=st.floats(0.01, 2.0),
+       discount=st.floats(1e-3, 1.0), lambda1=st.floats(0.0, 2.0),
+       lambda2=st.floats(0.0, 2.0), n_grid=st.integers(3, 400),
+       e_max=st.floats(0.1, 20.0), dtau=st.floats(1e-5, 1.0), data=st.data())
+def test_prefactored_solve_matches_scipy_solve_banded(mu, sigma, discount, lambda1,
+                                                      lambda2, n_grid, e_max, dtau, data):
+    params = EquityParams(mu=mu, sigma=sigma, discount=discount, lambda1=lambda1,
+                          delta1=3.0, lambda2=lambda2, delta2=1.0)
+    c = SymbolCoefficients.from_params(params)
+    h = e_max / (n_grid - 1)
+    band = dividend._implicit_band(c.a2 / h**2 - c.a1 / (2.0 * h),
+                                   -2.0 * c.a2 / h**2 + c.a0,
+                                   c.a2 / h**2 + c.a1 / (2.0 * h), 0.5 * dtau, n_grid)
+    rhs = data.draw(arrays(np.float64, n_grid, elements=st.floats(-1e3, 1e3)))
+    try:
+        expected = scipy.linalg.solve_banded((1, 1), band, rhs)
+    except np.linalg.LinAlgError:
+        # some valid inputs make the band exactly singular; both refuse it
+        with pytest.raises(np.linalg.LinAlgError, match="singular Crank-Nicolson"):
+            dividend._factor(band)
+        return
+    got = dividend.solve_banded(dividend._factor(band), rhs.copy())
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_prefactored_solve_names_its_errors():
+    band = dividend._implicit_band(1.0, -2.5, 1.0, 1e-3, 5)
+    rhs = np.ones(5)
+    rhs[2] = math.nan
+    with pytest.raises(ValueError, match="finite"):
+        dividend.solve_banded(dividend._factor(band), rhs)
+    # with h = 0.5 the middle row reads (1.5, 3.5, -3.5) and the top row
+    # (0, -1, 1): the 3-point matrix is singular for these valid inputs
+    p = EquityParams(mu=5.0, sigma=1.0, discount=1.0,
+                     lambda1=0.0, delta1=3.0, lambda2=0.0, delta2=1.0)
+    with pytest.raises(np.linalg.LinAlgError, match="singular Crank-Nicolson"):
+        solve_variational(p, horizon=1.0, e_max=1.0, n_grid=3, dtau=1.0)
 
 
 def test_no_bracket_reported(monkeypatch):

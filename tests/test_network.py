@@ -72,6 +72,41 @@ def test_bank_network_rejects_bad_inputs_by_name(name, value, message):
         BankNetwork(**{**FIG15_INPUTS, name: value})
 
 
+@pytest.mark.parametrize("name, value, message", BAD_INPUTS,
+                         ids=[f"{name}-{i}" for i, (name, _, _) in enumerate(BAD_INPUTS)])
+def test_bank_network_rechecks_every_assignment(name, value, message):
+    # a three-bank JumpSpec or a zero sigma assigned to a built network used
+    # to pass unchecked
+    net = BankNetwork(**FIG15_INPUTS)
+    before = getattr(net, name)
+    with pytest.raises(ValueError, match=f"^{message}"):
+        setattr(net, name, value)
+    # a refused assignment leaves the network as it was
+    assert getattr(net, name) is before
+
+
+def test_bank_network_takes_valid_assignments():
+    # the assignments made after construction here, in test_wedge.py and in
+    # the benchmark's jump network
+    rng = np.random.default_rng(8)
+    net = fig15_network(external_assets=(60.0, 120.0))
+    net.recoveries = [1.0, 1.0]
+    net.mutual = np.array([[0.0, rng.uniform(1.0, 15.0)], [rng.uniform(1.0, 15.0), 0.0]])
+    net.external_liabilities = rng.uniform(40.0, 80.0, 2)
+    net.external_assets = np.maximum(boundaries(net).terminal, 1.0) * rng.uniform(0.8, 1.4, 2)
+    net.corr = CorrelationMatrix.from_scalar(0.3, 2)
+    spec = JumpSpec.systemic_idiosyncratic(0.4, np.array([0.3, 0.3]), np.array([1.5, 1.5]))
+    net.jumps = spec
+    assert net.jumps is spec and net.corr.rho[0, 1] == 0.3
+    # assigned arrays are stored as float arrays, as at construction
+    assert net.recoveries.dtype == np.float64 and np.array_equal(net.recoveries, [1.0, 1.0])
+    net.corr = None
+    assert np.array_equal(net.corr.rho, np.eye(2))
+    rec = simulate_paths(net, horizon=0.1, dt=0.01, paths=8, stream=RngStream(2),
+                         dynamics="jump-diffusion")
+    assert rec.omega.shape[-1] == 2
+
+
 def test_bank_network_accepts_negative_external_liabilities():
     # remove_bank nets the recovered claim on the defaulted bank against
     # them: L_1 <- 1 + 10 - 0.9 * 20 < 0

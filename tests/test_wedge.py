@@ -178,7 +178,6 @@ def test_domain_endpoint_identities():
         net.mutual = np.array([[0.0, rng.uniform(1.0, 15.0)],
                                [rng.uniform(1.0, 15.0), 0.0]])
         net.external_liabilities = rng.uniform(40.0, 80.0, 2)
-        net.__post_init__()
         from circuitlab.network import boundaries
         if np.any(boundaries(net).interior <= 0):
             continue
