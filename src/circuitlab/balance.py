@@ -104,7 +104,7 @@ def lagged_borrow_inflow(psi, t: float, params: FlowParams) -> float:
     return psi(t) - math.exp(-params.mu * params.t_lag) * psi(t - params.t_lag)
 
 
-@dataclass
+@dataclass(eq=False)
 class Trajectory:
     """Recorded paths, shaped (control batch..., time)."""
 
@@ -232,7 +232,7 @@ class RegWeights:
                 raise ValueError(f"{name} must be non-negative")
 
 
-@dataclass
+@dataclass(eq=False)
 class ConstraintReport:
     funding_slack: float      # ASF - RSF
     liquidity_slack: float    # CI - CO

@@ -151,7 +151,7 @@ def symbol_roots(params: EquityParams) -> np.ndarray:
     return roots
 
 
-@dataclass
+@dataclass(eq=False)
 class BarrierSolution:
     roots: np.ndarray
     coeffs: np.ndarray
@@ -264,7 +264,7 @@ def jump_integral(v: np.ndarray, grid: np.ndarray, delta: float) -> np.ndarray:
     return out
 
 
-@dataclass
+@dataclass(eq=False)
 class EquityValueGrid:
     grid: np.ndarray
     tau: np.ndarray

@@ -408,7 +408,7 @@ def mmc_drift_and_diffusion(state: MmcState, params: MmcParams,
                     capacity_capped=bool(capped), upsilon_f=u)
 
 
-@dataclass
+@dataclass(eq=False)
 class MmcResult(EulerPaths):
     """The Euler run of the STOCK_NAMES components, in that order, and what
     the simulator derives from it: the propensity of each recorded row,

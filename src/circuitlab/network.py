@@ -17,6 +17,7 @@ clearing fixed point.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(eq=False)
 class BankNetwork:
     external_assets: np.ndarray
     external_liabilities: np.ndarray
@@ -122,7 +123,7 @@ def fig15_network(sigma=(0.4, 0.4), rho=0.0, mu=0.0,
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DefaultBoundarySet:
     interior: np.ndarray   # Lambda^< = R (L + L_hat) - A_hat, monitored for t < T
     terminal: np.ndarray   # Lambda^= = L + L_hat - A_hat, settlement level at T
@@ -193,7 +194,7 @@ CLEARING_TOL = 1e-12
 SOLVENT_OMEGA = 1.0 - 1e-9
 
 
-@dataclass
+@dataclass(eq=False)
 class ClearingVector:
     omega: np.ndarray
     solvent: np.ndarray      # omega_i == 1 within tolerance
@@ -265,7 +266,7 @@ def _delta(net: BankNetwork) -> float:
     return l1 * l2 + l1 * net.mutual[1, 0] + l2 * net.mutual[0, 1]
 
 
-@dataclass
+@dataclass(eq=False)
 class NondimContext:
     """Scaled coordinates X_i = (Sigma/sigma_i) ln(A_i / Lambda_i^<) in which
     assets are unit-variance Brownian motions and the interior boundary sits
@@ -322,7 +323,7 @@ def shifted_levels(net: BankNetwork, ctx: NondimContext,
     return m_lt, m_eq
 
 
-@dataclass
+@dataclass(eq=False)
 class TwoBankDomains:
     """Terminal settlement geometry of the two-bank quadrant, in the scaled
     coordinates of `ctx`."""
@@ -369,7 +370,7 @@ def two_bank_domains(net: BankNetwork) -> TwoBankDomains:
     )
 
 
-@dataclass
+@dataclass(eq=False)
 class PathRecords:
     """Per-path outcome log of a network simulation."""
 
@@ -414,6 +415,8 @@ def simulate_paths(
     n_steps = step_count(horizon, dt)
     if not paths >= 1:
         raise ValueError(f"paths must be at least 1, got {paths}")
+    if not (isinstance(chunk, numbers.Integral) and chunk >= 1):
+        raise ValueError(f"chunk must be a positive integer, got {chunk!r}")
     n = net.n
     stream = stream or RngStream(0)
     chol = net.corr.cholesky
@@ -474,7 +477,7 @@ def _correlate(chol: np.ndarray, z: np.ndarray) -> np.ndarray:
     return sum(chol[:, c, None] * z[..., c, None, :] for c in range(len(chol)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _SurvivorSet:
     net: BankNetwork             # the network reduced to the surviving banks
     idx: np.ndarray              # their indices in the full network
@@ -568,7 +571,7 @@ def _settle_terminal(sets, net, log_a, alive, omega, terminal_assets,
             default_time[np.ix_(short, s.idx)] = np.where(cv.solvent, np.nan, horizon)
 
 
-@dataclass
+@dataclass(eq=False)
 class SurvivalEstimate:
     joint: float
     joint_stderr: float
@@ -623,7 +626,7 @@ def instrument_payoffs(records: PathRecords, instrument: str) -> tuple[float, fl
     return mean, stderr
 
 
-@dataclass
+@dataclass(eq=False)
 class GridSurvival:
     x1: np.ndarray
     x2: np.ndarray
@@ -659,6 +662,8 @@ def two_bank_survival_grid(
     n_steps = step_count(ctx.scaled_time(horizon), dt_scaled, "dt_scaled")
     if not paths >= 1:
         raise ValueError(f"paths must be at least 1, got {paths}")
+    if not (isinstance(chunk, numbers.Integral) and chunk >= 1):
+        raise ValueError(f"chunk must be a positive integer, got {chunk!r}")
     sq = math.sqrt(dt_scaled)
     stream = stream or RngStream(0)
     x1_grid = np.asarray(x1_grid if x1_grid is not None else np.linspace(1.0, 4.0, 5))

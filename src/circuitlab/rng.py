@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator
+from types import MappingProxyType
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -44,23 +45,32 @@ class CorrelationError(ValueError):
     """Correlation matrix is not symmetric PSD with unit diagonal."""
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class CorrelationMatrix:
-    """Symmetric PSD matrix of pairwise Brownian correlations with unit diagonal."""
+    """Symmetric PSD matrix of pairwise Brownian correlations with unit
+    diagonal.  It holds a read-only copy of the matrix and its factor, so
+    the two cannot drift apart."""
 
     rho: np.ndarray
     _chol: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        rho = np.atleast_2d(np.asarray(self.rho, dtype=float))
+        rho = np.array(self.rho, dtype=float, ndmin=2)
         if rho.shape[0] != rho.shape[1]:
             raise CorrelationError(f"correlation matrix must be square, got {rho.shape}")
         if not np.allclose(rho, rho.T, atol=1e-12):
             raise CorrelationError("correlation matrix must be symmetric")
         if not np.allclose(np.diag(rho), 1.0, atol=1e-12):
             raise CorrelationError("correlation matrix must have unit diagonal")
-        self.rho = rho
-        self._chol = _psd_cholesky(rho)
+        chol = _psd_cholesky(rho)
+        rho.setflags(write=False)
+        chol.setflags(write=False)
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "_chol", chol)
+
+    def __reduce__(self):
+        # copies and unpickled instances rebuild through the checks, read-only
+        return type(self), (self.rho,)
 
     @classmethod
     def from_scalar(cls, rho: float, n: int = 2) -> "CorrelationMatrix":
@@ -102,7 +112,7 @@ def _psd_cholesky(a: np.ndarray) -> np.ndarray:
     return l
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class JumpSpec:
     """Marshall-Olkin common-shock jump specification.
 
@@ -110,17 +120,19 @@ class JumpSpec:
     intensities; each bank's arrival process is the superposition of the
     subsets containing it.  Amplitudes are negative-exponential with
     per-bank decay theta[i] > 0, so the compensator is -1/(theta[i]+1).
+    It holds a read-only copy of theta and a read-only view of the
+    positive intensities.
     """
 
     n_banks: int
-    subset_intensities: dict[frozenset[int], float]
+    subset_intensities: Mapping[frozenset[int], float]
     theta: np.ndarray
 
     def __post_init__(self) -> None:
-        self.theta = np.asarray(self.theta, dtype=float)
-        if self.theta.shape != (self.n_banks,):
+        theta = np.array(self.theta, dtype=float)
+        if theta.shape != (self.n_banks,):
             raise ValueError(f"theta must have shape ({self.n_banks},)")
-        if np.any(self.theta <= 0):
+        if np.any(theta <= 0):
             raise ValueError("jump decay theta must be positive for every bank")
         clean: dict[frozenset[int], float] = {}
         for subset, lam in self.subset_intensities.items():
@@ -131,7 +143,13 @@ class JumpSpec:
                 raise ValueError(f"intensity for subset {set(subset)} is negative: {lam}")
             if lam > 0:
                 clean[s] = float(lam)
-        self.subset_intensities = clean
+        theta.setflags(write=False)
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "subset_intensities", MappingProxyType(clean))
+
+    def __reduce__(self):
+        # copies and unpickled instances rebuild through the checks, read-only
+        return type(self), (self.n_banks, dict(self.subset_intensities), self.theta)
 
     @property
     def compensators(self) -> np.ndarray:

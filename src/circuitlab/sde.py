@@ -18,6 +18,7 @@ components and what they derive from them.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 from itertools import repeat
 from typing import Callable
@@ -60,10 +61,11 @@ def require_finite(params) -> None:
 
 def record_index(horizon: float, dt: float, stride: int) -> np.ndarray:
     """Steps whose state is stored: every stride-th one plus the last, of a
-    run of step_count(horizon, dt) steps; the stride must be at least 1."""
+    run of step_count(horizon, dt) steps; the stride must be an integer of
+    at least 1."""
     n_steps = step_count(horizon, dt)
-    if not stride >= 1:
-        raise ValueError(f"record_stride must be at least 1, got {stride}")
+    if not (isinstance(stride, numbers.Integral) and stride >= 1):
+        raise ValueError(f"record_stride must be an integer of at least 1, got {stride!r}")
     idx = np.arange(0, n_steps + 1, stride)
     return idx if idx[-1] == n_steps else np.append(idx, n_steps)
 
@@ -96,7 +98,7 @@ def employment_drift(s, lam, growth, params, regularized: bool, s_f=None):
     return -(params.a - params.b * lam) * s, growth * lam
 
 
-@dataclass
+@dataclass(eq=False)
 class EulerPaths:
     """A circuit run: recorded components, indexed (recorded step, path),
     and the loop's counters.  The extremes of (s_w, lambda_w) cover every

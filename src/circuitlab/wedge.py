@@ -28,8 +28,10 @@ other bank's boundary face.  Every entry point builds its frame through
 which builds its scaled coordinates through `network.nondim_context`, the one
 check that it is diffusion-only; the Monte Carlo engine covers jumps.
 
-scipy loads on first use, not on import: `norm_cdf` (and so `survival_1d`
-and Q1) loads scipy.special, as does `bessel.iv_scaled` at z > 700.
+The series takes ive(nu, z) = I_nu(z) e^{-z} from `iv_scaled`, the wedge's
+own power series on 0 <= z <= SERIES_MAX_Z = 25 (ValueError above).  scipy
+loads on first use, not on import, and only through `norm_cdf` (and so
+`survival_1d` and Q1), as scipy.special.
 """
 
 from __future__ import annotations
@@ -40,11 +42,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bessel import iv_scaled
 from .network import BankNetwork, TwoBankDomains, two_bank_domains
 
 __all__ = [
-    "WedgeContext", "norm_cdf", "survival_1d", "wedge_green", "boundary_flux",
+    "WedgeContext", "iv_scaled", "norm_cdf", "survival_1d", "wedge_green", "boundary_flux",
     "joint_survival_Q", "marginal_survival_Q1", "q1_standalone", "conservation_check",
 ]
 
@@ -79,7 +80,63 @@ class SeriesError(RuntimeError):
     """Bessel series failed to reach the truncation target."""
 
 
-@dataclass
+# The density series takes ive(nu, z) = I_nu(z) e^{-z} from its power series
+# on 0 <= z <= SERIES_MAX_Z.  Its terms are all positive, so it is
+# cancellation-free, and it is about 9x faster than scipy.special.ive on the
+# wedge's points: over the 10.1 M point-orders of one `deterministic`
+# benchmark pass's wedge calls (492 calls, all below IMAGE_MIN_Z) it took
+# 0.78-0.92 s against ive's 7.8-8.1 s, best of 3 in each of two runs on a
+# 2-vCPU Xeon.  Relative accuracy 1e-12 against arbitrary-precision values.
+SERIES_MAX_Z = 25.0
+_SMALL_Z = 3.0
+
+
+def iv_scaled(nu: float, z) -> np.ndarray | float:
+    """I_nu(z) * exp(-z) for nu >= 0 and 0 <= z <= SERIES_MAX_Z, vectorized
+    over z; ValueError outside that range.  A point whose scaled first term
+    underflows gets the series' own value, below 1e-300."""
+    if not (math.isfinite(nu) and nu >= 0):
+        raise ValueError(f"order must be finite and non-negative, got {nu}")
+    z_arr = np.asarray(z, dtype=float)
+    scalar = z_arr.ndim == 0
+    # read-only from here on, so a float array from the caller is not copied
+    z_arr = np.atleast_1d(z_arr)
+    z_min, z_max = z_arr.min(initial=math.inf), z_arr.max(initial=0.0)
+    if not (z_min >= 0.0 and z_max <= SERIES_MAX_Z):
+        raise ValueError(f"argument must be non-negative and at most "
+                         f"SERIES_MAX_Z = {SERIES_MAX_Z:g}, got [{z_min}, {z_max}]")
+    out = np.empty_like(z_arr)
+    # two buckets bound the iteration count; z = 0 gives 1 at nu = 0, else 0
+    small = z_arr <= _SMALL_Z
+    for sel, z_hi in ((small, _SMALL_Z), (~small, SERIES_MAX_Z)):
+        if np.any(sel):
+            out[sel] = _series_scaled(nu, z_arr[sel], z_hi)
+    return float(out[0]) if scalar else out
+
+
+def _series_scaled(nu: float, z: np.ndarray, z_hi: float) -> np.ndarray:
+    """Forward power series times e^{-z}, from the scaled first term, with
+    the iteration count sized by z_hi."""
+    # (z/2)^nu is 1 at nu = 0: nu log(z/2) would be 0 * -inf = NaN once z/2
+    # underflows to 0; at nu > 0 that -inf is the underflowing first term
+    with np.errstate(divide="ignore"):
+        log_t0 = (nu * np.log(0.5 * z) if nu > 0 else 0.0) - math.lgamma(nu + 1.0) - z
+    t = np.exp(log_t0)
+    s = t.copy()
+    q = 0.25 * z * z
+    k_star = 0.5 * (-(nu + 1.0) + math.sqrt((nu + 1.0) ** 2 + z_hi * z_hi))
+    k_max = int(k_star + 12.0 * math.sqrt(max(z_hi, 1.0)) + 30.0)
+    # t = t * q / d; s = s + t, in place and in that order
+    for k in range(k_max):
+        t *= q
+        t /= (k + 1.0) * (nu + k + 1.0)
+        s += t
+        if (k & 15) == 15 and np.all(t <= 1e-17 * s):
+            break
+    return s
+
+
+@dataclass(eq=False)
 class WedgeContext:
     rho: float
     xi: np.ndarray                 # scaled drift vector (2,)

@@ -11,5 +11,7 @@ INVALID_RUNS = [
     ({"horizon": math.inf}, "horizon"), ({"horizon": 0.004}, "horizon"),
     ({"horizon": 0.015, "dt": 0.01}, "whole"),
     ({"record_stride": 0}, "record_stride"), ({"record_stride": -1}, "record_stride"),
+    # a fractional stride once stored uninitialised rows
+    ({"record_stride": 2.5}, "record_stride must be an integer"),
     ({"paths": 0}, "paths"),
 ]

@@ -51,9 +51,14 @@ mmc.simulate(mmc.FIG8_STATE, mmc.FIG8_PARAMS, 1.0, 0.01)
 net = network.fig15_network(rho=0.3)
 network.simulate_paths(net, 1.0, 0.01, 64, stream=RngStream(3))
 network.two_bank_survival_grid(net, 1.0, 0.01, 32, stream=RngStream(4))
+# 1e-150 from the quadrant corner every Bessel term's first term underflows:
+# the series gives its own value there, with no scipy fallback
+from circuitlab import wedge
+ctx = wedge.WedgeContext.build(0.3, [-0.5, -0.5])
+wedge.wedge_green(ctx, 1.0, np.array([1e-150, 0.5]), np.array([1e-150, 0.5]), (2.0, 2.0))
 print(scipy_modules())
 """
-    assert {"bessel", "dividend", "wedge"} <= set(names)
+    assert {"dividend", "wedge"} <= set(names)
     assert _run(code) == "[]"
 
 
@@ -61,8 +66,6 @@ print(scipy_modules())
 FIRST_CALLS = {
     "norm_cdf": "from circuitlab import wedge\n"
                 "out = wedge.norm_cdf(np.linspace(-6.0, 6.0, 25))",
-    "iv_scaled_z800": "from circuitlab import bessel\n"
-                      "out = bessel.iv_scaled(7.5, np.array([800.0, 3.0, 2500.0]))",
     "stationary_barrier": "from circuitlab import dividend\n"
                           "sol = dividend.stationary_barrier(dividend.FIG13_PARAMS)\n"
                           "out = np.append(sol.coeffs, sol.e_star)",

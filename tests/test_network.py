@@ -306,7 +306,9 @@ def test_monte_carlo_rejects_bad_run_settings():
             ({"horizon": -1.0}, "horizon"), ({"horizon": math.nan}, "horizon"),
             ({"horizon": 1e-6}, "horizon"), ({"horizon": 1.05}, "whole"),
             ({"x1_grid": [math.nan, 2.0, -1.0, math.inf], "x2_grid": [2.0, math.nan]},
-             "grid points must be finite")):
+             "grid points must be finite"),
+            # chunk = -5 once reported a joint survival of 0
+            ({"chunk": 0}, "chunk"), ({"chunk": -5}, "chunk"), ({"chunk": 2.5}, "chunk")):
         with pytest.raises(ValueError, match=message):
             two_bank_survival_grid(net, **{**grid, **overrides})
     for horizon, dt in ((math.nan, 0.01), (math.inf, 0.01), (-1.0, 0.01),
@@ -320,6 +322,10 @@ def test_monte_carlo_rejects_bad_run_settings():
     for paths in (0, -1):
         with pytest.raises(ValueError, match="paths"):
             simulate_paths(net, 1.0, 0.01, paths=paths)
+    # chunk = -1 once ran no path and reported every bank surviving
+    for chunk in (0, -1, 2.5):
+        with pytest.raises(ValueError, match="chunk must be a positive integer"):
+            simulate_paths(net, 1.0, 0.01, paths=10, chunk=chunk)
 
 
 def test_jump_dynamics_increase_defaults():

@@ -1,5 +1,6 @@
+import copy
 import pickle
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from unittest import mock
 
 import numpy as np
@@ -160,6 +161,52 @@ def test_jump_spec_validation():
         JumpSpec(2, {frozenset([0]): -0.1}, np.array([1.0, 1.0]))
     with pytest.raises(ValueError, match="theta"):
         JumpSpec(2, {frozenset([0]): 0.1}, np.array([1.0, -1.0]))
+
+
+def _copies(spec):
+    return copy.copy(spec), copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))
+
+
+def test_correlation_matrix_keeps_a_read_only_copy():
+    # it once kept the caller's array: an edit after construction moved rho,
+    # which the wedge reads, away from the factor the Monte Carlo draws with
+    m = np.array([[1.0, 0.3], [0.3, 1.0]])
+    corr = CorrelationMatrix(m)
+    m[0, 1] = m[1, 0] = 0.9
+    assert corr.rho[0, 1] == 0.3 and corr.cholesky[1, 0] == 0.3
+    for arr in (corr.rho, corr.cholesky):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 1] = 0.9
+    with pytest.raises(FrozenInstanceError):
+        corr.rho = m
+    for other in _copies(corr):
+        assert not (other.rho.flags.writeable or other.cholesky.flags.writeable)
+        assert np.array_equal(other.rho, corr.rho)
+        assert np.array_equal(other.cholesky, corr.cholesky)
+
+
+def test_jump_spec_is_frozen_with_read_only_data():
+    # an assigned theta of [-1, 2] once passed unchecked, and the
+    # compensators read -inf
+    theta = np.array([1.5, 2.0])
+    intensities = {frozenset([0, 1]): 0.4, frozenset([0]): 0.3, frozenset([1]): 0.0}
+    spec = JumpSpec(2, intensities, theta)
+    theta[0] = -1.0
+    intensities[frozenset([1])] = 0.5
+    assert spec.theta[0] == 1.5
+    assert dict(spec.subset_intensities) == {frozenset([0, 1]): 0.4, frozenset([0]): 0.3}
+    with pytest.raises(FrozenInstanceError):
+        spec.theta = [-1.0, 2.0]
+    with pytest.raises(ValueError, match="read-only"):
+        spec.theta[0] = -1.0
+    with pytest.raises(TypeError):
+        spec.subset_intensities[frozenset([1])] = 0.5
+    assert np.array_equal(spec.compensators, -1.0 / (np.array([1.5, 2.0]) + 1.0))
+    for other in _copies(spec):
+        assert not other.theta.flags.writeable and np.array_equal(other.theta, spec.theta)
+        assert dict(other.subset_intensities) == dict(spec.subset_intensities)
+        with pytest.raises(TypeError):
+            other.subset_intensities[frozenset([1])] = 0.5
 
 
 def _jump_events(seed, spec, horizon, dt, width):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from scipy.special import ive
 
 from circuitlab import wedge
-from circuitlab.bessel import iv_scaled
 from circuitlab.network import (
     BankNetwork,
     fig15_network,
@@ -24,6 +23,7 @@ from circuitlab.wedge import (
     WedgeContext,
     boundary_flux,
     conservation_check,
+    iv_scaled,
     joint_survival_Q,
     marginal_survival_Q1,
     norm_cdf,
@@ -503,13 +503,14 @@ def test_kernels_leave_read_only_inputs_unchanged():
     src = _read_only([2.0, 1.5])
     x1 = _read_only([0.3, 1.0, 2.0, 4.0, 9.0])
     x2 = _read_only([0.5, 2.0, 1.5, 3.0, 8.0])
-    # z = r r'/t spans the series (z < 20) and the image sum at t = 0.05
+    # z = r r'/t spans the series (z < 20) and the image sum at t = 0.05;
+    # iv_scaled takes the read-only view of those within SERIES_MAX_Z
     z = _read_only([0.0, 0.4, 2.5, 19.0, 24.0, 150.0, 900.0])
     phi = _read_only(np.linspace(0.1, 0.9, z.size) * ctx.varpi)
     t = _read_only([0.05, 0.05, 0.2, 1.0, 3.0])
     inputs = (src, x1, x2, z, phi, t)
     before = [a.copy() for a in inputs]
-    iv_scaled(2.5, z)
+    iv_scaled(2.5, z[:5])
     for tt in (0.05, 3.0):
         wedge_green(ctx, tt, x1, x2, src)
     for face in (1, 2):
