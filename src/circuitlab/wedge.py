@@ -23,7 +23,16 @@ sqrt(z)/(4 alpha) in the density and 4.4e-16 z/(4 alpha) in the flux.
 Survival probabilities are then quadratures of this density over the
 terminal settlement domains, plus (for the marginal) the time integral of
 the one-dimensional shifted survival law against the absorption flux on the
-other bank's boundary face.  Every entry point builds its frame through
+other bank's boundary face.  That time integral converges only
+algebraically on uniform panels, so its rules are graded geometrically
+toward their layers (`_graded_edges`): both ends of the time rule, and on
+the face toward the source coordinate.  On the default QuadratureSpec, Q1
+at the source (2, 2) and horizon 12.5 lies within 9e-16 of a 32-panel,
+96-time-panel reference at rho = 0, -0.5 and 0.3, where the uniform rule it
+replaced (8 panels, 24 time panels) was 6e-12 to 1.2e-11 off; Q is within
+7e-16.  `_refined`'s error estimate compares the spec with 1.5 times its
+uniform panels, and the level counts are fixed, so it measures the uniform
+panels' part.  Every entry point builds its frame through
 `network.two_bank_domains`, the one check that the network has two banks,
 which builds its scaled coordinates through `network.nondim_context`, the one
 check that it is diffusion-only; the Monte Carlo engine covers jumps.
@@ -38,6 +47,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -72,19 +82,33 @@ SEAM_TOL = 1e-14
 # the terminal quadrature is cut TAIL_SIGMAS standard deviations above the
 # drifted source: the Gaussian tail beyond it is below 1e-16
 TAIL_SIGMAS = 8.5
-# geometric panels toward a quadrant axis: the smallest spans 2**-30 of the cut
+# geometric levels toward a quadrant axis, the smallest panel 2**-30 of the
+# graded end piece: the boundary flux there behaves like x^(nu_1 - 1), a
+# negative power for rho > 0; the density vanishes like x^nu_1 and needs
+# fewer levels
 GRADED_LEVELS = 30
+INTERIOR_LEVELS = 8
+# geometric levels at each end of the flux time rule in u = sqrt(T - s), and
+# on bank 2's face toward the source coordinate x1' (see `_flux_integral`
+# and `_q1_once`)
+TIME_LEVELS = 8
+FACE_LEVELS = 3
 
 
 class SeriesError(RuntimeError):
     """Bessel series failed to reach the truncation target."""
 
 
+class QuadratureError(RuntimeError):
+    """A survival quadrature's error estimate missed its target."""
+
+
 # The density series takes ive(nu, z) = I_nu(z) e^{-z} from its power series
 # on 0 <= z <= SERIES_MAX_Z.  Its terms are all positive, so it is
 # cancellation-free, and it is about 9x faster than scipy.special.ive on the
 # wedge's points: over the 10.1 M point-orders of one `deterministic`
-# benchmark pass's wedge calls (492 calls, all below IMAGE_MIN_Z) it took
+# benchmark pass's wedge calls on the uniform quadrature rule (492 calls, all
+# below IMAGE_MIN_Z; the graded rule makes 4.46 M in 492 calls) it took
 # 0.78-0.92 s against ive's 7.8-8.1 s, best of 3 in each of two runs on a
 # 2-vCPU Xeon.  Relative accuracy 1e-12 against arbitrary-precision values.
 SERIES_MAX_Z = 25.0
@@ -385,24 +409,43 @@ def _gl_on_edges(edges, order: int):
     return (0.5 * (lo + hi) + half * nodes).ravel(), (half * weights).ravel()
 
 
-def _gl_panels(a: float, b: float, panels: int, order: int):
-    return _gl_on_edges(np.linspace(a, b, panels + 1), order)
+def _graded_edges(a: float, b: float, panels: int, lo: int = 0, hi: int = 0) -> np.ndarray:
+    """Panel edges on [a, b]: `panels` uniform panels in the middle and one
+    piece of the same width at each graded end, split at h 2^-j (j = 1 ..
+    levels) from that end: `lo` levels toward a, `hi` toward b."""
+    h = (b - a) / (panels + bool(lo) + bool(hi))
+    parts = [np.linspace(a + h if lo else a, b - h if hi else b, panels + 1)]
+    if lo:
+        parts.insert(0, a + h * np.r_[0.0, 0.5 ** np.arange(lo, 0, -1)])
+    if hi:
+        parts.append(b - h * np.r_[0.5 ** np.arange(1, hi + 1), 0.0])
+    return np.concatenate(parts)
 
 
 def _gl_panels_graded(cut: float, panels: int, order: int):
     """Panels on (0, cut] refined geometrically toward 0, where absorbed
     densities behave like fractional powers x^(nu_1 - 1)."""
-    edges = [cut * 0.5 ** j for j in range(GRADED_LEVELS, 0, -1)]
-    edges = [0.0] + edges + list(np.linspace(cut * 0.5, cut, max(panels // 2, 2) + 1)[1:])
-    return _gl_on_edges(edges, order)
+    return _gl_on_edges(_graded_edges(0.0, cut, max(panels // 2, 2), lo=GRADED_LEVELS), order)
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuadratureSpec:
-    panels: int = 8
+    """Composite Gauss-Legendre settings: `panels` uniform panels of `order`
+    nodes per spatial range, `time_panels` uniform panels of 10 nodes in
+    u = sqrt(T - s), and the `target` the error estimate must meet.  The
+    geometric levels at the integrands' layers are module constants."""
+    panels: int = 4
     order: int = 16
-    time_panels: int = 24
+    time_panels: int = 2
     target: float = 1e-6
+
+    def __post_init__(self) -> None:
+        for name in ("panels", "order", "time_panels"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= 1):
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        if not (isinstance(self.target, numbers.Real) and 0 < self.target < math.inf):
+            raise ValueError(f"target must be positive and finite, got {self.target!r}")
 
 
 def _upper_cuts(x_src, xi, t: float) -> tuple[float, float]:
@@ -414,16 +457,17 @@ def _upper_cuts(x_src, xi, t: float) -> tuple[float, float]:
 
 def _terminal_integral(wctx: WedgeContext, t: float, x_src,
                        lower1, upper1, lower2: float, upper2: float,
-                       spec: QuadratureSpec) -> float:
+                       spec: QuadratureSpec, levels: int = 0) -> float:
     """Integral of G(t, .) over {lower1(x2) < x1 < upper1, lower2 < x2 < upper2},
-    evaluated as one flat batch so the Bessel series runs once."""
-    x2, w2 = _gl_panels(lower2, upper2, spec.panels, spec.order)
+    evaluated as one flat batch so the Bessel series runs once.  Each axis
+    takes `levels` geometric levels toward its lower limit."""
+    x2, w2 = _gl_on_edges(_graded_edges(lower2, upper2, spec.panels, lo=levels), spec.order)
     xs1, xs2, ws = [], [], []
     for x2v, w2v in zip(x2, w2):
         lo1 = float(lower1(x2v)) if callable(lower1) else float(lower1)
         if lo1 >= upper1:
             continue
-        x1, w1 = _gl_panels(lo1, upper1, spec.panels, spec.order)
+        x1, w1 = _gl_on_edges(_graded_edges(lo1, upper1, spec.panels, lo=levels), spec.order)
         xs1.append(x1)
         xs2.append(np.full_like(x1, x2v))
         ws.append(w1 * w2v)
@@ -438,9 +482,19 @@ def _flux_integral(wctx: WedgeContext, t_bar: float, x_src, face: int,
     """Integral over s in [0, T] and the face nodes of the boundary flux at
     time s times survival(T - s), as one flat boundary_flux batch.
     Substituting s = T - u^2 makes a remaining-life survival smooth in the
-    integration variable (it depends on u = sqrt(tau) directly)."""
+    integration variable (it depends on u = sqrt(tau) directly).
+
+    The u rule on [0, sqrt(T)] keeps spec.time_panels uniform panels in the
+    middle and TIME_LEVELS geometric levels at each end, where the integrand
+    has a layer: at u -> 0 the remaining-life survival steps at the shifted
+    terminal level, and at u -> sqrt(T) sits the first-passage peak at s ->
+    0 (s ~ 2 sqrt(T) (sqrt(T) - u)).  On uniform panels Q1's error fell only
+    as about (time panels)^-3, 2.8e-11 at 24; graded, 2 time panels reach
+    1e-15 at the benchmark's source, and 6 levels instead of 8 left errors
+    up to 7e-10 at sources near bank 2's boundary (x2' = 0.5, horizon 40)."""
     xs_other = float(x_src[face - 1])
-    u_nodes, u_weights = _gl_panels(0.0, math.sqrt(t_bar), spec.time_panels, 10)
+    u_nodes, u_weights = _gl_on_edges(
+        _graded_edges(0.0, math.sqrt(t_bar), spec.time_panels, TIME_LEVELS, TIME_LEVELS), 10)
     t_all, w_all = [], []
     for u, wu in zip(u_nodes, u_weights):
         s = t_bar - u * u
@@ -464,7 +518,7 @@ def _refined(value, spec: QuadratureSpec, name: str) -> tuple[float, float]:
                          time_panels=spec.time_panels + spec.time_panels // 2))
     err = abs(fine - coarse)
     if err > spec.target:
-        raise RuntimeError(
+        raise QuadratureError(
             f"{name} quadrature achieved only {err:.2e} (target {spec.target:.2e})"
         )
     return fine, err
@@ -505,8 +559,30 @@ def marginal_survival_Q1(net: BankNetwork, x_src, horizon: float,
                     spec or QuadratureSpec(), "marginal-survival")
 
 
+def _edges_toward(a: float, b: float, panels: int, x: float) -> np.ndarray:
+    """Panel edges on [a, b] graded by FACE_LEVELS toward x: inside (a, b)
+    from both sides of x, each side with half the panels rounded up (so a
+    1.5x refinement of two or more panels refines both), else toward the end
+    nearer x."""
+    if x <= a:
+        return _graded_edges(a, b, panels, lo=FACE_LEVELS)
+    if x >= b:
+        return _graded_edges(a, b, panels, hi=FACE_LEVELS)
+    half = (panels + 1) // 2
+    return np.concatenate([_graded_edges(a, x, half, hi=FACE_LEVELS),
+                           _graded_edges(x, b, half, lo=FACE_LEVELS)[1:]])
+
+
 def _q1_once(wctx: WedgeContext, dom: TwoBankDomains, x_src, t_bar: float,
              spec: QuadratureSpec) -> float:
+    """Q1 on one spec: the terminal mass over D(1,1) and the strip D(1,0),
+    plus the flux through bank 2's face against the shifted one-dimensional
+    survival.  The face nodes span [m1_shift_lt, m1_shift_eq] and
+    [m1_shift_eq, upper cut], each graded by FACE_LEVELS toward x1' (split
+    there if it holds x1', else toward its end nearer x1'): grading only the
+    range holding x1' left 1.2e-12 at 6 panels of order 8, from the flux's
+    tail across m1_shift_eq; without face levels, 9 of 90 off-benchmark calls
+    (x2' in [0.7, 1.5], horizons 20-40) missed the 1e-6 target."""
     m1_eq, m2_eq = dom.ctx.m_terminal
     m1_shift_lt, m1_shift_eq = dom.m1_shift_lt, dom.m1_shift_eq
     u1, u2 = _upper_cuts(x_src, wctx.xi, t_bar)
@@ -518,30 +594,35 @@ def _q1_once(wctx: WedgeContext, dom: TwoBankDomains, x_src, t_bar: float,
 
     # flux through bank 2's face against the shifted one-dimensional law,
     # whose remaining-life survival develops a step at the shifted terminal
-    # level as tau -> 0; panel edges placed there keep the rule spectral
-    lo_nodes, lo_w = _gl_panels(m1_shift_lt, m1_shift_eq, max(spec.panels // 2, 2),
-                                spec.order)
-    hi_nodes, hi_w = _gl_panels(m1_shift_eq, u1, spec.panels, spec.order)
-    x1_nodes = np.concatenate([lo_nodes, hi_nodes])
+    # level as tau -> 0: a panel edge there keeps the rule spectral.  At
+    # small s the face flux is a Gaussian of width sqrt(s) about x1', so both
+    # ranges are graded toward it
+    xs1 = float(x_src[0])
+    lo_edges = _edges_toward(m1_shift_lt, m1_shift_eq, max(spec.panels // 2, 2), xs1)
+    hi_edges = _edges_toward(m1_shift_eq, u1, spec.panels, xs1)
+    x1_nodes, x1_w = _gl_on_edges(np.concatenate([lo_edges, hi_edges[1:]]), spec.order)
 
     def remaining_life(tau):
         if tau <= 1e-14:
             return (x1_nodes >= m1_shift_eq).astype(float)
         return survival_1d(x1_nodes, wctx.xi[0], m1_shift_lt, m1_shift_eq, tau)
 
-    flux_total = _flux_integral(wctx, t_bar, x_src, 2, x1_nodes,
-                                np.concatenate([lo_w, hi_w]), spec, remaining_life)
+    flux_total = _flux_integral(wctx, t_bar, x_src, 2, x1_nodes, x1_w, spec, remaining_life)
 
     return both + strip + flux_total
 
 
 def conservation_check(net: BankNetwork, x_src, horizon: float) -> dict:
-    """Interior mass plus cumulative boundary outflow; must total 1, on the
-    default QuadratureSpec."""
+    """Interior mass plus cumulative boundary outflow; must total 1.  Like the
+    face fluxes, the interior rule is graded toward both axes (by
+    INTERIOR_LEVELS), so on the default QuadratureSpec it totals 1 within
+    1e-14 for rho in {0, +-0.5, 0.3} and calendar horizons 3.125-125.  A
+    uniform interior on the same spec was up to 2.6e-8 off; the earlier
+    rule, uniform on 8 panels, was 1.5e-4 off at horizon 125."""
     spec = QuadratureSpec()
     _, wctx, t_bar = _frame(net, horizon)
     u1, u2 = _upper_cuts(x_src, wctx.xi, t_bar)
-    interior = _terminal_integral(wctx, t_bar, x_src, 0.0, u1, 0.0, u2, spec)
+    interior = _terminal_integral(wctx, t_bar, x_src, 0.0, u1, 0.0, u2, spec, INTERIOR_LEVELS)
 
     flux = {face: _flux_integral(wctx, t_bar, x_src, face,
                                  *_gl_panels_graded(cut, spec.panels, spec.order), spec)

@@ -18,6 +18,7 @@ from circuitlab.network import (
 )
 from circuitlab.rng import JumpSpec, RngStream
 from circuitlab.wedge import (
+    QuadratureError,
     QuadratureSpec,
     SeriesError,
     WedgeContext,
@@ -159,14 +160,14 @@ def test_flux_nonnegative_and_product_form():
 
 def test_conservation_identity():
     net = fig15_network()
-    for t_cal in (0.5 / 0.16, 1.0 / 0.16, 5.0 / 0.16):
+    for t_cal in (0.5 / 0.16, 1.0 / 0.16, 5.0 / 0.16, 20.0 / 0.16):
         res = conservation_check(net, (2.0, 1.5), t_cal)
-        assert abs(res["total"] - 1.0) < 1e-6
+        assert abs(res["total"] - 1.0) < 1e-10
 
 
 def test_conservation_with_correlation():
     res = conservation_check(fig15_network(rho=0.5), (2.0, 1.5), 1.0 / 0.16)
-    assert abs(res["total"] - 1.0) < 1e-6
+    assert abs(res["total"] - 1.0) < 1e-10
 
 
 def test_domain_endpoint_identities():
@@ -221,6 +222,91 @@ def test_q1_below_standalone():
                 net, (x1, x2), 12.5,
                 QuadratureSpec(panels=5, order=12, time_panels=10))
             assert q1_standalone(net, x1, 12.5) - q1 >= -1e-9
+
+
+# (Q, Q1) at the benchmark's source (2, 2) and horizon 12.5, on the graded
+# rule at 32 panels and 96 time panels, from
+#   PYTHONPATH=src python -c "
+#   from circuitlab import network, wedge
+#   spec = wedge.QuadratureSpec(panels=32, time_panels=96)
+#   for rho in (0.0, -0.5, 0.3):
+#       net = network.fig15_network(rho=rho)
+#       print(rho, repr(wedge.joint_survival_Q(net, (2.0, 2.0), 12.5, spec)[0]),
+#             repr(wedge.marginal_survival_Q1(net, (2.0, 2.0), 12.5, spec)[0]))"
+DEEP = {0.0: (0.07888495185644993, 0.14987205517961302),
+        -0.5: (0.029592672515301868, 0.14051341308012177),
+        0.3: (0.11015245898125582, 0.15632480434732365)}
+
+
+@pytest.mark.parametrize("rho", sorted(DEEP))
+def test_survival_matches_deep_reference(rho):
+    # the default rule measured within 9e-16 of the deep values; the uniform
+    # rule it replaced was 6e-12 to 1.2e-11 off in Q1
+    net = fig15_network(rho=rho)
+    for entry, deep in zip((joint_survival_Q, marginal_survival_Q1), DEEP[rho]):
+        value, err = entry(net, (2.0, 2.0), 12.5)
+        assert value == pytest.approx(deep, abs=1e-12)
+        assert err <= 1e-12
+
+
+@pytest.mark.parametrize("rho, x_src, horizon", [
+    (-0.5, (4.0, 1.0), 20.0),
+    (-0.5, (4.0, 1.0), 40.0),
+    (-0.5, (5.0, 1.5), 40.0),
+    (-0.5, (2.0, 0.5), 40.0),
+    (0.0, (3.0, 0.7), 30.0),
+    (0.0, (2.0, 0.5), 20.0),
+    (0.3, (3.0, 0.7), 40.0),
+])
+def test_q1_meets_its_target_near_bank_2s_boundary(rho, x_src, horizon):
+    # sources off the benchmark's, where the flux layers are sharp: the
+    # uniform rule missed the 1e-6 target at all but the first and third,
+    # and a rule graded in time only (no face levels) at the first three
+    net = fig15_network(rho=rho)
+    q, _ = joint_survival_Q(net, x_src, horizon)
+    q1, err = marginal_survival_Q1(net, x_src, horizon)
+    assert 0.0 < q < q1 < 1.0
+    assert err <= 1e-6
+
+
+@settings(deadline=None, max_examples=200)
+@given(t_bar=st.floats(1e-3, 1e3), panels=st.integers(1, 8),
+       lo=st.integers(0, wedge.GRADED_LEVELS), hi=st.integers(0, wedge.GRADED_LEVELS))
+@example(t_bar=2.0, panels=2, lo=wedge.TIME_LEVELS, hi=wedge.TIME_LEVELS)
+def test_graded_rule_partitions_its_interval(t_bar, panels, lo, hi):
+    b = math.sqrt(t_bar)
+    edges = wedge._graded_edges(0.0, b, panels, lo, hi)
+    assert edges[0] == 0.0 and edges[-1] == b
+    assert np.all(np.diff(edges) > 0.0)
+    # the uniform panels plus levels + 1 panels per graded end
+    assert edges.size - 1 == panels + (lo + 1 if lo else 0) + (hi + 1 if hi else 0)
+    _, weights = wedge._gl_on_edges(edges, 10)
+    assert np.all(weights > 0.0)
+    assert abs(weights.sum() - b) <= 1e-14 * b
+
+
+@pytest.mark.parametrize("field, value", [
+    ("panels", 0), ("panels", -2), ("panels", 2.5),
+    ("order", 0), ("order", 16.0),
+    ("time_panels", 0), ("time_panels", "2"),
+    ("target", 0.0), ("target", -1e-6), ("target", math.nan), ("target", math.inf),
+])
+def test_quadrature_spec_rejects_a_bad_field(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        QuadratureSpec(**{field: value})
+
+
+def test_quadrature_spec_is_frozen():
+    spec = QuadratureSpec()
+    with pytest.raises(AttributeError):
+        spec.panels = 8
+
+
+def test_missed_target_raises_quadrature_error():
+    spec = QuadratureSpec(panels=2, order=6, time_panels=2, target=1e-14)
+    with pytest.raises(QuadratureError, match="marginal-survival quadrature achieved only"):
+        marginal_survival_Q1(fig15_network(), (2.0, 2.0), 12.5, spec)
+    assert issubclass(QuadratureError, RuntimeError)
 
 
 @pytest.mark.parametrize("horizon", [math.nan, math.inf, -1.0, 0.0])
@@ -557,10 +643,12 @@ def test_points_above_z_700_take_the_image_sum_on_their_own():
 
 def test_q1_series_work_drops_converged_points(monkeypatch):
     # Fig 15 at rho = 0.3 with a small rule.  The points at z >= IMAGE_MIN_Z
-    # take the image sum; the rest send 256,634 points to iv_scaled in 152
-    # calls, where truncating over their whole batch would send 338,053.
-    # The bound is half of the 729,443 that whole-batch truncation sent
-    # when every live point took the series.
+    # take the image sum; the rest send 969,197 points to iv_scaled in 152
+    # calls, where truncating over their whole batch would send 1,510,523.
+    # The bound is half of the 5,150,138 that whole-batch truncation sends
+    # when every live point takes the series.  The value is the deep one of
+    # test_survival_matches_deep_reference, which this rule meets within
+    # 1.5e-14.
     counts = {"calls": 0, "points": 0}
 
     def counting(nu, z):
@@ -571,8 +659,8 @@ def test_q1_series_work_drops_converged_points(monkeypatch):
     monkeypatch.setattr(wedge, "iv_scaled", counting)
     spec = QuadratureSpec(panels=4, order=8, time_panels=6, target=1.0)
     q1, _ = marginal_survival_Q1(fig15_network(rho=0.3), (2.0, 2.0), 12.5, spec)
-    assert q1 == pytest.approx(0.15632480508177263, abs=1e-12)
-    assert counts["points"] < 729_443 // 2
+    assert q1 == pytest.approx(DEEP[0.3][1], abs=1e-12)
+    assert counts["points"] < 5_150_138 // 2
     assert counts["calls"] < 250
 
 
