@@ -14,16 +14,23 @@ Two solution routes are provided and cross-validated:
     integration) and the obstacle enforced by projection on the monotone
     envelope.
 
+Each march step makes two library calls: one BLAS `dtbsv` forward
+substitution scans both jump sources (`_jump_scans`), and one LAPACK
+`dgttrs` solve, through this module's `solve_banded`, reuses the
+Crank-Nicolson matrix that `dgttrf` factored once per march.  The outputs
+are byte for byte those of one scan per source and a fresh banded
+elimination per step.
+
 scipy loads on first use, not on import: `stationary_barrier` loads
-scipy.optimize for its root polish, and `solve_variational` scipy.linalg for
-LAPACK `dgttrf`/`dgttrs` (`scipy.linalg.lapack`), which factor the
-Crank-Nicolson matrix once per march and solve each step through this
-module's `solve_banded`, and for the BLAS jump scan.
+scipy.optimize for its root polish, and `solve_variational` scipy.linalg
+for the LAPACK and BLAS calls.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -297,6 +304,8 @@ def solve_variational(
         raise ValueError(f"e_max must be finite and positive, got {e_max}")
     if not n_grid >= 3:
         raise ValueError(f"n_grid must be at least 3, got {n_grid}")
+    if not (isinstance(record, numbers.Integral) and record >= 1):
+        raise ValueError(f"record must be a positive integer, got {record!r}")
     c = SymbolCoefficients.from_params(params)
     grid = np.linspace(0.0, e_max, n_grid)
     h = grid[1] - grid[0]
@@ -310,14 +319,17 @@ def solve_variational(
     a_mid = -2.0 * c.a2 / h**2 + c.a0
     a_hi = c.a2 / h**2 + c.a1 / (2.0 * h)
     half = 0.5 * dtau
-    factors = _factor(_implicit_band(a_lo, a_mid, a_hi, half, n_grid))
+    factored = _factor(_implicit_band(a_lo, a_mid, a_hi, half, n_grid))
 
-    scan1 = _jump_scan(params.delta1, h, n_grid)
-    scan2 = _jump_scan(params.delta2, h, n_grid)
+    scan = _jump_scans((params.delta1, params.delta2), h, n_grid)
+    lam = np.array([[params.lambda1], [params.lambda2]])
     ramp = h * np.arange(n_grid)
     work = np.empty(n_grid - 2)
+    # dgttrs writes each step's solution over its right-hand side, so the
+    # right-hand side alternates between two buffers while v holds the other
+    buffers = (np.empty(n_grid), np.empty(n_grid))
 
-    rec_every = max(n_steps // max(record, 1), 1)
+    rec_every = max(n_steps // record, 1)
     taus = [0.0]
     slices = [v.copy()]
     fbs = [float(grid[_free_boundary_index(v, h)])]
@@ -325,24 +337,22 @@ def solve_variational(
     for step in range(1, n_steps + 1):
         # rhs = v + half (a_lo v_- + a_mid v + a_hi v_+) + dtau (i1 + i2) on
         # the interior, built in place in that order
-        slope = np.diff(v) / h
-        jumps = scan1(v, slope)
-        jumps *= params.lambda1
-        i2 = scan2(v, slope)
-        i2 *= params.lambda2
-        jumps += i2
+        i12 = scan(v)
+        i12 *= lam
+        jumps = i12[0, :-1]
+        jumps += i12[1, :-1]
         jumps *= dtau
-        rhs = np.empty(n_grid)
+        rhs = buffers[step & 1]
         mid = rhs[1:-1]
         np.multiply(v[:-2], a_lo, out=mid)
         mid += np.multiply(v[1:-1], a_mid, out=work)
         mid += np.multiply(v[2:], a_hi, out=work)
         mid *= half
         mid += v[1:-1]
-        mid += jumps[:-1]
+        mid += jumps
         rhs[0] = 0.0
         rhs[-1] = h
-        v = solve_banded(factors, rhs)
+        v = solve_banded(factored, rhs)
         # the monotone envelope V_k >= V_{k-1} + h, in place
         v -= ramp
         np.maximum.accumulate(v, out=v)
@@ -372,46 +382,60 @@ def _implicit_band(a_lo: float, a_mid: float, a_hi: float, half: float,
     return banded
 
 
-def _factor(banded: np.ndarray) -> tuple:
-    """LAPACK `dgttrf` LU factors (with partial pivoting) of the tridiagonal
-    matrix held in ``banded``'s (1, 1) layout, for `solve_banded`."""
-    from scipy.linalg.lapack import dgttrf
+def _factor(banded: np.ndarray):
+    """The tridiagonal matrix held in ``banded``'s (1, 1) layout, factored by
+    LAPACK `dgttrf` (LU with partial pivoting), as `dgttrs` bound to its
+    factors: the solver `solve_banded` takes."""
+    from scipy.linalg.lapack import dgttrf, dgttrs
     *factors, info = dgttrf(banded[2, :-1], banded[1], banded[0, 1:])
     if info != 0:
         raise np.linalg.LinAlgError(
             f"singular Crank-Nicolson matrix (dgttrf info = {info})")
-    return tuple(factors)
+    return functools.partial(dgttrs, *factors, overwrite_b=1)
 
 
-def solve_banded(factors: tuple, b: np.ndarray) -> np.ndarray:
-    """Solve the factored Crank-Nicolson system for the right-hand side
-    ``b`` with LAPACK `dgttrs`, overwriting ``b``.  A non-finite ``b`` raises
+def solve_banded(factored, b: np.ndarray) -> np.ndarray:
+    """Solve the Crank-Nicolson system that `_factor` factored for the
+    right-hand side ``b``, overwriting ``b``.  A non-finite ``b`` raises
     ValueError.  A name of this module, which the march calls once per step
     and the benchmark's tracer wraps to count the solves."""
     if not np.isfinite(b).all():
         raise ValueError("right-hand side must be finite")
-    from scipy.linalg.lapack import dgttrs
-    x, _ = dgttrs(*factors, b, overwrite_b=1)
+    x, _ = factored(b)
     return x
 
 
-def _jump_scan(delta: float, h: float, n_grid: int):
-    """``jump_integral`` at nodes 1..n_grid-1 of a slice, as one BLAS call.
+def _jump_scans(deltas: tuple[float, ...], h: float, n_grid: int):
+    """``jump_integral`` at nodes 1..n_grid-1 of a slice, one row per decay
+    in ``deltas``, as one BLAS call.
 
-    The returned scan takes the slice v and its cell slopes np.diff(v) / h,
-    which the march computes once per step for both jump sources.  The
-    recurrence acc_k = decay acc_{k-1} + c_k is forward substitution on the
-    unit lower-bidiagonal band with -decay below the diagonal, built once
-    here (no power of decay is formed, so long grids cannot underflow)."""
+    The returned scan takes the slice v.  Each row's recurrence acc_k =
+    decay acc_{k-1} + c_k, with c_k = v_k w0 + slope_k w1, is forward
+    substitution on a unit lower-bidiagonal band with -decay below the
+    diagonal.  The rows' bands are stacked into one, with 0 below the
+    diagonal where one row ends and the next begins, so each row does the
+    arithmetic of its own scan; the unit diagonal is never divided by.  The
+    band is built once (no power of decay is formed, so long grids cannot
+    underflow).  The rows are a buffer that the next call overwrites."""
     from scipy.linalg.blas import dtbsv
-    decay, w0, w1 = _cell_weights(delta, h)
-    band = np.ones((2, n_grid - 1), order="F")
-    band[1] = -decay
+    # one (len(deltas), 1) column each, broadcast over a row's cells
+    decay, w0, w1 = np.array([_cell_weights(d, h) for d in deltas]).T[:, :, None]
+    cells = n_grid - 1
+    sub = np.repeat(-decay, cells)
+    sub[cells - 1::cells] = 0.0          # each row's end (the last is unread)
+    band = np.asfortranarray([np.ones_like(sub), sub])
+    slope = np.empty(cells)
+    rows = np.empty((len(deltas), cells))
+    work = np.empty_like(rows)
+    flat = rows.reshape(-1)
 
-    def scan(v: np.ndarray, slope: np.ndarray) -> np.ndarray:
-        c = v[:-1] * w0
-        c += slope * w1
-        return dtbsv(1, band, c, lower=1, overwrite_x=1)
+    def scan(v: np.ndarray) -> np.ndarray:
+        # the cell slopes np.diff(v) / h, in place
+        np.subtract(v[1:], v[:-1], out=slope)
+        np.divide(slope, h, out=slope)
+        np.multiply(v[:-1], w0, out=rows)
+        np.add(rows, np.multiply(slope, w1, out=work), out=rows)
+        return dtbsv(1, band, flat, lower=1, diag=1, overwrite_x=1).reshape(rows.shape)
 
     return scan
 

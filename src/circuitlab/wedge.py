@@ -18,7 +18,10 @@ wedge's diffraction integral: zero when alpha = pi/varpi is an integer
 (rho = 0, -0.5), otherwise at most e^{-2z}/(2 alpha), below 1e-17 of the
 density's peak 1/(4 alpha).  Against a 40-digit series (1,800 random
 draws, z in [20, 300]) its rounding error measured at most 9.8e-17
-sqrt(z)/(4 alpha) in the density and 4.4e-16 z/(4 alpha) in the flux.
+sqrt(z)/(4 alpha) in the density and 4.4e-16 z/(4 alpha) in the flux.  At
+alpha = 2 and 3 the flux takes the image sum from FLUX_IMAGE_MIN_Z = 2
+(`_image_min_z`), where it meets the series' own bound; the density keeps
+the series below IMAGE_MIN_Z, as its image sum cancels near the axes.
 
 Survival probabilities are then quadratures of this density over the
 terminal settlement domains, plus (for the marginal) the time integral of
@@ -30,12 +33,13 @@ the face toward the source coordinate.  On the default QuadratureSpec, Q1
 at the source (2, 2) and horizon 12.5 lies within 9e-16 of a 32-panel,
 96-time-panel reference at rho = 0, -0.5 and 0.3, where the uniform rule it
 replaced (8 panels, 24 time panels) was 6e-12 to 1.2e-11 off; Q is within
-7e-16.  `_refined`'s error estimate compares the spec with 1.5 times its
-uniform panels, and the level counts are fixed, so it measures the uniform
-panels' part.  Every entry point builds its frame through
-`network.two_bank_domains`, the one check that the network has two banks,
-which builds its scaled coordinates through `network.nondim_context`, the one
-check that it is diffusion-only; the Monte Carlo engine covers jumps.
+7e-16.  `_refined`'s error estimate compares the spec with one whose every
+uniform panel count grows (at least 1.5 times, rounded up), and the level
+counts are fixed, so it measures the uniform panels' part.  Every entry
+point builds its frame through `network.two_bank_domains`, the one check
+that the network has two banks, which builds its scaled coordinates through
+`network.nondim_context`, the one check that it is diffusion-only; the Monte
+Carlo engine covers jumps.
 
 The series takes ive(nu, z) = I_nu(z) e^{-z} from `iv_scaled`, the wedge's
 own power series on 0 <= z <= SERIES_MAX_Z = 25 (ValueError above).  scipy
@@ -74,8 +78,14 @@ PRUNE = 1e-30
 SERIES_ORDERS = 800
 SERIES_TOL = 1e-14
 # a live point with z = r r'/t at or above IMAGE_MIN_Z takes the finite image
-# sum in place of the Bessel series
+# sum in place of the Bessel series (see `_image_min_z`); so does a flux
+# point at or above FLUX_IMAGE_MIN_Z when alpha = pi/varpi lies within
+# ALPHA_ULPS ulps of one of FLUX_IMAGE_ALPHAS (rho = 0 gives 2.0, rho = -0.5
+# 2.9999999999999996), where the image sum is exact at every z
 IMAGE_MIN_Z = 20.0
+FLUX_IMAGE_MIN_Z = 2.0
+FLUX_IMAGE_ALPHAS = (2, 3)
+ALPHA_ULPS = 4
 # an image angle within SEAM_TOL of -pi or pi lies on the image window's seam;
 # the image angles' rounding measured at most one ulp of pi (4.4e-16)
 SEAM_TOL = 1e-14
@@ -108,9 +118,11 @@ class QuadratureError(RuntimeError):
 # cancellation-free, and it is about 9x faster than scipy.special.ive on the
 # wedge's points: over the 10.1 M point-orders of one `deterministic`
 # benchmark pass's wedge calls on the uniform quadrature rule (492 calls, all
-# below IMAGE_MIN_Z; the graded rule makes 4.46 M in 492 calls) it took
-# 0.78-0.92 s against ive's 7.8-8.1 s, best of 3 in each of two runs on a
-# 2-vCPU Xeon.  Relative accuracy 1e-12 against arbitrary-precision values.
+# below IMAGE_MIN_Z) it took 0.78-0.92 s against ive's 7.8-8.1 s, best of 3
+# in each of two runs on a 2-vCPU Xeon.  The graded rule cut a pass to 4.46 M
+# point-orders in 492 calls, and the flux image sum at integer alpha to
+# 2.71 M in 418 (`bench/run.py --trace 1`, seed 1).  Relative accuracy 1e-12
+# against arbitrary-precision values.
 SERIES_MAX_Z = 25.0
 _SMALL_Z = 3.0
 
@@ -315,15 +327,15 @@ def _evaluate(ctx: WedgeContext, prefactor: np.ndarray, z: np.ndarray, phi,
               phi_src: float, slope: bool = False) -> np.ndarray:
     """prefactor times the density series at (z, phi), or with `slope` its
     derivative in phi at the one angle `phi`: the image sum where z >=
-    IMAGE_MIN_Z, the Bessel series below it, and zero where |prefactor| is
-    at most PRUNE."""
+    `_image_min_z`, the Bessel series below it, and zero where |prefactor|
+    is at most PRUNE."""
     out = np.zeros_like(prefactor)
     live = np.abs(prefactor) > PRUNE
     if np.any(live):
         z = z[live]
         if not slope:
             phi = phi[live]
-        far = z >= IMAGE_MIN_Z
+        far = z >= _image_min_z(ctx, slope)
         near = ~far
         sums = np.empty_like(z)
         if np.any(far):
@@ -332,6 +344,30 @@ def _evaluate(ctx: WedgeContext, prefactor: np.ndarray, z: np.ndarray, phi,
             sums[near] = _bessel_series(ctx, z[near], phi if slope else phi[near], phi_src, slope)
         out[live] = prefactor[live] * sums
     return out
+
+
+def _image_min_z(ctx: WedgeContext, slope: bool) -> float:
+    """The z from which the density (or with `slope` the flux) takes the
+    image sum: FLUX_IMAGE_MIN_Z for the flux at an alpha of
+    FLUX_IMAGE_ALPHAS, else IMAGE_MIN_Z.
+
+    At integer alpha the diffraction term vanishes, and within ALPHA_ULPS
+    ulps of one it scales with sin(n pi alpha) e^{-2z}, at the rounding
+    level.  Against a deep scipy.special.ive series at alpha = 2 and 3
+    (sources 1-99% of the wedge angle), the flux image sum was off by at
+    most 2.7e-14 of the sum of the series' |terms| at z in [1, 5], inside
+    the series' own 2e-13, but 1.7e-12 at z in [0.1, 1], where it cancels.
+    At alpha = 4 and 5 it cancels near the faces (2.3e-13 and 8.3e-13 at z
+    in [2, 3], sources 0.1% of the angle off a face), so those keep the
+    series.  The density's image sum cancels near the axes at every alpha
+    (4.5e-11 at z in [0.1, 1] and 6.7e-13 at z in [1, 2]), so it keeps the
+    series below IMAGE_MIN_Z."""
+    alpha = math.pi / ctx.varpi
+    near = round(alpha)
+    if (slope and near in FLUX_IMAGE_ALPHAS
+            and abs(alpha - near) <= ALPHA_ULPS * math.ulp(alpha)):
+        return FLUX_IMAGE_MIN_Z
+    return IMAGE_MIN_Z
 
 
 def wedge_green(ctx: WedgeContext, t: float, x1, x2, x_src) -> np.ndarray:
@@ -510,12 +546,37 @@ def _flux_integral(wctx: WedgeContext, t_bar: float, x_src, face: int,
     return float(np.dot(np.concatenate(w_all), g))
 
 
+def _lower_face_panels(panels: int) -> int:
+    """Panels of bank 2's lower face range [m1_shift_lt, m1_shift_eq]."""
+    return max(panels // 2, 2)
+
+
+def _finer(panels: int) -> int:
+    """The refined panel count: 1.5 times `panels` rounded up, raised until
+    every panel count the spatial rules build from it grows, so that the
+    error estimate sees every range's error.  Those counts are `panels` on
+    the terminal ranges and the upper face range, `_lower_face_panels` on
+    the lower one, and on each side of x1' half a face range's, rounded up
+    (`_edges_toward`).  4 gives 6; 2 gives 6, where 3 would leave the lower
+    face range at 2 panels."""
+    def counts(n: int) -> tuple[int, int, int, int]:
+        lo = _lower_face_panels(n)
+        return n, (n + 1) // 2, lo, (lo + 1) // 2
+
+    fine = panels + (panels + 1) // 2
+    while not all(f > c for f, c in zip(counts(fine), counts(panels))):
+        fine += 1
+    return fine
+
+
 def _refined(value, spec: QuadratureSpec, name: str) -> tuple[float, float]:
-    """value(spec) on 1.5 times the panels of spec, and its distance from
-    value(spec) as the error estimate, which must meet spec.target."""
+    """value(spec) on a finer spec, and its distance from value(spec) as the
+    error estimate, which must meet spec.target.  The finer spec has
+    `_finer` panels and 1.5 times the time panels, rounded up, so every
+    count grows (time_panels = 1 gives 2)."""
     coarse = value(spec)
-    fine = value(replace(spec, panels=spec.panels + spec.panels // 2,
-                         time_panels=spec.time_panels + spec.time_panels // 2))
+    fine = value(replace(spec, panels=_finer(spec.panels),
+                         time_panels=spec.time_panels + (spec.time_panels + 1) // 2))
     err = abs(fine - coarse)
     if err > spec.target:
         raise QuadratureError(
@@ -598,7 +659,7 @@ def _q1_once(wctx: WedgeContext, dom: TwoBankDomains, x_src, t_bar: float,
     # small s the face flux is a Gaussian of width sqrt(s) about x1', so both
     # ranges are graded toward it
     xs1 = float(x_src[0])
-    lo_edges = _edges_toward(m1_shift_lt, m1_shift_eq, max(spec.panels // 2, 2), xs1)
+    lo_edges = _edges_toward(m1_shift_lt, m1_shift_eq, _lower_face_panels(spec.panels), xs1)
     hi_edges = _edges_toward(m1_shift_eq, u1, spec.panels, xs1)
     x1_nodes, x1_w = _gl_on_edges(np.concatenate([lo_edges, hi_edges[1:]]), spec.order)
 

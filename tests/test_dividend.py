@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.integrate import quad
+from scipy.linalg.blas import dtbsv
 
 from circuitlab import dividend
 from circuitlab.dividend import (
@@ -140,11 +142,14 @@ def test_jump_integral_matches_quadrature():
             lambda u: np.interp(u, grid, v) * delta * math.exp(-delta * (e - u)),
             0.0, e, points=[0.4], limit=200, epsabs=1e-13, epsrel=1e-13)
         assert abs(ours[e_idx] - ref) < 1e-10
-    # the blocked scan used inside the solver agrees with the reference loop
-    from circuitlab.dividend import _jump_scan
+    # each row of the stacked scan used inside the solver agrees with the
+    # reference loop
     h = grid[1] - grid[0]
-    fast = _jump_scan(delta, h, len(v))(v, np.diff(v) / h)
-    assert np.max(np.abs(fast - ours[1:])) < 1e-12
+    deltas = (delta, 0.7, delta)
+    rows = dividend._jump_scans(deltas, h, len(v))(v)
+    assert rows.shape == (len(deltas), len(v) - 1)
+    for row, d in zip(rows, deltas):
+        assert np.max(np.abs(row - jump_integral(v, grid, d)[1:])) < 1e-12
 
 
 def test_variational_terminal_condition_and_dominance():
@@ -188,10 +193,28 @@ def test_variational_free_boundary_monotone_to_barrier():
     assert abs(fb[-1] - sol.e_star) < 0.03
 
 
+def _jump_scan(delta, h, n_grid):
+    """The march's jump scan as it was before the two sources were stacked:
+    one BLAS forward substitution per source, on its own bidiagonal band
+    with a diagonal of ones that dtbsv divides by."""
+    decay, w0, w1 = dividend._cell_weights(delta, h)
+    band = np.ones((2, n_grid - 1), order="F")
+    band[1] = -decay
+
+    def scan(v, slope):
+        c = v[:-1] * w0
+        c += slope * w1
+        return dtbsv(1, band, c, lower=1, overwrite_x=1)
+
+    return scan
+
+
 def _scipy_march(params, horizon, e_max, n_grid, dtau):
-    """solve_variational as it was before the matrix was factored once: the
-    same march, with scipy.linalg.solve_banded eliminating the band at every
-    step.  Returns the recorded taus, slices and free boundaries."""
+    """solve_variational as it was before the matrix was factored once and
+    the jump scans were stacked: the same march, with
+    scipy.linalg.solve_banded eliminating the band at every step and one
+    scan per jump source.  Returns the recorded taus, slices and free
+    boundaries."""
     c = SymbolCoefficients.from_params(params)
     grid = np.linspace(0.0, e_max, n_grid)
     h = grid[1] - grid[0]
@@ -207,8 +230,8 @@ def _scipy_march(params, horizon, e_max, n_grid, dtau):
     banded[1, [0, -1]] = 1.0
     banded[2, :-2] = -half * a_lo
     banded[2, -2] = -1.0
-    scan1 = dividend._jump_scan(params.delta1, h, n_grid)
-    scan2 = dividend._jump_scan(params.delta2, h, n_grid)
+    scan1 = _jump_scan(params.delta1, h, n_grid)
+    scan2 = _jump_scan(params.delta2, h, n_grid)
     ramp = h * np.arange(n_grid)
     work = np.empty(n_grid - 2)
     rec_every = max(n_steps // 8, 1)       # record's default, 8
@@ -250,6 +273,53 @@ def test_prefactored_march_matches_the_scipy_march_byte_for_byte():
     assert g.tau.tobytes() == taus.tobytes()
     assert g.values.tobytes() == slices.tobytes()
     assert g.free_boundary.tobytes() == fbs.tobytes()
+
+
+# a positive intensity or none, as the march treats an inactive source alike
+intensities = st.one_of(st.just(0.0), st.floats(1e-3, 2.0))
+
+
+@settings(deadline=None, max_examples=100)
+@given(mu=st.floats(-5.0, 5.0), sigma=st.floats(0.01, 2.0),
+       discount=st.floats(1e-3, 1.0), lambda1=intensities, delta1=st.floats(0.1, 10.0),
+       lambda2=intensities, delta2=st.floats(0.1, 10.0), n_grid=st.integers(3, 200),
+       e_max=st.floats(0.1, 20.0), dtau=st.floats(1e-4, 0.1), n_steps=st.integers(1, 30))
+def test_march_matches_the_scipy_march_byte_for_byte(mu, sigma, discount, lambda1, delta1,
+                                                     lambda2, delta2, n_grid, e_max, dtau,
+                                                     n_steps):
+    # the stacked jump scan and the factored solve do the arithmetic of one
+    # scan per source and a fresh elimination per step, over random params
+    params = EquityParams(mu=mu, sigma=sigma, discount=discount, lambda1=lambda1,
+                          delta1=delta1, lambda2=lambda2, delta2=delta2)
+    run = dict(horizon=n_steps * dtau, e_max=e_max, n_grid=n_grid, dtau=dtau)
+    try:
+        taus, slices, fbs = _scipy_march(params, **run)
+    except np.linalg.LinAlgError:
+        with pytest.raises(np.linalg.LinAlgError, match="singular Crank-Nicolson"):
+            solve_variational(params, **run)
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)     # the CFL warning
+        g = solve_variational(params, **run)
+    assert g.tau.tobytes() == taus.tobytes()
+    assert g.values.tobytes() == slices.tobytes()
+    assert g.free_boundary.tobytes() == fbs.tobytes()
+
+
+def test_march_solves_once_per_step(monkeypatch):
+    calls = []
+    original = dividend.solve_banded
+
+    def counting(factored, b):
+        calls.append(b.size)
+        return original(factored, b)
+
+    monkeypatch.setattr(dividend, "solve_banded", counting)
+    for n_steps in (1, 7, 250):
+        calls.clear()
+        solve_variational(FIG13_PARAMS, horizon=n_steps * 2e-3, e_max=2.0,
+                          n_grid=120, dtau=2e-3)
+        assert calls == [120] * n_steps
 
 
 # drifts up to |mu| = 5 against small sigma cost the band its diagonal
@@ -334,6 +404,8 @@ def test_free_boundary_index_is_the_trailing_pinned_run(pinned):
     ({"horizon": 0.0}, "horizon"), ({"e_max": math.inf}, "e_max"),
     ({"e_max": -1.0}, "e_max"), ({"n_grid": 1}, "n_grid"), ({"n_grid": 2}, "n_grid"),
     ({"horizon": 4e-4, "dtau": 1e-3}, "horizon"), ({"horizon": 0.015}, "whole"),
+    ({"record": 0}, "record"), ({"record": -2}, "record"), ({"record": 2.5}, "record"),
+    ({"record": "8"}, "record"),
 ])
 def test_variational_rejects_bad_inputs(override, message):
     run = {"horizon": 0.1, "e_max": 2.0, "n_grid": 50, "dtau": 1e-2, **override}

@@ -269,6 +269,26 @@ def test_q1_meets_its_target_near_bank_2s_boundary(rho, x_src, horizon):
     assert err <= 1e-6
 
 
+@pytest.mark.parametrize("rho, x_src, horizon, spec, deep", [
+    # one time panel was compared with itself (1 + 1 // 2 = 1): err 1.7e-17,
+    # 6.4e-13 off; deep from QuadratureSpec(panels=16, time_panels=48), which
+    # 24 panels and 72 time panels meet within 1.4e-17
+    (-0.5, (2.0, 0.5), 40.0, QuadratureSpec(4, 16, 1), 0.020109528662916914),
+    # one panel left the face ranges' halves unrefined: err 5.6e-17, 2.7e-11 off
+    (0.0, (2.0, 2.0), 12.5, QuadratureSpec(1, 16, 2), DEEP[0.0][1]),
+])
+def test_refined_error_covers_every_axis(rho, x_src, horizon, spec, deep):
+    value, err = marginal_survival_Q1(fig15_network(rho=rho), x_src, horizon, spec)
+    assert abs(value - deep) <= err
+
+
+def test_refinement_keeps_the_default_nodes():
+    # 4 -> 6 panels, and bank 2's lower face range 2 -> 3; a 2-panel spec
+    # refines to 6, since 3, 4 and 5 keep that range at 2 panels
+    assert (wedge._finer(4), wedge._lower_face_panels(4), wedge._lower_face_panels(6)) == (6, 2, 3)
+    assert wedge._finer(2) == 6
+
+
 @settings(deadline=None, max_examples=200)
 @given(t_bar=st.floats(1e-3, 1e3), panels=st.integers(1, 8),
        lo=st.integers(0, wedge.GRADED_LEVELS), hi=st.integers(0, wedge.GRADED_LEVELS))
@@ -401,18 +421,18 @@ IMAGE_MARGIN = 20.0    # image sum off the deep reference over tol * its sum of 
                        # (measured 6.6, near z = 20: scipy's ive, not the image sum)
 
 
-def _orders(ctx, z, deep, pre):
+def _orders(ctx, z, deep, pre, z_min):
     """Order rows and their ive(nu_n, z) rows: REF_ORDERS orders through
     iv_scaled, or with `deep` scipy.special.ive over the orders up to
     nu = sqrt(100 max z) + 10, past which the envelope is below e^{-50}.
-    The REF_ORDERS rows hold values only at the live points below
-    wedge.IMAGE_MIN_Z, the only ones _check_truncation reads, and NaN
-    elsewhere: at a short horizon z reaches the thousands, where 250 orders
-    of the series cost ten times as much as at z <= 15."""
+    The REF_ORDERS rows hold values only at the live points below z_min,
+    the only ones _check_truncation reads, and NaN elsewhere: at a short
+    horizon z reaches the thousands, where 250 orders of the series cost
+    ten times as much as at z <= 15."""
     if not deep:
         nus = np.array([ctx.order(n) for n in range(1, REF_ORDERS + 1)])[:, None]
         envs = np.full((REF_ORDERS, z.size), np.nan)
-        near = (pre > 1e-30) & (z < wedge.IMAGE_MIN_Z)
+        near = (pre > 1e-30) & (z < z_min)
         if np.any(near):
             envs[:, near] = [iv_scaled(nu, z[near]) for nu in nus[:, 0]]
         return nus, envs
@@ -422,15 +442,17 @@ def _orders(ctx, z, deep, pre):
 
 
 def _green_reference(ctx, t, x1, x2, xs, deep=False):
-    """Prefactor, z and per-order (term, envelope) rows of the density series."""
+    """Prefactor, z, per-order (term, envelope) rows of the density series,
+    and the z from which its points take the image sum."""
     r, phi = ctx.polar(x1, x2)
     r_src, phi_src = ctx.polar(*xs)
     pre = (np.exp(-0.5 * ctx.theta_dot_xi * t + ctx.theta[0] * (x1 - xs[0])
                   + ctx.theta[1] * (x2 - xs[1]))
            * 2.0 / (ctx.rho_bar * ctx.varpi * t) * np.exp(-((r - r_src) ** 2) / (2.0 * t)))
     z = r * r_src / t
-    nus, envs = _orders(ctx, z, deep, pre)
-    return pre, z, envs * np.sin(nus * phi) * np.sin(nus * phi_src), envs
+    z_min = wedge._image_min_z(ctx, slope=False)
+    nus, envs = _orders(ctx, z, deep, pre, z_min)
+    return pre, z, envs * np.sin(nus * phi) * np.sin(nus * phi_src), envs, z_min
 
 
 def _flux_reference(ctx, t, coord, xs, face, deep=False):
@@ -440,17 +462,18 @@ def _flux_reference(ctx, t, coord, xs, face, deep=False):
     pre = (np.exp(-0.5 * ctx.theta_dot_xi * t + drift * coord - ctx.theta @ np.asarray(xs))
            / (ctx.varpi * t * coord) * np.exp(-((coord / ctx.rho_bar - r_src) ** 2) / (2.0 * t)))
     z = coord * r_src / (ctx.rho_bar * t)
-    nus, envs = _orders(ctx, z, deep, pre)
+    z_min = wedge._image_min_z(ctx, slope=True)
+    nus, envs = _orders(ctx, z, deep, pre, z_min)
     envs = nus * envs
     signs = np.where((face == 2) & (np.arange(1, len(nus) + 1) % 2 == 0), -1.0, 1.0)
-    return pre, z, envs * np.sin(nus * phi_src) * signs[:, None], envs
+    return pre, z, envs * np.sin(nus * phi_src) * signs[:, None], envs, z_min
 
 
-def _check_truncation(out, pre, z, terms, envs, seen):
-    """The live points below wedge.IMAGE_MIN_Z take the series; `seen` holds
-    the arguments iv_scaled received, one array per order."""
+def _check_truncation(out, pre, z, terms, envs, z_min, seen):
+    """The live points below z_min take the series; `seen` holds the
+    arguments iv_scaled received, one array per order."""
     assert np.all(out[pre <= 1e-30] == 0.0)
-    live = (pre > 1e-30) & (z < wedge.IMAGE_MIN_Z)
+    live = (pre > 1e-30) & (z < z_min)
     if not np.any(live):
         assert not seen
         return
@@ -471,11 +494,11 @@ def _check_truncation(out, pre, z, terms, envs, seen):
     assert np.all(err <= SERIES_MARGIN * TOL * pre[live] * scale[-1] + 1e-300)
 
 
-def _check_image_sum(out, pre, z, terms, envs):
-    """The live points at or above wedge.IMAGE_MIN_Z take the image sum: it
-    is within IMAGE_MARGIN * TOL of a deep reference, relative to the sum of
-    the reference's |terms|, which scales its rounding."""
-    far = (pre > 1e-30) & (z >= wedge.IMAGE_MIN_Z)
+def _check_image_sum(out, pre, z, terms, envs, z_min):
+    """The live points at or above z_min take the image sum: it is within
+    IMAGE_MARGIN * TOL of a deep reference, relative to the sum of the
+    reference's |terms|, which scales its rounding."""
+    far = (pre > 1e-30) & (z >= z_min)
     size = np.abs(terms[:, far]).sum(axis=0)
     assert np.all(envs[-1, far] <= 1e-3 * TOL * size)
     err = np.abs(out[far] - pre[far] * terms[:, far].sum(axis=0))
@@ -496,12 +519,22 @@ def _recording_iv(monkeypatch):
 coords = st.floats(0.01, 6.0)
 
 
+# at rho = 0 and -0.5 (alpha = 2 and 3) the flux points with 2 <= z < 20
+# take the image sum: at t = 0.5 and these sources the flux z run from 1.0
+# and 1.7 to 28 and 46, and the density z lie on both sides of 20
+integer_alpha_points = [(0.2, 1.0), (1.0, 2.0), (2.0, 0.5), (3.0, 3.0), (5.5, 5.0)]
+
+
 @settings(deadline=None, max_examples=25)
 @given(rho=st.floats(-0.9, 0.8), log_t=st.floats(math.log(0.01), math.log(12.0)),
        xi=st.tuples(st.floats(-1.0, 0.5), st.floats(-1.0, 0.5)),
        src=st.tuples(st.floats(0.1, 4.0), st.floats(0.1, 4.0)),
        points=st.lists(st.tuples(coords, coords), min_size=1, max_size=12),
        face=st.sampled_from([1, 2]))
+@example(rho=0.0, log_t=math.log(0.5), xi=(-0.5, -0.25), src=(2.0, 1.5),
+         points=integer_alpha_points, face=2)
+@example(rho=-0.5, log_t=math.log(0.5), xi=(-0.5, -0.25), src=(1.0, 2.5),
+         points=integer_alpha_points, face=1)
 def test_truncated_series_match_untruncated_sum(rho, log_t, xi, src, points, face):
     ctx = WedgeContext.build(rho, xi)
     t = math.exp(log_t)
@@ -515,6 +548,29 @@ def test_truncated_series_match_untruncated_sum(rho, log_t, xi, src, points, fac
         flux = boundary_flux(ctx, t, x1, src, face=face)
         _check_truncation(flux, *_flux_reference(ctx, t, x1, src, face), seen)
         _check_image_sum(flux, *_flux_reference(ctx, t, x1, src, face, deep=True))
+
+
+@pytest.mark.parametrize("rho, flux_series", [(0.0, False), (-0.5, False), (0.3, True)])
+def test_flux_takes_the_image_sum_from_z_2_at_integer_alpha(rho, flux_series):
+    # alpha = 2 and 3 send every flux point with z >= FLUX_IMAGE_MIN_Z to the
+    # image sum; the density keeps the series below IMAGE_MIN_Z at every
+    # alpha, and at rho = 0.3 so does the flux
+    ctx = WedgeContext.build(rho, [-0.5, -0.25])
+    xs, t = (2.0, 1.5), 0.5
+    r_src, _ = ctx.polar(*xs)
+    z = np.array([2.001, 3.0, 5.0, 10.0, 19.9])
+    coord = z * ctx.rho_bar * t / r_src
+    with pytest.MonkeyPatch.context() as mp:
+        seen = _recording_iv(mp)
+        for face in (1, 2):
+            flux = boundary_flux(ctx, t, coord, xs, face=face)
+            assert np.all(flux != 0.0)
+            assert bool(seen) is flux_series
+            seen.clear()
+        wedge_green(ctx, t, 0.5 * coord, 0.5 * coord, xs)
+        r, _ = ctx.polar(0.5 * coord, 0.5 * coord)
+        assert np.max(r * r_src / t) < wedge.IMAGE_MIN_Z
+        assert np.array_equal(seen[0], r * r_src / t)
 
 
 def _mp_series(ctx, z, phi, phi_src):
@@ -633,7 +689,7 @@ def test_points_above_z_700_take_the_image_sum_on_their_own():
     t, xs = 0.012311190845945527, (3.8762971805736552, 3.122683451170018)
     g = wedge_green(ctx, t, x1, x2, xs)
     alone = np.array([wedge_green(ctx, t, x1[i:i + 1], x2[i:i + 1], xs)[0] for i in range(4)])
-    pre, z, terms, _ = _green_reference(ctx, t, x1, x2, xs, deep=True)
+    pre, z, terms, *_ = _green_reference(ctx, t, x1, x2, xs, deep=True)
     assert np.all(z > 700.0)
     scale = np.max(np.abs(np.cumsum(terms, axis=0)))
     assert np.all(np.abs(g - alone) <= SERIES_MARGIN * TOL * pre * scale)
