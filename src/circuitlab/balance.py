@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -70,38 +69,15 @@ class FlowState:
         return self.x + self.i + self.c
 
 
-def _as_fn(v) -> Callable[[float], float]:
-    if callable(v):
-        return v
-    const = float(v) if np.ndim(v) == 0 else np.asarray(v, dtype=float)
-    return lambda t: const
-
-
 @dataclass
 class Controls:
-    """Control paths; scalars or arrays mean constant controls (arrays
-    broadcast into a batch).  Pre-history before t = 0 defaults to the
-    t = 0 value for the lag terms."""
+    """Constant controls: scalars, or arrays that broadcast into a batch."""
 
-    phi: float | Callable[[float], float] = 0.0      # new loans
-    psi: float | Callable[[float], float] = 0.0      # new borrowings
-    omega: float | Callable[[float], float] = 0.0    # new investments
-    pi: float | Callable[[float], float] = 0.0       # new deposits
-    delta: float | Callable[[float], float] = 0.0    # dividends (<0 issues stock)
-
-    def bound(self):
-        phi, psi = _as_fn(self.phi), _as_fn(self.psi)
-        return (lambda t: phi(max(t, 0.0)), lambda t: psi(max(t, 0.0)),
-                _as_fn(self.omega), _as_fn(self.pi), _as_fn(self.delta))
-
-
-def lagged_loan_inflow(phi, t: float, params: FlowParams) -> float:
-    """Net new-loan flow: today's issuance less matured vintage."""
-    return phi(t) - math.exp(-params.lam * params.t_lag) * phi(t - params.t_lag)
-
-
-def lagged_borrow_inflow(psi, t: float, params: FlowParams) -> float:
-    return psi(t) - math.exp(-params.mu * params.t_lag) * psi(t - params.t_lag)
+    phi: float | np.ndarray = 0.0      # new loans
+    psi: float | np.ndarray = 0.0      # new borrowings
+    omega: float | np.ndarray = 0.0    # new investments
+    pi: float | np.ndarray = 0.0       # new deposits
+    delta: float | np.ndarray = 0.0    # dividends (<0 issues stock)
 
 
 @dataclass(eq=False)
@@ -145,10 +121,15 @@ def evolve(
     res0 = initial.balance_residual()
     if abs(res0) > 1e-10 * max(1.0, initial.total_assets()):
         raise ValueError(f"initial state violates the balance identity by {res0:.3g}")
-    phi, psi, omega, pi, delta = fns = controls.bound()
+    phi, psi, om, pv, dv = ctrl = [
+        float(v) if np.ndim(v) == 0 else np.asarray(v, dtype=float)
+        for v in (controls.phi, controls.psi, controls.omega, controls.pi, controls.delta)]
+    # net new loans and borrowings: today's issuance less the matured vintage
+    cap_phi = phi - math.exp(-params.lam * params.t_lag) * phi
+    cap_psi = psi - math.exp(-params.mu * params.t_lag) * psi
     t = record_index(horizon, dt, 1) * dt
     n = len(t) - 1
-    shape = np.broadcast_shapes(*(np.shape(f(0.0)) for f in fns)) + (n + 1,)
+    shape = np.broadcast_shapes(*(np.shape(v) for v in ctrl)) + (n + 1,)
     out = {k: np.empty(shape) for k in ("x", "i", "c", "d", "y", "e", "e_indep", "j", "delta")}
     x, i_v, c, d, y = initial.x, initial.i, initial.c, initial.d, initial.y
     e_indep = initial.e
@@ -157,16 +138,12 @@ def evolve(
     sqdt = math.sqrt(dt)
 
     for k in range(n + 1):
-        tk = t[k]
         for path, value in zip(out.values(), (x, i_v, c, d, y, x + i_v + c - d - y,
-                                              e_indep, j, delta(tk))):
+                                              e_indep, j, dv)):
             path[..., k] = value
         if k == n:
             break
 
-        cap_phi = lagged_loan_inflow(phi, tk, params)
-        cap_psi = lagged_borrow_inflow(psi, tk, params)
-        om, pv, dv = omega(tk), pi(tk), delta(tk)
         di_noise = 0.0 if gen is None else params.sigma * i_v * sqdt * gen.standard_normal()
 
         dx = (-params.lam * x + cap_phi) * dt

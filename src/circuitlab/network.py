@@ -10,8 +10,10 @@ A bank defaults during the horizon when its assets touch the interior
 (recovery-discounted) boundary; it is then removed, survivors' external
 liabilities absorb the net estate settlement L_i + L_ik - R_k L_ki, and
 every surviving boundary moves outward by (1 - R_i R_k) L_ki, which is
-asserted.  At the horizon the survivors settle via the Eisenberg-Noe
-clearing fixed point.
+asserted.  At the horizon the survivors settle at the Eisenberg-Noe
+clearing vector, found exactly by fictitious default: at most N + 1 rounds
+of one batched linear solve each, a bank counting as short only when it
+pays below par by more than 1e-10 (`clearing_vector`).
 """
 
 from __future__ import annotations
@@ -188,62 +190,74 @@ def _reduce_jumps(spec: JumpSpec, k: int) -> JumpSpec:
     return JumpSpec(spec.n_banks - 1, subsets, spec.theta[keep])
 
 
-# a path's clearing sweep stops once no payout fraction moves by this much
-CLEARING_TOL = 1e-12
 # a payout fraction this close to 1 is solvent: the bank pays in full
 SOLVENT_OMEGA = 1.0 - 1e-9
+# a bank falls short only when it pays below par by more than the clearing's
+# fixed-point tolerance, so one paying par to within rounding stays solvent
+SHORT_MARGIN = 1e-10
 
 
 @dataclass(eq=False)
 class ClearingVector:
     omega: np.ndarray
     solvent: np.ndarray      # omega_i == 1 within tolerance
-    iterations: int
+    iterations: int          # fictitious-default rounds of the slowest path
 
 
 def clearing_vector(net: BankNetwork, terminal_assets: np.ndarray) -> ClearingVector:
-    """Eisenberg-Noe terminal payout fractions.
+    """Eisenberg-Noe terminal payout fractions by fictitious default
+    (Eisenberg & Noe 2001, Management Science 47(2)).
 
-    Iterates omega <- min((A_T + claims received) / total liabilities, 1)
-    from omega = 1; each sweep is asserted monotone non-increasing and the
-    returned vector is verified to be a fixed point.  `terminal_assets` may
-    carry leading path axes (..., N); each path stops at its own convergence
-    and `iterations` is the slowest path's sweep count.
+    Each round pays every bank outside the default set in full, solves the
+    set's linear system omega_i due_i = A_i + sum_j omega_j L_ji exactly, and
+    takes as the next set the banks paying below par by more than
+    SHORT_MARGIN = 1e-10.  The set only grows (asserted) and the rounds stop
+    once it holds, after at most N + 1 of them, at the greatest clearing
+    vector: a fixed point of omega <- min((A_T + claims received) / total
+    liabilities, 1), checked to 1e-10.  Banks with no liabilities pay
+    omega = 1.  `terminal_assets` (finite, non-negative) may carry leading
+    path axes (..., N); a path's payouts do not depend on its batch, and
+    `iterations` counts the rounds of the slowest path.
     """
+    n = net.n
     a_t = np.asarray(terminal_assets, dtype=float)
-    a = a_t.reshape(-1, net.n)
+    if a_t.ndim == 0 or a_t.shape[-1] != n:
+        raise ValueError(f"terminal_assets must have shape (..., {n}), got {a_t.shape}")
+    if not np.all(np.isfinite(a_t)) or np.any(a_t < 0):
+        raise ValueError("terminal_assets must be finite and non-negative")
+    a = a_t.reshape(-1, n)
     total = net.external_liabilities + net.interbank_liabilities
-    zero_liab = total <= 0.0
-    due = np.where(zero_liab, 1.0, total)
+    owes = total > 0.0
+    due = np.where(owes, total, 1.0)
     claims = net.mutual  # claims[j, i] = L_ji owed to i
 
-    def sweep(omega):
+    def inflow(omega):
         # summed bank by bank: a path's result does not depend on its batch
-        inflow = sum(omega[:, j, None] * claims[j] for j in range(net.n))
-        return np.minimum(np.where(zero_liab, 1.0, (a + inflow) / due), 1.0)
+        return sum(omega[:, j, None] * claims[j] for j in range(n))
 
-    omega = np.ones_like(a)
-    active = np.ones(len(a), dtype=bool)
-    max_iter = max(10 * net.n * net.n, 50)
-    for it in range(1, max_iter + 1):
-        new_omega = sweep(omega)
-        if np.any(new_omega[active] > omega[active] + 1e-12):
+    def sweep(omega):
+        return np.minimum(np.where(owes, (a + inflow(omega)) / due, 1.0), 1.0)
+
+    # row i of a defaulted bank: due_i omega_i - sum_{j defaulted} L_ji omega_j
+    system = np.diag(due) - claims.T
+    default = np.zeros(a.shape, dtype=bool)
+    for rounds in range(1, n + 2):
+        matrix = np.where(default[:, :, None], system * default[:, None, :], np.eye(n))
+        rhs = np.where(default, a + inflow(~default), 1.0)
+        omega = np.linalg.solve(matrix, rhs[..., None])[..., 0]
+        short = sweep(omega) < 1.0 - SHORT_MARGIN
+        if np.any(default & ~short):
             raise AssertionError(
-                "clearing iteration from the all-ones vector must be "
-                f"monotone non-increasing; step {it} increased a component"
-            )
-        done = np.max(np.abs(new_omega - omega), axis=1) < CLEARING_TOL
-        omega[active] = new_omega[active]
-        active &= ~done
-        if not active.any():
+                "fictitious default: the default set must only grow; "
+                f"round {rounds} cleared a defaulted bank")
+        if np.array_equal(short, default):
             break
-    else:
-        raise RuntimeError(f"clearing iteration did not converge in {max_iter} sweeps")
+        default = short
     residual = np.max(np.abs(sweep(omega) - omega), initial=0.0)
-    if residual > 1e-10:
+    if not residual <= SHORT_MARGIN:
         raise RuntimeError(f"clearing output is not a fixed point: residual {residual:.3e}")
     omega = omega.reshape(a_t.shape)
-    return ClearingVector(omega=omega, solvent=omega >= SOLVENT_OMEGA, iterations=it)
+    return ClearingVector(omega=omega, solvent=omega >= SOLVENT_OMEGA, iterations=rounds)
 
 
 def kappa_coeffs(a1: float, a2: float, net: BankNetwork) -> np.ndarray:
@@ -413,8 +427,8 @@ def simulate_paths(
     if dynamics == "jump-diffusion" and net.jumps is None:
         raise ValueError("jump-diffusion dynamics require a jump specification")
     n_steps = step_count(horizon, dt)
-    if not paths >= 1:
-        raise ValueError(f"paths must be at least 1, got {paths}")
+    if not (isinstance(paths, numbers.Integral) and paths >= 1):
+        raise ValueError(f"paths must be a positive integer, got {paths!r}")
     if not (isinstance(chunk, numbers.Integral) and chunk >= 1):
         raise ValueError(f"chunk must be a positive integer, got {chunk!r}")
     n = net.n
@@ -555,7 +569,7 @@ def _settle_interior(sets, net, t, log_a, alive, log_interior, default_time,
 def _settle_terminal(sets, net, log_a, alive, omega, terminal_assets,
                      default_time, horizon):
     """Settle one chunk's paths (the output arrays are its rows): one batched
-    clearing per survivor set, of its paths short of a terminal boundary."""
+    clearing per survivor set, of all its paths."""
     a_t = np.exp(log_a)
     terminal_assets[alive] = a_t[alive]
     for mask in np.unique(alive, axis=0):
@@ -563,12 +577,9 @@ def _settle_terminal(sets, net, log_a, alive, omega, terminal_assets,
             continue
         s = _survivors(sets, net, mask)
         rows = np.flatnonzero((alive == mask).all(axis=1))
-        covered = np.all(a_t[np.ix_(rows, s.idx)] >= boundaries(s.net).terminal, axis=1)
-        short = rows[~covered]
-        if short.size:
-            cv = clearing_vector(s.net, a_t[np.ix_(short, s.idx)])
-            omega[np.ix_(short, s.idx)] = cv.omega
-            default_time[np.ix_(short, s.idx)] = np.where(cv.solvent, np.nan, horizon)
+        cv = clearing_vector(s.net, a_t[np.ix_(rows, s.idx)])
+        omega[np.ix_(rows, s.idx)] = cv.omega
+        default_time[np.ix_(rows, s.idx)] = np.where(cv.solvent, np.nan, horizon)
 
 
 @dataclass(eq=False)
@@ -660,8 +671,8 @@ def two_bank_survival_grid(
     dom = two_bank_domains(net)
     ctx = dom.ctx
     n_steps = step_count(ctx.scaled_time(horizon), dt_scaled, "dt_scaled")
-    if not paths >= 1:
-        raise ValueError(f"paths must be at least 1, got {paths}")
+    if not (isinstance(paths, numbers.Integral) and paths >= 1):
+        raise ValueError(f"paths must be a positive integer, got {paths!r}")
     if not (isinstance(chunk, numbers.Integral) and chunk >= 1):
         raise ValueError(f"chunk must be a positive integer, got {chunk!r}")
     sq = math.sqrt(dt_scaled)

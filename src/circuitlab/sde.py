@@ -164,8 +164,8 @@ class EulerPaths:
         component of a single (components, recorded steps, paths) array.
         """
         rec_idx = record_index(horizon, dt, record_stride)
-        if not paths >= 1:
-            raise ValueError(f"paths must be at least 1, got {paths}")
+        if not (isinstance(paths, numbers.Integral) and paths >= 1):
+            raise ValueError(f"paths must be a positive integer, got {paths!r}")
         stochastic = diffusion is not None
         clamp = regularized or stochastic
         if clamp and not (0 < initial[0] < 1 and 0 < initial[1] < 1):

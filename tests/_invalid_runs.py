@@ -5,6 +5,8 @@ with dt of at least 0.01, so a 0.004 horizon is shorter than half a step;
 
 import math
 
+import numpy as np
+
 INVALID_RUNS = [
     ({"dt": 0.0}, "dt"), ({"dt": math.nan}, "dt"), ({"dt": math.inf}, "dt"),
     ({"horizon": -1.0}, "horizon"), ({"horizon": math.nan}, "horizon"),
@@ -14,4 +16,7 @@ INVALID_RUNS = [
     # a fractional stride once stored uninitialised rows
     ({"record_stride": 2.5}, "record_stride must be an integer"),
     ({"paths": 0}, "paths"),
+    # a float count once raised numpy's unnamed TypeError
+    ({"paths": 2.5}, "paths must be a positive integer"),
+    ({"paths": np.float64(3.0)}, "paths must be a positive integer"),
 ]

@@ -17,7 +17,6 @@ from circuitlab.balance import (
     constant_control_search,
     constraints_report,
     evolve,
-    lagged_loan_inflow,
 )
 from circuitlab.rng import RngStream
 
@@ -76,13 +75,16 @@ def test_balance_identity_stochastic():
 
 
 def test_lag_consistency_constant_control():
-    # constant issuance phi makes the lagged net inflow phi (1 - e^{-lam T})
-    phi = 3.0
-    expected = phi * (1.0 - math.exp(-BASE.lam * BASE.t_lag))
-    fn = lambda t: phi
-    for t in (0.0, 0.4, 2.7):
-        got = lagged_loan_inflow(lambda s: phi if s >= 0 else phi, t, BASE)
-        assert got == pytest.approx(expected, rel=1e-14)
+    # constant issuance phi makes the lagged net loan inflow phi (1 - e^{-lam T})
+    # and borrowing psi the debt inflow psi (1 - e^{-mu T}): from an empty
+    # balance sheet, X and Y take Euler steps of X' = -lam X + that inflow
+    phi, psi, dt = 3.0, 2.0, 0.01
+    empty = FlowState(x=0.0, i=0.0, c=0.0, d=0.0, y=0.0, e=0.0)
+    traj = evolve(empty, BASE, Controls(phi=phi, psi=psi), horizon=2.7, dt=dt)
+    k = np.arange(len(traj.t))
+    for path, rate, flow in ((traj.x, BASE.lam, phi), (traj.y, BASE.mu, psi)):
+        inflow = flow * (1.0 - math.exp(-rate * BASE.t_lag))
+        assert path == pytest.approx(inflow / rate * (1.0 - (1.0 - rate * dt) ** k), rel=1e-12)
 
 
 def test_cashflow_zero_when_inactive():

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from circuitlab.network import (
+    SOLVENT_OMEGA,
     BankNetwork,
     boundaries,
     clearing_vector,
@@ -210,8 +211,11 @@ def test_clearing_monotone_on_random_networks():
     for _ in range(200):
         net = random_network(rng)
         a_t = rng.uniform(0.0, 120.0, net.n)
-        cv = clearing_vector(net, a_t)  # monotonicity asserted internally
+        cv = clearing_vector(net, a_t)  # asserts that its default set only grows
         assert np.all((cv.omega >= 0.0) & (cv.omega <= 1.0))
+        # more terminal assets never lower a payout
+        richer = clearing_vector(net, a_t + rng.uniform(0.0, 10.0, net.n))
+        assert np.all(richer.omega >= cv.omega - 1e-12)
 
 
 def test_kappa_solves_detailed_balance():
@@ -231,7 +235,106 @@ def test_clearing_equals_kappa_when_both_default():
     a_t = np.array([30.0, 40.0])
     cv = clearing_vector(net, a_t)
     assert np.all(cv.omega < 1.0)
-    assert cv.omega == pytest.approx(kappa_coeffs(30.0, 40.0, net), abs=1e-10)
+    assert cv.omega == pytest.approx(kappa_coeffs(30.0, 40.0, net), abs=1e-15)
+    assert cv.iterations == 2
+
+
+# a densely linked pair: a sweep of the fixed point contracts by only 0.75
+# per step here and needs about 96 steps to reach 1e-12
+DENSE_PAIR = dict(external_assets=np.array([12.0, 12.0]),
+                  external_liabilities=np.array([10.0, 10.0]),
+                  mutual=np.array([[0.0, 30.0], [30.0, 0.0]]),
+                  recoveries=np.array([0.4, 0.4]), sigma=np.array([0.3, 0.3]))
+
+
+def test_clearing_a_densely_linked_pair():
+    cv = clearing_vector(BankNetwork(**DENSE_PAIR), [1.0, 1.0])
+    # 40 omega = 1 + 30 omega
+    assert cv.omega == pytest.approx([0.1, 0.1], abs=1e-15)
+    assert cv.iterations == 2 and not cv.solvent.any()
+
+
+def test_simulating_a_densely_linked_pair():
+    # interior boundaries are negative, so every path settles at the horizon
+    rec = simulate_paths(BankNetwork(**DENSE_PAIR), horizon=2.0, dt=0.01, paths=1000,
+                         stream=RngStream(3))
+    assert not rec.interior_default.any()
+    assert survival_probabilities(rec).joint == 0.343
+    assert np.count_nonzero((rec.default_time == 2.0).all(axis=1)) == 301
+
+
+@pytest.mark.parametrize("a_t, message", [
+    ([math.nan, 1.0], "finite"), ([1.0, math.inf], "finite"),
+    ([-5.0, 1.0], "non-negative"), ([1.0, 2.0, 3.0], r"shape \(\.\.\., 2\), got \(3,\)"),
+    (1.0, r"got \(\)"), (np.ones((2, 3)), r"got \(2, 3\)")])
+def test_clearing_rejects_bad_terminal_assets_by_name(a_t, message):
+    with pytest.raises(ValueError, match=f"terminal_assets must .*{message}"):
+        clearing_vector(fig15_network(), a_t)
+
+
+def sweep_clearing(net, terminal_assets, tol=1e-15, max_sweeps=100_000):
+    """The monotone Eisenberg-Noe sweep, the oracle of the fictitious-default
+    clearing: omega <- min((A_T + claims received) / total liabilities, 1)
+    from omega = 1 until no payout moves by `tol`, each sweep asserted
+    non-increasing."""
+    a = np.asarray(terminal_assets, dtype=float)
+    total = net.external_liabilities + net.interbank_liabilities
+    zero_liab = total <= 0.0
+    due = np.where(zero_liab, 1.0, total)
+    omega = np.ones_like(a)
+    for _ in range(max_sweeps):
+        new_omega = np.minimum(np.where(zero_liab, 1.0, (a + net.mutual.T @ omega) / due), 1.0)
+        assert np.all(new_omega <= omega + 1e-12), "the sweep must be non-increasing"
+        done = np.max(np.abs(new_omega - omega)) < tol
+        omega = new_omega
+        if done:
+            return omega
+    raise RuntimeError(f"the clearing sweep did not converge in {max_sweeps} sweeps")
+
+
+def quarters(lo, hi):
+    """Multiples of 1/4 in [lo, hi].  The sweep oracle is only as accurate as
+    its contraction allows: with finer values a nearly closed default set
+    (external debt 0.0078 against a pair owing 1 and 9) stops the sweep
+    1e-10 short of the fixed point."""
+    return st.integers(4 * lo, 4 * hi).map(lambda k: k / 4.0)
+
+
+@st.composite
+def clearing_cases(draw):
+    """Networks of 1 to 6 banks with external liabilities of either sign or
+    zero, as `remove_bank` leaves them, and terminal assets >= 0."""
+    n = draw(st.integers(1, 6))
+    mutual = draw(arrays(float, (n, n), elements=quarters(0, 40)))
+    np.fill_diagonal(mutual, 0.0)
+    net = BankNetwork(external_assets=np.ones(n),
+                      external_liabilities=draw(arrays(float, n, elements=quarters(-20, 60))),
+                      mutual=mutual, recoveries=np.full(n, 0.5), sigma=np.full(n, 0.2))
+    return net, draw(arrays(float, n, elements=quarters(0, 60)))
+
+
+def closed_case(mutual):
+    """A closed network, with no external liabilities or assets."""
+    n = len(mutual)
+    return BankNetwork(external_assets=np.ones(n), external_liabilities=np.zeros(n),
+                       mutual=np.array(mutual), recoveries=np.full(n, 0.5),
+                       sigma=np.full(n, 0.2)), np.zeros(n)
+
+
+@settings(deadline=None, max_examples=300)
+@given(case=clearing_cases())
+# a bank paying par to within rounding: counted short, it makes the pair's
+# round singular and sends the three banks to the least fixed point (0, 0, 0)
+@example(case=closed_case([[0.0, 14.2286], [18.4606, 0.0]]))
+@example(case=closed_case([[0.0, 38.1836, 19.9958], [17.0091, 0.0, 39.8039],
+                           [0.0, 18.4018, 0.0]]))
+def test_fictitious_default_matches_the_sweep(case):
+    net, a_t = case
+    cv = clearing_vector(net, a_t)
+    omega = sweep_clearing(net, a_t)
+    assert np.max(np.abs(cv.omega - omega)) <= 1e-10
+    assert np.array_equal(cv.solvent, omega >= SOLVENT_OMEGA)
+    assert cv.iterations <= net.n + 1
 
 
 def test_equity_invariant_under_mutual_rebooking():
@@ -303,6 +406,8 @@ def test_monte_carlo_rejects_bad_run_settings():
             ({"dt_scaled": 0.0}, "dt_scaled"), ({"dt_scaled": -0.1}, "dt_scaled"),
             ({"dt_scaled": math.nan}, "dt_scaled"), ({"dt_scaled": math.inf}, "dt_scaled"),
             ({"paths": 0}, "paths"), ({"paths": -3}, "paths"),
+            ({"paths": 2.5}, "paths must be a positive integer"),
+            ({"paths": np.float64(3.0)}, "paths must be a positive integer"),
             ({"horizon": -1.0}, "horizon"), ({"horizon": math.nan}, "horizon"),
             ({"horizon": 1e-6}, "horizon"), ({"horizon": 1.05}, "whole"),
             ({"x1_grid": [math.nan, 2.0, -1.0, math.inf], "x2_grid": [2.0, math.nan]},
@@ -319,8 +424,8 @@ def test_monte_carlo_rejects_bad_run_settings():
         simulate_paths(net, 0.004, 0.01, paths=4)
     with pytest.raises(ValueError, match="whole"):
         simulate_paths(net, 0.015, 0.01, paths=4)
-    for paths in (0, -1):
-        with pytest.raises(ValueError, match="paths"):
+    for paths in (0, -1, 2.5, np.float64(3.0)):
+        with pytest.raises(ValueError, match="paths must be a positive integer"):
             simulate_paths(net, 1.0, 0.01, paths=paths)
     # chunk = -1 once ran no path and reported every bank surviving
     for chunk in (0, -1, 2.5):
@@ -406,16 +511,16 @@ def test_batched_clearing_rows_are_single_path_fixed_points(batch):
     assert cv.omega.shape == a_t.shape and cv.solvent.shape == a_t.shape
     assert np.all((cv.omega >= 0.0) & (cv.omega <= 1.0))
     total = net.external_liabilities + net.interbank_liabilities
-    sweeps = []
+    rounds = []
     for row, a_row in enumerate(a_t):
         single = clearing_vector(net, a_row)
-        sweeps.append(single.iterations)
+        rounds.append(single.iterations)
         # a path's payouts do not depend on the paths batched with it
         assert np.array_equal(cv.omega[row], single.omega)
         assert np.array_equal(cv.solvent[row], single.solvent)
         fixed = np.minimum((a_row + net.mutual.T @ cv.omega[row]) / total, 1.0)
         assert np.max(np.abs(fixed - cv.omega[row])) <= 1e-10
-    assert cv.iterations == max(sweeps)
+    assert cv.iterations == max(rounds) <= net.n + 1
 
 
 def stressed_network(rng, n, rho=0.0, jumps=False):
