@@ -102,8 +102,15 @@ def money_supply(ledgers: Iterable[BankLedger]) -> float:
 def apply_event(
     ledgers: list[BankLedger], event: LedgerEvent, repo_haircut: float = 0.0
 ) -> tuple[list[BankLedger], float]:
-    """Post one event; returns the new ledgers and the money-supply delta."""
+    """Post one event; returns the new ledgers and the money-supply delta.
+    The event's bank, and its counterparty if it names one, must index
+    `ledgers`, and a bank is not its own counterparty."""
     out = list(ledgers)
+    for role, k in (("bank", event.bank), ("counterparty", event.counterparty)):
+        if k is not None and k not in range(len(out)):
+            raise LedgerError(f"{role} {k!r} is not one of the {len(out)} banks")
+    if event.counterparty == event.bank:
+        raise LedgerError(f"bank {event.bank} cannot be its own counterparty")
     i = event.bank
     a = event.amount
     before = money_supply(out)

@@ -18,7 +18,6 @@ components, with their records by name and what the run derives from them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Literal
 
 import numpy as np
 
@@ -56,7 +55,7 @@ class MmcParams:
     alpha0: float           # consumption-target weight on distributed income
     alpha1: float           # consumption-target weight on capital productivity
     upsilon0: float         # investment-propensity intercept
-    upsilon1: float         # weight on profit rate (> 0)
+    upsilon1: float         # weight on profit rate (>= 0)
     upsilon2: float         # weight on deposits-to-assets (> 0)
     upsilon3: float         # weight on loans-to-assets (< 0)
     delta_rf: float         # rentiers' share of firms' profits
@@ -82,7 +81,7 @@ class MmcParams:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
-        for name in ("xi_delta", "xi_a", "r_d", "r_l", "kappa_c"):
+        for name in ("xi_delta", "xi_a", "r_d", "r_l", "kappa_c", "upsilon1"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
         if self.nu_f <= 0:
@@ -121,8 +120,8 @@ class MmcState:
         stocks = (self.d_r, self.l_r, self.d_f, self.l_f, self.k_f)
         if any(s < 0 for s in stocks):
             raise ValueError("stocks must be non-negative")
-        if self.c_r <= 0:
-            raise ValueError("C_r must be positive")
+        if self.c_r <= 0 or self.k_f <= 0:
+            raise ValueError("C_r and K_f must be positive")
         if not (0 < self.s_w < 1 and 0 < self.lambda_w < 1):
             raise ValueError("(s_w, lambda_w) must lie inside the unit square")
         scale = max(abs(v) for v in stocks) + abs(self.k_b) + 1.0
@@ -150,15 +149,21 @@ class UpsilonError(RuntimeError):
     pass
 
 
-# investment propensity this close to 1 means the self-consistency map has
-# no interior fixed point (the propensity saturates); flows ~ C_r/(1-u)
-# degenerate there
+# investment propensity this close to 1 is degenerate: the propensity
+# saturates and flows ~ C_r/(1-u) blow up there
 UPSILON_MAX = 1.0 - 1e-9
-# upsilon solves stop once a step is below UPSILON_TOL; the damped fixed
-# point may need UPSILON_MAX_ITER iterations where phi' approaches 1, Newton
-# a handful
+# the damped fixed point of solve_upsilon stops once a step is below
+# UPSILON_TOL, which may take UPSILON_MAX_ITER iterations where phi'
+# approaches 1
 UPSILON_TOL = 1e-12
 UPSILON_MAX_ITER = 200
+# the Lambert W0 evaluation starts from the branch-point series in
+# p = sqrt(2 (1 + e x)) below W0_SERIES_X and from log1p(x) above; from
+# either start W0_HALLEY_STEPS Halley steps reach W0 to within 4e-14 of
+# scipy.special.lambertw on [-1/e, 0], a gap that is the conditioning of W0
+# near the branch point, and to rounding away from it
+W0_SERIES_X = -0.25
+W0_HALLEY_STEPS = 3
 
 
 def _index_coeffs(c_r, d_f, l_f, k_f, p: MmcParams):
@@ -168,95 +173,75 @@ def _index_coeffs(c_r, d_f, l_f, k_f, p: MmcParams):
             p.upsilon0 + p.upsilon2 * d_f / k_f + p.upsilon3 * l_f / k_f)
 
 
-def solve_upsilon(
-    state: MmcState,
-    params: MmcParams,
-    mode: Literal["one-step", "fixed-point", "newton"] = "fixed-point",
-) -> float:
-    """Investment propensity upsilon_f in (0, 1).
+def solve_upsilon(state: MmcState, params: MmcParams) -> float:
+    """Investment propensity upsilon_f in (0, 1) by the damped fixed point:
+    the definitional form of the root that the simulator takes in closed form.
 
     upsilon_f is the root of u = phi(u), phi = logistic(z(u)), on the stable
     branch phi'(u) < 1.  The map has at most two roots (in v = u / (1 - u)
     the condition reads ln v = 2 z, and ln v - 2 z is concave in v): the
-    stable one and, above it, an unstable one with phi' > 1.  Past the fold,
-    where no root exists, the propensity is degenerate and UpsilonError is
-    raised.
-
-    one-step evaluates the single-iteration approximation seeded at
-    logistic(upsilon_0); fixed-point damps the self-consistency map by 0.5,
-    which converges only to the stable root; newton runs the safeguarded
-    Newton iteration of the simulator, which accepts a root only where
-    phi' < 1.
+    stable one and, above it, an unstable one with phi' > 1.  Iterating
+    u <- u + (phi(u) - u) / 2 from logistic(upsilon_0) converges only to the
+    stable root.  Past the fold, where no root exists, the iterate
+    saturates and UpsilonError is raised, as it is when the iteration does
+    not converge.
     """
     if state.k_f <= 0:
         raise ValueError("K_f must be positive")
     if state.c_r <= 0:
         raise ValueError("C_r must be positive")
-    sheet = (state.c_r, state.d_f, state.l_f, state.k_f)
-    a, b = _index_coeffs(*sheet, params)
-
+    a, b = _index_coeffs(state.c_r, state.d_f, state.l_f, state.k_f, params)
     u = float(logistic(params.upsilon0))
-    if mode == "one-step":
-        return float(logistic(b + a / (1.0 - u)))
-    if mode == "fixed-point":
-        for _ in range(UPSILON_MAX_ITER):
-            step = 0.5 * (float(logistic(b + a / (1.0 - u))) - u)
-            u += step
-            if u > UPSILON_MAX:
-                raise UpsilonError(
-                    f"degenerate investment propensity: upsilon_f saturated at {u}"
-                )
-            if abs(step) < UPSILON_TOL:
-                return u
-        raise UpsilonError(
-            f"fixed-point iteration did not converge; last step {step:.3e}"
-        )
-    if mode == "newton":
-        return float(_upsilon_vec(np.array([u]), *sheet, params)[0])
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def _newton(u, a, b):
-    """Newton on g(u) = phi(u) - u, vectorized over paths, from u.
-
-    Each path stops at its first |step| < UPSILON_TOL or once it leaves
-    (0, UPSILON_MAX), so its iterate is the one it would reach alone.
-    u, a and b share one shape.  Returns the iterates and the paths accepted
-    there: converged, inside the range, and on the stable branch phi' < 1."""
-    u = np.array(u, dtype=float)
-    step, slope = np.empty_like(u), np.empty_like(u)
-    live = np.arange(u.size)
-    ul, al, bl = u, a, b        # the paths still iterating
     for _ in range(UPSILON_MAX_ITER):
-        w = 1.0 / (1.0 - ul)
-        phi = logistic(bl + al * w)
-        sl = 2.0 * phi * (1.0 - phi) * al * w * w      # phi'(u)
-        st = (phi - ul) / (1.0 - sl)
-        ul = ul + st
-        u[live], step[live], slope[live] = ul, st, sl
-        go = (ul > 0.0) & (ul < UPSILON_MAX) & (np.abs(st) >= UPSILON_TOL)
-        if not go.all():
-            if not go.any():
-                break
-            live, ul, al, bl = live[go], ul[go], al[go], bl[go]
-    return u, (u > 0.0) & (u < UPSILON_MAX) & (np.abs(step) < UPSILON_TOL) & (slope < 1.0)
-
-
-def _upsilon_vec(u, c_r, d_f, l_f, k_f, params):
-    """Stable-branch propensity by Newton, vectorized over paths, warm-started
-    at u.  A path whose warm start leaves (0, 1), stalls or lands where
-    phi' >= 1 restarts from u = 0: g(0) > 0 and g is convex while phi < 1/2,
-    so Newton climbs from there to the lower, stable root.  Each path's root
-    is the one it would reach alone."""
-    a, b, u = np.broadcast_arrays(*_index_coeffs(c_r, d_f, l_f, k_f, params), u)
-    u, ok = _newton(u, a, b)
-    if not ok.all():
-        redo = ~ok
-        u[redo], ok[redo] = _newton(np.zeros(a[redo].shape), a[redo], b[redo])
-        if not ok.all():
+        step = 0.5 * (float(logistic(b + a / (1.0 - u))) - u)
+        u += step
+        if u > UPSILON_MAX:
             raise UpsilonError(
-                f"degenerate investment propensity on {int((~ok).sum())} path(s)"
+                f"degenerate investment propensity: upsilon_f saturated at {u}"
             )
+        if abs(step) < UPSILON_TOL:
+            return u
+    raise UpsilonError(
+        f"fixed-point iteration did not converge; last step {step:.3e}"
+    )
+
+
+def _lambert_w0(x):
+    """Principal branch W0 of the Lambert function, w e^w = x, on [-1/e, 0]
+    (Corless, Gonnet, Hare, Jeffrey & Knuth 1996, Adv. Comput. Math. 5)."""
+    p = np.sqrt(np.maximum(2.0 * (1.0 + np.e * x), 0.0))
+    w = np.where(x < W0_SERIES_X,
+                 -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0))), np.log1p(x))
+    for _ in range(W0_HALLEY_STEPS):
+        ew, w1 = np.exp(w), w + 1.0
+        f = w * ew - x
+        # Halley's step f / (f' - f f'' / (2 f')), top and bottom times
+        # 2 f' e^-w; the step is 0 at the branch point, where w = -1 and f = 0
+        den = 2.0 * ew * w1 * w1 - (w + 2.0) * f
+        w = w - np.divide(2.0 * w1 * f, den, out=np.zeros_like(w), where=den != 0.0)
+    return w
+
+
+def _upsilon_vec(c_r, d_f, l_f, k_f, params):
+    """Stable-branch propensity in closed form, vectorised over paths.
+
+    With v = u / (1 - u), u = logistic(b + a / (1 - u)) reads
+    ln v = 2b + 2a (1 + v), whose roots are v = -W(x) / (2a) with
+    x = -2a e^(2(a+b)).  The principal branch W0 gives the stable root,
+    where phi' = -W0(x) < 1, and the branch W-1 the unstable one above it.
+    A root exists exactly when x >= -1/e; past that fold the propensity is
+    degenerate and UpsilonError is raised, as it is where the root rounds
+    above UPSILON_MAX (a below about 1e-9 and b above about 10).  The index
+    at the root is b + a (1 + v) = b + a - W0(x) / 2, so a = 0 gives
+    logistic(b)."""
+    a, b = _index_coeffs(c_r, d_f, l_f, k_f, params)
+    with np.errstate(divide="ignore"):      # ln 0 = -inf where a = 0
+        log_minus_x = np.log(2.0 * a) + 2.0 * (a + b)
+    # x is capped at the fold so that a folded path's exponential stays finite
+    u = logistic(b + a - 0.5 * _lambert_w0(-np.exp(np.minimum(log_minus_x, -1.0))))
+    bad = ~(log_minus_x <= -1.0) | (u > UPSILON_MAX)     # a NaN index is bad too
+    if bad.any():
+        raise UpsilonError(f"degenerate investment propensity on {int(bad.sum())} path(s)")
     return u
 
 
@@ -444,10 +429,10 @@ def simulate(
     the diagnostic price level, stepped by `sde.EulerPaths.run`.
 
     The initial sheet must satisfy K_b = L_r + L_f - D_r - D_f.  Upsilon is
-    solved once per step, warm-started at the previous step's root; a
-    recorded row keeps the upsilon of the step that leaves it (the last
-    row's is solved after the run), and production and price are computed
-    from the recorded rows.  New-loan terms are switched off during
+    solved once per step, in closed form, and a path past the fold raises
+    UpsilonError; a recorded row keeps the upsilon of the step that leaves
+    it (the last row's is solved after the run), and production and price
+    are computed from the recorded rows.  New-loan terms are switched off during
     credit-crunch intervals; C_r is floored at C_R_FLOOR and the other
     FLOORED stocks at zero, and stock floors and unit-square clamps are
     counted.  The running maximum of the balance identity residual over
@@ -456,8 +441,6 @@ def simulate(
     rows = record_index(horizon, dt, record_stride)
     initial.validate()
     p = params
-    # every path starts from the same sheet, so one solve seeds them all
-    u = solve_upsilon(initial, p, mode="newton")
     ups: list[np.ndarray] = []
     step = crunch_steps = cap_steps = 0
     max_resid = 0.0
@@ -466,9 +449,9 @@ def simulate(
         return float(np.abs(x["k_b"] - (x["l_r"] + x["l_f"] - x["d_r"] - x["d_f"])).max())
 
     def drift(*state):
-        nonlocal u, step, crunch_steps, cap_steps, max_resid
+        nonlocal step, crunch_steps, cap_steps, max_resid
         x = dict(zip(STOCK_NAMES, state))
-        u = _upsilon_vec(u, x["c_r"], x["d_f"], x["l_f"], x["k_f"], p)
+        u = _upsilon_vec(x["c_r"], x["d_f"], x["l_f"], x["k_f"], p)
         if step == rows[len(ups)]:
             ups.append(u)
         step += 1
@@ -488,7 +471,7 @@ def simulate(
 
     series = run.series
     last = {k: v[-1] for k, v in series.items()}
-    ups.append(_upsilon_vec(u, last["c_r"], last["d_f"], last["l_f"], last["k_f"], p))
+    ups.append(_upsilon_vec(last["c_r"], last["d_f"], last["l_f"], last["k_f"], p))
     run.upsilon_f = upsilon = np.array(ups)
     c_r, one_minus_u, s_f = series["c_r"], 1.0 - upsilon, 1.0 - series["s_w"]
     run.y_f = np.minimum(_output(c_r, one_minus_u, s_f), p.nu_f * series["k_f"])

@@ -236,7 +236,10 @@ def clearing_vector(net: BankNetwork, terminal_assets: np.ndarray) -> ClearingVe
         return sum(omega[:, j, None] * claims[j] for j in range(n))
 
     def sweep(omega):
-        return np.minimum(np.where(owes, (a + inflow(omega)) / due, 1.0), 1.0)
+        # divides only where a bank owes more than it holds: a tiny total
+        # liability would overflow the quotient that the cap discards
+        cash = a + inflow(omega)
+        return np.divide(cash, due, out=np.ones_like(cash), where=owes & (cash < due))
 
     # row i of a defaulted bank: due_i omega_i - sum_{j defaulted} L_ji omega_j
     system = np.diag(due) - claims.T

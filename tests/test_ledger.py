@@ -123,6 +123,23 @@ def test_infeasible_events_rejected():
         LedgerEvent("print_money", 1.0)
 
 
+@pytest.mark.parametrize("event, message", [
+    (LedgerEvent("issue_loan_single", 1.0, bank=-1), "bank -1 is not one of the 2 banks"),
+    (LedgerEvent("issue_loan_single", 1.0, bank=2), "bank 2 is not one of the 2 banks"),
+    (LedgerEvent("interbank_lend", 0.5, bank=0, counterparty=-2),
+     "counterparty -2 is not one of the 2 banks"),
+    (LedgerEvent("interbank_lend", 0.5, bank=0, counterparty=5),
+     "counterparty 5 is not one of the 2 banks"),
+    (LedgerEvent("interbank_lend", 0.5, bank=1, counterparty=1),
+     "bank 1 cannot be its own counterparty"),
+])
+def test_event_outside_the_ledgers_rejected(event, message):
+    # a negative index would post to a bank counted from the end, and a
+    # self-loan would book an interbank claim on the lender itself
+    with pytest.raises(LedgerError, match=message):
+        apply_event(list(STEP_I), event)
+
+
 def test_repo_haircut_requires_collateral():
     bank = BankLedger(external_assets=1.0, external_liabilities=0.5, equity=0.5)
     with pytest.raises(LedgerError, match="collateral"):

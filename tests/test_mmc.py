@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.special import lambertw
 
 from _invalid_runs import INVALID_RUNS
 from circuitlab import mmc
@@ -56,21 +57,21 @@ def test_logistic_midpoint():
 
 
 def test_upsilon_decoupled_case():
+    # a = 0: the index does not depend on u, and the closed form takes no
+    # division by a to give logistic(b) bit for bit
     p = MmcParams(**{**FIG8_PARAMS.__dict__,
                      "upsilon1": 0.0, "upsilon2": 0.0, "upsilon3": 0.0})
     st = FIG8_STATE
     expected = float(logistic(p.upsilon0))
-    for mode in ("one-step", "fixed-point", "newton"):
-        assert solve_upsilon(st, p, mode=mode) == pytest.approx(expected, abs=1e-12)
+    assert solve_upsilon(st, p) == pytest.approx(expected, abs=1e-12)
+    assert mmc._upsilon_vec(*_columns([st]), p)[0] == expected
 
 
-def test_upsilon_fig8_modes_agree():
-    u_fp = solve_upsilon(FIG8_STATE, FIG8_PARAMS, mode="fixed-point")
-    u_nw = solve_upsilon(FIG8_STATE, FIG8_PARAMS, mode="newton")
-    u_1s = solve_upsilon(FIG8_STATE, FIG8_PARAMS, mode="one-step")
+def test_upsilon_fig8_matches_fixed_point():
+    u_fp = solve_upsilon(FIG8_STATE, FIG8_PARAMS)
+    u_cf = float(mmc._upsilon_vec(*_columns([FIG8_STATE]), FIG8_PARAMS)[0])
     assert 0.0 < u_fp < 1.0
-    assert u_nw == pytest.approx(u_fp, abs=1e-10)
-    assert abs(u_1s - u_fp) < 1e-2  # the single iteration is close but not exact
+    assert u_cf == pytest.approx(u_fp, abs=1e-10)
     # converged value is a true fixed point of the undamped map
     z = (FIG8_PARAMS.upsilon0
          + FIG8_PARAMS.upsilon1 * FIG8_STATE.c_r
@@ -171,6 +172,24 @@ def test_simulate_rejects_invalid_inputs():
                 simulate(FIG8_STATE, params, **run)
 
 
+@pytest.mark.parametrize("name, value, message", [
+    ("upsilon1", -0.1, "upsilon1 must be non-negative"),
+    ("kappa_c", -0.5, "kappa_c must be non-negative"),
+    ("delta_rf", 1.5, r"delta_rf must lie in \[0, 1\]"),
+    ("nu_f", 0.0, "nu_f must be positive"),
+    ("nu_b", 1.0, r"nu_b must lie in \(0, 1\)"),
+])
+def test_params_reject_out_of_range_fields_by_name(name, value, message):
+    with pytest.raises(ValueError, match=message):
+        replace(FIG8_PARAMS, **{name: value})
+
+
+def test_simulate_rejects_a_sheet_without_physical_assets():
+    empty = MmcState(c_r=3.0, d_r=30.0, l_r=20.0, d_f=20.0, l_f=50.0, k_f=0.0, k_b=20.0)
+    with pytest.raises(ValueError, match="K_f must be positive"):
+        simulate(empty, FIG8_PARAMS, horizon=1.0, dt=0.01)
+
+
 def test_deterministic_fig8_run_identity_and_flags():
     # the representative scenario is meaningful up to t ~ 10; beyond that the
     # investment propensity saturates and the model leaves its valid regime
@@ -260,41 +279,48 @@ upsilon_params = st.builds(
     lambda u0, u1, u2, u3: replace(FIG8_PARAMS, upsilon0=u0, upsilon1=u1,
                                    upsilon2=u2, upsilon3=u3),
     st.floats(-3.0, 0.5), st.floats(0.05, 3.0), st.floats(0.0, 1.0), st.floats(-1.0, 0.0))
-warm_start = st.floats(1e-3, 0.999)
+
+
+def _fold_terms(s, p):
+    """(a, b, ln(-x) + 1) of a sheet, with x = -2a e^(2(a+b)): the map has a
+    root exactly when the last is at most 0."""
+    a = p.upsilon1 * s.c_r / (p.nu_f * s.k_f)
+    b = p.upsilon0 + p.upsilon2 * s.d_f / s.k_f + p.upsilon3 * s.l_f / s.k_f
+    return a, b, np.log(2.0 * a) + 2.0 * a + 2.0 * b + 1.0
 
 
 @settings(deadline=None, max_examples=150)
-@given(states=st.lists(sheets(), min_size=1, max_size=4), p=upsilon_params, data=st.data())
-def test_upsilon_newton_property(states, p, data):
-    """From any warm start in (0, 1) the vectorised Newton solve returns the
-    stable root: it agrees with the damped fixed point wherever that
-    converges, and every root it accepts has phi' < 1."""
-    u0 = np.array([data.draw(warm_start) for _ in states])
-    try:
-        u = mmc._upsilon_vec(u0, *_columns(states), p)
-    except UpsilonError:
-        u = None
-    fixed = []
-    for s in states:
+@given(states=st.lists(sheets(), min_size=1, max_size=4), p=upsilon_params)
+def test_upsilon_closed_form_property(states, p):
+    """The closed-form solve raises exactly when some path is past the fold.
+    Otherwise it returns, on every path, the stable root that
+    scipy.special.lambertw gives through v = u / (1 - u) = -W0(x) / (2a),
+    and the damped fixed point wherever that converges; each root solves
+    u = phi(u) with phi' < 1."""
+    terms = [_fold_terms(s, p) for s in states]
+    if any(gap > 0.0 for _, _, gap in terms):
+        with pytest.raises(UpsilonError, match="degenerate investment propensity"):
+            mmc._upsilon_vec(*_columns(states), p)
+        return
+    u = mmc._upsilon_vec(*_columns(states), p)
+    for s, ui, (a, b, _) in zip(states, u, terms):
+        v = -lambertw(-2.0 * a * np.exp(2.0 * (a + b))).real / (2.0 * a)
+        assert abs(ui - v / (1.0 + v)) < 1e-10
         try:
-            fixed.append(solve_upsilon(s, p, mode="fixed-point"))
+            assert abs(ui - solve_upsilon(s, p)) < 1e-10
         except UpsilonError:
-            fixed.append(None)
-    if all(f is not None for f in fixed):
-        assert u is not None
-        assert np.max(np.abs(u - np.array(fixed))) < 1e-10
-    if u is not None:
-        for s, ui in zip(states, u):
-            phi, slope = _phi_and_slope(ui, s, p)
-            assert abs(phi - ui) < 1e-12
-            assert slope < 1.0
+            pass
+        phi, slope = _phi_and_slope(ui, s, p)
+        assert abs(phi - ui) < 1e-12
+        assert slope < 1.0
 
 
 @settings(deadline=None, max_examples=100)
 @given(s=sheets(), p=upsilon_params)
-def test_upsilon_warm_start_on_unstable_root(s, p):
-    """Newton started on the upper root (phi' > 1) stays there; the solve must
-    reject it and return the lower, stable root."""
+def test_upsilon_root_lies_below_unstable_root(s, p):
+    """Where the map has two roots, the solve returns the lower one: the
+    upper root, bracketed on a grid and bisected, has phi' > 1 and is the one
+    that the branch W-1 gives."""
     def g(u):
         return _phi_and_slope(u, s, p)[0] - u
 
@@ -306,30 +332,51 @@ def test_upsilon_warm_start_on_unstable_root(s, p):
         mid = 0.5 * (lo + hi)
         lo, hi = (mid, hi) if g(mid) < 0.0 else (lo, mid)
     assume(_phi_and_slope(hi, s, p)[1] > 1.0 + 1e-6)
-    u = mmc._upsilon_vec(np.array([hi]), *_columns([s]), p)[0]
+    a, b, _ = _fold_terms(s, p)
+    v = -lambertw(-2.0 * a * np.exp(2.0 * (a + b)), -1).real / (2.0 * a)
+    assert v / (1.0 + v) == pytest.approx(hi, abs=1e-8)
+    u = mmc._upsilon_vec(*_columns([s]), p)[0]
     phi, slope = _phi_and_slope(u, s, p)
     assert abs(phi - u) < 1e-12 and slope < 1.0
     assert u < lo
 
 
 @settings(deadline=None, max_examples=100)
-@given(s=sheets(), p=upsilon_params, margin=st.floats(1e-3, 3.0), u0=warm_start)
-def test_upsilon_without_root_is_degenerate(s, p, margin, u0):
+@given(s=sheets(), p=upsilon_params, margin=st.floats(1e-3, 3.0))
+def test_upsilon_without_root_is_degenerate(s, p, margin):
     """Past the fold the map has no root and the solve raises the named error.
 
     With z(u) = b + a / (1 - u) and v = u / (1 - u), u = phi(u) reads
     ln v = 2b + 2a + 2av, whose gap is concave in v and peaks at v = 1/(2a):
     there is no root exactly when ln(2a) + 2a + 2b + 1 > 0.  upsilon0 is set
-    `margin` past that fold; a dense grid confirms g = phi - u > 0."""
+    `margin` past that fold; a dense grid confirms g = phi - u > 0, and the
+    damped fixed point finds no root either."""
     a = p.upsilon1 * s.c_r / (p.nu_f * s.k_f)
     b = (margin - np.log(2.0 * a) - 2.0 * a - 1.0) / 2.0
     p = replace(p, upsilon0=b - p.upsilon2 * s.d_f / s.k_f - p.upsilon3 * s.l_f / s.k_f)
     grid = np.linspace(0.0, 1.0, 100_001)[1:-1]
     assert np.all(_phi_and_slope(grid, s, p)[0] - grid > 0.0)
     with pytest.raises(UpsilonError, match="degenerate investment propensity"):
-        mmc._upsilon_vec(np.array([u0]), *_columns([s]), p)
+        mmc._upsilon_vec(*_columns([s]), p)
+    with pytest.raises(UpsilonError):
+        solve_upsilon(s, p)
+
+
+@pytest.mark.parametrize("upsilon0, upsilon1", [(400.0, 1.1), (0.0, 1e300), (-1e3, 1e300)])
+def test_upsilon_huge_index_raises_the_fold_error(upsilon0, upsilon1):
+    # e^(2(a+b)) overflows here; the fold test reads ln(-x) instead, so the
+    # solve raises the named error with no overflow warning and no NaN
+    p = replace(FIG8_PARAMS, upsilon0=upsilon0, upsilon1=upsilon1)
+    with pytest.raises(UpsilonError, match=r"degenerate investment propensity on 2 path\(s\)"):
+        mmc._upsilon_vec(*_columns([FIG8_STATE, FIG8_STATE]), p)
+
+
+def test_upsilon_saturated_without_fold_raises():
+    # a = 0 has no fold, but logistic(b) rounds to within 1e-9 of 1 for b
+    # above about 10.4: the propensity is degenerate there too
+    p = replace(FIG8_PARAMS, upsilon0=15.0, upsilon1=0.0)
     with pytest.raises(UpsilonError, match="degenerate investment propensity"):
-        solve_upsilon(s, p, mode="newton")
+        mmc._upsilon_vec(*_columns([FIG8_STATE]), p)
 
 
 def test_stochastic_fig8_batch_reaches_horizon():
@@ -345,6 +392,7 @@ def test_stochastic_fig8_batch_reaches_horizon():
 
 
 def test_fig8_logistic_evaluations_per_step(monkeypatch):
+    # the closed form evaluates the logistic once per solve
     calls = 0
 
     def counted(x):
@@ -354,12 +402,12 @@ def test_fig8_logistic_evaluations_per_step(monkeypatch):
 
     monkeypatch.setattr(mmc, "logistic", counted)
     simulate(FIG8_STATE, FIG8_PARAMS, horizon=10.0, dt=0.01, record_stride=100)
-    assert calls / 1000 <= 5.0
+    assert calls == 1000 + 1
 
 
 def test_fig8_solves_upsilon_once_per_step(monkeypatch):
-    # one solve at the initial state, one per Euler step, and one for the
-    # last recorded row; the other rows keep the solve of the step leaving them
+    # one solve per Euler step and one for the last recorded row; the other
+    # rows keep the solve of the step leaving them
     calls = 0
     solve = mmc._upsilon_vec
 
@@ -372,4 +420,4 @@ def test_fig8_solves_upsilon_once_per_step(monkeypatch):
     for stride in (1, 100):
         calls = 0
         simulate(FIG8_STATE, FIG8_PARAMS, horizon=10.0, dt=0.01, record_stride=stride)
-        assert calls == 1000 + 2
+        assert calls == 1000 + 1

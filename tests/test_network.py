@@ -184,6 +184,18 @@ def test_clearing_single_bank_half():
     assert cv.omega[0] == pytest.approx(0.5)
 
 
+def test_clearing_a_tiny_liability_total():
+    # bank 0 owes 1e-310 and holds 100: its quotient would overflow, so the
+    # sweep divides only where a bank owes more than it holds
+    net = BankNetwork(
+        external_assets=np.array([10.0, 10.0]), external_liabilities=np.array([1e-310, 5.0]),
+        mutual=np.array([[0.0, 0.0], [1.0, 0.0]]), recoveries=np.array([0.5, 0.5]),
+        sigma=np.array([0.2, 0.2]))
+    cv = clearing_vector(net, np.array([100.0, 1.0]))
+    assert cv.omega.tolist() == [1.0, pytest.approx(1.0 / 6.0)]
+    assert cv.solvent.tolist() == [True, False]
+
+
 def test_clearing_matches_grid_brute_force():
     # exhaustive residual scan over the unit square at 1e-4 resolution
     net = fig15_network()
