@@ -17,7 +17,7 @@ each row equals its controls' run alone, bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -117,9 +117,15 @@ def evolve(
     shared Euler increments).  The run is stochastic exactly when a stream
     is given.  Array controls run as one batch: each path is shaped
     (broadcast control shape..., time), and a stochastic batch draws one
-    normal per step for every row."""
+    normal per step for every row.  A non-finite initial field or control
+    raises ValueError naming it."""
+    require_finite(initial)
+    for f in fields(controls):
+        value = getattr(controls, f.name)
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"control {f.name} must be finite, got {value}")
     res0 = initial.balance_residual()
-    if abs(res0) > 1e-10 * max(1.0, initial.total_assets()):
+    if not abs(res0) <= 1e-10 * max(1.0, initial.total_assets()):
         raise ValueError(f"initial state violates the balance identity by {res0:.3g}")
     phi, psi, om, pv, dv = ctrl = [
         float(v) if np.ndim(v) == 0 else np.asarray(v, dtype=float)

@@ -75,6 +75,9 @@ BARRIER_SCAN_POINTS = 220
 CFL_BOUND = 2000.0
 # a slope within this of 1 counts as pinned by the obstacle V_E >= 1
 FREE_BOUNDARY_TOL = 1e-10
+# solve_variational records the slice every n_steps // RECORD_SLICES steps
+# (every step when that is 0) and the last one
+RECORD_SLICES = 8
 
 FIG13_PARAMS = EquityParams(mu=0.05, sigma=0.25, discount=0.10,
                             lambda1=0.05, delta1=3.00,
@@ -289,7 +292,6 @@ def solve_variational(
     e_max: float,
     n_grid: int = 2000,
     dtau: float = 1e-3,
-    record: int = 8,
 ) -> EquityValueGrid:
     """Crank-Nicolson march of the dividend variational inequality.
 
@@ -302,10 +304,8 @@ def solve_variational(
     n_steps = step_count(horizon, dtau, "dtau")
     if not (math.isfinite(e_max) and e_max > 0):
         raise ValueError(f"e_max must be finite and positive, got {e_max}")
-    if not n_grid >= 3:
-        raise ValueError(f"n_grid must be at least 3, got {n_grid}")
-    if not (isinstance(record, numbers.Integral) and record >= 1):
-        raise ValueError(f"record must be a positive integer, got {record!r}")
+    if not (isinstance(n_grid, numbers.Integral) and n_grid >= 3):
+        raise ValueError(f"n_grid must be an integer of at least 3, got {n_grid!r}")
     c = SymbolCoefficients.from_params(params)
     grid = np.linspace(0.0, e_max, n_grid)
     h = grid[1] - grid[0]
@@ -329,7 +329,7 @@ def solve_variational(
     # right-hand side alternates between two buffers while v holds the other
     buffers = (np.empty(n_grid), np.empty(n_grid))
 
-    rec_every = max(n_steps // record, 1)
+    rec_every = max(n_steps // RECORD_SLICES, 1)
     taus = [0.0]
     slices = [v.copy()]
     fbs = [float(grid[_free_boundary_index(v, h)])]

@@ -4,8 +4,9 @@ Adds firms' leverage Gamma_f = D_f / K_f to the Goodwin pair.  Investment
 responds to the net profit share through f(x) = p + exp(q*x + r), so high
 profits drive debt-financed expansion and leverage can run away (a Minsky
 blow-up); paths crossing a leverage threshold freeze there and report the
-crossing time.  A run's result, `KeenResult`, is the shared
-`sde.EulerPaths` with views of its leverage and Minsky events added.
+crossing time; omega picks the classical or regularized system as in
+`goodwin`.  A run's result, `KeenResult`, is the shared `sde.EulerPaths`
+with views of its leverage and Minsky events added.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ __all__ = ["KeenParams", "KeenState", "KeenResult", "profit_function",
            "keen_drift", "simulate", "FIG4_PARAMS", "FIG5_PARAMS", "FIG6_PARAMS"]
 
 EXP_CAP = 700.0     # profit exponents above this are capped against overflow
+# a path whose leverage Gamma_f crosses this freezes there (a Minsky event)
+MINSKY_LEVERAGE = 10.0
 
 
 @dataclass(frozen=True)
@@ -87,12 +90,12 @@ def _profit_share(s_f, g, params: KeenParams):
     return s_f - params.r_l * g / params.nu_f
 
 
-def _drift(s, lam, g, s_f, fx, params: KeenParams, regularized: bool, with_nu_factor: bool):
+def _drift(s, lam, g, s_f, fx, params: KeenParams, with_nu_factor: bool):
     """Drift of (s_w, lambda_w, Gamma_f) on floats or path arrays, given
     s_f = 1 - s_w and fx = f(.)."""
     nu_fx = params.nu_f * fx
-    scaled = nu_fx if with_nu_factor or not regularized else fx
-    ds, dl = employment_drift(s, lam, scaled - params.c, params, regularized, s_f)
+    scaled = nu_fx if with_nu_factor or params.omega == 0 else fx
+    ds, dl = employment_drift(s, lam, scaled - params.c, params, s_f)
     dg = (params.r_l - nu_fx + params.d) * g + params.nu_f * (fx - s_f)
     return ds, dl, dg
 
@@ -100,22 +103,22 @@ def _drift(s, lam, g, s_f, fx, params: KeenParams, regularized: bool, with_nu_fa
 def keen_drift(
     state: KeenState,
     params: KeenParams,
-    regularized: bool = False,
     with_nu_factor: bool = True,
 ) -> tuple[float, float, float]:
     """Time derivative of (s_w, lambda_w, Gamma_f).
 
-    Unregularized form uses nu_f*f(.) - c in the lambda_w drift; the
-    regularized form keeps nu_f*f(.) when with_nu_factor (the default,
-    dimensionally consistent with the unregularized system) and drops the
-    nu_f factor otherwise, matching the two printed variants.  The leverage
-    drift is identical in both.
+    With omega = 0 the lambda_w drift uses nu_f*f(.) - c; with omega > 0
+    the barrier terms are added, (s_w, lambda_w) must be interior, and the
+    drift keeps nu_f*f(.) when with_nu_factor (the default, dimensionally
+    consistent with the classical system) and drops the nu_f factor
+    otherwise, matching the two printed variants.  The leverage drift is
+    identical in all.
     """
     s, lam, g = state.s_w, state.lambda_w, state.gamma_f
     fx = profit_function(_profit_share(state.s_f, g, params), params)
-    if regularized and not (0 < s < 1 and 0 < lam < 1):
+    if params.omega > 0 and not (0 < s < 1 and 0 < lam < 1):
         raise ValueError("regularized drift requires interior (s_w, lambda_w)")
-    return _drift(s, lam, g, state.s_f, fx, params, regularized, with_nu_factor)
+    return _drift(s, lam, g, state.s_f, fx, params, with_nu_factor)
 
 
 def goodwin_equivalent(params: KeenParams) -> GoodwinParams:
@@ -127,6 +130,8 @@ def goodwin_equivalent(params: KeenParams) -> GoodwinParams:
 class KeenResult(EulerPaths):
     """The Euler run of (s_w, lambda_w, Gamma_f); the cap is the Minsky
     leverage threshold."""
+
+    COMPONENTS = ("s_w", "lambda_w", "gamma_f")
 
     @property
     def gamma_f(self) -> np.ndarray:
@@ -149,26 +154,22 @@ def simulate(
     dt: float,
     paths: int = 1,
     stream: RngStream | None = None,
-    regularized: bool | None = None,
     with_nu_factor: bool = True,
-    gamma_cap: float = 10.0,
     record_stride: int = 1,
 ) -> KeenResult:
-    """Euler paths of (s_w, lambda_w, Gamma_f).
+    """Euler paths of (s_w, lambda_w, Gamma_f), classical when omega = 0
+    and regularized when omega > 0.
 
     (s_w, lambda_w) are clamped as in the Goodwin module; Gamma_f is left
-    free.  Paths whose leverage crosses gamma_cap freeze at the crossing
-    ("Minsky event") and the crossing time is reported per path.
+    free.  Paths whose leverage crosses MINSKY_LEVERAGE freeze at the
+    crossing ("Minsky event") and the crossing time is reported per path.
     """
-    if regularized is None:
-        regularized = params.omega > 0
-
     def drift(s, lam, g):
         s_f = 1.0 - s
         fx, _ = _capped_profit(_profit_share(s_f, g, params), params)
-        return _drift(s, lam, g, s_f, fx, params, regularized, with_nu_factor)
+        return _drift(s, lam, g, s_f, fx, params, with_nu_factor)
 
     return KeenResult.run(drift, (initial.s_w, initial.lambda_w, initial.gamma_f),
                           horizon, dt, paths, stream,
                           jacobi_noise(params.sigma_s, params.sigma_lambda),
-                          regularized, record_stride, cap=gamma_cap)
+                          params.omega > 0, record_stride, cap=MINSKY_LEVERAGE)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .rng import RngStream
-from .sde import EulerPaths, employment_drift, jacobi, record_index, require_finite
+from .sde import EulerPaths, employment_drift, jacobi, require_finite
 
 __all__ = [
     "MmcParams", "MmcState", "MmcDerived", "MmcResult",
@@ -117,11 +117,12 @@ class MmcState:
         return self.k_b - (self.l_r + self.l_f - self.d_r - self.d_f)
 
     def validate(self) -> None:
+        require_finite(self)
         stocks = (self.d_r, self.l_r, self.d_f, self.l_f, self.k_f)
         if any(s < 0 for s in stocks):
             raise ValueError("stocks must be non-negative")
-        if self.c_r <= 0 or self.k_f <= 0:
-            raise ValueError("C_r and K_f must be positive")
+        if min(self.theta_w, self.n_w, self.c_r, self.k_f) <= 0:
+            raise ValueError("theta_w, N_w, C_r and K_f must be positive")
         if not (0 < self.s_w < 1 and 0 < self.lambda_w < 1):
             raise ValueError("(s_w, lambda_w) must lie inside the unit square")
         scale = max(abs(v) for v in stocks) + abs(self.k_b) + 1.0
@@ -342,8 +343,7 @@ def _flows(x, u, p: MmcParams):
     c_bar = (p.alpha0 * (rentier_income + p.delta_rf * c_r / one_minus_u)
              + p.alpha1 * p.nu_f * k_f)
     ds, dl = employment_drift(x["s_w"], x["lambda_w"],
-                              u * c_r / (one_minus_u * p.nu_f * k_f) - p.c, p,
-                              regularized=True, s_f=s_f)
+                              u * c_r / (one_minus_u * p.nu_f * k_f) - p.c, p, s_f)
     drift = {
         "c_r": p.kappa_c * (c_bar - c_r),
         "d_r": np.maximum(cf_r, 0.0),
@@ -430,35 +430,30 @@ def simulate(
 
     The initial sheet must satisfy K_b = L_r + L_f - D_r - D_f.  Upsilon is
     solved once per step, in closed form, and a path past the fold raises
-    UpsilonError; a recorded row keeps the upsilon of the step that leaves
-    it (the last row's is solved after the run), and production and price
-    are computed from the recorded rows.  New-loan terms are switched off during
-    credit-crunch intervals; C_r is floored at C_R_FLOOR and the other
-    FLOORED stocks at zero, and stock floors and unit-square clamps are
-    counted.  The running maximum of the balance identity residual over
-    every state is reported (meaningful while the crunch never binds).
+    UpsilonError; the recorded rows' upsilon is solved after the run, and
+    production and price are computed from the recorded rows.  New-loan
+    terms are switched off during credit-crunch intervals; C_r is floored at
+    C_R_FLOOR and the other FLOORED stocks at zero, and stock floors and
+    unit-square clamps are counted.  The running maximum of the balance
+    identity residual over every state is reported (meaningful while the
+    crunch never binds); a NaN residual makes it NaN.
     """
-    rows = record_index(horizon, dt, record_stride)
     initial.validate()
     p = params
-    ups: list[np.ndarray] = []
-    step = crunch_steps = cap_steps = 0
+    crunch_steps = cap_steps = 0
     max_resid = 0.0
 
     def residual(x):
-        return float(np.abs(x["k_b"] - (x["l_r"] + x["l_f"] - x["d_r"] - x["d_f"])).max())
+        return np.abs(x["k_b"] - (x["l_r"] + x["l_f"] - x["d_r"] - x["d_f"])).max()
 
     def drift(*state):
-        nonlocal step, crunch_steps, cap_steps, max_resid
+        nonlocal crunch_steps, cap_steps, max_resid
         x = dict(zip(STOCK_NAMES, state))
         u = _upsilon_vec(x["c_r"], x["d_f"], x["l_f"], x["k_f"], p)
-        if step == rows[len(ups)]:
-            ups.append(u)
-        step += 1
         flows, capital_ok, _, capped = _flows(x, u, p)
         crunch_steps += int((~capital_ok).sum())
         cap_steps += int(capped.sum())
-        max_resid = max(max_resid, residual(x))
+        max_resid = np.maximum(max_resid, residual(x))
         return [flows[k] for k in STOCK_NAMES]
 
     stochastic = p.sigma_c > 0 or p.sigma_k > 0 or p.sigma_s > 0 or p.sigma_lambda > 0
@@ -470,13 +465,13 @@ def simulate(
         floors={STOCK_NAMES.index(k): C_R_FLOOR if k == "c_r" else 0.0 for k in FLOORED})
 
     series = run.series
-    last = {k: v[-1] for k, v in series.items()}
-    ups.append(_upsilon_vec(last["c_r"], last["d_f"], last["l_f"], last["k_f"], p))
-    run.upsilon_f = upsilon = np.array(ups)
-    c_r, one_minus_u, s_f = series["c_r"], 1.0 - upsilon, 1.0 - series["s_w"]
+    c_r = series["c_r"]
+    run.upsilon_f = upsilon = _upsilon_vec(c_r, series["d_f"], series["l_f"], series["k_f"], p)
+    one_minus_u, s_f = 1.0 - upsilon, 1.0 - series["s_w"]
     run.y_f = np.minimum(_output(c_r, one_minus_u, s_f), p.nu_f * series["k_f"])
     run.price = c_r / (one_minus_u * s_f * series["lambda_w"]
                        * series["theta_w"] * series["n_w"])
     run.credit_crunch_steps, run.capacity_cap_steps = crunch_steps, cap_steps
-    run.max_identity_residual = max(max_resid, residual(last))
+    last = {k: v[-1] for k, v in series.items()}
+    run.max_identity_residual = float(np.maximum(max_resid, residual(last)))
     return run

@@ -195,6 +195,10 @@ SOLVENT_OMEGA = 1.0 - 1e-9
 # a bank falls short only when it pays below par by more than the clearing's
 # fixed-point tolerance, so one paying par to within rounding stays solvent
 SHORT_MARGIN = 1e-10
+# paths run at once by simulate_paths and two_bank_survival_grid: a chunk
+# bounds memory, and each path draws its own noise, so no result depends on it
+PATH_CHUNK = 4096
+GRID_CHUNK = 256
 
 
 @dataclass(eq=False)
@@ -414,7 +418,6 @@ def simulate_paths(
     paths: int,
     stream: RngStream | None = None,
     dynamics: str = "lognormal",
-    chunk: int = 4096,
 ) -> PathRecords:
     """Monte Carlo paths of the interconnected system.
 
@@ -432,8 +435,6 @@ def simulate_paths(
     n_steps = step_count(horizon, dt)
     if not (isinstance(paths, numbers.Integral) and paths >= 1):
         raise ValueError(f"paths must be a positive integer, got {paths!r}")
-    if not (isinstance(chunk, numbers.Integral) and chunk >= 1):
-        raise ValueError(f"chunk must be a positive integer, got {chunk!r}")
     n = net.n
     stream = stream or RngStream(0)
     chol = net.corr.cholesky
@@ -452,8 +453,8 @@ def simulate_paths(
     # a path's liabilities depend only on which banks it has lost
     sets: dict[bytes, _SurvivorSet] = {}
 
-    for start in range(0, paths, chunk):
-        width = min(chunk, paths - start)
+    for start in range(0, paths, PATH_CHUNK):
+        width = min(PATH_CHUNK, paths - start)
         span = slice(start, start + width)
         noise = PathNoise(stream, width, first_path=start)
         jump_events = (_draw_jump_events(noise, net.jumps, horizon, dt, width)
@@ -659,7 +660,6 @@ def two_bank_survival_grid(
     stream: RngStream | None = None,
     x1_grid: np.ndarray | None = None,
     x2_grid: np.ndarray | None = None,
-    chunk: int = 256,
 ) -> GridSurvival:
     """Joint and bank-1 marginal survival over a grid of initial scaled
     positions, sharing one driver ensemble across all grid points.
@@ -676,8 +676,6 @@ def two_bank_survival_grid(
     n_steps = step_count(ctx.scaled_time(horizon), dt_scaled, "dt_scaled")
     if not (isinstance(paths, numbers.Integral) and paths >= 1):
         raise ValueError(f"paths must be a positive integer, got {paths!r}")
-    if not (isinstance(chunk, numbers.Integral) and chunk >= 1):
-        raise ValueError(f"chunk must be a positive integer, got {chunk!r}")
     sq = math.sqrt(dt_scaled)
     stream = stream or RngStream(0)
     x1_grid = np.asarray(x1_grid if x1_grid is not None else np.linspace(1.0, 4.0, 5))
@@ -689,8 +687,8 @@ def two_bank_survival_grid(
     joint_hits = np.zeros((len(x1_grid), len(x2_grid)), dtype=np.int64)
     marg_hits = np.zeros_like(joint_hits)
 
-    for start in range(0, paths, chunk):
-        width = min(chunk, paths - start)
+    for start in range(0, paths, GRID_CHUNK):
+        width = min(GRID_CHUNK, paths - start)
         noise = PathNoise(stream, width, first_path=start)
         # driver paths per bank from y = 0, (2, width, n_steps + 1): summed
         # unit-variance correlated Brownian steps plus drift

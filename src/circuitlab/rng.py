@@ -177,8 +177,10 @@ class JumpSpec:
         return cls(n, subsets, theta)
 
 
-# values of noise in one `PathNoise.rows` draw: 16.8 MB of float64
-NOISE_VALUES = 2**21
+# values of noise in one `PathNoise.rows` draw: 8.4 MB of float64.  Freeing
+# a block raises glibc's mmap threshold to its size, and the heap then keeps
+# up to twice that resident, so the block size also bounds a run's peak RSS
+NOISE_VALUES = 2**20
 
 
 class PathNoise:
@@ -187,9 +189,9 @@ class PathNoise:
     Path j's draws depend only on (master_seed, first_path + j), never on the
     total path count or scheduling, so chunked or parallel execution cannot
     change results.  Each generator draws in sequence, so `rows`, which owns
-    the time blocking, splits a run into draws of NOISE_VALUES = 2**21 values
-    without changing a value: 4,096 steps of 2 x 256 paths, so the per-path
-    generator loop runs rarely, and 256 of 2 x 4,096, so a block stays small.
+    the time blocking, splits a run into draws of NOISE_VALUES = 2**20 values
+    without changing a value: 2,048 steps of 2 x 256 paths, so the per-path
+    generator loop runs rarely, and 128 of 2 x 4,096, so a block stays small.
     """
 
     def __init__(self, stream: RngStream, n_paths: int, first_path: int = 0):

@@ -84,13 +84,13 @@ def jacobi_noise(sigma_s: float, sigma_lambda: float) -> Callable | None:
     return lambda x: sig * jacobi(x[:2])
 
 
-def employment_drift(s, lam, growth, params, regularized: bool, s_f=None):
+def employment_drift(s, lam, growth, params, s_f=None):
     """Drift of (s_w, lambda_w) given the employment growth rate.
 
-    ds_w/s_w = -(a - b lambda_w) and dlambda_w/lambda_w = growth; the
-    regularized form adds the barriers omega/lambda_u and omega/s_f, with
-    s_f = 1 - s_w unless the caller passes it."""
-    if regularized:
+    ds_w/s_w = -(a - b lambda_w) and dlambda_w/lambda_w = growth; with
+    params.omega > 0 the regularized form adds the barriers omega/lambda_u
+    and omega/s_f, with s_f = 1 - s_w unless the caller passes it."""
+    if params.omega > 0:
         if s_f is None:
             s_f = 1.0 - s
         return (-(params.a - params.b * lam - params.omega / (1.0 - lam)) * s,
@@ -104,7 +104,9 @@ class EulerPaths:
     and the loop's counters.  The extremes of (s_w, lambda_w) cover every
     step of the paths still running, whatever the record stride.  A model's
     result is this or a subclass that adds views of `records`; `run` builds
-    either."""
+    either.  COMPONENTS names the leading components, for error messages."""
+
+    COMPONENTS = ("s_w", "lambda_w")
 
     t: np.ndarray
     records: list[np.ndarray]      # s_w, lambda_w, then the extra components
@@ -162,10 +164,15 @@ class EulerPaths:
         extremes.  A running path whose pair turns NaN makes that component's
         range NaN.  `records` holds one (recorded step, path) view per
         component of a single (components, recorded steps, paths) array.
+        A non-finite initial component raises ValueError naming it.
         """
         rec_idx = record_index(horizon, dt, record_stride)
         if not (isinstance(paths, numbers.Integral) and paths >= 1):
             raise ValueError(f"paths must be a positive integer, got {paths!r}")
+        for i, value in enumerate(initial):
+            if not math.isfinite(value):
+                name = cls.COMPONENTS[i] if i < len(cls.COMPONENTS) else f"component {i}"
+                raise ValueError(f"initial {name} must be finite, got {value}")
         stochastic = diffusion is not None
         clamp = regularized or stochastic
         if clamp and not (0 < initial[0] < 1 and 0 < initial[1] < 1):

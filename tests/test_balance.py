@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -220,6 +221,19 @@ def test_initial_imbalance_rejected():
     bad = FlowState(x=100.0, i=20.0, c=10.0, d=90.0, y=25.0, e=14.0)
     with pytest.raises(ValueError, match="balance identity"):
         evolve(bad, BASE, Controls(), 1.0, 0.01)
+
+
+def test_evolve_rejects_a_non_finite_field_or_control_by_name():
+    # a NaN fails no comparison, so it once passed the balance identity check
+    # and ran to NaN paths
+    for name in ("x", "e"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                evolve(replace(START, **{name: value}), BASE, Controls(), 1.0, 0.01)
+    for control in ({"phi": math.nan}, {"delta": np.array([0.5, math.inf])}):
+        (name,) = control
+        with pytest.raises(ValueError, match=f"control {name} must be finite"):
+            evolve(START, BASE, Controls(**control), 1.0, 0.01)
 
 
 # --------------------------------------------------------------------------

@@ -162,11 +162,11 @@ def test_variational_terminal_condition_and_dominance():
     assert np.all(slopes >= 1.0 - 1e-8)
 
 
-def test_variational_diffusion_only_monotone_convergence():
+def test_variational_diffusion_only_monotone_convergence(monkeypatch):
+    monkeypatch.setattr(dividend, "RECORD_SLICES", 10)
     p = EquityParams(mu=0.03, sigma=0.3, discount=0.12,
                      lambda1=0.0, delta1=3.0, lambda2=0.0, delta2=1.0)
-    g = solve_variational(p, horizon=40.0, e_max=3.0, n_grid=600,
-                          dtau=2e-3, record=10)
+    g = solve_variational(p, horizon=40.0, e_max=3.0, n_grid=600, dtau=2e-3)
     excess = g.values - g.grid[None, :]
     mid = excess[:, 200]
     assert np.all(np.diff(mid) >= -1e-9)          # growing in tau
@@ -184,10 +184,11 @@ def test_variational_matches_stationary_profile():
     assert abs(g.free_boundary[-1] - sol.e_star) < 0.02
 
 
-def test_variational_free_boundary_monotone_to_barrier():
+def test_variational_free_boundary_monotone_to_barrier(monkeypatch):
+    monkeypatch.setattr(dividend, "RECORD_SLICES", 12)
     sol = stationary_barrier(FIG13_PARAMS)
     g = solve_variational(FIG13_PARAMS, horizon=60.0, e_max=8 * sol.e_star,
-                          n_grid=800, dtau=2e-3, record=12)
+                          n_grid=800, dtau=2e-3)
     fb = g.free_boundary[1:]
     assert np.all(np.diff(fb) >= -2.0 * (g.grid[1] - g.grid[0]))
     assert abs(fb[-1] - sol.e_star) < 0.03
@@ -234,7 +235,7 @@ def _scipy_march(params, horizon, e_max, n_grid, dtau):
     scan2 = _jump_scan(params.delta2, h, n_grid)
     ramp = h * np.arange(n_grid)
     work = np.empty(n_grid - 2)
-    rec_every = max(n_steps // 8, 1)       # record's default, 8
+    rec_every = max(n_steps // dividend.RECORD_SLICES, 1)
     taus, slices = [0.0], [v.copy()]
     fbs = [float(grid[dividend._free_boundary_index(v, h)])]
     for step in range(1, n_steps + 1):
@@ -404,8 +405,8 @@ def test_free_boundary_index_is_the_trailing_pinned_run(pinned):
     ({"horizon": 0.0}, "horizon"), ({"e_max": math.inf}, "e_max"),
     ({"e_max": -1.0}, "e_max"), ({"n_grid": 1}, "n_grid"), ({"n_grid": 2}, "n_grid"),
     ({"horizon": 4e-4, "dtau": 1e-3}, "horizon"), ({"horizon": 0.015}, "whole"),
-    ({"record": 0}, "record"), ({"record": -2}, "record"), ({"record": 2.5}, "record"),
-    ({"record": "8"}, "record"),
+    ({"n_grid": 50.0}, "n_grid must be an integer of at least 3"),
+    ({"n_grid": math.inf}, "n_grid must be an integer of at least 3"),
 ])
 def test_variational_rejects_bad_inputs(override, message):
     run = {"horizon": 0.1, "e_max": 2.0, "n_grid": 50, "dtau": 1e-2, **override}

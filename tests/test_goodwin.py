@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,20 +10,17 @@ from circuitlab.goodwin import (
     FIG3_PARAMS,
     GoodwinParams,
     GoodwinState,
-    classical_drift,
     conservation,
+    drift,
     fixed_point,
-    regularized_drift,
     simulate,
 )
 from circuitlab.rng import RngStream
 
 
-def rk4_orbit(state, params, horizon, dt, regularized=False):
+def rk4_orbit(state, params, horizon, dt):
     """Reference integrator for deterministic orbits (oracle, independent of
     the package's Euler path)."""
-    drift = regularized_drift if regularized else classical_drift
-
     def f(y):
         return np.array(drift(GoodwinState(*y), params))
 
@@ -42,37 +41,40 @@ def rk4_orbit(state, params, horizon, dt, regularized=False):
 def test_classical_fixed_point_is_stationary():
     s, lam = fixed_point(FIG1_PARAMS)
     assert (s, lam) == pytest.approx((2.0 / 3.0, 1.125))  # note lambda* > 1
-    assert classical_drift(GoodwinState(s, lam), FIG1_PARAMS) == pytest.approx((0.0, 0.0))
+    assert drift(GoodwinState(s, lam), FIG1_PARAMS) == pytest.approx((0.0, 0.0))
 
 
 def test_classical_drift_direct_arithmetic():
     # oracle: -(a - b*lam)*s = -(0.225-0.16)*0.75, (c - d*s)*lam = (0.4-0.45)*0.8
-    ds, dl = classical_drift(GoodwinState(0.75, 0.8), FIG1_PARAMS)
+    ds, dl = drift(GoodwinState(0.75, 0.8), FIG1_PARAMS)
     assert ds == pytest.approx(-0.04875, abs=1e-15)
     assert dl == pytest.approx(-0.04, abs=1e-15)
 
 
 def test_regularized_reduces_to_classical():
+    # the barrier terms vanish with omega: the drift is continuous at omega = 0
     params = GoodwinParams(a=0.3, b=0.25, c=0.5, d=0.7, omega=0.0)
     st = GoodwinState(0.41, 0.83)
-    assert regularized_drift(st, params) == classical_drift(st, params)
+    near = drift(st, replace(params, omega=1e-12))
+    assert near != drift(st, params)
+    assert near == pytest.approx(drift(st, params), rel=0.0, abs=1e-11)
 
 
 def test_regularized_fixed_point_interior_and_stationary():
-    s, lam = fixed_point(FIG2_PARAMS, regularized=True)
+    s, lam = fixed_point(FIG2_PARAMS)
     assert 0 < s < 1 and 0 < lam < 1
-    ds, dl = regularized_drift(GoodwinState(s, lam), FIG2_PARAMS)
+    ds, dl = drift(GoodwinState(s, lam), FIG2_PARAMS)
     assert abs(ds) < 1e-12 and abs(dl) < 1e-12
 
 
 def test_regularized_fixed_point_reduces_at_omega_zero():
     p = GoodwinParams(a=0.225, b=0.2, c=0.4, d=0.6, omega=0.0)
-    assert fixed_point(p, regularized=True) == pytest.approx((2.0 / 3.0, 1.125))
+    assert fixed_point(p) == pytest.approx((2.0 / 3.0, 1.125))
 
 
 def test_boundary_state_rejected():
     with pytest.raises(ValueError, match="lambda_w"):
-        regularized_drift(GoodwinState(0.5, 1.0), FIG2_PARAMS)
+        drift(GoodwinState(0.5, 1.0), FIG2_PARAMS)
 
 
 def test_conservation_gradient_zero_at_fixed_point():
@@ -102,20 +104,14 @@ def test_conservation_constant_on_rk4_orbit():
 def test_regularized_conservation_constant_and_minimal():
     params = FIG2_PARAMS
     start = GoodwinState(0.75, 0.8)
-    orbit = rk4_orbit(start, params, horizon=25.0, dt=1e-3, regularized=True)
-    psi = np.array(
-        [conservation(GoodwinState(s, lam), params, regularized=True)
-         for s, lam in orbit[::500]]
-    )
+    orbit = rk4_orbit(start, params, horizon=25.0, dt=1e-3)
+    psi = np.array([conservation(GoodwinState(s, lam), params) for s, lam in orbit[::500]])
     assert np.max(np.abs(psi - psi[0])) / abs(psi[0]) < 1e-6
     # fixed point is the global minimum over a grid of the open unit square
-    s_star, l_star = fixed_point(params, regularized=True)
-    psi_star = conservation(GoodwinState(s_star, l_star), params, regularized=True)
+    s_star, l_star = fixed_point(params)
+    psi_star = conservation(GoodwinState(s_star, l_star), params)
     grid = np.linspace(0.02, 0.98, 49)
-    vals = np.array(
-        [conservation(GoodwinState(s, lam), params, regularized=True)
-         for s in grid for lam in grid]
-    )
+    vals = np.array([conservation(GoodwinState(s, lam), params) for s in grid for lam in grid])
     assert psi_star <= vals.min() + 1e-12
 
 

@@ -304,21 +304,14 @@ def test_checker_flags_a_setting_no_caller_passes():
 
 
 # defaulted parameters that no call in the package or the benchmark sets,
-# each kept for the reason given
+# each kept for the reason given; a run setting that only tests change is a
+# module constant, which they monkeypatch, and a model variant that the
+# parameters already name (omega > 0 is the regularized system) is no setting
 KEPT_SETTINGS = {
-    ("goodwin.conservation", "regularized"): "model variant: the regularized conservation law",
-    ("goodwin.fixed_point", "regularized"): "model variant: the regularized fixed point",
-    ("goodwin.simulate", "regularized"): "model variant: classical or regularized drift",
-    ("keen.keen_drift", "regularized"): "model variant: classical or regularized drift",
     ("keen.keen_drift", "with_nu_factor"): "model variant: the two printed regularized drifts",
-    ("keen.simulate", "regularized"): "model variant: classical or regularized drift",
     ("keen.simulate", "with_nu_factor"): "model variant: the two printed regularized drifts",
-    ("keen.simulate", "gamma_cap"): "model parameter: the Minsky leverage threshold",
     ("network.fig15_network", "sigma"): "model parameter of the Fig 15 network",
     ("network.fig15_network", "mu"): "model parameter of the Fig 15 network",
-    ("dividend.solve_variational", "record"): "output sampling: the recorded slices",
-    ("network.simulate_paths", "chunk"): "lever of the chunk-invariance property tests",
-    ("network.two_bank_survival_grid", "chunk"): "lever of the chunk-invariance tests",
     ("ledger.apply_event", "repo_haircut"): "the paper's central-bank repo collateral rule",
     ("ledger.two_bank_creation", "central_bank_fallback"):
         "the paper's central-bank funding of a cash shortfall",

@@ -3,7 +3,7 @@ import pytest
 
 from _invalid_runs import INVALID_RUNS
 from circuitlab import keen
-from circuitlab.goodwin import GoodwinState, classical_drift
+from circuitlab.goodwin import GoodwinState, drift
 from circuitlab.keen import (
     FIG4_PARAMS,
     FIG5_PARAMS,
@@ -62,14 +62,14 @@ def test_regularized_with_nu_reduces_at_omega_zero():
     p = KeenParams(a=0.225, b=0.2, c=0.075, d=0.03, r_l=0.03, nu_f=0.1,
                    p=-0.0065, q=20.0, r=-5.0, omega=0.0)
     st = KeenState(0.6, 0.7, 0.4)
-    assert keen_drift(st, p, regularized=True, with_nu_factor=True) == \
-        pytest.approx(keen_drift(st, p, regularized=False))
+    # omega = 0 is the classical drift, which keeps the nu_f factor either way
+    assert keen_drift(st, p, with_nu_factor=False) == keen_drift(st, p)
 
 
 def test_nu_factor_variants_differ():
     st = KeenState(0.6, 0.7, 0.4)
-    with_nu = keen_drift(st, FIG5_PARAMS, regularized=True, with_nu_factor=True)
-    without = keen_drift(st, FIG5_PARAMS, regularized=True, with_nu_factor=False)
+    with_nu = keen_drift(st, FIG5_PARAMS, with_nu_factor=True)
+    without = keen_drift(st, FIG5_PARAMS, with_nu_factor=False)
     assert with_nu[1] != without[1]
     assert with_nu[0] == without[0] and with_nu[2] == without[2]
 
@@ -85,13 +85,13 @@ def test_reduction_to_goodwin_with_identity_profit(monkeypatch):
         s, lam = rng.uniform(0.05, 0.95, 2)
         st = KeenState(s, lam, 0.0)
         ds, dl, _ = keen_drift(st, p)
-        gds, gdl = classical_drift(GoodwinState(s, lam), gp)
+        gds, gdl = drift(GoodwinState(s, lam), gp)
         assert (ds, dl) == pytest.approx((gds, gdl), rel=1e-12)
 
 
 def test_boundary_rejected_in_regularized_mode():
     with pytest.raises(ValueError, match="interior"):
-        keen_drift(KeenState(1.0, 0.5, 0.1), FIG5_PARAMS, regularized=True)
+        keen_drift(KeenState(1.0, 0.5, 0.1), FIG5_PARAMS)
 
 
 def test_invalid_inputs():
@@ -129,8 +129,7 @@ def test_minsky_event_detection():
     # a forced blow-up: huge q makes f explode and leverage run away
     p = KeenParams(a=0.225, b=0.2, c=0.075, d=0.03, r_l=0.2, nu_f=0.1,
                    p=0.5, q=30.0, r=1.0)
-    res = simulate(KeenState(0.6, 0.8, 5.0), p, horizon=50.0, dt=1e-2,
-                   paths=1, gamma_cap=10.0)
+    res = simulate(KeenState(0.6, 0.8, 5.0), p, horizon=50.0, dt=1e-2, paths=1)
     assert res.minsky_paths == 1
     assert np.isfinite(res.minsky_times[0])
     # frozen after the event: leverage does not keep integrating

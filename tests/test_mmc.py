@@ -190,6 +190,35 @@ def test_simulate_rejects_a_sheet_without_physical_assets():
         simulate(empty, FIG8_PARAMS, horizon=1.0, dt=0.01)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("k_b", np.nan, "k_b must be finite"),       # abs(nan) > tol once passed
+    ("theta_w", np.inf, "theta_w must be finite"),
+    ("n_w", np.nan, "n_w must be finite"),
+    ("theta_w", -1.0, "theta_w, N_w, C_r and K_f must be positive"),
+    ("n_w", 0.0, "theta_w, N_w, C_r and K_f must be positive"),
+])
+def test_simulate_rejects_a_non_finite_or_non_positive_field_by_name(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        simulate(replace(FIG8_STATE, **{field: value}), FIG8_PARAMS, horizon=0.1, dt=0.01)
+
+
+def test_a_nan_identity_residual_is_reported(monkeypatch):
+    # K_b turns NaN at the first step; the propensity does not read K_b, so
+    # the run goes on, and the running maximum of the residual once dropped
+    # the NaN (Python's max keeps its first argument against a NaN)
+    flows = mmc._flows
+
+    def nan_capital(x, u, p):
+        drift, *rest = flows(x, u, p)
+        drift["k_b"] = drift["k_b"] * np.nan
+        return (drift, *rest)
+
+    monkeypatch.setattr(mmc, "_flows", nan_capital)
+    res = simulate(FIG8_STATE, FIG8_PARAMS, horizon=0.1, dt=0.01)
+    assert np.isnan(res.series["k_b"][-1]).all() and np.isfinite(res.series["c_r"]).all()
+    assert np.isnan(res.max_identity_residual)
+
+
 def test_deterministic_fig8_run_identity_and_flags():
     # the representative scenario is meaningful up to t ~ 10; beyond that the
     # investment propensity saturates and the model leaves its valid regime

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from circuitlab import network
 from circuitlab.network import (
     SOLVENT_OMEGA,
     BankNetwork,
@@ -423,9 +424,7 @@ def test_monte_carlo_rejects_bad_run_settings():
             ({"horizon": -1.0}, "horizon"), ({"horizon": math.nan}, "horizon"),
             ({"horizon": 1e-6}, "horizon"), ({"horizon": 1.05}, "whole"),
             ({"x1_grid": [math.nan, 2.0, -1.0, math.inf], "x2_grid": [2.0, math.nan]},
-             "grid points must be finite"),
-            # chunk = -5 once reported a joint survival of 0
-            ({"chunk": 0}, "chunk"), ({"chunk": -5}, "chunk"), ({"chunk": 2.5}, "chunk")):
+             "grid points must be finite")):
         with pytest.raises(ValueError, match=message):
             two_bank_survival_grid(net, **{**grid, **overrides})
     for horizon, dt in ((math.nan, 0.01), (math.inf, 0.01), (-1.0, 0.01),
@@ -439,10 +438,6 @@ def test_monte_carlo_rejects_bad_run_settings():
     for paths in (0, -1, 2.5, np.float64(3.0)):
         with pytest.raises(ValueError, match="paths must be a positive integer"):
             simulate_paths(net, 1.0, 0.01, paths=paths)
-    # chunk = -1 once ran no path and reported every bank surviving
-    for chunk in (0, -1, 2.5):
-        with pytest.raises(ValueError, match="chunk must be a positive integer"):
-            simulate_paths(net, 1.0, 0.01, paths=10, chunk=chunk)
 
 
 def test_jump_dynamics_increase_defaults():
@@ -558,23 +553,27 @@ def _records_equal(a, b):
 
 
 @pytest.mark.parametrize("case", range(len(N_BANK_CASES)))
-def test_n_bank_paths_do_not_depend_on_chunking(case):
+def test_n_bank_paths_do_not_depend_on_chunking(case, monkeypatch):
     n, rho, jumps = N_BANK_CASES[case]
     net = stressed_network(np.random.default_rng(30 + case), n, rho, jumps)
     dynamics = "jump-diffusion" if jumps else "lognormal"
-    runs = [simulate_paths(net, 3.0, 0.01, paths=50, stream=RngStream(70 + case),
-                           dynamics=dynamics, chunk=chunk)
-            for chunk in (4096, 16, 7, 1)]
+    runs = []
+    for chunk in (4096, 16, 7, 1):
+        monkeypatch.setattr(network, "PATH_CHUNK", chunk)
+        runs.append(simulate_paths(net, 3.0, 0.01, paths=50, stream=RngStream(70 + case),
+                                   dynamics=dynamics))
     assert runs[0].interior_default.any()
     assert (runs[0].default_time == 3.0).any()
     for other in runs[1:]:
         assert _records_equal(runs[0], other)
 
 
-def test_survival_grid_does_not_depend_on_chunking():
+def test_survival_grid_does_not_depend_on_chunking(monkeypatch):
     net = fig15_network(rho=0.3)
-    grids = [two_bank_survival_grid(net, 2.0, 0.01, 60, stream=RngStream(8), chunk=chunk)
-             for chunk in (256, 7, 1)]
+    grids = []
+    for chunk in (256, 7, 1):
+        monkeypatch.setattr(network, "GRID_CHUNK", chunk)
+        grids.append(two_bank_survival_grid(net, 2.0, 0.01, 60, stream=RngStream(8)))
     assert 0.0 < grids[0].joint.mean() < 1.0
     for other in grids[1:]:
         assert np.array_equal(grids[0].joint, other.joint)

@@ -35,11 +35,10 @@ def _euler(x, d, dt):
 @given(s=unit, lam=unit, a=positive, b=positive, c=positive, d=positive,
        omega=st.floats(0.0, 0.02), dt=st.floats(1e-4, 1e-2))
 def test_goodwin_step_is_drift(regularized, s, lam, a, b, c, d, omega, dt):
-    params = goodwin.GoodwinParams(a=a, b=b, c=c, d=d, omega=omega)
+    params = goodwin.GoodwinParams(a=a, b=b, c=c, d=d, omega=omega if regularized else 0.0)
     state = goodwin.GoodwinState(s, lam)
-    drift = goodwin.regularized_drift if regularized else goodwin.classical_drift
-    ds, dl = drift(state, params)
-    res = goodwin.simulate(state, params, horizon=dt, dt=dt, regularized=regularized)
+    ds, dl = goodwin.drift(state, params)
+    res = goodwin.simulate(state, params, horizon=dt, dt=dt)
     assert res.t[-1] == dt
     assert res.s_w[-1, 0] == _euler(s, ds, dt)
     assert res.lambda_w[-1, 0] == _euler(lam, dl, dt)
@@ -55,15 +54,13 @@ def test_goodwin_step_is_drift(regularized, s, lam, a, b, c, d, omega, dt):
 def test_keen_step_is_drift(regularized, with_nu_factor, s, lam, g, r_l, nu_f, p, q, r,
                             omega, step):
     params = keen.KeenParams(a=0.225, b=0.2, c=0.075, d=0.03, r_l=r_l, nu_f=nu_f,
-                             p=p, q=q, r=r, omega=omega)
+                             p=p, q=q, r=r, omega=omega if regularized else 0.0)
     state = keen.KeenState(s, lam, g)
-    ds, dl, dg = keen.keen_drift(state, params, regularized=regularized,
-                                 with_nu_factor=with_nu_factor)
+    ds, dl, dg = keen.keen_drift(state, params, with_nu_factor=with_nu_factor)
     # moves (s_w, lambda_w) by at most `step`, so no clamp fires
     dt = step / max(abs(ds), abs(dl), 1.0)
     assume(g + dt * dg < 10.0)
-    res = keen.simulate(state, params, horizon=dt, dt=dt, regularized=regularized,
-                        with_nu_factor=with_nu_factor)
+    res = keen.simulate(state, params, horizon=dt, dt=dt, with_nu_factor=with_nu_factor)
     assert res.s_w[-1, 0] == _euler(s, ds, dt)
     assert res.lambda_w[-1, 0] == _euler(lam, dl, dt)
     assert res.gamma_f[-1, 0] == _euler(g, dg, dt)
@@ -122,16 +119,20 @@ def _assert_thinned(thin, full):
             assert np.array_equal(value, other, equal_nan=True), name
 
 
+# options are module constants of the model, patched for the test
 @pytest.mark.parametrize("model, state, params, options", [
     (goodwin, goodwin.GoodwinState(0.75, 0.8), goodwin.FIG3_PARAMS, {}),
-    (keen, keen.KeenState(0.75, 0.8, 0.1), keen.FIG6_PARAMS, {"gamma_cap": 0.106}),
+    (keen, keen.KeenState(0.75, 0.8, 0.1), keen.FIG6_PARAMS, {"MINSKY_LEVERAGE": 0.106}),
     (mmc, mmc.FIG8_STATE, replace(mmc.FIG8_PARAMS, sigma_c=0.04, sigma_k=0.02,
                                   sigma_s=0.01, sigma_lambda=0.01), {}),
 ], ids=["goodwin", "keen", "mmc"])
-def test_record_stride_keeps_the_stride_one_rows(model, state, params, options):
+def test_record_stride_keeps_the_stride_one_rows(model, state, params, options, monkeypatch):
+    for name, value in options.items():
+        monkeypatch.setattr(model, name, value)
+
     def run(stride):
         return model.simulate(state, params, horizon=N_STEPS * DT, dt=DT, paths=4,
-                              stream=RngStream(12), record_stride=stride, **options)
+                              stream=RngStream(12), record_stride=stride)
     _assert_thinned(run(STRIDE), run(1))
 
 
@@ -153,6 +154,19 @@ def test_a_nan_state_makes_its_range_nan():
                              (0.5, 0.5), horizon=0.3, dt=0.1, paths=2, stream=None,
                              diffusion=None, regularized=False, record_stride=1)
     assert np.isnan(run.s_range).all() and run.lambda_range == (0.5, 0.5)
+
+
+@pytest.mark.parametrize("model, state, params, name", [
+    (goodwin, goodwin.GoodwinState(np.nan, 0.5), goodwin.FIG1_PARAMS, "initial s_w"),
+    (goodwin, goodwin.GoodwinState(0.5, np.inf), goodwin.FIG3_PARAMS, "initial lambda_w"),
+    (keen, keen.KeenState(0.5, 0.5, np.nan), keen.FIG4_PARAMS, "initial gamma_f"),
+    (keen, keen.KeenState(0.5, 0.5, -np.inf), keen.FIG6_PARAMS, "initial gamma_f"),
+    (mmc, replace(mmc.FIG8_STATE, c_r=np.nan), mmc.FIG8_PARAMS, "c_r"),
+], ids=["goodwin-classical", "goodwin-stochastic", "keen-classical", "keen-stochastic", "mmc"])
+def test_a_non_finite_initial_component_is_rejected_by_name(model, state, params, name):
+    # classical deterministic runs once ran a NaN start to NaN paths unchecked
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        model.simulate(state, params, horizon=0.1, dt=0.01, stream=RngStream(0))
 
 
 def test_a_drift_of_the_wrong_shape_is_rejected():
@@ -249,14 +263,15 @@ def _bytes(value):
 def test_stacked_run_is_byte_equal_to_the_per_component_loop(
         paths, n_steps, stride, dt, seed, s, lam, g, y, sigma, regularized, stochastic,
         loaded, floor_rows, floor_level, rates, cap, nan_path):
-    params = goodwin.GoodwinParams(a=0.225, b=0.2, c=0.4, d=0.6, omega=0.005)
+    params = goodwin.GoodwinParams(a=0.225, b=0.2, c=0.4, d=0.6,
+                                   omega=0.005 if regularized else 0.0)
     poison = np.zeros(paths)
     if nan_path is not None:
         poison[nan_path % paths] = np.nan
     growth, fall = rates
 
     def drift(s, lam, g, y):
-        ds, dl = sde.employment_drift(s, lam, params.c - params.d * s, params, regularized)
+        ds, dl = sde.employment_drift(s, lam, params.c - params.d * s, params)
         return ds + poison * s, dl, growth * g, -fall + 0.0 * y
 
     sig = np.array([[sigma[0]], [sigma[1]]])
@@ -281,17 +296,22 @@ def test_stacked_run_is_byte_equal_to_the_per_component_loop(
     (goodwin, goodwin.GoodwinState(0.75, 0.8),
      replace(goodwin.FIG3_PARAMS, sigma_s=0.6, sigma_lambda=0.6), {}),
     (keen, keen.KeenState(0.75, 0.8, 3.0),
-     replace(keen.FIG6_PARAMS, sigma_s=0.3, sigma_lambda=0.3), {"gamma_cap": 3.5}),
+     replace(keen.FIG6_PARAMS, sigma_s=0.3, sigma_lambda=0.3), {"MINSKY_LEVERAGE": 3.5}),
     (mmc, mmc.FIG8_STATE, replace(mmc.FIG8_PARAMS, sigma_c=0.04, sigma_k=0.02,
                                   sigma_s=0.01, sigma_lambda=0.01), {}),
 ], ids=["goodwin", "keen", "mmc"])
-def test_a_path_does_not_depend_on_how_many_paths_run(model, state, params, options):
+def test_a_path_does_not_depend_on_how_many_paths_run(model, state, params, options,
+                                                      monkeypatch):
     """A run of k paths equals the first k paths of a wider run, byte for
     byte, in every per-path array: the records, the cap times and, for MMC,
-    the propensity, production and price of each recorded row."""
+    the propensity, production and price of each recorded row.  options are
+    module constants of the model, patched for the test."""
+    for name, value in options.items():
+        monkeypatch.setattr(model, name, value)
+
     def run(paths):
         return model.simulate(state, params, horizon=1.0, dt=0.01, paths=paths,
-                              stream=RngStream(0), **options)
+                              stream=RngStream(0))
 
     wide = run(5)
     for k in (1, 3):

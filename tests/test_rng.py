@@ -77,8 +77,9 @@ def _jump_network_run():
     net = replace(network.fig15_network(rho=0.3, external_assets=(60.0, 90.0)),
                   jumps=JumpSpec.systemic_idiosyncratic(0.4, np.array([0.3, 0.3]),
                                                         np.array([1.5, 1.5])))
-    rec = simulate_paths(net, 2.0, 0.02, 37, RngStream(8), dynamics="jump-diffusion",
-                         chunk=16)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(network, "PATH_CHUNK", 16)
+        rec = simulate_paths(net, 2.0, 0.02, 37, RngStream(8), dynamics="jump-diffusion")
     assert rec.interior_default.any()
     return rec
 
