@@ -41,7 +41,7 @@ from .sde import require_finite, step_count
 __all__ = [
     "EquityParams", "SymbolCoefficients", "BarrierSolution", "EquityValueGrid",
     "symbol", "symbol_roots", "stationary_barrier", "solve_variational",
-    "jump_integral", "FIG13_PARAMS",
+    "FIG13_PARAMS",
 ]
 
 
@@ -259,21 +259,6 @@ def _cell_weights(delta: float, h: float) -> tuple[float, float, float]:
     return decay, w0, h - w0 / delta
 
 
-def jump_integral(v: np.ndarray, grid: np.ndarray, delta: float) -> np.ndarray:
-    """I(E) = delta * int_0^E V(u) e^{-delta (E-u)} du for piecewise-linear V,
-    via the exact per-cell exponential update of I' = delta (V - I)."""
-    h = grid[1] - grid[0]
-    decay, w0, w1 = _cell_weights(delta, h)
-    out = np.empty_like(v)
-    out[0] = 0.0
-    slope = np.diff(v) / h
-    acc = 0.0
-    for k in range(len(v) - 1):
-        acc = acc * decay + v[k] * w0 + slope[k] * w1
-        out[k + 1] = acc
-    return out
-
-
 @dataclass(eq=False)
 class EquityValueGrid:
     grid: np.ndarray
@@ -406,8 +391,10 @@ def solve_banded(factored, b: np.ndarray) -> np.ndarray:
 
 
 def _jump_scans(deltas: tuple[float, ...], h: float, n_grid: int):
-    """``jump_integral`` at nodes 1..n_grid-1 of a slice, one row per decay
-    in ``deltas``, as one BLAS call.
+    """The jump integral I(E) = delta int_0^E V(u) e^{-delta (E-u)} du of a
+    piecewise-linear slice V, by the exact per-cell update of I' = delta
+    (V - I) (`_cell_weights`), at nodes 1..n_grid-1, one row per decay in
+    ``deltas``, as one BLAS call.
 
     The returned scan takes the slice v.  Each row's recurrence acc_k =
     decay acc_{k-1} + c_k, with c_k = v_k w0 + slope_k w1, is forward

@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .rng import RngStream
 from .sde import EulerPaths, employment_drift, jacobi_noise, require_finite
 
@@ -71,9 +73,9 @@ FIG2_PARAMS = replace(FIG1_PARAMS, omega=0.005)
 FIG3_PARAMS = replace(FIG2_PARAMS, sigma_s=0.015, sigma_lambda=0.005)
 
 
-def _drift(s, lam, params: GoodwinParams):
-    """Drift of (s_w, lambda_w) on floats or path arrays: growth c - d*s_w."""
-    return employment_drift(s, lam, params.c - params.d * s, params)
+def _drift(x, params: GoodwinParams):
+    """Drift block of (s_w, lambda_w), x of shape (2, paths): growth c - d*s_w."""
+    return employment_drift(x, params.c - params.d * x[0], params, np.empty_like(x))
 
 
 def drift(state: GoodwinState, params: GoodwinParams) -> tuple[float, float]:
@@ -81,7 +83,8 @@ def drift(state: GoodwinState, params: GoodwinParams) -> tuple[float, float]:
     omega/lambda_u and omega/s_f are added and the state must be interior."""
     if params.omega > 0 and not (0 < state.s_w < 1 and 0 < state.lambda_w < 1):
         raise ValueError("regularized drift requires interior (s_w, lambda_w)")
-    return _drift(state.s_w, state.lambda_w, params)
+    ds, dl = _drift(np.array([[state.s_w], [state.lambda_w]]), params)[:, 0]
+    return float(ds), float(dl)
 
 
 def conservation(state: GoodwinState, params: GoodwinParams) -> float:
@@ -137,6 +140,6 @@ def simulate(
     still tracked per step.
     """
     return GoodwinResult.run(
-        lambda s, lam: _drift(s, lam, params),
+        lambda x: _drift(x, params),
         (initial.s_w, initial.lambda_w), horizon, dt, paths, stream,
         jacobi_noise(params.sigma_s, params.sigma_lambda), params.omega > 0, record_stride)

@@ -90,14 +90,16 @@ def _profit_share(s_f, g, params: KeenParams):
     return s_f - params.r_l * g / params.nu_f
 
 
-def _drift(s, lam, g, s_f, fx, params: KeenParams, with_nu_factor: bool):
-    """Drift of (s_w, lambda_w, Gamma_f) on floats or path arrays, given
+def _drift(x, s_f, fx, params: KeenParams, with_nu_factor: bool):
+    """Drift block of (s_w, lambda_w, Gamma_f), x of shape (3, paths), given
     s_f = 1 - s_w and fx = f(.)."""
     nu_fx = params.nu_f * fx
     scaled = nu_fx if with_nu_factor or params.omega == 0 else fx
-    ds, dl = employment_drift(s, lam, scaled - params.c, params, s_f)
-    dg = (params.r_l - nu_fx + params.d) * g + params.nu_f * (fx - s_f)
-    return ds, dl, dg
+    out = np.empty_like(x)
+    employment_drift(x[:2], scaled - params.c, params, out[:2])
+    np.multiply(params.r_l - nu_fx + params.d, x[2], out=out[2])
+    out[2] += params.nu_f * (fx - s_f)
+    return out
 
 
 def keen_drift(
@@ -118,7 +120,9 @@ def keen_drift(
     fx = profit_function(_profit_share(state.s_f, g, params), params)
     if params.omega > 0 and not (0 < s < 1 and 0 < lam < 1):
         raise ValueError("regularized drift requires interior (s_w, lambda_w)")
-    return _drift(s, lam, g, state.s_f, fx, params, with_nu_factor)
+    ds, dl, dg = _drift(np.array([[s], [lam], [g]]), state.s_f, fx, params,
+                        with_nu_factor)[:, 0]
+    return float(ds), float(dl), float(dg)
 
 
 def goodwin_equivalent(params: KeenParams) -> GoodwinParams:
@@ -164,10 +168,10 @@ def simulate(
     free.  Paths whose leverage crosses MINSKY_LEVERAGE freeze at the
     crossing ("Minsky event") and the crossing time is reported per path.
     """
-    def drift(s, lam, g):
-        s_f = 1.0 - s
-        fx, _ = _capped_profit(_profit_share(s_f, g, params), params)
-        return _drift(s, lam, g, s_f, fx, params, with_nu_factor)
+    def drift(x):
+        s_f = 1.0 - x[0]
+        fx, _ = _capped_profit(_profit_share(s_f, x[2], params), params)
+        return _drift(x, s_f, fx, params, with_nu_factor)
 
     return KeenResult.run(drift, (initial.s_w, initial.lambda_w, initial.gamma_f),
                           horizon, dt, paths, stream,

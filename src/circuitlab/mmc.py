@@ -240,8 +240,9 @@ def _upsilon_vec(c_r, d_f, l_f, k_f, params):
         log_minus_x = np.log(2.0 * a) + 2.0 * (a + b)
     # x is capped at the fold so that a folded path's exponential stays finite
     u = logistic(b + a - 0.5 * _lambert_w0(-np.exp(np.minimum(log_minus_x, -1.0))))
-    bad = ~(log_minus_x <= -1.0) | (u > UPSILON_MAX)     # a NaN index is bad too
-    if bad.any():
+    # one reduction each while every path is sound; a NaN index fails them
+    if not (log_minus_x.max() <= -1.0 and u.max() <= UPSILON_MAX):
+        bad = ~(log_minus_x <= -1.0) | (u > UPSILON_MAX)
         raise UpsilonError(f"degenerate investment propensity on {int(bad.sum())} path(s)")
     return u
 
@@ -320,50 +321,46 @@ def _output(c_r, one_minus_u, s_f):
 
 
 def _flows(x, u, p: MmcParams):
-    """Drifts of the eleven components at investment propensity u.
+    """Drift block of the eleven components at investment propensity u.
 
-    x maps STOCK_NAMES to floats or path arrays.  Returns (drift,
-    capital_ok, unmet, capacity_capped): new-loan creation, the (-CF)^+
-    terms, runs only while K_b > nu_b (L_r + L_f), and the suppressed
-    increment is the unmet financing demand."""
-    c_r, l_r, l_f, k_f = x["c_r"], x["l_r"], x["l_f"], x["k_f"]
-    ni_r = net_interest(x["d_r"], l_r, p)
-    ni_f = net_interest(x["d_f"], l_f, p)
+    x is the state block, shape (11, paths), its rows in STOCK_NAMES order.
+    Returns (drift, capital_ok, new_loans, capacity_capped), drift of x's
+    shape: new-loan creation, the (-CF)^+ terms new_loans of the rentier and
+    firm rows, runs only while K_b > nu_b (L_r + L_f)."""
+    s_w, _, c_r, _, l_r, _, l_f, k_f, k_b = x[:9]
+    # the rentier and firm rows side by side: deposits (D_r, D_f) are rows 3
+    # and 5, loans (L_r, L_f) rows 4 and 6, and so are their drifts
+    ni_r, ni_f = ni = net_interest(x[3:6:2], x[4:7:2], p)
     loans = l_r + l_f
-    capital_ok = p.nu_b * loans - x["k_b"] < 0.0
+    capital_ok = p.nu_b * loans - k_b < 0.0
 
-    one_minus_u, s_f = 1.0 - u, 1.0 - x["s_w"]
+    one_minus_u, s_f = 1.0 - u, 1.0 - s_w
     rentier_income = p.delta_bb * ni_r + (p.delta_rf - p.delta_rb) * ni_f
     base = (p.delta_ff - u) * c_r / one_minus_u
-    cf_r = rentier_income - p.delta_rb * p.xi_delta * loans - base
-    cf_f = p.delta_ff * ni_f + base
-    new_l_r = np.maximum(-cf_r, 0.0)
-    new_l_f = np.maximum(-cf_f, 0.0)
-    unmet = np.where(capital_ok, 0.0, new_l_r + new_l_f)
+    cash_flow = np.empty_like(ni)      # (CF_r, CF_f)
+    np.subtract(rentier_income - p.delta_rb * p.xi_delta * loans, base, out=cash_flow[0])
+    np.add(p.delta_ff * ni_f, base, out=cash_flow[1])
+    new_loans = np.maximum(-cash_flow, 0.0)
     c_bar = (p.alpha0 * (rentier_income + p.delta_rf * c_r / one_minus_u)
              + p.alpha1 * p.nu_f * k_f)
-    ds, dl = employment_drift(x["s_w"], x["lambda_w"],
-                              u * c_r / (one_minus_u * p.nu_f * k_f) - p.c, p, s_f)
-    drift = {
-        "c_r": p.kappa_c * (c_bar - c_r),
-        "d_r": np.maximum(cf_r, 0.0),
-        "l_r": -p.xi_delta * l_r + np.where(capital_ok, new_l_r, 0.0),
-        "d_f": np.maximum(cf_f, 0.0),
-        "l_f": -p.xi_delta * l_f + np.where(capital_ok, new_l_f, 0.0),
-        "k_f": u * c_r / one_minus_u - p.xi_a * k_f,
-        "k_b": -p.delta_bb * (p.xi_delta * loans + ni_r + ni_f),
-        "theta_w": p.alpha * x["theta_w"],
-        "n_w": p.beta * x["n_w"],
-        "s_w": ds,
-        "lambda_w": dl,
-    }
-    return drift, capital_ok, unmet, _output(c_r, one_minus_u, s_f) > p.nu_f * k_f
+    invest = u * c_r
+    drift = np.empty_like(x)
+    employment_drift(x[:2], invest / (one_minus_u * p.nu_f * k_f) - p.c, p, drift[:2])
+    np.multiply(p.kappa_c, c_bar - c_r, out=drift[2])
+    np.maximum(cash_flow, 0.0, out=drift[3:6:2])
+    np.add(-p.xi_delta * x[4:7:2], np.where(capital_ok, new_loans, 0.0), out=drift[4:7:2])
+    np.subtract(invest / one_minus_u, p.xi_a * k_f, out=drift[7])
+    np.multiply(-p.delta_bb, p.xi_delta * loans + ni_r + ni_f, out=drift[8])
+    np.multiply(p.alpha, x[9], out=drift[9])
+    np.multiply(p.beta, x[10], out=drift[10])
+    return drift, capital_ok, new_loans, _output(c_r, one_minus_u, s_f) > p.nu_f * k_f
 
 
 def _diffusion(x, p: MmcParams):
-    """Noise loadings of the NOISE_NAMES components, in that order."""
-    return [p.sigma_c * x["c_r"], p.sigma_k * x["k_f"],
-            p.sigma_s * jacobi(x["s_w"]), p.sigma_lambda * jacobi(x["lambda_w"])]
+    """Noise loadings of the NOISE_NAMES components, in that order, on the
+    state block x."""
+    return np.array([[p.sigma_c], [p.sigma_k], [p.sigma_s], [p.sigma_lambda]]) * \
+        np.concatenate([x[2:3], x[7:8], jacobi(x[:2])])
 
 
 @dataclass
@@ -385,12 +382,13 @@ def mmc_drift_and_diffusion(state: MmcState, params: MmcParams,
     as unmet financing demand.
     """
     u = solve_upsilon(state, params) if upsilon is None else upsilon
-    x = {k: getattr(state, k) for k in STOCK_NAMES}
-    drift, capital_ok, unmet, capped = _flows(x, u, params)
-    return MmcDrift(drift={k: float(v) for k, v in drift.items()},
-                    diffusion={k: float(v) for k, v in zip(NOISE_NAMES, _diffusion(x, params))},
-                    credit_crunch=not capital_ok, unmet_financing=float(unmet),
-                    capacity_capped=bool(capped), upsilon_f=u)
+    x = np.array([[getattr(state, k)] for k in STOCK_NAMES])
+    drift, capital_ok, new_loans, capped = _flows(x, u, params)
+    unmet = np.where(capital_ok, 0.0, new_loans[0] + new_loans[1])
+    return MmcDrift(drift=dict(zip(STOCK_NAMES, drift[:, 0].tolist())),
+                    diffusion=dict(zip(NOISE_NAMES, _diffusion(x, params)[:, 0].tolist())),
+                    credit_crunch=not capital_ok[0], unmet_financing=float(unmet[0]),
+                    capacity_capped=bool(capped[0]), upsilon_f=u)
 
 
 @dataclass(eq=False)
@@ -444,22 +442,22 @@ def simulate(
     max_resid = 0.0
 
     def residual(x):
-        return np.abs(x["k_b"] - (x["l_r"] + x["l_f"] - x["d_r"] - x["d_f"])).max()
+        _, _, _, d_r, l_r, d_f, l_f, _, k_b = x[:9]
+        return np.abs(k_b - (l_r + l_f - d_r - d_f)).max()
 
-    def drift(*state):
+    def drift(x):
         nonlocal crunch_steps, cap_steps, max_resid
-        x = dict(zip(STOCK_NAMES, state))
-        u = _upsilon_vec(x["c_r"], x["d_f"], x["l_f"], x["k_f"], p)
+        u = _upsilon_vec(x[2], x[5], x[6], x[7], p)
         flows, capital_ok, _, capped = _flows(x, u, p)
-        crunch_steps += int((~capital_ok).sum())
-        cap_steps += int(capped.sum())
+        crunch_steps += capital_ok.size - np.count_nonzero(capital_ok)
+        cap_steps += np.count_nonzero(capped)
         max_resid = np.maximum(max_resid, residual(x))
-        return [flows[k] for k in STOCK_NAMES]
+        return flows
 
     stochastic = p.sigma_c > 0 or p.sigma_k > 0 or p.sigma_s > 0 or p.sigma_lambda > 0
     run = MmcResult.run(
         drift, tuple(getattr(initial, k) for k in STOCK_NAMES), horizon, dt, paths, stream,
-        (lambda x: _diffusion(dict(zip(STOCK_NAMES, x)), p)) if stochastic else None,
+        (lambda x: _diffusion(x, p)) if stochastic else None,
         True, record_stride,
         loaded=tuple(STOCK_NAMES.index(k) for k in NOISE_NAMES),
         floors={STOCK_NAMES.index(k): C_R_FLOOR if k == "c_r" else 0.0 for k in FLOORED})
@@ -471,7 +469,7 @@ def simulate(
     run.y_f = np.minimum(_output(c_r, one_minus_u, s_f), p.nu_f * series["k_f"])
     run.price = c_r / (one_minus_u * s_f * series["lambda_w"]
                        * series["theta_w"] * series["n_w"])
-    run.credit_crunch_steps, run.capacity_cap_steps = crunch_steps, cap_steps
-    last = {k: v[-1] for k, v in series.items()}
+    run.credit_crunch_steps, run.capacity_cap_steps = int(crunch_steps), int(cap_steps)
+    last = np.array([rec[-1] for rec in run.records])
     run.max_identity_residual = float(np.maximum(max_resid, residual(last)))
     return run

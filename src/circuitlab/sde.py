@@ -5,11 +5,14 @@ growth rate and in the components they add.  `EulerPaths.run` takes every
 model's step: drift, noise, clamps, floors, a freezing cap and the record.
 It holds the state as one float array of shape (components, paths), row 0
 s_w and row 1 lambda_w, and advances the whole block with one ufunc per
-operation; each path's arithmetic is the same as if it ran alone.  A drift
-takes the components as separate rows and returns one array of shape
-(paths,) per component; a diffusion takes the stacked state and returns the
-noise loadings of the loaded rows, stacked the same way.  Each step's
-normals come from `PathNoise.rows`.
+operation; each path's arithmetic is the same as if it ran alone.  The
+drift is a kernel on that block: it takes the stacked state and returns one
+new array of the same shape, each model writing its rows into it, and
+`employment_drift` the rows of the pair.  A diffusion takes the stacked
+state and returns the noise loadings of the loaded rows, stacked the same
+way.  Each step's normals come from `PathNoise.rows`.  The loop's rules
+test with one reduction whether they fire and pay for their masks only when
+one does.
 The `EulerPaths` it returns is every circuit run's result: Goodwin returns
 it as it is, Keen and MMC as subclasses that add views of their extra
 components and what they derive from them.
@@ -84,18 +87,24 @@ def jacobi_noise(sigma_s: float, sigma_lambda: float) -> Callable | None:
     return lambda x: sig * jacobi(x[:2])
 
 
-def employment_drift(s, lam, growth, params, s_f=None):
-    """Drift of (s_w, lambda_w) given the employment growth rate.
+def employment_drift(pair, growth, params, out):
+    """Drift of the (s_w, lambda_w) block `pair`, shape (2, paths), given the
+    employment growth rate: written into `out`, an array of that shape (a
+    view of a model's drift block), and returned.
 
     ds_w/s_w = -(a - b lambda_w) and dlambda_w/lambda_w = growth; with
     params.omega > 0 the regularized form adds the barriers omega/lambda_u
-    and omega/s_f, with s_f = 1 - s_w unless the caller passes it."""
+    and omega/s_f, with (lambda_u, s_f) = 1 - (lambda_w, s_w).  The rows
+    take the operations of -(a - b lambda_w - omega/lambda_u) s_w and
+    (growth - omega/s_f) lambda_w in that order, so each equals its
+    per-row formula bit for bit, the sign of a zero included."""
+    np.subtract(params.a, params.b * pair[1], out=out[0])
+    out[1] = growth
     if params.omega > 0:
-        if s_f is None:
-            s_f = 1.0 - s
-        return (-(params.a - params.b * lam - params.omega / (1.0 - lam)) * s,
-                (growth - params.omega / s_f) * lam)
-    return -(params.a - params.b * lam) * s, growth * lam
+        out -= params.omega / (1.0 - pair[::-1])
+    np.negative(out[0], out=out[0])
+    out *= pair
+    return out
 
 
 @dataclass(eq=False)
@@ -149,22 +158,33 @@ class EulerPaths:
         of cls.
 
         The state is one array x of shape (components, paths).  Each step is
-        x + drift(*x) dt, plus diffusion(x)[j] sqrt(dt) z_j on row loaded[j];
+        x + drift(x) dt, plus diffusion(x)[j] sqrt(dt) z_j on row loaded[j];
         the normals z are drawn in the order of `loaded`, and diffusion=None
-        makes the run deterministic.  drift gets one row per component and
-        must return one array of shape (paths,) per component; any other
-        shape raises ValueError instead of broadcasting.  diffusion gets the
-        stacked x and returns the loadings of the `loaded` rows, shape
-        (len(loaded), paths).  Regularized or stochastic runs clamp the pair
-        to [CLAMP_EPS, 1 - CLAMP_EPS] after each step and count the paths
-        clamped.  A component i in `floors` is raised to floors[i] after each
-        step, and each raised entry is a floor hit.  With a cap, a path whose
-        first extra component exceeds it freezes at that step and the
-        crossing time is reported; its state at the crossing stays out of the
-        extremes.  A running path whose pair turns NaN makes that component's
-        range NaN.  `records` holds one (recorded step, path) view per
-        component of a single (components, recorded steps, paths) array.
-        A non-finite initial component raises ValueError naming it.
+        makes the run deterministic.  drift gets the stacked x and must
+        return one array of x's shape, which the loop does not write; any
+        other shape raises ValueError instead of broadcasting.  diffusion
+        gets the stacked x and returns the loadings of the `loaded` rows,
+        shape (len(loaded), paths).  Regularized or stochastic runs clamp the
+        pair to [CLAMP_EPS, 1 - CLAMP_EPS] after each step and count the
+        paths clamped.  A component i in `floors` is raised to floors[i]
+        after each step, and each raised entry is a floor hit; an entry at
+        its floor is set to it, so a -0.0 at a 0.0 floor comes out +0.0.
+        With a cap, a path whose first extra component exceeds it freezes at
+        that step and the crossing time is reported; its state at the
+        crossing stays out of the extremes.  A running path whose pair turns
+        NaN makes that component's range NaN.  `records` holds one (recorded
+        step, path) view per component of a single (components, recorded
+        steps, paths) array.  A non-finite initial component raises
+        ValueError naming it.
+
+        A step pays only for the rules that fire.  The clamp tests with one
+        min and one max reduction, the cap with one max while no path is
+        frozen, and the floors with one count of the entries at or below
+        them; masks are built only when a test fires, and the extremes take
+        no mask until a path freezes.  A NaN fails the clamp and cap tests,
+        so it takes their masked path, and passes a floor unchanged either
+        way.  The outputs are those of applying every rule to every path at
+        every step, bit for bit.
         """
         rec_idx = record_index(horizon, dt, record_stride)
         if not (isinstance(paths, numbers.Integral) and paths >= 1):
@@ -182,6 +202,7 @@ class EulerPaths:
         x = np.repeat(np.array(initial, dtype=float)[:, None], paths, axis=1)
         records = np.empty((len(x), len(rec_idx), paths))
         records[:, 0] = x
+        rec_steps = rec_idx.tolist()
         next_rec = 1
 
         zs = (PathNoise(stream or RngStream(0), paths).rows(n_steps, len(loaded))
@@ -204,8 +225,11 @@ class EulerPaths:
         running = True
 
         for k, z in enumerate(zs, start=1):
-            nxt = _drift_block(drift, x)
-            nxt *= dt
+            d = drift(x)
+            if getattr(d, "shape", None) != x.shape:
+                raise ValueError(f"drift must return one array of shape {x.shape}, the "
+                                 f"stacked state's; got {getattr(d, 'shape', type(d).__name__)}")
+            nxt = np.multiply(d, dt)
             # x first: of two NaN operands, the first one's sign survives
             np.add(x, nxt, out=nxt)
             if stochastic:
@@ -215,33 +239,40 @@ class EulerPaths:
                 nxt[loaded_rows] += load
             if clamp:
                 pair = nxt[:2]
-                out = (pair < lo) | (pair > hi)
-                clamped += np.count_nonzero((out[0] | out[1]) & running)
-                np.maximum(pair, lo, out=pair)
-                np.minimum(pair, hi, out=pair)
+                if not (pair.min() >= lo and pair.max() <= hi):
+                    out = (pair < lo) | (pair > hi)
+                    clamped += np.count_nonzero((out[0] | out[1]) & running)
+                    np.maximum(pair, lo, out=pair)
+                    np.minimum(pair, hi, out=pair)
             if floors:
                 held = nxt[floored_rows]
-                floored += np.count_nonzero((held < floor_values) & running)
-                np.maximum(held, floor_values, out=held)
-                nxt[floored_rows] = held    # a no-op when held is a view
+                # an entry above its floor, or NaN, passes np.maximum unchanged
+                if np.count_nonzero(held <= floor_values):
+                    floored += np.count_nonzero((held < floor_values) & running)
+                    np.maximum(held, floor_values, out=held)
+                    nxt[floored_rows] = held    # a no-op when held is a view
             # paths frozen at the cap keep their last state
             x = nxt if running is True else np.where(alive, nxt, x)
-            if cap is not None:
+            if cap is not None and not (running is True and x[2].max() <= cap):
                 blown = alive & (x[2] > cap)
-                if np.any(blown):
+                if blown.any():
                     cap_times[blown] = k * dt
                     alive &= ~blown
                     running = alive
-            np.minimum(lows, x[:2], out=lows, where=running)
-            np.maximum(highs, x[:2], out=highs, where=running)
-            if next_rec < len(rec_idx) and k == rec_idx[next_rec]:
+            if running is True:
+                np.minimum(lows, x[:2], out=lows)
+                np.maximum(highs, x[:2], out=highs)
+            else:
+                np.minimum(lows, x[:2], out=lows, where=running)
+                np.maximum(highs, x[:2], out=highs, where=running)
+            if next_rec < len(rec_steps) and k == rec_steps[next_rec]:
                 records[:, next_rec] = x
                 next_rec += 1
 
         s_range, lambda_range = ((float(low.min()), float(high.max()))
                                  for low, high in zip(lows, highs))
-        return cls(t=rec_idx * dt, records=list(records), clamp_events=clamped,
-                   floor_hits=floored, total_steps=n_steps * paths,
+        return cls(t=rec_idx * dt, records=list(records), clamp_events=int(clamped),
+                   floor_hits=int(floored), total_steps=n_steps * paths,
                    s_range=s_range, lambda_range=lambda_range, cap_times=cap_times)
 
 
@@ -252,17 +283,3 @@ def _rows(indices) -> slice | np.ndarray:
     if idx.size and np.array_equal(idx, np.arange(idx[0], idx[0] + idx.size)):
         return slice(int(idx[0]), int(idx[0]) + idx.size)
     return idx
-
-
-def _drift_block(drift: Callable, x: np.ndarray) -> np.ndarray:
-    """drift(*x) stacked into a new array of x's shape, (components, paths)."""
-    d = drift(*x)
-    try:
-        block = np.array(d)
-        shape = block.shape
-    except ValueError:  # components of unequal shapes
-        shape = "unequal shapes"
-    if shape != x.shape:
-        raise ValueError(f"drift must return {len(x)} arrays of shape ({x.shape[1]},), "
-                         f"one per component; got {shape}")
-    return block

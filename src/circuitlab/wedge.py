@@ -103,6 +103,17 @@ INTERIOR_LEVELS = 8
 # and `_q1_once`)
 TIME_LEVELS = 8
 FACE_LEVELS = 3
+# the same for `conservation_check`, whose faces run to the axes: a source
+# near a face puts a first-passage peak of width about its distance on that
+# face at s -> 0, which Q1's levels leave unresolved over long horizons
+# (1 - 6.7e-3 at rho = -0.9, source (0.3, 0.3), calendar horizon 150)
+CHECK_TIME_LEVELS = 16
+CHECK_FACE_LEVELS = 8
+# a flux quadrature evaluates at most FLUX_BATCH points per boundary_flux
+# call (whole time nodes each), which bounds the series' working arrays: Q1
+# on the default spec takes one call per rule (44,640 and 57,024 points at
+# the benchmark's source), the conservation check's finer rules four each
+FLUX_BATCH = 2**16
 
 
 class SeriesError(RuntimeError):
@@ -382,10 +393,12 @@ def wedge_green(ctx: WedgeContext, t: float, x1, x2, x_src) -> np.ndarray:
     xs1, xs2 = _source(x_src)
     r, phi = ctx.polar(x1, x2)
     r_src, phi_src = ctx.polar(xs1, xs2)
-    gauss = np.exp(-((r - r_src) ** 2) / (2.0 * t))
-    tilt = np.exp(-0.5 * ctx.theta_dot_xi * t
-                  + ctx.theta[0] * (x1 - xs1) + ctx.theta[1] * (x2 - xs2))
-    scale = tilt * 2.0 / (ctx.rho_bar * ctx.varpi * t) * gauss
+    # one exponential of the drift tilt's and the Gaussian's summed exponents:
+    # apart, the tilt overflows where the Gaussian underflows as rho -> -1
+    log_tilt = (-0.5 * ctx.theta_dot_xi * t
+                + ctx.theta[0] * (x1 - xs1) + ctx.theta[1] * (x2 - xs2))
+    weight = np.exp(log_tilt - (r - r_src) ** 2 / (2.0 * t))
+    scale = weight * 2.0 / (ctx.rho_bar * ctx.varpi * t)
     return _evaluate(ctx, scale, r * r_src / t, phi, phi_src)
 
 
@@ -408,16 +421,17 @@ def boundary_flux(ctx: WedgeContext, t, coord, x_src, face: int = 2) -> np.ndarr
     t, coord = np.broadcast_arrays(t, coord)
     xs1, xs2 = _source(x_src)
     r_src, phi_src = ctx.polar(xs1, xs2)
-    gauss = np.exp(-((coord / ctx.rho_bar - r_src) ** 2) / (2.0 * t))
     drift_component = ctx.theta[0] if face == 2 else ctx.theta[1]
-    tilt = np.exp(-0.5 * ctx.theta_dot_xi * t + drift_component * coord
-                  - ctx.theta[0] * xs1 - ctx.theta[1] * xs2)
+    # one exponential of the summed exponents, as in wedge_green
+    log_tilt = (-0.5 * ctx.theta_dot_xi * t + drift_component * coord
+                - ctx.theta[0] * xs1 - ctx.theta[1] * xs2)
+    weight = np.exp(log_tilt - (coord / ctx.rho_bar - r_src) ** 2 / (2.0 * t))
     with np.errstate(divide="ignore", invalid="ignore"):
         base = np.where(coord > 0, 2.0 / (ctx.varpi * t * coord), 0.0)
     # the inward normal derivative: +d/dphi on face 1 (phi = 0), -d/dphi on
     # face 2 (phi = varpi, where cos(nu_n varpi) = (-1)^n alternates the series)
     face_phi, inward = (0.0, 1.0) if face == 1 else (ctx.varpi, -1.0)
-    return _evaluate(ctx, inward * 0.5 * tilt * base * gauss,
+    return _evaluate(ctx, inward * 0.5 * weight * base,
                      coord * r_src / (ctx.rho_bar * t), face_phi, phi_src, slope=True)
 
 
@@ -456,12 +470,6 @@ def _graded_edges(a: float, b: float, panels: int, lo: int = 0, hi: int = 0) -> 
     if hi:
         parts.append(b - h * np.r_[0.5 ** np.arange(1, hi + 1), 0.0])
     return np.concatenate(parts)
-
-
-def _gl_panels_graded(cut: float, panels: int, order: int):
-    """Panels on (0, cut] refined geometrically toward 0, where absorbed
-    densities behave like fractional powers x^(nu_1 - 1)."""
-    return _gl_on_edges(_graded_edges(0.0, cut, max(panels // 2, 2), lo=GRADED_LEVELS), order)
 
 
 @dataclass(frozen=True)
@@ -514,14 +522,16 @@ def _terminal_integral(wctx: WedgeContext, t: float, x_src,
 
 
 def _flux_integral(wctx: WedgeContext, t_bar: float, x_src, face: int,
-                   nodes, weights, spec: QuadratureSpec, survival=lambda tau: 1.0) -> float:
+                   nodes, weights, spec: QuadratureSpec, survival=lambda tau: 1.0,
+                   time_levels: int = TIME_LEVELS) -> float:
     """Integral over s in [0, T] and the face nodes of the boundary flux at
-    time s times survival(T - s), as one flat boundary_flux batch.
+    time s times survival(T - s), in flat boundary_flux batches of at most
+    FLUX_BATCH points.
     Substituting s = T - u^2 makes a remaining-life survival smooth in the
     integration variable (it depends on u = sqrt(tau) directly).
 
     The u rule on [0, sqrt(T)] keeps spec.time_panels uniform panels in the
-    middle and TIME_LEVELS geometric levels at each end, where the integrand
+    middle and `time_levels` geometric levels at each end, where the integrand
     has a layer: at u -> 0 the remaining-life survival steps at the shifted
     terminal level, and at u -> sqrt(T) sits the first-passage peak at s ->
     0 (s ~ 2 sqrt(T) (sqrt(T) - u)).  On uniform panels Q1's error fell only
@@ -530,7 +540,7 @@ def _flux_integral(wctx: WedgeContext, t_bar: float, x_src, face: int,
     up to 7e-10 at sources near bank 2's boundary (x2' = 0.5, horizon 40)."""
     xs_other = float(x_src[face - 1])
     u_nodes, u_weights = _gl_on_edges(
-        _graded_edges(0.0, math.sqrt(t_bar), spec.time_panels, TIME_LEVELS, TIME_LEVELS), 10)
+        _graded_edges(0.0, math.sqrt(t_bar), spec.time_panels, time_levels, time_levels), 10)
     t_all, w_all = [], []
     for u, wu in zip(u_nodes, u_weights):
         s = t_bar - u * u
@@ -539,11 +549,13 @@ def _flux_integral(wctx: WedgeContext, t_bar: float, x_src, face: int,
             continue
         t_all.append(np.full_like(nodes, s))
         w_all.append(2.0 * u * wu * weights * survival(u * u))
-    if not t_all:
-        return 0.0
-    g = boundary_flux(wctx, np.concatenate(t_all), np.tile(nodes, len(t_all)),
-                      x_src, face=face)
-    return float(np.dot(np.concatenate(w_all), g))
+    per_call = max(1, FLUX_BATCH // len(nodes))
+    total = 0.0
+    for k in range(0, len(t_all), per_call):
+        ts, ws = t_all[k:k + per_call], w_all[k:k + per_call]
+        g = boundary_flux(wctx, np.concatenate(ts), np.tile(nodes, len(ts)), x_src, face=face)
+        total += float(np.dot(np.concatenate(ws), g))
+    return total
 
 
 def _lower_face_panels(panels: int) -> int:
@@ -620,18 +632,20 @@ def marginal_survival_Q1(net: BankNetwork, x_src, horizon: float,
                     spec or QuadratureSpec(), "marginal-survival")
 
 
-def _edges_toward(a: float, b: float, panels: int, x: float) -> np.ndarray:
-    """Panel edges on [a, b] graded by FACE_LEVELS toward x: inside (a, b)
-    from both sides of x, each side with half the panels rounded up (so a
-    1.5x refinement of two or more panels refines both), else toward the end
-    nearer x."""
+def _edges_toward(a: float, b: float, panels: int, x: float, lo: int = 0,
+                  levels: int = FACE_LEVELS) -> np.ndarray:
+    """Panel edges on [a, b] graded by `levels` toward x: inside (a, b) from
+    both sides of x, each side with half the panels rounded up (so a 1.5x
+    refinement of two or more panels refines both), else toward the end
+    nearer x.  `lo` more levels grade toward a, for a face that ends on an
+    axis."""
     if x <= a:
-        return _graded_edges(a, b, panels, lo=FACE_LEVELS)
+        return _graded_edges(a, b, panels, lo=max(lo, levels))
     if x >= b:
-        return _graded_edges(a, b, panels, hi=FACE_LEVELS)
+        return _graded_edges(a, b, panels, lo=lo, hi=levels)
     half = (panels + 1) // 2
-    return np.concatenate([_graded_edges(a, x, half, hi=FACE_LEVELS),
-                           _graded_edges(x, b, half, lo=FACE_LEVELS)[1:]])
+    return np.concatenate([_graded_edges(a, x, half, lo=lo, hi=levels),
+                           _graded_edges(x, b, half, lo=levels)[1:]])
 
 
 def _q1_once(wctx: WedgeContext, dom: TwoBankDomains, x_src, t_bar: float,
@@ -674,20 +688,32 @@ def _q1_once(wctx: WedgeContext, dom: TwoBankDomains, x_src, t_bar: float,
 
 
 def conservation_check(net: BankNetwork, x_src, horizon: float) -> dict:
-    """Interior mass plus cumulative boundary outflow; must total 1.  Like the
-    face fluxes, the interior rule is graded toward both axes (by
-    INTERIOR_LEVELS), so on the default QuadratureSpec it totals 1 within
-    1e-14 for rho in {0, +-0.5, 0.3} and calendar horizons 3.125-125.  A
-    uniform interior on the same spec was up to 2.6e-8 off; the earlier
-    rule, uniform on 8 panels, was 1.5e-4 off at horizon 125."""
-    spec = QuadratureSpec()
+    """Interior mass plus cumulative boundary outflow; must total 1.  The
+    interior rule is graded toward both axes (by INTERIOR_LEVELS), and each
+    face rule by GRADED_LEVELS toward the axis, where the flux behaves like
+    x^(nu_1 - 1), and by CHECK_FACE_LEVELS toward the source's projection on
+    the face, where a source near that face puts a flux peak of width about
+    its distance; the time rules take CHECK_TIME_LEVELS at each end.  On
+    the default QuadratureSpec `err` is `_refined`'s estimate, which must
+    meet the spec's target; the parts are those of the finer rule.  A face
+    rule graded only toward the axis totalled 1 - 1.8e-3 at rho = -0.612,
+    source (4.75, 0.41) and calendar horizon 4.4; this one totals 1 within
+    1.6e-10 over rho in [-0.9, 0.9], sources in [0.3, 5]^2 and calendar
+    horizons 1-150 (`tests/test_wedge.py`)."""
     _, wctx, t_bar = _frame(net, horizon)
     u1, u2 = _upper_cuts(x_src, wctx.xi, t_bar)
-    interior = _terminal_integral(wctx, t_bar, x_src, 0.0, u1, 0.0, u2, spec, INTERIOR_LEVELS)
+    xs1, xs2 = _source(x_src)
+    parts = {}
 
-    flux = {face: _flux_integral(wctx, t_bar, x_src, face,
-                                 *_gl_panels_graded(cut, spec.panels, spec.order), spec)
-            for face, cut in ((2, u1), (1, u2))}
-    total = interior + flux[1] + flux[2]
-    return {"interior": interior, "flux_face1": flux[1],
-            "flux_face2": flux[2], "total": total}
+    def total(s: QuadratureSpec) -> float:
+        parts["interior"] = _terminal_integral(wctx, t_bar, x_src, 0.0, u1, 0.0, u2, s,
+                                               INTERIOR_LEVELS)
+        for face, cut, proj in ((2, u1, xs1), (1, u2, xs2)):
+            nodes, weights = _gl_on_edges(_edges_toward(
+                0.0, cut, s.panels, proj, lo=GRADED_LEVELS, levels=CHECK_FACE_LEVELS), s.order)
+            parts[f"flux_face{face}"] = _flux_integral(
+                wctx, t_bar, x_src, face, nodes, weights, s, time_levels=CHECK_TIME_LEVELS)
+        return parts["interior"] + parts["flux_face1"] + parts["flux_face2"]
+
+    value, err = _refined(total, QuadratureSpec(), "conservation")
+    return {**parts, "total": value, "err": err}

@@ -15,7 +15,6 @@ from circuitlab.dividend import (
     FIG13_PARAMS,
     EquityParams,
     SymbolCoefficients,
-    jump_integral,
     solve_variational,
     stationary_barrier,
     symbol,
@@ -127,6 +126,22 @@ def test_barrier_increases_with_volatility():
                          lambda1=0.05, delta1=3.0, lambda2=0.02, delta2=1.0)
         es.append(stationary_barrier(p).e_star)
     assert all(b > a for a, b in zip(es, es[1:]))
+
+
+def jump_integral(v: np.ndarray, grid: np.ndarray, delta: float) -> np.ndarray:
+    """I(E) = delta * int_0^E V(u) e^{-delta (E-u)} du for piecewise-linear V,
+    via the exact per-cell exponential update of I' = delta (V - I), one cell
+    at a time: the Python-loop reference for `dividend._jump_scans`."""
+    h = grid[1] - grid[0]
+    decay, w0, w1 = dividend._cell_weights(delta, h)
+    out = np.empty_like(v)
+    out[0] = 0.0
+    slope = np.diff(v) / h
+    acc = 0.0
+    for k in range(len(v) - 1):
+        acc = acc * decay + v[k] * w0 + slope[k] * w1
+        out[k + 1] = acc
+    return out
 
 
 def test_jump_integral_matches_quadrature():

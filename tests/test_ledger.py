@@ -1,8 +1,11 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circuitlab.ledger import (
+    EVENT_KINDS,
     BankLedger,
     LedgerError,
     LedgerEvent,
@@ -182,3 +185,69 @@ def test_non_finite_entries_rejected(bad):
                     LedgerEvent("issue_loan_single", 2.0))
     with pytest.raises(LedgerError, match="amount"):
         two_bank_creation(STEP_I[0], STEP_I[1], amount=bad)
+
+
+# --------------------------------------------------------------------------
+# the balance identity as a property over random event sequences
+
+entry = st.floats(0.0, 50.0)
+
+
+@st.composite
+def balanced_ledger(draw):
+    """A ledger whose equity is its assets less its liabilities."""
+    ext, inter, cash, dep, ib = (draw(entry) for _ in range(5))
+    return BankLedger(ext, inter, cash, dep, ib, equity=ext + inter + cash - dep - ib)
+
+
+@st.composite
+def ledger_event(draw, n_banks: int):
+    """Any event on any bank, feasible or not: amounts up to twice the
+    entries, counterparties anywhere in the book or outside it."""
+    kind = draw(st.sampled_from(EVENT_KINDS))
+    bank = draw(st.integers(0, n_banks - 1))
+    counterparty = (draw(st.one_of(st.none(), st.integers(-1, n_banks)))
+                    if kind == "interbank_lend" else None)
+    return LedgerEvent(kind, draw(st.floats(1e-3, 100.0)), bank=bank,
+                       counterparty=counterparty, interest=draw(st.floats(0.0, 5.0)))
+
+
+def _feasible(ledgers, ev, haircut):
+    """Whether `apply_event` should post `ev`: the precondition of its kind."""
+    b = ledgers[ev.bank]
+    a = ev.amount
+    return {
+        "issue_loan_single": True,
+        "repay_with_interest": b.external_assets >= a and b.external_liabilities >= a,
+        "default_loss": b.external_assets >= a,
+        "lend_from_cash": b.cash >= a,
+        "deposit_at_other": True,
+        "interbank_lend": (ev.counterparty in range(len(ledgers))
+                           and ev.counterparty != ev.bank and b.cash >= a),
+        "central_bank_repo": b.external_assets >= a * (1.0 + haircut),
+    }[ev.kind]
+
+
+# money created (+) or destroyed (-) by each kind, in units of the amount
+MONEY = {"issue_loan_single": 1.0, "repay_with_interest": -1.0, "deposit_at_other": 1.0}
+
+
+@settings(deadline=None, max_examples=150)
+@given(data=st.data(), n_banks=st.integers(1, 4), haircut=st.floats(0.0, 0.5),
+       n_events=st.integers(1, 25))
+def test_every_event_keeps_the_identity_or_is_refused(data, n_banks, haircut, n_events):
+    ledgers = data.draw(st.lists(balanced_ledger(), min_size=n_banks, max_size=n_banks))
+    for _ in range(n_events):
+        ev = data.draw(ledger_event(n_banks))
+        before = list(ledgers)
+        if not _feasible(ledgers, ev, haircut):
+            with pytest.raises(LedgerError):
+                apply_event(ledgers, ev, repo_haircut=haircut)
+            assert ledgers == before
+            continue
+        ledgers, delta = apply_event(ledgers, ev, repo_haircut=haircut)
+        for b in ledgers:
+            assert abs(b.balance_residual()) < 1e-12
+        assert delta == pytest.approx(MONEY.get(ev.kind, 0.0) * ev.amount, abs=1e-9)
+        untouched = set(range(n_banks)) - {ev.bank, ev.counterparty}
+        assert all(ledgers[k] == before[k] for k in untouched)

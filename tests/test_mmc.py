@@ -210,7 +210,7 @@ def test_a_nan_identity_residual_is_reported(monkeypatch):
 
     def nan_capital(x, u, p):
         drift, *rest = flows(x, u, p)
-        drift["k_b"] = drift["k_b"] * np.nan
+        drift[mmc.STOCK_NAMES.index("k_b")] *= np.nan
         return (drift, *rest)
 
     monkeypatch.setattr(mmc, "_flows", nan_capital)

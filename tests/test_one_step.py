@@ -139,7 +139,7 @@ def test_record_stride_keeps_the_stride_one_rows(model, state, params, options, 
 def test_floors_raise_and_count():
     # a component falling at rate 1 from 0.25 crosses its zero floor at the
     # third of ten steps and is held there: eight hits on each of two paths
-    run = sde.EulerPaths.run(lambda s, lam, y: (0.0 * s, 0.0 * lam, -1.0 + 0.0 * y),
+    run = sde.EulerPaths.run(lambda x: np.array([[0.0], [0.0], [-1.0]]) + 0.0 * x,
                              (0.5, 0.5, 0.25), horizon=1.0, dt=0.1, paths=2, stream=None,
                              diffusion=None, regularized=False,
                              record_stride=1, floors={2: 0.0})
@@ -150,7 +150,7 @@ def test_floors_raise_and_count():
 def test_a_nan_state_makes_its_range_nan():
     # path 1's s_w turns NaN at the first step; the range covers every path
     # still running, so it reads NaN, and lambda_w's stays finite
-    run = sde.EulerPaths.run(lambda s, lam: (np.array([0.0, np.nan]) * s, 0.0 * lam),
+    run = sde.EulerPaths.run(lambda x: np.array([[0.0, np.nan], [0.0, 0.0]]) * x,
                              (0.5, 0.5), horizon=0.3, dt=0.1, paths=2, stream=None,
                              diffusion=None, regularized=False, record_stride=1)
     assert np.isnan(run.s_range).all() and run.lambda_range == (0.5, 0.5)
@@ -170,10 +170,11 @@ def test_a_non_finite_initial_component_is_rejected_by_name(model, state, params
 
 
 def test_a_drift_of_the_wrong_shape_is_rejected():
-    for bad in (lambda s, lam: (0.0, 0.0),          # scalars would broadcast
-                lambda s, lam: (s, lam[:1]),        # unequal shapes
-                lambda s, lam: (s,)):               # a component missing
-        with pytest.raises(ValueError, match=r"drift must return 2 arrays of shape \(3,\)"):
+    for bad in (lambda x: 0.0,                      # a scalar would broadcast
+                lambda x: x[:, :1],                 # one path would broadcast
+                lambda x: x[:1],                    # a component missing
+                lambda x: (x[0], x[1])):            # rows, not one block
+        with pytest.raises(ValueError, match=r"drift must return one array of shape \(2, 3\)"):
             sde.EulerPaths.run(bad, (0.5, 0.5), horizon=0.1, dt=0.1, paths=3, stream=None,
                                diffusion=None, regularized=False, record_stride=1)
 
@@ -181,8 +182,9 @@ def test_a_drift_of_the_wrong_shape_is_rejected():
 def _per_component_run(drift, initial, horizon, dt, paths, stream, diffusion, regularized,
                        record_stride, loaded, floors, cap):
     """EulerPaths.run as it was before the state was stacked: one array per
-    component and each rule applied component by component.  Only the
-    diffusion call is adapted: it gets the stacked state."""
+    component and each rule applied component by component.  Only the drift
+    and diffusion calls are adapted: they get the stacked state, and the
+    drift's block is taken row by row."""
     rec_idx = sde.record_index(horizon, dt, record_stride)
     stochastic = diffusion is not None
     clamp = regularized or stochastic
@@ -202,7 +204,7 @@ def _per_component_run(drift, initial, horizon, dt, paths, stream, diffusion, re
     cap_times = None if cap is None else np.full(paths, np.nan)
     alive = np.ones(paths, dtype=bool)
     for k, z in enumerate(zs, start=1):
-        nxt = [v + d * dt for v, d in zip(x, drift(*x))]
+        nxt = [v + d * dt for v, d in zip(x, drift(np.array(x)))]
         if stochastic:
             for i, load, z_i in zip(loaded, diffusion(np.array(x)), z):
                 nxt[i] += load * sqdt * z_i
@@ -241,13 +243,18 @@ def _bytes(value):
 
 
 # loaded rows (0, 1) and floor rows (2, 3) index by slice, the others by
-# array.  The example holds a -0.0 at a 0.0 floor: np.maximum turns it into
-# +0.0, so a loop that skipped the maximum where nothing is below the floor
-# would keep the sign bit.
+# array.  The first example holds a -0.0 at a 0.0 floor: np.maximum turns it
+# into +0.0, so a loop that skipped the maximum where nothing is below the
+# floor would keep the sign bit.  In the second, path 0 turns NaN while the
+# others clamp and cross the cap: a loop whose one-reduction tests let a NaN
+# hide the other paths would skip their clamps and freezes.
 @settings(deadline=None, max_examples=80)
 @example(paths=2, n_steps=3, stride=1, dt=0.01, seed=0, s=0.5, lam=0.5, g=1.0, y=-0.0,
          sigma=(0.0, 0.0, 0.0), regularized=False, stochastic=False, loaded=(0, 1),
          floor_rows=(3,), floor_level=0.0, rates=(0.0, 0.0), cap=None, nan_path=None)
+@example(paths=3, n_steps=40, stride=1, dt=0.05, seed=3, s=0.02, lam=0.98, g=1.0, y=0.0,
+         sigma=(0.6, 0.6, 0.0), regularized=True, stochastic=True, loaded=(0, 1),
+         floor_rows=(), floor_level=0.0, rates=(3.0, 0.0), cap=1.5, nan_path=0)
 @given(paths=st.integers(1, 9), n_steps=st.integers(1, 40), stride=st.integers(1, 7),
        dt=st.floats(1e-3, 0.05), seed=st.integers(0, 2**32 - 1),
        s=st.floats(0.02, 0.98), lam=st.floats(0.02, 0.98),
@@ -270,9 +277,14 @@ def test_stacked_run_is_byte_equal_to_the_per_component_loop(
         poison[nan_path % paths] = np.nan
     growth, fall = rates
 
-    def drift(s, lam, g, y):
-        ds, dl = sde.employment_drift(s, lam, params.c - params.d * s, params)
-        return ds + poison * s, dl, growth * g, -fall + 0.0 * y
+    def drift(x):
+        out = np.empty_like(x)
+        sde.employment_drift(x[:2], params.c - params.d * x[0], params, out[:2])
+        out[0] += poison * x[0]
+        np.multiply(growth, x[2], out=out[2])
+        out[2] += poison
+        np.add(-fall, 0.0 * x[3], out=out[3])
+        return out
 
     sig = np.array([[sigma[0]], [sigma[1]]])
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -170,6 +171,27 @@ def test_conservation_with_correlation():
     assert abs(res["total"] - 1.0) < 1e-10
 
 
+# the largest |total - 1| measured over 262 draws of this range (a grid with
+# its corners, 80 random draws and the first two examples) was 1.6e-10, at
+# the third example; the first two once totalled 1 - 1.8e-3 and 1 + 1.8e-8,
+# and a source 0.3 from both faces over horizon 150 missed the rule's own
+# target, when the face rules were graded only toward the axes
+CONSERVATION_BOUND = 2e-10
+
+
+@settings(deadline=None, max_examples=12)
+@example(rho=-0.612, x1=4.75, x2=0.41, log_horizon=math.log(4.4))
+@example(rho=0.139, x1=2.26, x2=0.31, log_horizon=math.log(53.4))
+@example(rho=-0.9, x1=5.0, x2=5.0, log_horizon=math.log(150.0))
+@example(rho=-0.9, x1=0.3, x2=0.3, log_horizon=math.log(150.0))
+@given(rho=st.floats(-0.9, 0.9), x1=st.floats(0.3, 5.0), x2=st.floats(0.3, 5.0),
+       log_horizon=st.floats(0.0, math.log(150.0)))
+def test_conservation_holds_for_sources_near_a_face(rho, x1, x2, log_horizon):
+    res = conservation_check(fig15_network(rho=rho), (x1, x2), math.exp(log_horizon))
+    assert abs(res["total"] - 1.0) < CONSERVATION_BOUND
+    assert res["err"] <= QuadratureSpec().target
+
+
 def test_domain_endpoint_identities():
     # Theta_i(0) lands on the post-removal terminal level and
     # Theta_i(M_other) on the bank's own terminal level
@@ -327,6 +349,26 @@ def test_missed_target_raises_quadrature_error():
     with pytest.raises(QuadratureError, match="marginal-survival quadrature achieved only"):
         marginal_survival_Q1(fig15_network(), (2.0, 2.0), 12.5, spec)
     assert issubclass(QuadratureError, RuntimeError)
+
+
+# the Fig 15 network as rho -> -1 (the wedge closes): the drift tilt's
+# exponential once overflowed where the Gaussian's underflowed, which gave
+# (inf, nan) at -0.999, "achieved only inf" at -0.9999 and a silent
+# (0.0, 4e-48) at -0.99999.  Past -0.995 the rule misses its target by name
+@pytest.mark.parametrize("rho, resolved", [
+    (-0.99, True), (-0.995, True), (-0.999, False), (-0.9999, False), (-0.99999, False)])
+def test_q1_near_perfect_anticorrelation_is_finite_or_named(rho, resolved):
+    net = fig15_network(rho=rho)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)     # no overflow, no NaN
+        if not resolved:
+            with pytest.raises(QuadratureError, match="marginal-survival quadrature"):
+                marginal_survival_Q1(net, (2.0, 2.0), 12.5)
+            return
+        q1, err = marginal_survival_Q1(net, (2.0, 2.0), 12.5)
+    assert math.isfinite(err) and err <= QuadratureSpec().target
+    # Q1 levels off as the wedge closes: 0.13100 at -0.99, 0.13113 at -0.995
+    assert 0.1305 < q1 < 0.1315
 
 
 @pytest.mark.parametrize("horizon", [math.nan, math.inf, -1.0, 0.0])
