@@ -282,8 +282,12 @@ def constant_control_search(
     The whole grid is one batched `evolve` run.  The table lists the
     controls in `itertools.product` order over (phi, psi, omega, pi,
     delta); the best record is the first maximum among feasible ones.  An
-    empty feasible set is reported, not raised."""
+    empty feasible set is reported, not raised; a grid key outside those
+    five raises ValueError naming it."""
     names = ("phi", "psi", "omega", "pi", "delta")
+    unknown = sorted(set(grid) - set(names))
+    if unknown:
+        raise ValueError(f"grid keys {unknown} are not controls; expected some of {names}")
     axes = [np.atleast_1d(np.asarray(grid.get(n, [0.0]), dtype=float)) for n in names]
     mesh = [m.ravel() for m in np.meshgrid(*axes, indexing="ij")]
     traj = evolve(initial, params, Controls(**dict(zip(names, mesh))), horizon, dt)

@@ -49,6 +49,11 @@ class KeenParams:
             raise ValueError("nu_f must be positive")
         if self.q <= 0:
             raise ValueError("q must be positive (profit response is increasing)")
+        # omega > 0 selects the regularized drift, so a negative one would
+        # run the classical drift without a word
+        for name in ("omega", "sigma_s", "sigma_lambda"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

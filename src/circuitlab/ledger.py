@@ -104,7 +104,10 @@ def apply_event(
 ) -> tuple[list[BankLedger], float]:
     """Post one event; returns the new ledgers and the money-supply delta.
     The event's bank, and its counterparty if it names one, must index
-    `ledgers`, and a bank is not its own counterparty."""
+    `ledgers`, and a bank is not its own counterparty; the repo haircut must
+    be finite and non-negative."""
+    if not (math.isfinite(repo_haircut) and repo_haircut >= 0):
+        raise LedgerError(f"repo_haircut must be finite and non-negative, got {repo_haircut}")
     out = list(ledgers)
     for role, k in (("bank", event.bank), ("counterparty", event.counterparty)):
         if k is not None and k not in range(len(out)):

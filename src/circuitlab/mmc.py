@@ -26,7 +26,7 @@ from .sde import EulerPaths, employment_drift, jacobi, require_finite
 
 __all__ = [
     "MmcParams", "MmcState", "MmcDerived", "MmcResult",
-    "net_interest", "logistic", "solve_upsilon", "derived_quantities",
+    "net_interest", "logistic", "derived_quantities",
     "mmc_drift_and_diffusion", "simulate", "FIG8_PARAMS", "FIG8_STATE",
 ]
 
@@ -81,7 +81,10 @@ class MmcParams:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
-        for name in ("xi_delta", "xi_a", "r_d", "r_l", "kappa_c", "upsilon1"):
+        # omega > 0 selects the regularized employment drift, so a negative
+        # one would run the classical drift without a word
+        for name in ("xi_delta", "xi_a", "r_d", "r_l", "kappa_c", "upsilon1", "omega",
+                     "sigma_c", "sigma_k", "sigma_s", "sigma_lambda"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
         if self.nu_f <= 0:
@@ -153,17 +156,11 @@ class UpsilonError(RuntimeError):
 # investment propensity this close to 1 is degenerate: the propensity
 # saturates and flows ~ C_r/(1-u) blow up there
 UPSILON_MAX = 1.0 - 1e-9
-# the damped fixed point of solve_upsilon stops once a step is below
-# UPSILON_TOL, which may take UPSILON_MAX_ITER iterations where phi'
-# approaches 1
-UPSILON_TOL = 1e-12
-UPSILON_MAX_ITER = 200
 # the Lambert W0 evaluation starts from the branch-point series in
-# p = sqrt(2 (1 + e x)) below W0_SERIES_X and from log1p(x) above; from
-# either start W0_HALLEY_STEPS Halley steps reach W0 to within 4e-14 of
-# scipy.special.lambertw on [-1/e, 0], a gap that is the conditioning of W0
-# near the branch point, and to rounding away from it
-W0_SERIES_X = -0.25
+# p = sqrt(2 (1 + e x)); W0_HALLEY_STEPS Halley steps from there reach W0 on
+# [-1/e, 0] to within 1.3e-14 absolute of mpmath, a gap that is the
+# conditioning of W0 near the branch point, and to within 1.7e-16 from
+# x = -0.3 on
 W0_HALLEY_STEPS = 3
 
 
@@ -174,45 +171,14 @@ def _index_coeffs(c_r, d_f, l_f, k_f, p: MmcParams):
             p.upsilon0 + p.upsilon2 * d_f / k_f + p.upsilon3 * l_f / k_f)
 
 
-def solve_upsilon(state: MmcState, params: MmcParams) -> float:
-    """Investment propensity upsilon_f in (0, 1) by the damped fixed point:
-    the definitional form of the root that the simulator takes in closed form.
-
-    upsilon_f is the root of u = phi(u), phi = logistic(z(u)), on the stable
-    branch phi'(u) < 1.  The map has at most two roots (in v = u / (1 - u)
-    the condition reads ln v = 2 z, and ln v - 2 z is concave in v): the
-    stable one and, above it, an unstable one with phi' > 1.  Iterating
-    u <- u + (phi(u) - u) / 2 from logistic(upsilon_0) converges only to the
-    stable root.  Past the fold, where no root exists, the iterate
-    saturates and UpsilonError is raised, as it is when the iteration does
-    not converge.
-    """
-    if state.k_f <= 0:
-        raise ValueError("K_f must be positive")
-    if state.c_r <= 0:
-        raise ValueError("C_r must be positive")
-    a, b = _index_coeffs(state.c_r, state.d_f, state.l_f, state.k_f, params)
-    u = float(logistic(params.upsilon0))
-    for _ in range(UPSILON_MAX_ITER):
-        step = 0.5 * (float(logistic(b + a / (1.0 - u))) - u)
-        u += step
-        if u > UPSILON_MAX:
-            raise UpsilonError(
-                f"degenerate investment propensity: upsilon_f saturated at {u}"
-            )
-        if abs(step) < UPSILON_TOL:
-            return u
-    raise UpsilonError(
-        f"fixed-point iteration did not converge; last step {step:.3e}"
-    )
-
-
 def _lambert_w0(x):
     """Principal branch W0 of the Lambert function, w e^w = x, on [-1/e, 0]
-    (Corless, Gonnet, Hare, Jeffrey & Knuth 1996, Adv. Comput. Math. 5)."""
+    (Corless, Gonnet, Hare, Jeffrey & Knuth 1996, Adv. Comput. Math. 5),
+    from the branch-point series alone.  Its error is absolute: for |x|
+    below about 1e-10, where W0(x) ~ x, it is under 1e-23 but not small
+    relative to W0; the propensity only adds W0 to the index."""
     p = np.sqrt(np.maximum(2.0 * (1.0 + np.e * x), 0.0))
-    w = np.where(x < W0_SERIES_X,
-                 -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0))), np.log1p(x))
+    w = -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0)))
     for _ in range(W0_HALLEY_STEPS):
         ew, w1 = np.exp(w), w + 1.0
         f = w * ew - x
@@ -224,7 +190,9 @@ def _lambert_w0(x):
 
 
 def _upsilon_vec(c_r, d_f, l_f, k_f, params):
-    """Stable-branch propensity in closed form, vectorised over paths.
+    """Stable-branch propensity in closed form, vectorised over paths: the
+    model's one propensity solver, which the simulator runs on its rows and
+    the scalar entry points on one state's.
 
     With v = u / (1 - u), u = logistic(b + a / (1 - u)) reads
     ln v = 2b + 2a (1 + v), whose roots are v = -W(x) / (2a) with
@@ -245,6 +213,17 @@ def _upsilon_vec(c_r, d_f, l_f, k_f, params):
         bad = ~(log_minus_x <= -1.0) | (u > UPSILON_MAX)
         raise UpsilonError(f"degenerate investment propensity on {int(bad.sum())} path(s)")
     return u
+
+
+def _state_upsilon(state: MmcState, params: MmcParams) -> np.ndarray:
+    """The propensity at one state, shape (1,), as the simulator solves it
+    on a path's row; C_r and K_f must be positive."""
+    if state.k_f <= 0:
+        raise ValueError("K_f must be positive")
+    if state.c_r <= 0:
+        raise ValueError("C_r must be positive")
+    return _upsilon_vec(*(np.array([getattr(state, k)]) for k in ("c_r", "d_f", "l_f", "k_f")),
+                        params)
 
 
 @dataclass
@@ -274,8 +253,8 @@ class MmcDerived:
 
 def derived_quantities(state: MmcState, params: MmcParams) -> MmcDerived:
     """All intermediate flows implied by the current stocks, at the
-    fixed-point propensity (below UPSILON_MAX, or UpsilonError)."""
-    u = solve_upsilon(state, params)
+    simulator's propensity (below UPSILON_MAX, or UpsilonError)."""
+    u = float(_state_upsilon(state, params)[0])
     s_f = 1.0 - state.s_w
     ni_r = net_interest(state.d_r, state.l_r, params)
     ni_f = net_interest(state.d_f, state.l_f, params)
@@ -373,22 +352,22 @@ class MmcDrift:
     upsilon_f: float
 
 
-def mmc_drift_and_diffusion(state: MmcState, params: MmcParams,
-                            upsilon: float | None = None) -> MmcDrift:
-    """Per-component drift and diffusion loadings of the closed system.
+def mmc_drift_and_diffusion(state: MmcState, params: MmcParams) -> MmcDrift:
+    """Per-component drift and diffusion loadings of the closed system, at
+    the simulator's propensity (below UPSILON_MAX, or UpsilonError).
 
     The capital-capacity switch zeroes new-loan creation (the (-CF)^+ terms)
     whenever K_b <= nu_b (L_r + L_f); the suppressed increment is reported
     as unmet financing demand.
     """
-    u = solve_upsilon(state, params) if upsilon is None else upsilon
+    u = _state_upsilon(state, params)
     x = np.array([[getattr(state, k)] for k in STOCK_NAMES])
     drift, capital_ok, new_loans, capped = _flows(x, u, params)
     unmet = np.where(capital_ok, 0.0, new_loans[0] + new_loans[1])
     return MmcDrift(drift=dict(zip(STOCK_NAMES, drift[:, 0].tolist())),
                     diffusion=dict(zip(NOISE_NAMES, _diffusion(x, params)[:, 0].tolist())),
                     credit_crunch=not capital_ok[0], unmet_financing=float(unmet[0]),
-                    capacity_capped=bool(capped[0]), upsilon_f=u)
+                    capacity_capped=bool(capped[0]), upsilon_f=float(u[0]))
 
 
 @dataclass(eq=False)

@@ -132,15 +132,19 @@ class JumpSpec:
         theta = np.array(self.theta, dtype=float)
         if theta.shape != (self.n_banks,):
             raise ValueError(f"theta must have shape ({self.n_banks},)")
-        if np.any(theta <= 0):
-            raise ValueError("jump decay theta must be positive for every bank")
+        if not np.all(np.isfinite(theta) & (theta > 0)):
+            raise ValueError(f"jump decay theta must be positive and finite for every bank, "
+                             f"got {theta.tolist()}")
         clean: dict[frozenset[int], float] = {}
         for subset, lam in self.subset_intensities.items():
             s = frozenset(subset)
             if not s or any(i < 0 or i >= self.n_banks for i in s):
                 raise ValueError(f"subset {set(subset)} out of range for {self.n_banks} banks")
-            if lam < 0:
-                raise ValueError(f"intensity for subset {set(subset)} is negative: {lam}")
+            # an infinite intensity would draw zero waiting times forever,
+            # and a NaN one fails every comparison and would be dropped
+            if not (math.isfinite(lam) and lam >= 0):
+                raise ValueError(f"intensity for subset {set(subset)} must be finite and "
+                                 f"non-negative, got {lam}")
             if lam > 0:
                 clean[s] = float(lam)
         theta.setflags(write=False)

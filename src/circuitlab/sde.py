@@ -230,7 +230,6 @@ class EulerPaths:
                 raise ValueError(f"drift must return one array of shape {x.shape}, the "
                                  f"stacked state's; got {getattr(d, 'shape', type(d).__name__)}")
             nxt = np.multiply(d, dt)
-            # x first: of two NaN operands, the first one's sign survives
             np.add(x, nxt, out=nxt)
             if stochastic:
                 # a new array: what the diffusion returned is never written

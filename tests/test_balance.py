@@ -173,6 +173,13 @@ def test_search_infeasible_everywhere():
     assert len(res.table) == 2
 
 
+def test_search_rejects_a_grid_key_that_is_no_control():
+    # a misspelt key was once ignored, and the search ran one all-zero row
+    with pytest.raises(ValueError, match=r"grid keys \['ph'\] are not controls"):
+        constant_control_search(START, BASE, RegWeights(rwa=0.8, kappa=0.105, k2=1.0),
+                                horizon=1.0, dt=0.02, grid={"ph": [1.0, 2.0]})
+
+
 def test_search_interior_argmax_matches_refinement():
     # CF is concave along the dividend axis in this scenario; the grid argmax
     # must agree with a golden-section refinement of the same objective

@@ -113,8 +113,8 @@ def test_scalar_entry_points_equal_the_row_formulas(s, lam, g, a, b, c, d, omega
 
     mp = replace(mmc.FIG8_PARAMS, omega=omega)
     sheet = replace(mmc.FIG8_STATE, s_w=s, lambda_w=lam)
-    out = mmc.mmc_drift_and_diffusion(sheet, mp, upsilon=0.3)
-    want, ok, unmet, capped = rows.mmc_flows(vars(sheet), 0.3, mp)
+    out = mmc.mmc_drift_and_diffusion(sheet, mp)
+    want, ok, unmet, capped = rows.mmc_flows(vars(sheet), out.upsilon_f, mp)
     assert _bytes(*out.drift.values()) == _bytes(*(want[k] for k in mmc.STOCK_NAMES))
     assert list(out.drift) == list(mmc.STOCK_NAMES)
     assert out.credit_crunch == (not ok) and out.capacity_capped == capped

@@ -16,6 +16,9 @@ Every defaulted parameter of a function or method in `src/circuitlab/` is
 passed by some call in `src/circuitlab/` or `bench/` (the benchmark's
 workloads are the package's traffic), or is allowlisted with its reason, so
 a setting nothing sets becomes a constant instead of a configuration to test.
+Every public top-level function in `src/circuitlab/` is read by some code in
+`src/circuitlab/` or `bench/`, or is listed with its reason, so a public name
+that only tests reach is a stated choice.
 Every source file parses with Python 3.10's grammar, the oldest version the
 package supports.
 """
@@ -315,7 +318,6 @@ KEPT_SETTINGS = {
     ("ledger.apply_event", "repo_haircut"): "the paper's central-bank repo collateral rule",
     ("ledger.two_bank_creation", "central_bank_fallback"):
         "the paper's central-bank funding of a cash shortfall",
-    ("mmc.mmc_drift_and_diffusion", "upsilon"): "flows at a given propensity, e.g. a path's",
     ("mmc.MmcResult.state_at", "path"): "reads any path of a batch",
     ("balance.evolve", "stream"): "a given stream makes the run stochastic",
 }
@@ -326,3 +328,53 @@ def test_every_setting_is_passed_by_a_caller_or_kept_for_a_reason():
     calling = {**defining, **{f"bench/{p.name}": p.read_text()
                               for p in sorted((ROOT / "bench").glob("*.py"))}}
     assert unset_settings(defining, calling, KEPT_SETTINGS) == []
+
+
+def unreached_functions(sources: dict[str, str], defining: list[str],
+                        allowed=frozenset()) -> list[str]:
+    """`module.function` for each public top-level function of the
+    `defining` modules that no code in `sources` reads, by name, attribute or
+    import, outside its own definition, and that `allowed` does not list;
+    plus each `allowed` entry that is read or does not exist.  A read
+    matches by bare name, so a read of any same-named object counts."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    reads = set().union(*(_references(t) for t in trees.values()))
+    unreached = {f"{module}.{node.name}" for module in defining for node in trees[module].body
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 and not node.name.startswith("_")
+                 and not any(n == node.name and top != id(node) for n, top in reads)}
+    return sorted([*(unreached - set(allowed)),
+                   *(f"allowlisted but read or absent: {name}" for name in set(allowed) - unreached)])
+
+
+def test_checker_flags_a_function_nothing_reads():
+    lib = ("def used():\n    return 1\ndef alone():\n    return alone()\n"
+           "def _private():\n    return 0\nclass Box:\n    def method(self):\n        return 2\n")
+    user = "from a import used\n"
+    sources = {"a": lib, "b": user}
+    assert unreached_functions(sources, ["a"]) == ["a.alone"]
+    assert unreached_functions({**sources, "c": "import a\na.alone()\n"}, ["a"]) == []
+    assert unreached_functions(sources, ["a"], {"a.alone", "a.used", "a.gone"}) == [
+        "allowlisted but read or absent: a.gone", "allowlisted but read or absent: a.used"]
+
+
+# public functions that no code in the package or the benchmark reads, each
+# kept for the reason given; the tests check each against the model
+KEPT_FUNCTIONS = {
+    "goodwin.conservation": "the paper's conserved quantity of the Goodwin orbits",
+    "goodwin.fixed_point": "the paper's interior equilibrium of the Goodwin drift",
+    "keen.goodwin_equivalent": "the paper's reduction of leverage-free Keen to Goodwin",
+    "keen.keen_drift": "the paper's Keen drift at one state, wrapping the simulator's kernel",
+    "ledger.capital_check": "the paper's capital requirement on one bank's books",
+    "ledger.two_bank_creation": "the paper's three-stage money creation across two banks",
+    "mmc.mmc_drift_and_diffusion":
+        "the paper's MMC drift and loadings at one state, wrapping the simulator's kernels",
+    "network.instrument_payoffs": "the paper's two-bank CDS and first-to-default payoffs",
+    "network.kappa_coeffs": "the paper's both-default payout fractions in closed form",
+}
+
+
+def test_every_public_function_is_reached_or_kept_for_a_reason():
+    sources = {**{p.stem: p.read_text() for p in MODULES},
+               **{f"bench/{p.name}": p.read_text() for p in sorted((ROOT / "bench").glob("*.py"))}}
+    assert unreached_functions(sources, [p.stem for p in MODULES], KEPT_FUNCTIONS) == []

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,14 @@ def test_reduction_to_goodwin_with_identity_profit(monkeypatch):
 def test_boundary_rejected_in_regularized_mode():
     with pytest.raises(ValueError, match="interior"):
         keen_drift(KeenState(1.0, 0.5, 0.1), FIG5_PARAMS)
+
+
+@pytest.mark.parametrize("name", ["omega", "sigma_s", "sigma_lambda"])
+def test_params_reject_a_negative_omega_or_volatility_by_name(name):
+    # omega > 0 selects the regularized drift: a negative one once ran the
+    # classical drift without a word
+    with pytest.raises(ValueError, match=f"^{name} must be non-negative, got -0.005"):
+        replace(FIG5_PARAMS, **{name: -0.005})
 
 
 def test_invalid_inputs():

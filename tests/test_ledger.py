@@ -154,6 +154,15 @@ def test_repo_haircut_requires_collateral():
     assert delta == 0.0  # central-bank cash is not counted as money
 
 
+@pytest.mark.parametrize("haircut", [-2.0, math.nan, math.inf])
+def test_repo_haircut_must_be_finite_and_non_negative(haircut):
+    # a haircut of -2 once made the collateral need negative, and the repo
+    # was granted against no assets
+    bank = BankLedger(cash=1.0, equity=1.0)
+    with pytest.raises(LedgerError, match="repo_haircut must be finite and non-negative"):
+        apply_event([bank], LedgerEvent("central_bank_repo", 1.0), repo_haircut=haircut)
+
+
 def test_capital_check_worked_example():
     # post-issuance single-bank state: equity 5, loans 22
     bank = BankLedger(external_assets=22, external_liabilities=17, equity=5)

@@ -19,12 +19,42 @@ from circuitlab.mmc import (
     mmc_drift_and_diffusion,
     net_interest,
     simulate,
-    solve_upsilon,
 )
 from circuitlab.rng import RngStream
 
 ENSEMBLE_PARAMS = replace(FIG8_PARAMS, sigma_c=0.04, sigma_k=0.02,
                           sigma_s=0.01, sigma_lambda=0.01)
+
+# the damped fixed point stops once a step is below FIXED_POINT_TOL, which
+# may take FIXED_POINT_MAX_ITER iterations where phi' approaches 1
+FIXED_POINT_TOL = 1e-12
+FIXED_POINT_MAX_ITER = 200
+
+
+def fixed_point_upsilon(state: MmcState, params: MmcParams) -> float:
+    """Investment propensity upsilon_f in (0, 1) by the damped fixed point:
+    the definitional form of the root that the model takes in closed form,
+    and its oracle next to scipy.special.lambertw.
+
+    upsilon_f is the root of u = phi(u), phi = logistic(z(u)), on the stable
+    branch phi'(u) < 1.  The map has at most two roots (in v = u / (1 - u)
+    the condition reads ln v = 2 z, and ln v - 2 z is concave in v): the
+    stable one and, above it, an unstable one with phi' > 1.  Iterating
+    u <- u + (phi(u) - u) / 2 from logistic(upsilon_0) converges only to the
+    stable root.  Past the fold, where no root exists, the iterate
+    saturates and UpsilonError is raised, as it is when the iteration does
+    not converge.
+    """
+    a, b = mmc._index_coeffs(state.c_r, state.d_f, state.l_f, state.k_f, params)
+    u = float(logistic(params.upsilon0))
+    for _ in range(FIXED_POINT_MAX_ITER):
+        step = 0.5 * (float(logistic(b + a / (1.0 - u))) - u)
+        u += step
+        if u > mmc.UPSILON_MAX:
+            raise UpsilonError(f"degenerate investment propensity: upsilon_f saturated at {u}")
+        if abs(step) < FIXED_POINT_TOL:
+            return u
+    raise UpsilonError(f"fixed-point iteration did not converge; last step {step:.3e}")
 
 
 def random_consistent_state(rng):
@@ -39,7 +69,7 @@ def random_consistent_state(rng):
             s_w=rng.uniform(0.4, 0.9), lambda_w=rng.uniform(0.5, 0.99),
         )
         try:
-            solve_upsilon(st, FIG8_PARAMS)
+            derived_quantities(st, FIG8_PARAMS)
         except UpsilonError:
             continue
         return st
@@ -63,12 +93,12 @@ def test_upsilon_decoupled_case():
                      "upsilon1": 0.0, "upsilon2": 0.0, "upsilon3": 0.0})
     st = FIG8_STATE
     expected = float(logistic(p.upsilon0))
-    assert solve_upsilon(st, p) == pytest.approx(expected, abs=1e-12)
+    assert fixed_point_upsilon(st, p) == pytest.approx(expected, abs=1e-12)
     assert mmc._upsilon_vec(*_columns([st]), p)[0] == expected
 
 
 def test_upsilon_fig8_matches_fixed_point():
-    u_fp = solve_upsilon(FIG8_STATE, FIG8_PARAMS)
+    u_fp = fixed_point_upsilon(FIG8_STATE, FIG8_PARAMS)
     u_cf = float(mmc._upsilon_vec(*_columns([FIG8_STATE]), FIG8_PARAMS)[0])
     assert 0.0 < u_fp < 1.0
     assert u_cf == pytest.approx(u_fp, abs=1e-10)
@@ -178,6 +208,11 @@ def test_simulate_rejects_invalid_inputs():
     ("delta_rf", 1.5, r"delta_rf must lie in \[0, 1\]"),
     ("nu_f", 0.0, "nu_f must be positive"),
     ("nu_b", 1.0, r"nu_b must lie in \(0, 1\)"),
+    ("omega", -0.005, "omega must be non-negative"),     # would run the classical drift
+    ("sigma_c", -0.04, "sigma_c must be non-negative"),
+    ("sigma_k", -0.02, "sigma_k must be non-negative"),
+    ("sigma_s", -0.01, "sigma_s must be non-negative"),
+    ("sigma_lambda", -0.01, "sigma_lambda must be non-negative"),
 ])
 def test_params_reject_out_of_range_fields_by_name(name, value, message):
     with pytest.raises(ValueError, match=message):
@@ -249,7 +284,7 @@ def test_mean_reverting_consumption_stationary():
             "delta_rb": 0.0, "r_d": 0.0, "r_l": 0.0, "sigma_c": 0.0,
             "upsilon2": 0.0, "upsilon3": 0.0, "alpha0": 0.0}
     p = MmcParams(**base)
-    u = solve_upsilon(st, p)
+    u = derived_quantities(st, p).upsilon_f
     p = MmcParams(**{**base,
                      "alpha1": st.c_r / (p.nu_f * st.k_f),
                      "xi_a": u * st.c_r / ((1.0 - u) * st.k_f)})
@@ -275,13 +310,31 @@ def test_stochastic_run_positivity_and_reproducibility():
 
 
 def test_degenerate_upsilon_rejected():
-    with pytest.raises(ValueError, match="positive"):
-        solve_upsilon(MmcState(c_r=0.0, d_r=1, l_r=1, d_f=1, l_f=1,
-                               k_f=10, k_b=0), FIG8_PARAMS)
+    # the scalar entry points name a non-positive C_r or K_f before the solve
+    for fields, message in (({"c_r": 0.0}, "C_r must be positive"),
+                            ({"k_f": -1.0}, "K_f must be positive")):
+        sheet = replace(MmcState(c_r=1.0, d_r=1, l_r=1, d_f=1, l_f=1, k_f=10, k_b=0), **fields)
+        for entry in (derived_quantities, mmc_drift_and_diffusion):
+            with pytest.raises(ValueError, match=message):
+                entry(sheet, FIG8_PARAMS)
 
 
 # --------------------------------------------------------------------------
 # the investment-propensity root u = phi(u), phi = logistic(z(u))
+
+@pytest.mark.parametrize("params, paths", [(FIG8_PARAMS, 1), (ENSEMBLE_PARAMS, 2)],
+                         ids=["fig8", "ensemble"])
+def test_scalar_entry_points_take_the_simulators_propensity(params, paths):
+    # one solver: on every recorded row the scalar entry points return the
+    # propensity the simulator recorded for that path, bit for bit
+    res = simulate(FIG8_STATE, params, horizon=10.0, dt=0.01, paths=paths,
+                   stream=RngStream(12), record_stride=100)
+    for i in range(len(res.t)):
+        for path in range(paths):
+            st = res.state_at(i, path)
+            assert derived_quantities(st, params).upsilon_f == res.upsilon_f[i, path]
+            assert mmc_drift_and_diffusion(st, params).upsilon_f == res.upsilon_f[i, path]
+
 
 def _phi_and_slope(u, st_, p):
     """phi(u) and phi'(u) in definitional form, for a float or an array u."""
@@ -336,7 +389,7 @@ def test_upsilon_closed_form_property(states, p):
         v = -lambertw(-2.0 * a * np.exp(2.0 * (a + b))).real / (2.0 * a)
         assert abs(ui - v / (1.0 + v)) < 1e-10
         try:
-            assert abs(ui - solve_upsilon(s, p)) < 1e-10
+            assert abs(ui - fixed_point_upsilon(s, p)) < 1e-10
         except UpsilonError:
             pass
         phi, slope = _phi_and_slope(ui, s, p)
@@ -388,7 +441,7 @@ def test_upsilon_without_root_is_degenerate(s, p, margin):
     with pytest.raises(UpsilonError, match="degenerate investment propensity"):
         mmc._upsilon_vec(*_columns([s]), p)
     with pytest.raises(UpsilonError):
-        solve_upsilon(s, p)
+        fixed_point_upsilon(s, p)
 
 
 @pytest.mark.parametrize("upsilon0, upsilon1", [(400.0, 1.1), (0.0, 1e300), (-1e3, 1e300)])

@@ -1,4 +1,5 @@
 import copy
+import math
 import pickle
 from dataclasses import FrozenInstanceError, replace
 from unittest import mock
@@ -162,6 +163,18 @@ def test_jump_spec_validation():
         JumpSpec(2, {frozenset([0]): -0.1}, np.array([1.0, 1.0]))
     with pytest.raises(ValueError, match="theta"):
         JumpSpec(2, {frozenset([0]): 0.1}, np.array([1.0, -1.0]))
+
+
+@pytest.mark.parametrize("intensity, theta, message", [
+    (math.inf, [1.0, 1.0], r"intensity for subset \{0\} must be finite and non-negative, got inf"),
+    (math.nan, [1.0, 1.0], r"intensity for subset \{0\} must be finite and non-negative, got nan"),
+    (0.1, [1.0, math.nan], r"jump decay theta must be positive and finite for every bank"),
+    (0.1, [math.inf, 1.0], r"jump decay theta must be positive and finite for every bank"),
+], ids=["inf-intensity", "nan-intensity", "nan-theta", "inf-theta"])
+def test_jump_spec_rejects_a_non_finite_value_by_name(intensity, theta, message):
+    # built only: an infinite intensity would draw zero waiting times forever
+    with pytest.raises(ValueError, match=message):
+        JumpSpec(2, {frozenset([0]): intensity}, np.array(theta))
 
 
 def _copies(spec):
