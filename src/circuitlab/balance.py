@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .rng import RngStream
-from .sde import record_index, require_finite
+from .sde import record_index, require_fields
 
 __all__ = [
     "FlowParams", "FlowState", "Controls", "RegWeights", "Trajectory",
@@ -46,11 +46,8 @@ class FlowParams:
     t_lag: float = 1.0  # loan/debt maturity entering the lag terms
 
     def __post_init__(self) -> None:
-        require_finite(self)
-        for name in ("lam", "mu", "nu", "xi", "alpha", "beta", "sigma",
-                     "discount", "t_lag"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+        require_fields(self, non_negative=("lam", "mu", "nu", "xi", "alpha", "beta", "sigma",
+                                           "discount", "t_lag"))
 
 
 @dataclass(frozen=True)
@@ -119,7 +116,7 @@ def evolve(
     (broadcast control shape..., time), and a stochastic batch draws one
     normal per step for every row.  A non-finite initial field or control
     raises ValueError naming it."""
-    require_finite(initial)
+    require_fields(initial)
     for f in fields(controls):
         value = getattr(controls, f.name)
         if not np.all(np.isfinite(value)):
@@ -206,13 +203,10 @@ class RegWeights:
     ci_i: float = 0.0
 
     def __post_init__(self) -> None:
-        require_finite(self)
+        require_fields(self, non_negative=("rwa", "rsf_x", "rsf_i", "asf_d", "asf_y",
+                                           "co_d", "co_y", "ci_x", "ci_i"))
         if not 0.0 <= self.kappa < 1.0:
             raise ValueError("kappa must lie in [0, 1)")
-        for name in ("rwa", "rsf_x", "rsf_i", "asf_d", "asf_y",
-                     "co_d", "co_y", "ci_x", "ci_i"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
 
 
 @dataclass(eq=False)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sde import require_finite, step_count
+from .sde import require_fields, step_count
 
 __all__ = [
     "EquityParams", "SymbolCoefficients", "BarrierSolution", "EquityValueGrid",
@@ -56,15 +56,8 @@ class EquityParams:
     delta2: float      # liquidity jump size decay
 
     def __post_init__(self) -> None:
-        require_finite(self)
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise ValueError("jump intensities must be non-negative")
-        if self.delta1 <= 0 or self.delta2 <= 0:
-            raise ValueError("jump decays must be positive")
-        if self.discount <= 0:
-            raise ValueError("discount rate must be positive")
+        require_fields(self, positive=("sigma", "discount", "delta1", "delta2"),
+                       non_negative=("lambda1", "lambda2"))
 
 
 # trial barriers E*: a geometric scan of BARRIER_BRACKET, searched for a sign

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .rng import RngStream
-from .sde import EulerPaths, employment_drift, jacobi_noise, require_finite
+from .sde import EulerPaths, employment_drift, jacobi_noise, require_fields
 
 __all__ = ["GoodwinParams", "GoodwinState", "GoodwinResult",
            "drift", "conservation",
@@ -39,12 +39,8 @@ class GoodwinParams:
     sigma_lambda: float = 0.0
 
     def __post_init__(self) -> None:
-        require_finite(self)
-        for name in ("a", "b", "c", "d"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.omega < 0 or self.sigma_s < 0 or self.sigma_lambda < 0:
-            raise ValueError("omega and volatilities must be non-negative")
+        require_fields(self, positive=("a", "b", "c", "d"),
+                       non_negative=("omega", "sigma_s", "sigma_lambda"))
 
     @classmethod
     def from_composites(cls, a: float, b: float, alpha: float, beta: float,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .goodwin import GoodwinParams
 from .rng import RngStream
-from .sde import EulerPaths, employment_drift, jacobi_noise, require_finite
+from .sde import EulerPaths, employment_drift, jacobi_noise, require_fields
 
 __all__ = ["KeenParams", "KeenState", "KeenResult", "profit_function",
            "keen_drift", "simulate", "FIG4_PARAMS", "FIG5_PARAMS", "FIG6_PARAMS"]
@@ -44,16 +44,10 @@ class KeenParams:
     sigma_lambda: float = 0.0
 
     def __post_init__(self) -> None:
-        require_finite(self)
-        if self.nu_f <= 0:
-            raise ValueError("nu_f must be positive")
-        if self.q <= 0:
-            raise ValueError("q must be positive (profit response is increasing)")
-        # omega > 0 selects the regularized drift, so a negative one would
-        # run the classical drift without a word
-        for name in ("omega", "sigma_s", "sigma_lambda"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+        # q > 0: the profit response is increasing; omega > 0 selects the
+        # regularized drift, so a negative one would run the classical drift
+        require_fields(self, positive=("nu_f", "q"),
+                       non_negative=("omega", "sigma_s", "sigma_lambda"))
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .rng import RngStream
-from .sde import EulerPaths, employment_drift, jacobi, require_finite
+from .sde import EulerPaths, employment_drift, jacobi, require_fields
 
 __all__ = [
     "MmcParams", "MmcState", "MmcDerived", "MmcResult",
@@ -55,9 +55,9 @@ class MmcParams:
     alpha0: float           # consumption-target weight on distributed income
     alpha1: float           # consumption-target weight on capital productivity
     upsilon0: float         # investment-propensity intercept
-    upsilon1: float         # weight on profit rate (>= 0)
-    upsilon2: float         # weight on deposits-to-assets (> 0)
-    upsilon3: float         # weight on loans-to-assets (< 0)
+    upsilon1: float         # weight on profit rate (checked >= 0: the index slope a needs it)
+    upsilon2: float         # weight on deposits-to-assets (Fig 8 > 0, not checked)
+    upsilon3: float         # weight on loans-to-assets (Fig 8 < 0, not checked)
     delta_rf: float         # rentiers' share of firms' profits
     delta_rb: float         # rentiers' share of banks' profits
     xi_delta: float         # default rate
@@ -76,19 +76,15 @@ class MmcParams:
     beta: float = 0.01      # workforce growth (price diagnostics only)
 
     def __post_init__(self) -> None:
-        require_finite(self)
+        # omega > 0 selects the regularized employment drift, so a negative
+        # one would run the classical drift without a word
+        require_fields(self, positive=("nu_f",),
+                       non_negative=("xi_delta", "xi_a", "r_d", "r_l", "kappa_c", "upsilon1",
+                                     "omega", "sigma_c", "sigma_k", "sigma_s", "sigma_lambda"))
         for name in ("delta_rf", "delta_rb"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
-        # omega > 0 selects the regularized employment drift, so a negative
-        # one would run the classical drift without a word
-        for name in ("xi_delta", "xi_a", "r_d", "r_l", "kappa_c", "upsilon1", "omega",
-                     "sigma_c", "sigma_k", "sigma_s", "sigma_lambda"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-        if self.nu_f <= 0:
-            raise ValueError("nu_f must be positive")
         if not 0.0 < self.nu_b < 1.0:
             raise ValueError("nu_b must lie in (0, 1)")
 
@@ -120,12 +116,9 @@ class MmcState:
         return self.k_b - (self.l_r + self.l_f - self.d_r - self.d_f)
 
     def validate(self) -> None:
-        require_finite(self)
+        require_fields(self, positive=("theta_w", "n_w", "c_r", "k_f"),
+                       non_negative=("d_r", "l_r", "d_f", "l_f"))
         stocks = (self.d_r, self.l_r, self.d_f, self.l_f, self.k_f)
-        if any(s < 0 for s in stocks):
-            raise ValueError("stocks must be non-negative")
-        if min(self.theta_w, self.n_w, self.c_r, self.k_f) <= 0:
-            raise ValueError("theta_w, N_w, C_r and K_f must be positive")
         if not (0 < self.s_w < 1 and 0 < self.lambda_w < 1):
             raise ValueError("(s_w, lambda_w) must lie inside the unit square")
         scale = max(abs(v) for v in stocks) + abs(self.k_b) + 1.0
@@ -217,11 +210,8 @@ def _upsilon_vec(c_r, d_f, l_f, k_f, params):
 
 def _state_upsilon(state: MmcState, params: MmcParams) -> np.ndarray:
     """The propensity at one state, shape (1,), as the simulator solves it
-    on a path's row; C_r and K_f must be positive."""
-    if state.k_f <= 0:
-        raise ValueError("K_f must be positive")
-    if state.c_r <= 0:
-        raise ValueError("C_r must be positive")
+    on a path's row; every field must be finite, and K_f and C_r positive."""
+    require_fields(state, positive=("k_f", "c_r"))
     return _upsilon_vec(*(np.array([getattr(state, k)]) for k in ("c_r", "d_f", "l_f", "k_f")),
                         params)
 

@@ -24,16 +24,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RngStream:
-    """A reproducible random stream identified by (master_seed, stream_index)."""
+    """A reproducible random stream keyed by (master_seed, stream_index), the
+    two words of its Philox key: integers in [0, 2**64), so no two alias."""
 
     master_seed: int
     stream_index: int = 0
 
+    def __post_init__(self) -> None:
+        for name in ("master_seed", "stream_index"):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, np.integer)) and 0 <= value < 2**64):
+                raise ValueError(f"{name} must be an integer in [0, 2**64), got {value!r}")
+
     def generator(self) -> np.random.Generator:
-        key = np.array(
-            [self.master_seed & 0xFFFFFFFFFFFFFFFF, self.stream_index & 0xFFFFFFFFFFFFFFFF],
-            dtype=np.uint64,
-        )
+        key = np.array([self.master_seed, self.stream_index], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
     def substream(self, index: int) -> "RngStream":
@@ -58,6 +62,8 @@ class CorrelationMatrix:
         rho = np.array(self.rho, dtype=float, ndmin=2)
         if rho.shape[0] != rho.shape[1]:
             raise CorrelationError(f"correlation matrix must be square, got {rho.shape}")
+        if not np.all(np.isfinite(rho)):
+            raise CorrelationError(f"correlation matrix must be finite, got {rho.tolist()}")
         if not np.allclose(rho, rho.T, atol=1e-12):
             raise CorrelationError("correlation matrix must be symmetric")
         if not np.allclose(np.diag(rho), 1.0, atol=1e-12):

@@ -16,6 +16,8 @@ one does.
 The `EulerPaths` it returns is every circuit run's result: Goodwin returns
 it as it is, Keen and MMC as subclasses that add views of their extra
 components and what they derive from them.
+It also holds `require_fields`, the one field check of every parameter
+record: finite fields, and the sign of those that need one, by name.
 """
 
 from __future__ import annotations
@@ -53,13 +55,21 @@ def step_count(horizon: float, dt: float, dt_name: str = "dt") -> int:
     return n_steps
 
 
-def require_finite(params) -> None:
-    """ValueError naming the first field of the dataclass `params` that is
-    not finite; a NaN fails no range check (NaN <= 0 is False)."""
-    for f in fields(params):
-        value = getattr(params, f.name)
+def require_fields(record, positive=(), non_negative=()) -> None:
+    """ValueError naming the first field of the dataclass `record` that is
+    not finite, then the first of `positive` not above zero and the first
+    of `non_negative` below it: every parameter record's field check.  The
+    finite check comes first, since a NaN fails no range check."""
+    for f in fields(record):
+        value = getattr(record, f.name)
         if not math.isfinite(value):
             raise ValueError(f"{f.name} must be finite, got {value}")
+    for name in positive:
+        if getattr(record, name) <= 0:
+            raise ValueError(f"{name} must be positive, got {getattr(record, name)}")
+    for name in non_negative:
+        if getattr(record, name) < 0:
+            raise ValueError(f"{name} must be non-negative, got {getattr(record, name)}")
 
 
 def record_index(horizon: float, dt: float, stride: int) -> np.ndarray:

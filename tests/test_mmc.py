@@ -221,7 +221,7 @@ def test_params_reject_out_of_range_fields_by_name(name, value, message):
 
 def test_simulate_rejects_a_sheet_without_physical_assets():
     empty = MmcState(c_r=3.0, d_r=30.0, l_r=20.0, d_f=20.0, l_f=50.0, k_f=0.0, k_b=20.0)
-    with pytest.raises(ValueError, match="K_f must be positive"):
+    with pytest.raises(ValueError, match="^k_f must be positive, got 0.0"):
         simulate(empty, FIG8_PARAMS, horizon=1.0, dt=0.01)
 
 
@@ -229,8 +229,8 @@ def test_simulate_rejects_a_sheet_without_physical_assets():
     ("k_b", np.nan, "k_b must be finite"),       # abs(nan) > tol once passed
     ("theta_w", np.inf, "theta_w must be finite"),
     ("n_w", np.nan, "n_w must be finite"),
-    ("theta_w", -1.0, "theta_w, N_w, C_r and K_f must be positive"),
-    ("n_w", 0.0, "theta_w, N_w, C_r and K_f must be positive"),
+    ("theta_w", -1.0, "theta_w must be positive"),
+    ("n_w", 0.0, "n_w must be positive"),
 ])
 def test_simulate_rejects_a_non_finite_or_non_positive_field_by_name(field, value, message):
     with pytest.raises(ValueError, match=message):
@@ -311,12 +311,20 @@ def test_stochastic_run_positivity_and_reproducibility():
 
 def test_degenerate_upsilon_rejected():
     # the scalar entry points name a non-positive C_r or K_f before the solve
-    for fields, message in (({"c_r": 0.0}, "C_r must be positive"),
-                            ({"k_f": -1.0}, "K_f must be positive")):
+    for fields, message in (({"c_r": 0.0}, "^c_r must be positive"),
+                            ({"k_f": -1.0}, "^k_f must be positive")):
         sheet = replace(MmcState(c_r=1.0, d_r=1, l_r=1, d_f=1, l_f=1, k_f=10, k_b=0), **fields)
         for entry in (derived_quantities, mmc_drift_and_diffusion):
             with pytest.raises(ValueError, match=message):
                 entry(sheet, FIG8_PARAMS)
+
+
+@pytest.mark.parametrize("entry", [derived_quantities, mmc_drift_and_diffusion])
+def test_scalar_entry_points_reject_a_non_finite_field_by_name(entry):
+    # they returned NaN flows before the shared field check
+    for name in ("d_r", "k_b", "s_w"):
+        with pytest.raises(ValueError, match=rf"^{name} must be finite, got nan"):
+            entry(replace(FIG8_STATE, **{name: np.nan}), FIG8_PARAMS)
 
 
 # --------------------------------------------------------------------------

@@ -154,20 +154,45 @@ def test_remove_bank_no_links_no_change():
     assert red.external_assets == pytest.approx([80.0])
 
 
-def test_boundary_shift_identity_random():
-    # interior shift (1 - R_i R_k) L_ki and terminal shift (1 - R_k) L_ki
-    rng = np.random.default_rng(14)
-    for _ in range(30):
-        net = random_network(rng)
-        k = int(rng.integers(0, net.n))
-        old = boundaries(net)
+@st.composite
+def removal_cases(draw):
+    """Networks of 2 to 8 banks, recoveries anywhere in [0, 1], and the
+    order in which all but one of the banks default."""
+    n = draw(st.integers(2, 8))
+    mutual = draw(arrays(float, (n, n), elements=st.floats(0.0, 20.0)))
+    np.fill_diagonal(mutual, 0.0)
+    net = BankNetwork(
+        external_assets=draw(arrays(float, n, elements=st.floats(50.0, 150.0))),
+        external_liabilities=draw(arrays(float, n, elements=st.floats(30.0, 90.0))),
+        mutual=mutual,
+        recoveries=draw(arrays(float, n, elements=st.floats(0.0, 1.0))),
+        sigma=draw(arrays(float, n, elements=st.floats(0.1, 0.6))),
+    )
+    return net, draw(st.permutations(range(n)))[:-1]
+
+
+@settings(deadline=None, max_examples=200)
+@given(case=removal_cases())
+def test_boundary_shift_identity_on_every_removal(case):
+    # each removal shifts a survivor's interior boundary by (1 - R_i R_k) L_ki
+    # and its terminal one by (1 - R_k) L_ki, both >= 0: outward, to rounding
+    net, order = case
+    banks = list(range(net.n))
+    for bank in order:
+        k = banks.index(bank)
         keep = [i for i in range(net.n) if i != k]
-        red = remove_bank(net, k)
-        new = boundaries(red)
+        old = boundaries(net)
+        reduced = remove_bank(net, k)
+        new = boundaries(reduced)
+        shift_int = new.interior - old.interior[keep]
+        shift_term = new.terminal - old.terminal[keep]
         expect_int = (1.0 - net.recoveries[keep] * net.recoveries[k]) * net.mutual[k, keep]
         expect_term = (1.0 - net.recoveries[k]) * net.mutual[k, keep]
-        assert np.allclose(new.interior - old.interior[keep], expect_int, atol=1e-9)
-        assert np.allclose(new.terminal - old.terminal[keep], expect_term, atol=1e-9)
+        np.testing.assert_allclose(shift_int, expect_int, rtol=0.0, atol=1e-9)
+        np.testing.assert_allclose(shift_term, expect_term, rtol=0.0, atol=1e-9)
+        assert shift_int.min() >= -1e-9 and shift_term.min() >= -1e-9
+        banks.remove(bank)
+        net = reduced
 
 
 def test_clearing_all_solvent():

@@ -32,6 +32,27 @@ def test_streams_differ_by_index():
     assert not np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("seed, index, name", [
+    (-1, 0, "master_seed"),             # was masked to 2**64 - 1
+    (2**64, 0, "master_seed"),          # was masked to 0
+    (3, -1, "stream_index"),
+    (3, 2**64, "stream_index"),
+    (1.5, 0, "master_seed"),            # was an unnamed TypeError when drawn
+    (3, 2.0, "stream_index"),
+])
+def test_stream_rejects_a_key_outside_64_bits_by_name(seed, index, name):
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer in \[0, 2\*\*64\)"):
+        RngStream(seed, index)
+
+
+def test_stream_takes_every_64_bit_key():
+    top = 2**64 - 1
+    a = RngStream(top, top).generator().standard_normal(4)
+    b = RngStream(np.uint64(top), np.uint64(top)).substream(top).generator().standard_normal(4)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, RngStream(0, top).generator().standard_normal(4))
+
+
 def test_path_noise_independent_of_total_count():
     # path j's draws must not change when more paths are added
     small = PathNoise(RngStream(9), n_paths=3).normals(50, 2)
@@ -147,6 +168,13 @@ def test_non_psd_reports_pivot():
     m = np.array([[1.0, 0.99, -0.99], [0.99, 1.0, 0.99], [-0.99, 0.99, 1.0]])
     with pytest.raises(CorrelationError, match="pivot 2"):
         CorrelationMatrix(m)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_correlation_is_rejected(bad):
+    # it raised "must be symmetric" for NaN and a pivot of -inf for inf
+    with pytest.raises(CorrelationError, match=r"^correlation matrix must be finite, got"):
+        CorrelationMatrix.from_scalar(bad)
 
 
 def test_degenerate_psd_allowed():
