@@ -21,9 +21,10 @@ Crank-Nicolson matrix that `dgttrf` factored once per march.  The outputs
 are byte for byte those of one scan per source and a fresh banded
 elimination per step.
 
-scipy loads on first use, not on import: `stationary_barrier` loads
-scipy.optimize for its root polish, and `solve_variational` scipy.linalg
-for the LAPACK and BLAS calls.
+scipy loads on first use, not on import: `solve_variational` loads
+scipy.linalg for the LAPACK and BLAS calls.  `stationary_barrier` needs
+numpy only: it bisects the scanned bracket of E* to brentq's tolerance,
+1e-14 + 8.9e-16 E*.
 """
 
 from __future__ import annotations
@@ -202,6 +203,10 @@ def _coeffs_for_barrier(roots: np.ndarray, params: EquityParams,
         1.0 / (roots + params.delta2),
         roots * grow,
     ])
+    if not np.isfinite(m).all():
+        # exp(root E*) overflowed: the slope row pins no coefficients (solve
+        # would return zeros and a false zero residual), so there is no residual
+        return np.full(4, np.nan), math.nan
     rhs = np.array([0.0, 0.0, 0.0, 1.0])
     try:
         coeffs = np.linalg.solve(m, rhs)
@@ -218,27 +223,60 @@ def stationary_barrier(params: EquityParams) -> BarrierSolution:
 
     For each trial barrier the linear block enforces V(0) = 0, both jump
     consistency rows, and V_E(E*) = 1; the barrier is then the root of the
-    remaining curvature condition V_EE(E*) = 0, bracketed on a geometric
-    scan of BARRIER_BRACKET and polished to ~1e-12."""
+    remaining curvature condition V_EE(E*) = 0.  It is bracketed by the
+    first sign change between two finite residuals on a geometric scan of
+    BARRIER_BRACKET (an exact zero at a scan point is the root) and bisected
+    until the bracket is at most 1e-14 + 8.9e-16 E* wide, brentq's
+    tolerance.  A residual that overflows is skipped in the scan and named
+    in the error when no finite pair changes sign."""
     roots = symbol_roots(params)
     if len(roots) != 4:
         raise ValueError(
             "the stationary construction needs both jump sources active "
             f"(four symbol roots); got {len(roots)}"
         )
+
+    def residual(e: float) -> float:
+        return _coeffs_for_barrier(roots, params, e)[1]
+
     scan = np.geomspace(*BARRIER_BRACKET, BARRIER_SCAN_POINTS)
-    vals = np.array([_coeffs_for_barrier(roots, params, e)[1] for e in scan])
-    sign_flip = np.nonzero(np.diff(np.sign(vals)) != 0)[0]
+    # exp(root * E) overflows at large trial barriers; such residuals are
+    # not finite and bracket nothing
+    with np.errstate(over="ignore"):
+        vals = np.array([residual(e) for e in scan])
+    finite = np.isfinite(vals)
+    sign = np.sign(vals)
+    sign_flip = np.flatnonzero(finite[:-1] & finite[1:] & (sign[:-1] != sign[1:]))
     if len(sign_flip) == 0:
+        overflow = ("" if finite.all() else
+                    f"; the residual is not finite at {np.count_nonzero(~finite)} "
+                    f"barriers, from E = {scan[np.argmin(finite)]:.6g}")
+        shown = vals[finite] if finite.any() else vals
         raise RuntimeError(
             "no sign change of the curvature residual on the scan grid; "
-            f"residual range [{vals.min():.3e}, {vals.max():.3e}] over "
-            f"barriers [{BARRIER_BRACKET[0]}, {BARRIER_BRACKET[1]}]"
+            f"residual range [{shown.min():.3e}, {shown.max():.3e}] over "
+            f"barriers [{BARRIER_BRACKET[0]}, {BARRIER_BRACKET[1]}]{overflow}"
         )
-    lo, hi = scan[sign_flip[0]], scan[sign_flip[0] + 1]
-    from scipy.optimize import brentq
-    e_star = brentq(lambda e: _coeffs_for_barrier(roots, params, e)[1],
-                    lo, hi, xtol=1e-14, rtol=8.9e-16)
+    k = sign_flip[0]
+    lo, hi = scan[k], scan[k + 1]
+    # an exact zero at a scan point is the root
+    if vals[k] == 0.0:
+        hi = lo
+    elif vals[k + 1] == 0.0:
+        lo = hi
+    with np.errstate(over="ignore"):
+        while hi - lo > 1e-14 + 8.9e-16 * hi:
+            mid = 0.5 * (lo + hi)
+            f_mid = residual(mid)
+            if not math.isfinite(f_mid):
+                raise RuntimeError(
+                    f"curvature residual is not finite at trial barrier {mid} "
+                    f"inside the bracket [{lo}, {hi}]")
+            if (f_mid > 0.0) == (vals[k] > 0.0):
+                lo = mid
+            else:
+                hi = mid
+    e_star = 0.5 * (lo + hi)
     coeffs, _ = _coeffs_for_barrier(roots, params, e_star)
     return BarrierSolution(roots=roots, coeffs=coeffs, e_star=float(e_star),
                            params=params)

@@ -76,13 +76,19 @@ class BankNetwork:
             object.__setattr__(self, name, value)
         if not math.isfinite(self.mu):
             raise ValueError(f"mu must be finite, got {self.mu}")
-        for name in ("external_assets", "sigma"):
-            if np.any(getattr(self, name) <= 0):
-                raise ValueError(f"{name} must be positive")
-        if np.any(self.mutual < 0) or np.any(np.diag(self.mutual) != 0.0):
-            raise ValueError("mutual must be non-negative with a zero diagonal")
-        if np.any((self.recoveries < 0) | (self.recoveries > 1)):
-            raise ValueError("recoveries must lie in [0, 1]")
+        off_range = (
+            ("external_assets", "must be positive", self.external_assets <= 0),
+            ("sigma", "must be positive", self.sigma <= 0),
+            ("mutual", "must be non-negative with a zero diagonal",
+             (self.mutual < 0) | (np.eye(n, dtype=bool) & (self.mutual != 0.0))),
+            ("recoveries", "must lie in [0, 1]",
+             (self.recoveries < 0) | (self.recoveries > 1)),
+        )
+        for name, rule, bad in off_range:
+            if bad.any():
+                at = tuple(int(i) for i in np.argwhere(bad)[0])
+                where = f"bank {at[0]}" if len(at) == 1 else f"entry {at}"
+                raise ValueError(f"{name} {rule}, got {getattr(self, name)[at]} at {where}")
         if self.corr is None:
             object.__setattr__(self, "corr", CorrelationMatrix(np.eye(n)))
         if self.corr.n != n:

@@ -1,11 +1,12 @@
 """Importing circuitlab loads numpy only; scipy loads on first use.
 
-The circuit models (Goodwin, Keen, MMC) and the network Monte Carlo never
-reach scipy, so a fresh interpreter that imports every module and runs them
-must end with no scipy module loaded.  The wedge and dividend routines that
-call scipy import it inside the function, and their first call in a fresh
+The circuit models (Goodwin, Keen, MMC), the network Monte Carlo and the
+stationary dividend barrier never reach scipy, so a fresh interpreter that
+imports every module and runs them must end with no scipy module loaded.
+`wedge.norm_cdf` and `dividend.solve_variational` import scipy.special and
+scipy.linalg inside the function, and their first call in a fresh
 interpreter must give the same bytes as a call where scipy was already
-loaded.
+loaded.  No routine loads scipy.optimize.
 """
 
 import pkgutil
@@ -62,6 +63,39 @@ print(scipy_modules())
     assert _run(code) == "[]"
 
 
+def test_stationary_barrier_loads_no_scipy():
+    code = """
+from circuitlab import dividend
+dividend.stationary_barrier(dividend.FIG13_PARAMS)
+print(scipy_modules())
+"""
+    assert _run(code) == "[]"
+
+
+def test_deterministic_routines_load_no_scipy_optimize():
+    # Q, Q1, the Fig 13 march and barrier and the balance-sheet search: the
+    # scipy-backed routines load scipy.linalg and scipy.special only
+    code = """
+from circuitlab import balance, dividend, network, wedge
+spec = wedge.QuadratureSpec(panels=2, order=6, time_panels=2, target=1.0)
+net = network.fig15_network(rho=0.3)
+wedge.joint_survival_Q(net, (2.0, 2.0), 1.0, spec)
+wedge.marginal_survival_Q1(net, (2.0, 2.0), 1.0, spec)
+dividend.solve_variational(dividend.FIG13_PARAMS, horizon=0.05, e_max=2.0, n_grid=200,
+                           dtau=1e-3)
+dividend.stationary_barrier(dividend.FIG13_PARAMS)
+balance.constant_control_search(
+    balance.FlowState(x=100.0, i=20.0, c=10.0, d=90.0, y=25.0, e=15.0),
+    balance.FlowParams(lam=0.2, mu=0.25, nu=0.05, xi=0.03, alpha=0.15, beta=0.01,
+                       r=0.06, zeta=0.02, sigma=0.2, discount=0.04, t_lag=1.0),
+    balance.RegWeights(rwa=0.8, kappa=0.105, k2=1.0), horizon=1.0, dt=0.02,
+    grid={"delta": np.array([0.0, 0.2])})
+loaded = scipy_modules()
+print([m for m in loaded if m.startswith("scipy.optimize")], "scipy.linalg" in loaded)
+"""
+    assert _run(code) == "[] True"
+
+
 # each snippet binds `out` from one scipy-backed entry point
 FIRST_CALLS = {
     "norm_cdf": "from circuitlab import wedge\n"
@@ -85,7 +119,6 @@ def test_first_call_in_a_fresh_interpreter_matches_a_warm_call(name):
     fresh = _run(f"assert scipy_modules() == []\n{snippet}\n"
                  "print(np.asarray(out, dtype=float).tobytes().hex())")
     import scipy.linalg  # noqa: F401  (scipy already loaded in this process)
-    import scipy.optimize  # noqa: F401
     import scipy.special  # noqa: F401
     scope = {"np": np}
     exec(snippet, scope)

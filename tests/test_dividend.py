@@ -4,11 +4,12 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.integrate import quad
 from scipy.linalg.blas import dtbsv
+from scipy.optimize import brentq
 
 from circuitlab import dividend
 from circuitlab.dividend import (
@@ -392,6 +393,84 @@ def test_no_bracket_reported(monkeypatch):
                      lambda1=0.0, delta1=3.0, lambda2=0.0, delta2=1.0)
     with pytest.raises(ValueError, match="four symbol roots"):
         stationary_barrier(p)
+
+
+def test_overflowing_residual_brackets_no_root():
+    # the residual is positive up to E = 9.32 and not finite from 9.79 on,
+    # where exp(root E) overflows; a NaN once read as a sign change and
+    # handed the solver a bracket it could not use
+    p = EquityParams(mu=-0.164, sigma=0.067, discount=0.178, lambda1=0.096,
+                     delta1=9.76, lambda2=0.054, delta2=4.63)
+    with pytest.raises(RuntimeError, match=r"no sign change .* not finite at \d+ "
+                                           r"barriers, from E = 9\.79"):
+        stationary_barrier(p)
+    # here only the slope row root * exp(root E) overflows: the solve gave
+    # zero coefficients and an exact zero residual at E = 20.5, a false
+    # barrier with V_E(E*) = 0
+    p = EquityParams(mu=-0.0982, sigma=0.0828, discount=0.192, lambda1=0.273,
+                     delta1=3.16, lambda2=0.254, delta2=0.74)
+    with pytest.raises(RuntimeError, match=r"no sign change .* from E = 20\.5"):
+        stationary_barrier(p)
+
+
+def test_barrier_at_a_scan_point_and_a_non_finite_bisection(monkeypatch):
+    scan = np.geomspace(*dividend.BARRIER_BRACKET, dividend.BARRIER_SCAN_POINTS)
+    # an exact zero at a scan point is the root, with no bisection
+    monkeypatch.setattr(dividend, "_coeffs_for_barrier",
+                        lambda roots, params, e: (np.zeros(4), scan[37] - e))
+    assert stationary_barrier(FIG13_PARAMS).e_star == scan[37]
+    # a residual that is not finite inside the bracket is named, not bisected
+    root = math.sqrt(scan[37] * scan[38])
+    monkeypatch.setattr(dividend, "_coeffs_for_barrier",
+                        lambda roots, params, e: (np.zeros(4),
+                                                  math.nan if scan[37] < e < scan[38]
+                                                  else root - e))
+    with pytest.raises(RuntimeError, match="not finite at trial barrier .* inside the bracket"):
+        stationary_barrier(FIG13_PARAMS)
+
+
+def _scan_bracket(residual):
+    """The first sign change between two finite residuals on the barrier
+    scan, or None."""
+    scan = np.geomspace(*dividend.BARRIER_BRACKET, dividend.BARRIER_SCAN_POINTS)
+    with np.errstate(over="ignore"):
+        vals = np.array([residual(e) for e in scan])
+    for k in range(len(scan) - 1):
+        if np.isfinite(vals[k:k + 2]).all() and np.sign(vals[k]) != np.sign(vals[k + 1]):
+            return scan[k], scan[k + 1]
+    return None
+
+
+@settings(deadline=None, max_examples=100)
+@given(mu=st.floats(-0.2, 0.3), sigma=st.floats(0.05, 1.0), discount=st.floats(0.01, 0.3),
+       lambda1=st.floats(1e-3, 0.5), delta1=st.floats(0.2, 10.0),
+       lambda2=st.floats(1e-3, 0.5), delta2=st.floats(0.2, 10.0))
+def test_barrier_bisection_matches_brentq(mu, sigma, discount, lambda1, delta1,
+                                          lambda2, delta2):
+    """scipy.optimize.brentq is the reference implementation of the barrier
+    root: on the same scan bracket, with the tolerance the bisection stops
+    at (1e-14 + 8.9e-16 E*), it must find the same E*.  Both stop with the
+    root in a bracket that wide, and the bisection returns its midpoint, so
+    they differ by at most 1.5 times it: within 1.5e-13 relative for E* >=
+    0.1; below that the absolute 1e-14 sets the scale."""
+    p = EquityParams(mu=mu, sigma=sigma, discount=discount, lambda1=lambda1,
+                     delta1=delta1, lambda2=lambda2, delta2=delta2)
+    try:
+        roots = symbol_roots(p)
+    except ValueError:           # complex roots or a root on a pole
+        assume(False)
+
+    def residual(e):
+        return dividend._coeffs_for_barrier(roots, p, e)[1]
+
+    bracket = _scan_bracket(residual)
+    assume(bracket is not None)
+    with np.errstate(over="ignore"):
+        ref = brentq(residual, *bracket, xtol=1e-14, rtol=8.9e-16)
+    sol = stationary_barrier(p)
+    assert abs(sol.e_star - ref) <= 1.5 * (1e-14 + 8.9e-16 * ref)
+    assert abs(sol.derivative(sol.e_star, 1) - 1.0) < 1e-10
+    assert abs(sol.derivative(sol.e_star, 2)) < 1e-10
 
 
 def test_cfl_warning():

@@ -64,6 +64,15 @@ BAD_INPUTS = [
     ("external_assets", [60.0, -1.0], "external_assets must be positive"),
     ("corr", CorrelationMatrix(np.eye(3)), "corr must be 2x2, got 3x3"),
     ("jumps", THREE_BANK_JUMPS, "jumps must cover 2 banks, got 3"),
+    # the range messages name the first offending bank (entry, for mutual)
+    # and its value
+    ("sigma", [0.4, 0.0], "sigma must be positive, got 0.0 at bank 1$"),
+    ("external_assets", [-2.0, -1.0], "external_assets must be positive, got -2.0 at bank 0$"),
+    ("mutual", [[0.0, 10.0], [20.0, 1.5]],
+     r"mutual must be non-negative with a zero diagonal, got 1.5 at entry \(1, 1\)$"),
+    ("mutual", [[0.0, 10.0], [-20.0, 0.0]],
+     r"mutual must be non-negative with a zero diagonal, got -20.0 at entry \(1, 0\)$"),
+    ("recoveries", [-0.1, 0.4], r"recoveries must lie in \[0, 1\], got -0.1 at bank 0$"),
 ]
 
 
