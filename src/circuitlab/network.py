@@ -470,8 +470,7 @@ def simulate_paths(
         log_interior = np.tile(_survivors(sets, net, alive[0]).log_interior, (width, 1))
 
         for k_step, z in enumerate(noise.rows(n_steps, n)):
-            # contiguous per step: copying whole blocks raises the peak RSS
-            dw = _correlate(chol, np.ascontiguousarray(z)).T * sqdt
+            dw = _correlate(chol, z).T * sqdt
             log_a = log_a + drift + net.sigma * dw
             if k_step in jump_events:
                 rows, banks, amps = jump_events[k_step]

@@ -3,11 +3,22 @@
 Streams are counter-based (Philox) and keyed by (master_seed, stream_index),
 so results never depend on scheduling or worker count: path k always draws
 from stream k.  `PathNoise.rows` alone decides how many steps one draw holds.
+
+`PathNoise` lays its normals out step-major, (n_steps, dims, n_paths) in C
+order, the layout the Euler loops read one step at a time.  Each path draws
+its run into a row of a small tile buffer, which is copied into the block's
+columns.  When a path's draw is large and the process may use two CPUs, one
+worker thread fills half the tiles; each generator is used by one thread and
+writes only its own columns, so the values never depend on the split.  The
+worker starts on first use, never at import.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import os
+import threading
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterator, Mapping
@@ -38,11 +49,24 @@ class RngStream:
 
     def generator(self) -> np.random.Generator:
         key = np.array([self.master_seed, self.stream_index], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        return np.random.Generator(np.random.Philox(_PhiloxKey(key)))
 
     def substream(self, index: int) -> "RngStream":
         """Stream for path/scenario `index`, independent of this one for index != stream_index."""
         return RngStream(self.master_seed, index)
+
+
+class _PhiloxKey(np.random.bit_generator.ISeedSequence):
+    """A Philox key handed over as the generator's seed sequence.  Philox
+    takes `generate_state(2, np.uint64)` as its key, so the draws equal
+    `Philox(key=words)`'s, which would first build a `SeedSequence` from OS
+    entropy and then discard it: that costs half of each generator build."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        return self.words
 
 
 class CorrelationError(ValueError):
@@ -189,8 +213,25 @@ class JumpSpec:
 
 # values of noise in one `PathNoise.rows` draw: 8.4 MB of float64.  Freeing
 # a block raises glibc's mmap threshold to its size, and the heap then keeps
-# up to twice that resident, so the block size also bounds a run's peak RSS
+# up to twice that resident, so the block size, with the tile buffers below
+# (a draw of n paths allocates min(n, TILE_PATHS) / n of the block per
+# filling thread), bounds a run's peak RSS
 NOISE_VALUES = 2**20
+# paths per tile buffer: 1 MB per tile on a draw of 2 x 2,048 steps.  The
+# calling thread allocates every tile buffer, the worker's too: buffers the
+# worker allocated come from a second glibc arena, and raised the
+# benchmark's `monte_carlo` peak RSS from 70.2 to 72.3 MB
+TILE_PATHS = 32
+# values per path (n_steps * dims) from which a draw of more than one tile
+# splits its tiles with the worker thread.  Each standard_normal call
+# releases the GIL only for its fill of this many values, so below the
+# crossover the two threads mostly wait on each other for the GIL; handing
+# a draw to the worker costs about 40 us besides.  Measured on 2 CPUs (numpy
+# 2.4, Python 3.11), two threads against one at 256 / 1,024 / 4,096 paths:
+# 1.64 / 1.57 / 1.54x the time at 256 values, 1.16 / 1.07 / 1.02x at 384,
+# 0.72 / 0.88 / 0.88x at 448, 0.66 / 0.82 / 0.63x at 512, and about 0.55x
+# at 4,096 values on 256 paths
+THREAD_VALUES = 512
 
 
 class PathNoise:
@@ -202,25 +243,85 @@ class PathNoise:
     the time blocking, splits a run into draws of NOISE_VALUES = 2**20 values
     without changing a value: 2,048 steps of 2 x 256 paths, so the per-path
     generator loop runs rarely, and 128 of 2 x 4,096, so a block stays small.
+
+    A draw is a C-contiguous (n_steps, dims, n_paths) block, so each step
+    `rows` yields is a contiguous (dims, n_paths) array.  Paths fill it
+    TILE_PATHS at a time: each draws its (n_steps, dims) run into its row of
+    a tile buffer, and the tile is copied into its columns.  A draw of more
+    than one tile, with n_steps * dims >= THREAD_VALUES, in a process that
+    may use two CPUs, gives the later half of its tiles to one worker thread.
+    A draw's block and its one or two tile buffers bound the noise's memory.
     """
 
     def __init__(self, stream: RngStream, n_paths: int, first_path: int = 0):
+        if not (isinstance(n_paths, numbers.Integral) and n_paths >= 1):
+            raise ValueError(f"n_paths must be a positive integer, got {n_paths!r}")
         self._gens = [
             stream.substream(first_path + j).generator() for j in range(n_paths)
         ]
 
     def normals(self, n_steps: int, dims: int) -> np.ndarray:
-        """Standard normals with shape (n_steps, dims, n_paths)."""
-        out = np.empty((len(self._gens), n_steps, dims))
-        for j, g in enumerate(self._gens):
-            g.standard_normal(out=out[j])
-        return out.transpose(1, 2, 0)
+        """Standard normals with shape (n_steps, dims, n_paths), C-contiguous."""
+        _require_dims(dims)
+        n = len(self._gens)
+        out = np.empty((n_steps, dims, n))
+        if n > TILE_PATHS and n_steps * dims >= THREAD_VALUES and _usable_cpus() >= 2:
+            # the caller takes the larger half of the tiles
+            cut = -(-n // (2 * TILE_PATHS)) * TILE_PATHS
+            bufs = np.empty((2, TILE_PATHS, n_steps, dims))
+            rest = _worker().submit(_fill, self._gens, cut, n, out, bufs[1])
+            _fill(self._gens, 0, cut, out, bufs[0])
+            rest.result()
+        else:
+            _fill(self._gens, 0, n, out, np.empty((min(TILE_PATHS, n), n_steps, dims)))
+        return out
 
     def rows(self, n_steps: int, dims: int) -> Iterator[np.ndarray]:
-        """One (dims, n_paths) array of standard normals per step, via `normals`."""
+        """One contiguous (dims, n_paths) array of standard normals per step,
+        via `normals`."""
+        _require_dims(dims)
         block = max(1, NOISE_VALUES // (dims * len(self._gens)))
         for k in range(0, n_steps, block):
             yield from self.normals(min(block, n_steps - k), dims)
 
     def generator(self, j: int) -> np.random.Generator:
         return self._gens[j]
+
+
+def _require_dims(dims: int) -> None:
+    if not (isinstance(dims, numbers.Integral) and dims >= 1):
+        raise ValueError(f"dims must be a positive integer, got {dims!r}")
+
+
+def _fill(gens: list, lo: int, hi: int, out: np.ndarray, buf: np.ndarray) -> None:
+    """Draw paths lo..hi-1 of `gens` into their columns of `out`, a tile of
+    len(buf) paths at a time through `buf`."""
+    for a in range(lo, hi, len(buf)):
+        b = min(a + len(buf), hi)
+        tile = buf[:b - a]
+        for g, row in zip(gens[a:b], tile):
+            g.standard_normal(out=row)
+        out[:, :, a:b] = tile.transpose(1, 2, 0)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+_worker_lock = threading.Lock()
+_worker_pool = None     # (pid, executor): a forked child starts its own
+
+
+def _worker():
+    """The one worker thread that fills tiles, started on first use."""
+    global _worker_pool
+    with _worker_lock:
+        if _worker_pool is None or _worker_pool[0] != os.getpid():
+            from concurrent.futures import ThreadPoolExecutor
+            _worker_pool = (os.getpid(),
+                            ThreadPoolExecutor(1, thread_name_prefix="path-noise"))
+        return _worker_pool[1]

@@ -10,9 +10,9 @@ drift is a kernel on that block: it takes the stacked state and returns one
 new array of the same shape, each model writing its rows into it, and
 `employment_drift` the rows of the pair.  A diffusion takes the stacked
 state and returns the noise loadings of the loaded rows, stacked the same
-way.  Each step's normals come from `PathNoise.rows`.  The loop's rules
-test with one reduction whether they fire and pay for their masks only when
-one does.
+way.  Each step's normals come from `PathNoise.rows`, one contiguous
+(dims, paths) array per step.  The loop's rules test with one reduction
+whether they fire and pay for their masks only when one does.
 The `EulerPaths` it returns is every circuit run's result: Goodwin returns
 it as it is, Keen and MMC as subclasses that add views of their extra
 components and what they derive from them.

@@ -6,7 +6,8 @@ imports every module and runs them must end with no scipy module loaded.
 `wedge.norm_cdf` and `dividend.solve_variational` import scipy.special and
 scipy.linalg inside the function, and their first call in a fresh
 interpreter must give the same bytes as a call where scipy was already
-loaded.  No routine loads scipy.optimize.
+loaded.  No routine loads scipy.optimize.  Importing circuitlab starts no
+thread, and a small Monte Carlo run starts none either.
 """
 
 import pkgutil
@@ -61,6 +62,24 @@ print(scipy_modules())
 """
     assert {"dividend", "wedge"} <= set(names)
     assert _run(code) == "[]"
+
+
+def test_imports_and_a_small_run_start_no_thread():
+    # the noise worker thread starts on the first draw large enough to share
+    names = sorted(m.name for m in pkgutil.iter_modules(circuitlab.__path__))
+    code = f"""
+import importlib, threading
+def threads():
+    return threading.active_count(), "concurrent.futures" in sys.modules
+for name in {names!r}:
+    importlib.import_module("circuitlab." + name)
+imported = threads()
+from circuitlab import goodwin, rng
+goodwin.simulate(goodwin.GoodwinState(0.7, 0.9), goodwin.FIG3_PARAMS, 1.0, 0.01,
+                 paths=4, stream=rng.RngStream(1))
+print(imported, threads(), rng._worker_pool)
+"""
+    assert _run(code) == "(1, False) (1, False) None"
 
 
 def test_stationary_barrier_loads_no_scipy():

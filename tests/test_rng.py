@@ -1,6 +1,8 @@
 import copy
 import math
+import multiprocessing
 import pickle
+import threading
 from dataclasses import FrozenInstanceError, replace
 from unittest import mock
 
@@ -51,6 +53,105 @@ def test_stream_takes_every_64_bit_key():
     b = RngStream(np.uint64(top), np.uint64(top)).substream(top).generator().standard_normal(4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, RngStream(0, top).generator().standard_normal(4))
+
+
+# a key drawn once from os.urandom, beside the two ends of the key space
+@pytest.mark.parametrize("key", [(0, 0), (2**64 - 1, 2**64 - 1),
+                                 (0x8F0C6A3E91D2B547, 0x2B7E151628AED2A6)],
+                         ids=["zero", "top", "random"])
+def test_generator_is_philox_keyed_by_seed_and_index(key):
+    # the stream builds Philox from the key through a seed sequence; a numpy
+    # release that stopped taking that sequence's state as the key would
+    # change every seeded result
+    reference = np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
+    expected = reference.standard_normal(96).tobytes()
+    gen = RngStream(*key).generator()
+    copied = pickle.loads(pickle.dumps(gen))
+    head = gen.standard_normal(32).tobytes()
+    resumed = pickle.loads(pickle.dumps(gen))
+    assert head + gen.standard_normal(64).tobytes() == expected
+    assert copied.standard_normal(96).tobytes() == expected
+    assert head + resumed.standard_normal(64).tobytes() == expected
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: PathNoise(RngStream(0), 0), r"^n_paths must be a positive integer, got 0$"),
+    (lambda: PathNoise(RngStream(0), 2.5), r"^n_paths must be a positive integer, got 2\.5$"),
+    (lambda: PathNoise(RngStream(0), -3), r"^n_paths must be a positive integer, got -3$"),
+    (lambda: list(PathNoise(RngStream(0), 2).rows(3, 0)),
+     r"^dims must be a positive integer, got 0$"),
+    (lambda: PathNoise(RngStream(0), 2).normals(3, 1.5),
+     r"^dims must be a positive integer, got 1\.5$"),
+], ids=["zero-paths", "fractional-paths", "negative-paths", "zero-dims", "fractional-dims"])
+def test_path_noise_rejects_a_degenerate_shape_by_name(build, message):
+    # zero paths or dims divided by zero in rows, and 2.5 paths was an
+    # unnamed TypeError from range
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def _fills_by_thread(monkeypatch):
+    """Patch rng._fill to record the thread of each call; returns the set."""
+    threads = set()
+    fill = rng._fill
+
+    def traced(*args):
+        threads.add(threading.get_ident())
+        fill(*args)
+
+    monkeypatch.setattr(rng, "_fill", traced)
+    return threads
+
+
+@pytest.mark.parametrize("n_paths", [1, rng.TILE_PATHS - 1, rng.TILE_PATHS + 1,
+                                     3 * rng.TILE_PATHS + 5])
+def test_normals_are_step_major_whichever_thread_fills_them(n_paths, monkeypatch):
+    # from two tiles on, a draw above the crossover shares its tiles with
+    # the worker; with one CPU, or one tile, the caller fills every tile
+    n_steps, dims = 7, 3
+    monkeypatch.setattr(rng, "THREAD_VALUES", n_steps * dims)
+    draws = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(rng, "_usable_cpus", lambda cpus=cpus: cpus)
+        threads = _fills_by_thread(monkeypatch)
+        noise = PathNoise(RngStream(6), n_paths, first_path=2)
+        block = noise.normals(n_steps, dims)
+        rows = list(noise.rows(n_steps, dims))
+        assert block.shape == (n_steps, dims, n_paths) and block.flags.c_contiguous
+        assert all(r.shape == (dims, n_paths) and r.flags.c_contiguous for r in rows)
+        assert len(threads) == (2 if cpus == 2 and n_paths > rng.TILE_PATHS else 1)
+        later = np.stack(rows)
+        for j in range(n_paths):
+            g = RngStream(6, 2 + j).generator()
+            assert block[:, :, j].tobytes() == g.standard_normal((n_steps, dims)).tobytes()
+            assert later[:, :, j].tobytes() == g.standard_normal((n_steps, dims)).tobytes()
+        draws[cpus] = block.tobytes() + later.tobytes()
+    assert draws[1] == draws[2]
+
+
+def test_the_worker_fills_only_large_draws_with_two_cpus(monkeypatch):
+    # this process's own affinity: one CPU under `taskset -c 0`
+    threads = _fills_by_thread(monkeypatch)
+    width = 2 * rng.TILE_PATHS
+    PathNoise(RngStream(7), width).normals(rng.THREAD_VALUES // 2 - 1, 2)
+    assert len(threads) == 1
+    PathNoise(RngStream(7), width).normals(rng.THREAD_VALUES // 2, 2)
+    assert len(threads) == (2 if rng._usable_cpus() >= 2 else 1)
+
+
+def _threaded_draw() -> bytes:
+    return PathNoise(RngStream(5), 2 * rng.TILE_PATHS + 1).normals(4, 2).tobytes()
+
+
+def test_a_forked_child_starts_its_own_worker(monkeypatch):
+    # a forked child has no copy of the parent's worker thread: a fill
+    # handed to the parent's executor would never run
+    monkeypatch.setattr(rng, "THREAD_VALUES", 1)
+    monkeypatch.setattr(rng, "_usable_cpus", lambda: 2)
+    parent = _threaded_draw()
+    assert rng._worker_pool is not None
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        assert pool.apply_async(_threaded_draw).get(timeout=60) == parent
 
 
 def test_path_noise_independent_of_total_count():
