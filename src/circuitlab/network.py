@@ -14,6 +14,13 @@ asserted.  At the horizon the survivors settle at the Eisenberg-Noe
 clearing vector, found exactly by fictitious default: at most N + 1 rounds
 of one batched linear solve each, a bank counting as short only when it
 pays below par by more than 1e-10 (`clearing_vector`).
+
+`simulate_paths` holds a chunk's state bank-major, (N, paths), the layout
+of the (dims, paths) noise rows `PathNoise.rows` yields, so a step reads
+and writes contiguous rows with no transpose; only its records are
+path-major.  PATH_CHUNK = 2,048 is the widest chunk whose two-bank noise
+draws reach `rng.THREAD_VALUES` values per path, the size from which
+`PathNoise` shares a draw with its worker thread.
 """
 
 from __future__ import annotations
@@ -202,8 +209,12 @@ SOLVENT_OMEGA = 1.0 - 1e-9
 # fixed-point tolerance, so one paying par to within rounding stays solvent
 SHORT_MARGIN = 1e-10
 # paths run at once by simulate_paths and two_bank_survival_grid: a chunk
-# bounds memory, and each path draws its own noise, so no result depends on it
-PATH_CHUNK = 4096
+# bounds memory, and each path draws its own noise, so no result depends on
+# it.  A simulate_paths chunk draws rng.NOISE_VALUES // (N * PATH_CHUNK)
+# steps at a time: 256 for two banks, 512 values per path, which reaches
+# rng.THREAD_VALUES, so the fill runs on two threads.  A wider chunk draws
+# fewer values per path, on one thread
+PATH_CHUNK = 2048
 GRID_CHUNK = 256
 
 
@@ -433,6 +444,11 @@ def simulate_paths(
     remove the bank (deepest relative breach first when several cross in one
     step) and the survivors' boundaries are recomputed; the horizon ends
     with Eisenberg-Noe settlement of the remaining banks.
+
+    Paths run PATH_CHUNK at a time.  Within a chunk the log assets, the
+    alive flags and the log interior boundaries are bank-major, (N, width),
+    like the noise rows, and drift and sigma are (N, 1) columns; crossings
+    settle on one path's column.  The records are (paths, N).
     """
     if dynamics not in ("lognormal", "jump-diffusion"):
         raise ValueError(f"unknown dynamics {dynamics!r}")
@@ -449,7 +465,8 @@ def simulate_paths(
     kappa_lam = (net.jumps.compensators * net.jumps.bank_intensities()
                  if use_jumps else np.zeros(n))
     # deflated log-asset drift: growth mu cancels against liability growth
-    drift = (-0.5 * net.sigma ** 2 - kappa_lam) * dt
+    drift = ((-0.5 * net.sigma ** 2 - kappa_lam) * dt)[:, None]
+    sigma = net.sigma[:, None]
 
     default_time = np.full((paths, n), np.nan)
     interior_default = np.zeros((paths, n), dtype=bool)
@@ -458,6 +475,7 @@ def simulate_paths(
 
     # a path's liabilities depend only on which banks it has lost
     sets: dict[bytes, _SurvivorSet] = {}
+    everyone = _survivors(sets, net, np.ones(n, dtype=bool))
 
     for start in range(0, paths, PATH_CHUNK):
         width = min(PATH_CHUNK, paths - start)
@@ -465,26 +483,30 @@ def simulate_paths(
         noise = PathNoise(stream, width, first_path=start)
         jump_events = (_draw_jump_events(noise, net.jumps, horizon, dt, width)
                        if use_jumps else {})
-        log_a = np.tile(np.log(net.external_assets), (width, 1))
-        alive = np.ones((width, n), dtype=bool)
-        log_interior = np.tile(_survivors(sets, net, alive[0]).log_interior, (width, 1))
+        log_a = np.repeat(np.log(net.external_assets)[:, None], width, axis=1)
+        alive = np.ones((n, width), dtype=bool)
+        log_interior = np.repeat(everyone.log_interior[:, None], width, axis=1)
 
         for k_step, z in enumerate(noise.rows(n_steps, n)):
-            dw = _correlate(chol, z).T * sqdt
-            log_a = log_a + drift + net.sigma * dw
+            # log_a + drift + sigma * dw, summed in that order
+            dw = _correlate(chol, z)
+            dw *= sqdt
+            dw *= sigma
+            log_a += drift
+            log_a += dw
             if k_step in jump_events:
                 rows, banks, amps = jump_events[k_step]
-                np.add.at(log_a, (rows, banks), amps)
+                np.add.at(log_a, (banks, rows), amps)
             breach = alive & (log_a <= log_interior)
             if np.any(breach):
-                for row in np.nonzero(breach.any(axis=1))[0]:
+                for row in np.flatnonzero(breach.any(axis=0)):
                     _settle_interior(
-                        sets, net, (k_step + 1) * dt, log_a[row], alive[row],
-                        log_interior[row], default_time[start + row],
+                        sets, net, (k_step + 1) * dt, log_a[:, row], alive[:, row],
+                        log_interior[:, row], default_time[start + row],
                         interior_default[start + row], omega_out[start + row],
                     )
 
-        _settle_terminal(sets, net, log_a, alive, omega_out[span],
+        _settle_terminal(sets, net, log_a.T, alive.T, omega_out[span],
                          terminal_assets[span], default_time[span], horizon)
 
     return PathRecords(
@@ -505,6 +527,10 @@ class _SurvivorSet:
     net: BankNetwork             # the network reduced to the surviving banks
     idx: np.ndarray              # their indices in the full network
     log_interior: np.ndarray     # (N,) log interior boundaries; -inf where dead or <= 0
+    # per bank of the full network, nan where dead: what it owes in all, and
+    # its face-value claims on the other survivors
+    due: list[float]
+    claims: list[float]
 
 
 def _survivors(sets: dict, net: BankNetwork, alive: np.ndarray) -> _SurvivorSet:
@@ -521,7 +547,10 @@ def _survivors(sets: dict, net: BankNetwork, alive: np.ndarray) -> _SurvivorSet:
         interior = boundaries(reduced).interior
         log_interior = np.full(net.n, -np.inf)
         log_interior[idx[interior > 0]] = np.log(interior[interior > 0])
-        sets[key] = _SurvivorSet(reduced, idx, log_interior)
+        due, claims = np.full((2, net.n), np.nan)
+        due[idx] = reduced.external_liabilities + reduced.interbank_liabilities
+        claims[idx] = reduced.interbank_assets
+        sets[key] = _SurvivorSet(reduced, idx, log_interior, due.tolist(), claims.tolist())
     return sets[key]
 
 
@@ -555,24 +584,30 @@ def _draw_jump_events(noise: PathNoise, spec: JumpSpec, horizon: float,
 
 def _settle_interior(sets, net, t, log_a, alive, log_interior, default_time,
                      interior_default, omega):
-    """Process all breaches on one path at one step, deepest first.  Every
-    array argument is that path's row and is updated in place."""
+    """Process all breaches on one path at one step, deepest first, the
+    lowest index on a tie.  `log_a`, `alive` and `log_interior` are the
+    path's column of the chunk state, the rest its row of the records;
+    `alive`, `log_interior` and the records are updated in place."""
+    x = log_a.tolist()
+    s = _survivors(sets, net, alive)
     while True:
-        depth = np.where(alive, log_interior - log_a, -np.inf)
-        k = int(np.argmax(depth))
-        if depth[k] < 0 or not alive[k]:
-            return
+        bounds = s.log_interior.tolist()
+        k, deepest = -1, 0.0
+        for i in s.idx.tolist():
+            depth = bounds[i] - x[i]
+            if depth >= deepest and (k < 0 or depth > deepest):
+                k, deepest = i, depth
+        if k < 0:
+            break
         # payout fraction at crossing: assets plus face-value claims on the
         # still-alive banks over total due
-        s = _survivors(sets, net, alive)
-        pos = int(np.searchsorted(s.idx, k))
-        total_due = s.net.external_liabilities[pos] + s.net.interbank_liabilities[pos]
-        assets_now = math.exp(log_a[k]) + s.net.interbank_assets[pos]
-        omega[k] = min(assets_now / total_due, 1.0) if total_due > 0 else 1.0
+        due = s.due[k]
+        omega[k] = min((math.exp(x[k]) + s.claims[k]) / due, 1.0) if due > 0 else 1.0
         default_time[k] = t
         interior_default[k] = True
         alive[k] = False
-        log_interior[:] = _survivors(sets, net, alive).log_interior
+        s = _survivors(sets, net, alive)
+    log_interior[:] = s.log_interior
 
 
 def _settle_terminal(sets, net, log_a, alive, omega, terminal_assets,

@@ -6,11 +6,12 @@ from stream k.  `PathNoise.rows` alone decides how many steps one draw holds.
 
 `PathNoise` lays its normals out step-major, (n_steps, dims, n_paths) in C
 order, the layout the Euler loops read one step at a time.  Each path draws
-its run into a row of a small tile buffer, which is copied into the block's
-columns.  When a path's draw is large and the process may use two CPUs, one
-worker thread fills half the tiles; each generator is used by one thread and
-writes only its own columns, so the values never depend on the split.  The
-worker starts on first use, never at import.
+its run, a slab of steps at a time, into a row of a small tile buffer,
+which is copied into the block's columns.  When a path's draw is large and
+the process may use two CPUs, one worker thread fills half the tiles; each
+generator is used by one thread and writes only its own columns, so the
+values never depend on the split.  The worker starts on first use, never at
+import.
 """
 
 from __future__ import annotations
@@ -214,14 +215,17 @@ class JumpSpec:
 # values of noise in one `PathNoise.rows` draw: 8.4 MB of float64.  Freeing
 # a block raises glibc's mmap threshold to its size, and the heap then keeps
 # up to twice that resident, so the block size, with the tile buffers below
-# (a draw of n paths allocates min(n, TILE_PATHS) / n of the block per
-# filling thread), bounds a run's peak RSS
+# (at most TILE_VALUES each, one per filling thread), bounds a run's peak RSS
 NOISE_VALUES = 2**20
-# paths per tile buffer: 1 MB per tile on a draw of 2 x 2,048 steps.  The
-# calling thread allocates every tile buffer, the worker's too: buffers the
-# worker allocated come from a second glibc arena, and raised the
-# benchmark's `monte_carlo` peak RSS from 70.2 to 72.3 MB
+# paths per tile buffer.  The calling thread allocates every tile buffer,
+# the worker's too: buffers the worker allocated come from a second glibc
+# arena, and raised the benchmark's `monte_carlo` peak RSS from 70.2 to
+# 72.3 MB
 TILE_PATHS = 32
+# values per tile buffer, 1 MB: TILE_PATHS paths of 2 x 2,048 steps.  A
+# longer run fills in slabs of steps, so a draw of few paths does not hold
+# its noise twice, in its block and in a tile as large
+TILE_VALUES = 2**17
 # values per path (n_steps * dims) from which a draw of more than one tile
 # splits its tiles with the worker thread.  Each standard_normal call
 # releases the GIL only for its fill of this many values, so below the
@@ -246,10 +250,11 @@ class PathNoise:
 
     A draw is a C-contiguous (n_steps, dims, n_paths) block, so each step
     `rows` yields is a contiguous (dims, n_paths) array.  Paths fill it
-    TILE_PATHS at a time: each draws its (n_steps, dims) run into its row of
-    a tile buffer, and the tile is copied into its columns.  A draw of more
-    than one tile, with n_steps * dims >= THREAD_VALUES, in a process that
-    may use two CPUs, gives the later half of its tiles to one worker thread.
+    TILE_PATHS at a time: each draws its run into its row of a tile buffer of
+    at most TILE_VALUES values, a slab of steps at a time, and each slab is
+    copied into its paths' columns.  A draw of more than one tile, with
+    n_steps * dims >= THREAD_VALUES, in a process that may use two CPUs,
+    gives the later half of its tiles to one worker thread.
     A draw's block and its one or two tile buffers bound the noise's memory.
     """
 
@@ -262,24 +267,26 @@ class PathNoise:
 
     def normals(self, n_steps: int, dims: int) -> np.ndarray:
         """Standard normals with shape (n_steps, dims, n_paths), C-contiguous."""
-        _require_dims(dims)
+        _require_shape(n_steps, dims)
         n = len(self._gens)
         out = np.empty((n_steps, dims, n))
+        paths = min(TILE_PATHS, n)
+        tile = (paths, max(1, min(n_steps, TILE_VALUES // (paths * dims))), dims)
         if n > TILE_PATHS and n_steps * dims >= THREAD_VALUES and _usable_cpus() >= 2:
             # the caller takes the larger half of the tiles
             cut = -(-n // (2 * TILE_PATHS)) * TILE_PATHS
-            bufs = np.empty((2, TILE_PATHS, n_steps, dims))
+            bufs = np.empty((2, *tile))
             rest = _worker().submit(_fill, self._gens, cut, n, out, bufs[1])
             _fill(self._gens, 0, cut, out, bufs[0])
             rest.result()
         else:
-            _fill(self._gens, 0, n, out, np.empty((min(TILE_PATHS, n), n_steps, dims)))
+            _fill(self._gens, 0, n, out, np.empty(tile))
         return out
 
     def rows(self, n_steps: int, dims: int) -> Iterator[np.ndarray]:
         """One contiguous (dims, n_paths) array of standard normals per step,
         via `normals`."""
-        _require_dims(dims)
+        _require_shape(n_steps, dims)
         block = max(1, NOISE_VALUES // (dims * len(self._gens)))
         for k in range(0, n_steps, block):
             yield from self.normals(min(block, n_steps - k), dims)
@@ -288,20 +295,27 @@ class PathNoise:
         return self._gens[j]
 
 
-def _require_dims(dims: int) -> None:
+def _require_shape(n_steps: int, dims: int) -> None:
+    if not (isinstance(n_steps, numbers.Integral) and n_steps >= 0):
+        raise ValueError(f"n_steps must be a non-negative integer, got {n_steps!r}")
     if not (isinstance(dims, numbers.Integral) and dims >= 1):
         raise ValueError(f"dims must be a positive integer, got {dims!r}")
 
 
 def _fill(gens: list, lo: int, hi: int, out: np.ndarray, buf: np.ndarray) -> None:
-    """Draw paths lo..hi-1 of `gens` into their columns of `out`, a tile of
-    len(buf) paths at a time through `buf`."""
+    """Draw paths lo..hi-1 of `gens` into their columns of `out` through
+    `buf`, a tile of up to len(buf) paths and buf.shape[1] steps at a time.
+    Each generator draws its slabs in sequence, so they hold the values of
+    one draw of its whole run."""
+    n_steps, slab = len(out), buf.shape[1]
     for a in range(lo, hi, len(buf)):
         b = min(a + len(buf), hi)
-        tile = buf[:b - a]
-        for g, row in zip(gens[a:b], tile):
-            g.standard_normal(out=row)
-        out[:, :, a:b] = tile.transpose(1, 2, 0)
+        for s in range(0, n_steps, slab):
+            e = min(s + slab, n_steps)
+            tile = buf[:b - a, :e - s]
+            for g, row in zip(gens[a:b], tile):
+                g.standard_normal(out=row)
+            out[s:e, :, a:b] = tile.transpose(1, 2, 0)
 
 
 def _usable_cpus() -> int:

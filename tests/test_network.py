@@ -22,7 +22,8 @@ from circuitlab.network import (
     survival_probabilities,
     two_bank_survival_grid,
 )
-from circuitlab.rng import CorrelationMatrix, JumpSpec, RngStream
+from circuitlab.rng import CorrelationMatrix, JumpSpec, PathNoise, RngStream
+from circuitlab.sde import step_count
 from circuitlab.wedge import survival_1d
 
 
@@ -600,6 +601,86 @@ def test_n_bank_paths_do_not_depend_on_chunking(case, monkeypatch):
     assert (runs[0].default_time == 3.0).any()
     for other in runs[1:]:
         assert _records_equal(runs[0], other)
+
+
+def path_major_paths(net, horizon, dt, paths, stream, dynamics):
+    """The oracle of `simulate_paths`: its step loop with the state held
+    path-major, (paths, N), all paths in one chunk.  Each step transposes the
+    correlated noise row, and each crossing is settled by array arithmetic
+    on the path's row, reading the reduced network's liabilities."""
+    n = net.n
+    use_jumps = dynamics == "jump-diffusion"
+    kappa_lam = (net.jumps.compensators * net.jumps.bank_intensities()
+                 if use_jumps else np.zeros(n))
+    drift = (-0.5 * net.sigma ** 2 - kappa_lam) * dt
+    sqdt = math.sqrt(dt)
+    default_time = np.full((paths, n), np.nan)
+    interior_default = np.zeros((paths, n), dtype=bool)
+    omega = np.ones((paths, n))
+    terminal_assets = np.full((paths, n), np.nan)
+    sets = {}
+    noise = PathNoise(stream, paths)
+    jump_events = (network._draw_jump_events(noise, net.jumps, horizon, dt, paths)
+                   if use_jumps else {})
+    log_a = np.tile(np.log(net.external_assets), (paths, 1))
+    alive = np.ones((paths, n), dtype=bool)
+    log_interior = np.tile(network._survivors(sets, net, alive[0]).log_interior, (paths, 1))
+    for k_step, z in enumerate(noise.rows(step_count(horizon, dt), n)):
+        dw = network._correlate(net.corr.cholesky, z).T * sqdt
+        log_a = log_a + drift + net.sigma * dw
+        if k_step in jump_events:
+            rows, banks, amps = jump_events[k_step]
+            np.add.at(log_a, (rows, banks), amps)
+        for row in np.nonzero((alive & (log_a <= log_interior)).any(axis=1))[0]:
+            while True:     # the path's crossings, deepest first
+                depth = np.where(alive[row], log_interior[row] - log_a[row], -np.inf)
+                k = int(np.argmax(depth))
+                if depth[k] < 0 or not alive[row, k]:
+                    break
+                s = network._survivors(sets, net, alive[row])
+                pos = int(np.searchsorted(s.idx, k))
+                due = s.net.external_liabilities[pos] + s.net.interbank_liabilities[pos]
+                assets_now = math.exp(log_a[row, k]) + s.net.interbank_assets[pos]
+                omega[row, k] = min(assets_now / due, 1.0) if due > 0 else 1.0
+                default_time[row, k] = (k_step + 1) * dt
+                interior_default[row, k] = True
+                alive[row, k] = False
+                log_interior[row] = network._survivors(sets, net, alive[row]).log_interior
+    network._settle_terminal(sets, net, log_a, alive, omega, terminal_assets,
+                             default_time, horizon)
+    return network.PathRecords(n, horizon, default_time, interior_default, omega,
+                               terminal_assets)
+
+
+@st.composite
+def network_runs(draw):
+    n = draw(st.integers(1, 6))
+    rho = draw(st.sampled_from([0.0, 0.3, 0.8, -0.15]))
+    jumps = draw(st.booleans())
+    net = stressed_network(np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+                           n, rho, jumps)
+    return (net, "jump-diffusion" if jumps else "lognormal", draw(st.integers(1, 40)),
+            draw(st.sampled_from([1, 7, 2048, 4096])), draw(st.integers(0, 2**32 - 1)))
+
+
+# identical banks moved by one Brownian motion cross at equal depths, so
+# the lowest index must settle first
+TWIN_BANKS = BankNetwork(external_assets=np.full(2, 75.0), external_liabilities=np.full(2, 55.0),
+                         mutual=np.array([[0.0, 15.0], [15.0, 0.0]]), recoveries=np.full(2, 0.4),
+                         sigma=np.full(2, 0.4), corr=CorrelationMatrix.from_scalar(1.0, 2))
+
+
+@settings(deadline=None, max_examples=40)
+@given(run=network_runs())
+@example(run=(TWIN_BANKS, "lognormal", 40, 7, 3))
+def test_simulate_paths_equals_the_path_major_oracle(run):
+    net, dynamics, paths, chunk, seed = run
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(network, "PATH_CHUNK", chunk)
+        got = simulate_paths(net, 3.0, 0.01, paths, RngStream(seed), dynamics=dynamics)
+    want = path_major_paths(net, 3.0, 0.01, paths, RngStream(seed), dynamics)
+    for name in ("default_time", "interior_default", "omega", "terminal_assets"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 def test_survival_grid_does_not_depend_on_chunking(monkeypatch):

@@ -3,6 +3,7 @@ import math
 import multiprocessing
 import pickle
 import threading
+import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 from unittest import mock
 
@@ -82,10 +83,17 @@ def test_generator_is_philox_keyed_by_seed_and_index(key):
      r"^dims must be a positive integer, got 0$"),
     (lambda: PathNoise(RngStream(0), 2).normals(3, 1.5),
      r"^dims must be a positive integer, got 1\.5$"),
-], ids=["zero-paths", "fractional-paths", "negative-paths", "zero-dims", "fractional-dims"])
+    (lambda: PathNoise(RngStream(0), 2).normals(-3, 2),
+     r"^n_steps must be a non-negative integer, got -3$"),
+    (lambda: list(PathNoise(RngStream(0), 2).rows(-1, 2)),
+     r"^n_steps must be a non-negative integer, got -1$"),
+    (lambda: list(PathNoise(RngStream(0), 2).rows(2.5, 2)),
+     r"^n_steps must be a non-negative integer, got 2\.5$"),
+], ids=["zero-paths", "fractional-paths", "negative-paths", "zero-dims", "fractional-dims",
+        "negative-steps", "negative-row-steps", "fractional-row-steps"])
 def test_path_noise_rejects_a_degenerate_shape_by_name(build, message):
-    # zero paths or dims divided by zero in rows, and 2.5 paths was an
-    # unnamed TypeError from range
+    # zero paths or dims divided by zero in rows, 2.5 paths was an unnamed
+    # TypeError from range, and -3 steps numpy's "negative dimensions"
     with pytest.raises(ValueError, match=message):
         build()
 
@@ -107,9 +115,11 @@ def _fills_by_thread(monkeypatch):
                                      3 * rng.TILE_PATHS + 5])
 def test_normals_are_step_major_whichever_thread_fills_them(n_paths, monkeypatch):
     # from two tiles on, a draw above the crossover shares its tiles with
-    # the worker; with one CPU, or one tile, the caller fills every tile
+    # the worker; with one CPU, or one tile, the caller fills every tile.
+    # Tile buffers of 3 steps fill each path's run in slabs of 3, 3 and 1
     n_steps, dims = 7, 3
     monkeypatch.setattr(rng, "THREAD_VALUES", n_steps * dims)
+    monkeypatch.setattr(rng, "TILE_VALUES", min(n_paths, rng.TILE_PATHS) * dims * 3)
     draws = {}
     for cpus in (1, 2):
         monkeypatch.setattr(rng, "_usable_cpus", lambda cpus=cpus: cpus)
@@ -152,6 +162,26 @@ def test_a_forked_child_starts_its_own_worker(monkeypatch):
     assert rng._worker_pool is not None
     with multiprocessing.get_context("fork").Pool(1) as pool:
         assert pool.apply_async(_threaded_draw).get(timeout=60) == parent
+
+
+@pytest.mark.parametrize("n_paths", [1, rng.TILE_PATHS])
+def test_a_draw_of_one_tile_holds_its_noise_once(n_paths):
+    # a block of four tile buffers' values: the tile fills it in slabs of
+    # steps, so the draw allocates the block and one buffer, not the block
+    # twice
+    dims = 2
+    n_steps = 4 * rng.TILE_VALUES // (n_paths * dims)
+    noise = PathNoise(RngStream(12), n_paths)
+    tracemalloc.start()
+    try:
+        block = noise.normals(n_steps, dims)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= block.nbytes + 8 * rng.TILE_VALUES + 2**16
+    for j in range(n_paths):
+        whole = RngStream(12, j).generator().standard_normal((n_steps, dims))
+        assert block[:, :, j].tobytes() == whole.tobytes()
 
 
 def test_path_noise_independent_of_total_count():
