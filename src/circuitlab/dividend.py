@@ -31,12 +31,12 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from .rng import require_count
 from .sde import require_fields, step_count
 
 __all__ = [
@@ -320,8 +320,7 @@ def solve_variational(
     n_steps = step_count(horizon, dtau, "dtau")
     if not (math.isfinite(e_max) and e_max > 0):
         raise ValueError(f"e_max must be finite and positive, got {e_max}")
-    if not (isinstance(n_grid, numbers.Integral) and n_grid >= 3):
-        raise ValueError(f"n_grid must be an integer of at least 3, got {n_grid!r}")
+    require_count("n_grid", n_grid, 3)
     c = SymbolCoefficients.from_params(params)
     grid = np.linspace(0.0, e_max, n_grid)
     h = grid[1] - grid[0]

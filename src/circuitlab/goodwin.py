@@ -58,10 +58,6 @@ class GoodwinState:
     def s_f(self) -> float:
         return 1.0 - self.s_w
 
-    @property
-    def lambda_u(self) -> float:
-        return 1.0 - self.lambda_w
-
 
 # Figure presets: a, b, c, d from the representative parameter set.
 FIG1_PARAMS = GoodwinParams(a=0.225, b=0.20, c=0.4, d=0.6)

@@ -5,6 +5,15 @@ a loan creates a matching deposit (new money), repayment destroys it, and
 the two-bank sequence shows how lending out of cash plus the interbank
 rebalancing loan leaves both banks liquid and mutually linked.
 
+Every event kind posts from one table, `POSTINGS`: the entries it moves on
+the bank's books and, for a kind between two banks, on the counterparty's,
+each by +1 or -1 times the event's amount.  One rule refuses a posting: an
+entry that it lowers must hold at least the amount, except equity, which
+records losses.  Two rules are the kinds' own: a central-bank repo needs
+(1 + haircut) times its amount in performing assets as collateral, and a
+repayment's interest arrives after its principal, as an asset inflow that
+accrues to equity.
+
 Money supply is measured as total deposits (banks' external liabilities);
 cash held at the central bank is excluded.
 """
@@ -17,21 +26,31 @@ from typing import Iterable
 
 __all__ = ["BankLedger", "LedgerEvent", "LedgerError", "apply_event",
            "two_bank_creation", "capital_check", "money_supply",
-           "EVENT_KINDS"]
+           "EVENT_KINDS", "POSTINGS"]
 
 # tolerance of the balance identity (relative to total assets) and of the
 # non-negative entries (absolute): rounding of the postings, not a slack
 IDENTITY_TOL = 1e-9
 
-EVENT_KINDS = (
-    "issue_loan_single",
-    "repay_with_interest",
-    "default_loss",
-    "lend_from_cash",
-    "deposit_at_other",
-    "interbank_lend",
-    "central_bank_repo",
-)
+# per event kind, (the bank's entries, the counterparty's entries or None
+# when the kind names no counterparty), each moved by its sign times the amount
+POSTINGS = {
+    # a loan asset and its matching deposit, created on the same books
+    "issue_loan_single": ({"external_assets": 1, "external_liabilities": 1}, None),
+    # the principal cancels loan against deposit; the interest follows it
+    "repay_with_interest": ({"external_assets": -1, "external_liabilities": -1}, None),
+    # a written-off loan: equity absorbs the loss, the deposit survives
+    "default_loss": ({"external_assets": -1, "equity": -1}, None),
+    "lend_from_cash": ({"external_assets": 1, "cash": -1}, None),
+    "deposit_at_other": ({"cash": 1, "external_liabilities": 1}, None),
+    "interbank_lend": ({"cash": -1, "interbank_assets": 1},
+                       {"cash": 1, "interbank_liabilities": 1}),
+    # cash against collateralized borrowing from the central bank
+    "central_bank_repo": ({"cash": 1, "interbank_liabilities": 1}, None),
+}
+# a repayment's interest: an exogenous asset inflow that accrues to equity
+INTEREST = {"external_assets": 1, "equity": 1}
+EVENT_KINDS = tuple(POSTINGS)
 
 
 class LedgerError(ValueError):
@@ -99,6 +118,18 @@ def money_supply(ledgers: Iterable[BankLedger]) -> float:
     return sum(b.external_liabilities for b in ledgers)
 
 
+def _post(ledger: BankLedger, k: int, entries: dict[str, int], amount: float,
+          kind: str) -> BankLedger:
+    """Bank k's `ledger` with each entry moved by its sign times `amount`.
+    An entry the posting lowers, other than equity, must hold the amount."""
+    for name, sign in entries.items():
+        held = getattr(ledger, name)
+        if sign < 0 and name != "equity" and held < amount:
+            raise LedgerError(f"bank {k} {name} {held} insufficient for {kind} of {amount}")
+    return replace(ledger, **{name: getattr(ledger, name) + sign * amount
+                              for name, sign in entries.items()})
+
+
 def apply_event(
     ledgers: list[BankLedger], event: LedgerEvent, repo_haircut: float = 0.0
 ) -> tuple[list[BankLedger], float]:
@@ -114,71 +145,23 @@ def apply_event(
             raise LedgerError(f"{role} {k!r} is not one of the {len(out)} banks")
     if event.counterparty == event.bank:
         raise LedgerError(f"bank {event.bank} cannot be its own counterparty")
-    i = event.bank
-    a = event.amount
-    before = money_supply(out)
-    bank = out[i]
-
-    if event.kind == "issue_loan_single":
-        # loan asset and matching deposit created on the same books
-        out[i] = replace(bank,
-                         external_assets=bank.external_assets + a,
-                         external_liabilities=bank.external_liabilities + a)
-    elif event.kind == "repay_with_interest":
-        if bank.external_assets < a:
-            raise LedgerError(
-                f"repayment of {a} exceeds loan assets {bank.external_assets}")
-        if bank.external_liabilities < a:
-            raise LedgerError("no deposit to extinguish against the repayment")
-        # principal cancels loan against deposit; interest arrives as an
-        # exogenous asset inflow and accrues to equity
-        out[i] = replace(
-            bank,
-            external_assets=bank.external_assets - a + event.interest,
-            external_liabilities=bank.external_liabilities - a,
-            equity=bank.equity + event.interest,
-        )
-    elif event.kind == "default_loss":
-        if bank.external_assets < a:
-            raise LedgerError(
-                f"write-off of {a} exceeds loan assets {bank.external_assets}")
-        out[i] = replace(bank,
-                         external_assets=bank.external_assets - a,
-                         equity=bank.equity - a)
-    elif event.kind == "lend_from_cash":
-        if bank.cash < a:
-            raise LedgerError(f"cash {bank.cash} insufficient to lend {a}")
-        out[i] = replace(bank,
-                         external_assets=bank.external_assets + a,
-                         cash=bank.cash - a)
-    elif event.kind == "deposit_at_other":
-        out[i] = replace(bank,
-                         cash=bank.cash + a,
-                         external_liabilities=bank.external_liabilities + a)
-    elif event.kind == "interbank_lend":
-        j = event.counterparty
-        if j is None:
-            raise LedgerError("interbank_lend requires a counterparty")
-        lender = out[i]
-        if lender.cash < a:
-            raise LedgerError(f"lender cash {lender.cash} insufficient for {a}")
-        out[i] = replace(lender,
-                         cash=lender.cash - a,
-                         interbank_assets=lender.interbank_assets + a)
-        out[j] = replace(out[j],
-                         cash=out[j].cash + a,
-                         interbank_liabilities=out[j].interbank_liabilities + a)
-    elif event.kind == "central_bank_repo":
-        # cash against collateralized borrowing from the central bank; the
-        # haircut requires posting (1 + h) * amount of performing assets,
-        # which stay on the books (encumbrance is not tracked)
+    i, j, a = event.bank, event.counterparty, event.amount
+    own, other = POSTINGS[event.kind]
+    if other is not None and j is None:
+        raise LedgerError(f"{event.kind} requires a counterparty")
+    if event.kind == "central_bank_repo":
+        # the haircut requires posting (1 + h) * amount of performing
+        # assets, which stay on the books (encumbrance is not tracked)
         need = a * (1.0 + repo_haircut)
-        if bank.external_assets < need:
+        if out[i].external_assets < need:
             raise LedgerError(
-                f"collateral {need} exceeds performing assets {bank.external_assets}")
-        out[i] = replace(bank,
-                         cash=bank.cash + a,
-                         interbank_liabilities=bank.interbank_liabilities + a)
+                f"collateral {need} exceeds performing assets {out[i].external_assets}")
+    before = money_supply(out)
+    out[i] = _post(out[i], i, own, a, event.kind)
+    if other is not None:
+        out[j] = _post(out[j], j, other, a, event.kind)
+    if event.kind == "repay_with_interest":
+        out[i] = _post(out[i], i, INTEREST, event.interest, event.kind)
     for b in out:
         b.check()
     return out, money_supply(out) - before

@@ -26,12 +26,11 @@ draws reach `rng.THREAD_VALUES` values per path, the size from which
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import CorrelationMatrix, JumpSpec, PathNoise, RngStream
+from .rng import CorrelationMatrix, JumpSpec, PathNoise, RngStream, require_count
 from .sde import step_count
 
 __all__ = [
@@ -316,12 +315,6 @@ class NondimContext:
     m_terminal: np.ndarray    # terminal boundary levels in X units
     interior_levels: np.ndarray   # Lambda^< in money units (initial scale)
 
-    def x_from_assets(self, assets: np.ndarray) -> np.ndarray:
-        return self.zeta * np.log(np.asarray(assets, float) / self.interior_levels)
-
-    def assets_from_x(self, x: np.ndarray) -> np.ndarray:
-        return self.interior_levels * np.exp(np.asarray(x, float) / self.zeta)
-
     def scaled_time(self, t: float) -> float:
         if not (math.isfinite(t) and t > 0):
             raise ValueError(f"horizon must be finite and positive, got {t}")
@@ -455,8 +448,7 @@ def simulate_paths(
     if dynamics == "jump-diffusion" and net.jumps is None:
         raise ValueError("jump-diffusion dynamics require a jump specification")
     n_steps = step_count(horizon, dt)
-    if not (isinstance(paths, numbers.Integral) and paths >= 1):
-        raise ValueError(f"paths must be a positive integer, got {paths!r}")
+    require_count("paths", paths, 1)
     n = net.n
     stream = stream or RngStream(0)
     chol = net.corr.cholesky
@@ -714,8 +706,7 @@ def two_bank_survival_grid(
     dom = two_bank_domains(net)
     ctx = dom.ctx
     n_steps = step_count(ctx.scaled_time(horizon), dt_scaled, "dt_scaled")
-    if not (isinstance(paths, numbers.Integral) and paths >= 1):
-        raise ValueError(f"paths must be a positive integer, got {paths!r}")
+    require_count("paths", paths, 1)
     sq = math.sqrt(dt_scaled)
     stream = stream or RngStream(0)
     x1_grid = np.asarray(x1_grid if x1_grid is not None else np.linspace(1.0, 4.0, 5))

@@ -34,6 +34,15 @@ __all__ = [
 ]
 
 
+def require_count(name: str, value, least: int) -> None:
+    """Raise a ValueError naming `name` unless `value` is an integer of at
+    least `least`.  A bool is refused: it is an Integral, but never a count."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= least):
+        what = {0: "a non-negative integer", 1: "a positive integer"}.get(
+            least, f"an integer of at least {least}")
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RngStream:
     """A reproducible random stream keyed by (master_seed, stream_index), the
@@ -259,8 +268,7 @@ class PathNoise:
     """
 
     def __init__(self, stream: RngStream, n_paths: int, first_path: int = 0):
-        if not (isinstance(n_paths, numbers.Integral) and n_paths >= 1):
-            raise ValueError(f"n_paths must be a positive integer, got {n_paths!r}")
+        require_count("n_paths", n_paths, 1)
         self._gens = [
             stream.substream(first_path + j).generator() for j in range(n_paths)
         ]
@@ -296,10 +304,8 @@ class PathNoise:
 
 
 def _require_shape(n_steps: int, dims: int) -> None:
-    if not (isinstance(n_steps, numbers.Integral) and n_steps >= 0):
-        raise ValueError(f"n_steps must be a non-negative integer, got {n_steps!r}")
-    if not (isinstance(dims, numbers.Integral) and dims >= 1):
-        raise ValueError(f"dims must be a positive integer, got {dims!r}")
+    require_count("n_steps", n_steps, 0)
+    require_count("dims", dims, 1)
 
 
 def _fill(gens: list, lo: int, hi: int, out: np.ndarray, buf: np.ndarray) -> None:

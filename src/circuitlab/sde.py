@@ -23,14 +23,13 @@ record: finite fields, and the sign of those that need one, by name.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, fields
 from itertools import repeat
 from typing import Callable
 
 import numpy as np
 
-from .rng import PathNoise, RngStream
+from .rng import PathNoise, RngStream, require_count
 
 # clamped runs keep (s_w, lambda_w) in [CLAMP_EPS, 1 - CLAMP_EPS], off the
 # boundary where the Jacobi volatility and the barrier drifts degenerate
@@ -77,8 +76,7 @@ def record_index(horizon: float, dt: float, stride: int) -> np.ndarray:
     run of step_count(horizon, dt) steps; the stride must be an integer of
     at least 1."""
     n_steps = step_count(horizon, dt)
-    if not (isinstance(stride, numbers.Integral) and stride >= 1):
-        raise ValueError(f"record_stride must be an integer of at least 1, got {stride!r}")
+    require_count("record_stride", stride, 1)
     idx = np.arange(0, n_steps + 1, stride)
     return idx if idx[-1] == n_steps else np.append(idx, n_steps)
 
@@ -144,10 +142,6 @@ class EulerPaths:
     def lambda_w(self) -> np.ndarray:
         return self.records[1]
 
-    @property
-    def clamp_rate(self) -> float:
-        return self.clamp_events / max(self.total_steps, 1)
-
     @classmethod
     def run(
         cls,
@@ -197,8 +191,7 @@ class EulerPaths:
         every step, bit for bit.
         """
         rec_idx = record_index(horizon, dt, record_stride)
-        if not (isinstance(paths, numbers.Integral) and paths >= 1):
-            raise ValueError(f"paths must be a positive integer, got {paths!r}")
+        require_count("paths", paths, 1)
         for i, value in enumerate(initial):
             if not math.isfinite(value):
                 name = cls.COMPONENTS[i] if i < len(cls.COMPONENTS) else f"component {i}"

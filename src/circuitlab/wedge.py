@@ -43,8 +43,9 @@ Carlo engine covers jumps.
 
 The series takes ive(nu, z) = I_nu(z) e^{-z} from `iv_scaled`, the wedge's
 own power series on 0 <= z <= SERIES_MAX_Z = 25 (ValueError above).  scipy
-loads on first use, not on import, and only through `norm_cdf` (and so
-`survival_1d` and Q1), as scipy.special.
+loads on first use, not on import, and only as scipy.special: `ndtr`
+through `norm_cdf`, and `log_ndtr` for `survival_1d`'s reflection term (and
+so Q1).
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .network import BankNetwork, TwoBankDomains, two_bank_domains
+from .rng import require_count
 
 __all__ = [
     "WedgeContext", "iv_scaled", "norm_cdf", "survival_1d", "wedge_green", "boundary_flux",
@@ -220,7 +222,9 @@ def survival_1d(x: float, xi: float, m_lt: float, m_eq: float, tau: float):
     """Closed-form survival of drifted Brownian motion: never touch m_lt on
     [0, tau] and finish at or above m_eq.  The reflection formula holds for
     m_eq >= m_lt; below m_lt a surviving path already finishes above m_eq,
-    so the law is evaluated at max(m_eq, m_lt)."""
+    so the law is evaluated at max(m_eq, m_lt).  The reflection term is
+    taken in log space, exp(-2 xi (x - m_lt) + log Phi(.)), so a source far
+    above m_lt with xi < 0 meets no inf * 0."""
     if not (math.isfinite(tau) and tau > 0):
         raise ValueError(f"tau must be positive and finite, got {tau}")
     x = np.asarray(x, dtype=float)
@@ -229,8 +233,9 @@ def survival_1d(x: float, xi: float, m_lt: float, m_eq: float, tau: float):
     m_eq = max(m_eq, m_lt)
     sq = math.sqrt(tau)
     first = norm_cdf(-(m_eq - x - xi * tau) / sq)
-    refl = np.exp(-2.0 * xi * (x - m_lt)) * norm_cdf(
-        -(m_eq + x - 2.0 * m_lt - xi * tau) / sq)
+    from scipy.special import log_ndtr
+    refl = np.exp(-2.0 * xi * (x - m_lt)
+                  + log_ndtr(-(m_eq + x - 2.0 * m_lt - xi * tau) / sq))
     out = first - refl
     out = np.where(x <= m_lt, 0.0, np.clip(out, 0.0, 1.0))
     return out if out.ndim else float(out)
@@ -485,9 +490,7 @@ class QuadratureSpec:
 
     def __post_init__(self) -> None:
         for name in ("panels", "order", "time_panels"):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and value >= 1):
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+            require_count(name, getattr(self, name), 1)
         if not (isinstance(self.target, numbers.Real) and 0 < self.target < math.inf):
             raise ValueError(f"target must be positive and finite, got {self.target!r}")
 

@@ -14,7 +14,7 @@ INVALID_RUNS = [
     ({"horizon": 0.015, "dt": 0.01}, "whole"),
     ({"record_stride": 0}, "record_stride"), ({"record_stride": -1}, "record_stride"),
     # a fractional stride once stored uninitialised rows
-    ({"record_stride": 2.5}, "record_stride must be an integer"),
+    ({"record_stride": 2.5}, "record_stride must be a positive integer"),
     ({"paths": 0}, "paths"),
     # a float count once raised numpy's unnamed TypeError
     ({"paths": 2.5}, "paths must be a positive integer"),

@@ -135,7 +135,7 @@ def test_stochastic_run_confined_low_clamp_rate():
                    horizon=20.0, dt=1e-3, paths=32, stream=RngStream(21))
     assert 0.0 < res.s_range[0] and res.s_range[1] < 1.0
     assert 0.0 < res.lambda_range[0] and res.lambda_range[1] < 1.0
-    assert res.clamp_rate < 1e-3
+    assert res.clamp_events < 1e-3 * res.total_steps
 
 
 def test_stochastic_orbits_nonperiodic():

@@ -16,7 +16,8 @@ Every defaulted parameter of a function or method in `src/circuitlab/` is
 passed by some call in `src/circuitlab/` or `bench/` (the benchmark's
 workloads are the package's traffic), or is allowlisted with its reason, so
 a setting nothing sets becomes a constant instead of a configuration to test.
-Every public top-level function in `src/circuitlab/` is read by some code in
+Every public top-level function in `src/circuitlab/`, and every public method
+or property of a public top-level class, is read by some code in
 `src/circuitlab/` or `bench/`, or is listed with its reason, so a public name
 that only tests reach is a stated choice.
 Every source file parses with Python 3.10's grammar, the oldest version the
@@ -24,6 +25,7 @@ package supports.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -94,18 +96,22 @@ def _private_definitions(tree: ast.Module) -> dict[str, ast.stmt]:
     return out
 
 
+def _reads(node: ast.AST) -> Counter:
+    """Per name, its reads inside `node`: by name, attribute or import."""
+    out = Counter()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+            out[child.id] += 1
+        elif isinstance(child, ast.Attribute):
+            out[child.attr] += 1
+        elif isinstance(child, ast.ImportFrom):
+            out.update(alias.name for alias in child.names)
+    return out
+
+
 def _references(tree: ast.Module) -> set[tuple[str, int]]:
     """(name, id of the top-level statement holding the read) per read."""
-    out = set()
-    for top in tree.body:
-        for node in ast.walk(top):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                out.add((node.id, id(top)))
-            elif isinstance(node, ast.Attribute):
-                out.add((node.attr, id(top)))
-            elif isinstance(node, ast.ImportFrom):
-                out.update((alias.name, id(top)) for alias in node.names)
-    return out
+    return {(name, id(top)) for top in tree.body for name in _reads(top)}
 
 
 def unreferenced_privates(sources: dict[str, str]) -> list[str]:
@@ -330,39 +336,64 @@ def test_every_setting_is_passed_by_a_caller_or_kept_for_a_reason():
     assert unset_settings(defining, calling, KEPT_SETTINGS) == []
 
 
+def _public_functions(tree: ast.Module, module: str) -> dict[str, ast.FunctionDef]:
+    """`module.function` and `module.Class.method` for each public top-level
+    function and each public method or property of a public top-level class."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            out.update((f"{module}.{node.name}.{item.name}", item) for item in node.body
+                       if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                       and not item.name.startswith("_"))
+        elif (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and not node.name.startswith("_")):
+            out[f"{module}.{node.name}"] = node
+    return out
+
+
 def unreached_functions(sources: dict[str, str], defining: list[str],
                         allowed=frozenset()) -> list[str]:
-    """`module.function` for each public top-level function of the
-    `defining` modules that no code in `sources` reads, by name, attribute or
-    import, outside its own definition, and that `allowed` does not list;
-    plus each `allowed` entry that is read or does not exist.  A read
-    matches by bare name, so a read of any same-named object counts."""
+    """`module.function` or `module.Class.method` for each public function,
+    method or property of the `defining` modules (`_public_functions`) that
+    no code in `sources` reads, by name, attribute or import, outside its own
+    definition, and that `allowed` does not list; plus each `allowed` entry
+    that is read or does not exist.  A read matches by bare name, so a read
+    of any same-named object counts."""
     trees = {name: ast.parse(src) for name, src in sources.items()}
-    reads = set().union(*(_references(t) for t in trees.values()))
-    unreached = {f"{module}.{node.name}" for module in defining for node in trees[module].body
-                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                 and not node.name.startswith("_")
-                 and not any(n == node.name and top != id(node) for n, top in reads)}
+    reads = sum((_reads(tree) for tree in trees.values()), Counter())
+    unreached = {qualified for module in defining
+                 for qualified, node in _public_functions(trees[module], module).items()
+                 if reads[node.name] == _reads(node)[node.name]}
     return sorted([*(unreached - set(allowed)),
                    *(f"allowlisted but read or absent: {name}" for name in set(allowed) - unreached)])
 
 
 def test_checker_flags_a_function_nothing_reads():
     lib = ("def used():\n    return 1\ndef alone():\n    return alone()\n"
-           "def _private():\n    return 0\nclass Box:\n    def method(self):\n        return 2\n")
+           "def _private():\n    return 0\nclass Box:\n    def method(self):\n        return 2\n"
+           "    def helper(self):\n        return self.method()\n"
+           "    @property\n    def size(self):\n        return self.size\n"
+           "    def _hidden(self):\n        return 3\n"
+           "class _Inner:\n    def unseen(self):\n        return 4\n")
     user = "from a import used\n"
     sources = {"a": lib, "b": user}
-    assert unreached_functions(sources, ["a"]) == ["a.alone"]
-    assert unreached_functions({**sources, "c": "import a\na.alone()\n"}, ["a"]) == []
+    # a method read by a sibling is reached; one read only by itself is not
+    assert unreached_functions(sources, ["a"]) == ["a.Box.helper", "a.Box.size", "a.alone"]
+    reader = "import a\na.alone()\na.Box().helper()\nprint(a.Box().size)\n"
+    assert unreached_functions({**sources, "c": reader}, ["a"]) == []
     assert unreached_functions(sources, ["a"], {"a.alone", "a.used", "a.gone"}) == [
+        "a.Box.helper", "a.Box.size",
         "allowlisted but read or absent: a.gone", "allowlisted but read or absent: a.used"]
 
 
-# public functions that no code in the package or the benchmark reads, each
-# kept for the reason given; the tests check each against the model
+# public functions, methods and properties that no code in the package or the
+# benchmark reads, each kept for the reason given; the tests check each
+# against the model
 KEPT_FUNCTIONS = {
     "goodwin.conservation": "the paper's conserved quantity of the Goodwin orbits",
     "goodwin.fixed_point": "the paper's interior equilibrium of the Goodwin drift",
+    "goodwin.GoodwinParams.from_composites":
+        "the paper's assembly of c and d from the composite rates",
     "keen.goodwin_equivalent": "the paper's reduction of leverage-free Keen to Goodwin",
     "keen.keen_drift": "the paper's Keen drift at one state, wrapping the simulator's kernel",
     "ledger.capital_check": "the paper's capital requirement on one bank's books",

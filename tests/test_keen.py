@@ -132,7 +132,7 @@ def test_stochastic_run_confined():
                    stream=RngStream(31), record_stride=50)
     assert res.lambda_range[1] < 1.0 and res.s_range[1] < 1.0
     assert res.lambda_range[0] > 0.0 and res.s_range[0] > 0.0
-    assert res.clamp_rate < 1e-3
+    assert res.clamp_events < 1e-3 * res.total_steps
 
 
 def test_minsky_event_detection():

@@ -116,9 +116,10 @@ def test_balance_identity_preserved_by_every_event():
 def test_infeasible_events_rejected():
     bank = BankLedger(external_assets=1.0, cash=0.2,
                       external_liabilities=0.5, equity=0.7)
-    with pytest.raises(LedgerError, match="insufficient"):
+    with pytest.raises(LedgerError, match="bank 0 cash 0.2 insufficient for lend_from_cash"):
         apply_event([bank], LedgerEvent("lend_from_cash", 1.0))
-    with pytest.raises(LedgerError, match="exceeds loan assets"):
+    with pytest.raises(LedgerError,
+                       match="bank 0 external_assets 1.0 insufficient for repay_with_interest"):
         apply_event([bank], LedgerEvent("repay_with_interest", 5.0))
     with pytest.raises(LedgerError, match="amount"):
         LedgerEvent("issue_loan_single", -1.0)

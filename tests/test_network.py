@@ -409,7 +409,7 @@ def test_single_bank_mc_matches_closed_form():
         mutual=np.zeros((1, 1)), recoveries=np.array([0.5]),
         sigma=np.array([0.3]), mu=0.05)
     ctx = nondim_context(net)
-    x0 = ctx.x_from_assets(net.external_assets)[0]
+    x0 = ctx.zeta[0] * np.log(net.external_assets[0] / ctx.interior_levels[0])
     horizon = 5.0
     rec = simulate_paths(net, horizon, dt=0.002, paths=20000,
                          stream=RngStream(11))
@@ -435,7 +435,8 @@ def test_grid_evaluator_matches_simulate_paths():
     x_pt = np.array([2.0, 2.0])
     for rho in (0.0, 0.3, -0.5):
         net = fig15_network(rho=rho)
-        assets = nondim_context(net).assets_from_x(x_pt)
+        ctx = nondim_context(net)
+        assets = ctx.interior_levels * np.exp(x_pt / ctx.zeta)
         rec = simulate_paths(fig15_network(rho=rho, external_assets=assets), horizon,
                              dt=dt_cal, paths=1000, stream=RngStream(7))
         est = survival_probabilities(rec)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circuitlab import goodwin, network, rng
+from circuitlab import dividend, goodwin, network, rng, sde, wedge
 from circuitlab.rng import (
     CorrelationError,
     CorrelationMatrix,
@@ -96,6 +96,35 @@ def test_path_noise_rejects_a_degenerate_shape_by_name(build, message):
     # TypeError from range, and -3 steps numpy's "negative dimensions"
     with pytest.raises(ValueError, match=message):
         build()
+
+
+# each count of the package, as (entry point taking the count, its name);
+# each goes through rng.require_count
+COUNTS = {
+    "record_index": (lambda v: sde.record_index(1.0, 0.1, v), "record_stride"),
+    "EulerPaths.run": (lambda v: goodwin.simulate(goodwin.GoodwinState(0.5, 0.5),
+                                                  goodwin.FIG3_PARAMS, 1.0, 0.1, paths=v),
+                       "paths"),
+    "simulate_paths": (lambda v: simulate_paths(network.fig15_network(), 1.0, 0.1, v), "paths"),
+    "two_bank_survival_grid": (lambda v: network.two_bank_survival_grid(
+        network.fig15_network(), 12.5, 0.5, v), "paths"),
+    "PathNoise": (lambda v: PathNoise(RngStream(0), v), "n_paths"),
+    "normals-steps": (lambda v: PathNoise(RngStream(0), 2).normals(v, 1), "n_steps"),
+    "normals-dims": (lambda v: PathNoise(RngStream(0), 2).normals(1, v), "dims"),
+    "solve_variational": (lambda v: dividend.solve_variational(
+        dividend.FIG13_PARAMS, 0.01, 5.0, n_grid=v), "n_grid"),
+    "QuadratureSpec": (lambda v: wedge.QuadratureSpec(panels=v), "panels"),
+}
+
+
+@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize("entry", COUNTS)
+def test_counts_reject_a_bool_by_name(entry, value):
+    # a bool is an Integral: True once passed as one path and then died in
+    # numpy with an unnamed TypeError, and as one quadrature panel it ran
+    call, name = COUNTS[entry]
+    with pytest.raises(ValueError, match=rf"^{name} must be .*integer.*, got {value}$"):
+        call(value)
 
 
 def _fills_by_thread(monkeypatch):

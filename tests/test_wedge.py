@@ -84,6 +84,21 @@ def test_survival_1d_with_the_terminal_level_below_the_barrier():
                           survival_1d(x, -0.3, 0.5, 0.5, 2.0))
 
 
+@settings(deadline=None, max_examples=200)
+@given(x=st.floats(0.0, 1e8), xi=st.floats(-5.0, 5.0), m_lt=st.floats(-5.0, 5.0),
+       gap=st.floats(0.0, 10.0), tau=st.floats(1e-2, 1e3))
+@example(x=750.0, xi=-0.5, m_lt=0.0, gap=0.3, tau=2.0)
+def test_survival_1d_is_a_probability_far_from_the_boundary(x, xi, m_lt, gap, tau):
+    # exp(-2 xi (x - m_lt)) times the reflected normal tail was inf * 0, a
+    # NaN from x of about 710 at xi = -0.5, where the survival is 1
+    got = survival_1d(x, xi, m_lt, m_lt + gap, tau)
+    assert math.isfinite(got) and 0.0 <= got <= 1.0
+
+
+def test_q1_standalone_far_from_the_boundary():
+    assert q1_standalone(fig15_network(), 750.0, 12.5) == 1.0
+
+
 def test_survival_1d_against_bridge_sampler():
     # exact Monte Carlo: terminal draw + Brownian-bridge crossing probability
     x0, m_lt, m_eq, tau = 1.0, 0.0, 0.5, 1.0
