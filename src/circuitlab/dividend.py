@@ -6,9 +6,11 @@ value function solves the variational inequality max{L(V), 1 - V_E} = 0
 with V(tau=0, E) = E and V(tau, 0) = 0.
 
 Two solution routes are provided and cross-validated:
-  * the stationary (infinite-horizon) solution, built from the four real
-    roots of the operator symbol and a five-equation system that pins the
-    coefficients and the barrier E*;
+  * the stationary (infinite-horizon) solution: below the barrier the value
+    is a multiple of the scale function W(E) = sum_k e^{r_k E} / psi'(r_k)
+    over the four real roots r_k of the operator symbol psi, and the
+    barrier E* is the zero of W'' (Avram, Palmowski & Pistorius 2007, Ann.
+    Appl. Probab.; Loeffen 2008, Ann. Appl. Probab.);
   * a Crank-Nicolson march of the time-dependent inequality with the jump
     integrals reduced to companion ODEs in E (exact per-cell exponential
     integration) and the obstacle enforced by projection on the monotone
@@ -112,7 +114,8 @@ def _jump_sources(params: EquityParams) -> list[tuple[float, float]]:
             if lam > 0.0]
 
 
-def _symbol_derivative(xi: float, params: EquityParams) -> float:
+def _symbol_derivative(xi, params: EquityParams):
+    """psi'(xi), elementwise on an array."""
     c = SymbolCoefficients.from_params(params)
     out = 2.0 * c.a2 * xi + c.a1
     for lam, delta in _jump_sources(params):
@@ -125,33 +128,26 @@ def symbol_roots(params: EquityParams) -> np.ndarray:
     intensities vanish.  Companion-matrix roots of the cleared-denominator
     polynomial, Newton-polished on the symbol itself."""
     c = SymbolCoefficients.from_params(params)
-    poly = np.array([c.a2, c.a1, c.a0])
     poles = _jump_sources(params)
-    for _, delta in poles:
-        poly = np.convolve(poly, np.array([1.0, delta]))
-    # add lam*delta times the product of the OTHER active pole factors,
-    # skipped by position: equal sources still have two factors
+    # the quadratic times each pole factor in turn, plus lam*delta times the
+    # product of the OTHER pole factors, skipped by position: equal sources
+    # still have two factors
+    poly = functools.reduce(np.polymul, ([1.0, delta] for _, delta in poles),
+                            [c.a2, c.a1, c.a0])
     for k, (lam, delta) in enumerate(poles):
-        extra = np.array([lam * delta])
-        for k2, (_, delta2) in enumerate(poles):
-            if k2 != k:
-                extra = np.convolve(extra, np.array([1.0, delta2]))
-        poly[len(poly) - len(extra):] += extra
+        poly = np.polyadd(poly, lam * delta * np.poly([-d for _, d in poles[:k] + poles[k + 1:]]))
     raw = np.roots(poly)
     imag_scale = np.max(np.abs(raw))
     complex_mask = np.abs(raw.imag) > 1e-9 * imag_scale
     if np.any(complex_mask):
-        raise ValueError(
-            f"symbol has complex roots {raw[complex_mask]}; outside the "
-            "all-real regime"
-        )
+        raise ValueError(f"symbol has complex roots {raw[complex_mask]}; outside the "
+                         "all-real regime")
     roots = np.sort(raw.real)
     for _, delta in poles:
         if np.any(np.isclose(roots, -delta, rtol=0.0, atol=1e-9)):
             raise ValueError(f"root collides with the symbol pole at {-delta}")
     for _ in range(3):
-        roots = roots - symbol(roots, params) / np.array(
-            [_symbol_derivative(r, params) for r in roots])
+        roots = roots - symbol(roots, params) / _symbol_derivative(roots, params)
     return roots
 
 
@@ -169,17 +165,13 @@ class BarrierSolution:
         A scalar ``e`` (Python or numpy) gives a Python float; an array gives
         an array of the same shape, 0-d included."""
         e_arr = np.asarray(e, dtype=float)
-        below = np.clip(e_arr, 0.0, self.e_star)
-        # np.outer flattens its first argument; restore the input's shape
-        v_below = (np.exp(np.outer(below, self.roots)) @ self.coeffs).reshape(e_arr.shape)
-        v_star = float(np.exp(self.e_star * self.roots) @ self.coeffs)
-        out = np.where(e_arr <= self.e_star, v_below,
-                       e_arr + v_star - self.e_star)
+        out = np.where(e_arr <= self.e_star, self.derivative(np.clip(e_arr, 0.0, self.e_star), 0),
+                       e_arr + self.derivative(self.e_star, 0) - self.e_star)
         return float(out) if np.isscalar(e) else out
 
     def derivative(self, e, order: int = 1):
         """``order``-th derivative d^order V / dE^order of the exponential
-        combination, so order 1 is V_E and order 2 is V_EE.
+        combination, so order 0 is V, order 1 is V_E and order 2 is V_EE.
 
         The closed form holds only at or below the barrier (0 <= e <= E*);
         any point above E* raises ValueError.  Shapes follow ``value``: a
@@ -187,76 +179,49 @@ class BarrierSolution:
         e_arr = np.asarray(e, dtype=float)
         if np.any(e_arr > self.e_star):
             raise ValueError("closed-form derivatives apply below the barrier")
+        # np.outer flattens its first argument; restore the input's shape
         out = (np.exp(np.outer(e_arr, self.roots))
                @ (self.coeffs * self.roots ** order)).reshape(e_arr.shape)
         return float(out) if np.isscalar(e) else out
 
 
-def _coeffs_for_barrier(roots: np.ndarray, params: EquityParams,
-                        e_star: float) -> tuple[np.ndarray, float]:
-    """Solve the 4x4 block (boundary value, both jump-residual rows, slope
-    condition) and return the coefficients plus the curvature residual."""
-    grow = np.exp(roots * e_star)
-    m = np.array([
-        np.ones(4),
-        1.0 / (roots + params.delta1),
-        1.0 / (roots + params.delta2),
-        roots * grow,
-    ])
-    if not np.isfinite(m).all():
-        # exp(root E*) overflowed: the slope row pins no coefficients (solve
-        # would return zeros and a false zero residual), so there is no residual
-        return np.full(4, np.nan), math.nan
-    rhs = np.array([0.0, 0.0, 0.0, 1.0])
-    try:
-        coeffs = np.linalg.solve(m, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(
-            f"degenerate coefficient system at trial barrier {e_star}: {exc}"
-        ) from exc
-    residual = float((coeffs * roots ** 2 * grow).sum())
-    return coeffs, residual
+def _curvature(roots: np.ndarray, weights: np.ndarray, e):
+    """W''(E) e^{-r_max E} = sum_k w_k r_k^2 e^{(r_k - r_max) E} at the trial
+    barriers ``e``: the sign of the scale function's curvature, scaled so
+    that no exponent is positive and nothing can overflow."""
+    return np.exp(np.multiply.outer(e, roots - roots.max())) @ (weights * roots ** 2)
 
 
 def stationary_barrier(params: EquityParams) -> BarrierSolution:
     """Stationary value function and optimal barrier E*.
 
-    For each trial barrier the linear block enforces V(0) = 0, both jump
-    consistency rows, and V_E(E*) = 1; the barrier is then the root of the
-    remaining curvature condition V_EE(E*) = 0.  It is bracketed by the
-    first sign change between two finite residuals on a geometric scan of
-    BARRIER_BRACKET (an exact zero at a scan point is the root) and bisected
-    until the bracket is at most 1e-14 + 8.9e-16 E* wide, brentq's
-    tolerance.  A residual that overflows is skipped in the scan and named
-    in the error when no finite pair changes sign."""
+    Below the barrier V = c W, with W(E) = sum_k w_k e^{r_k E} the scale
+    function and w_k = 1/psi'(r_k) the residues of 1/psi at its simple
+    poles r_k (a repeated root has no finite weight and is refused).  1/psi
+    is O(xi^-2) at infinity, so sum_k w_k = 0 and V(0) = 0; it vanishes at
+    each jump pole -delta, so sum_k w_k / (r_k + delta) = 0, both jump
+    rows.  E* is the zero of W'': it is bracketed by the first sign change
+    of `_curvature` on a geometric scan of BARRIER_BRACKET (an exact zero at
+    a scan point is the root) and bisected until the bracket is at most
+    1e-14 + 8.9e-16 E* wide, brentq's tolerance.  c = 1/W'(E*) sets V_E(E*)
+    = 1."""
     roots = symbol_roots(params)
     if len(roots) != 4:
-        raise ValueError(
-            "the stationary construction needs both jump sources active "
-            f"(four symbol roots); got {len(roots)}"
-        )
-
-    def residual(e: float) -> float:
-        return _coeffs_for_barrier(roots, params, e)[1]
-
+        raise ValueError("the stationary construction needs both jump sources active "
+                         f"(four symbol roots); got {len(roots)}")
+    slopes = _symbol_derivative(roots, params)
+    if not np.all(np.isfinite(slopes) & (slopes != 0.0)):
+        raise RuntimeError(f"psi' = {slopes} at the symbol roots {roots}: a repeated "
+                           "root has no finite scale-function weight")
+    weights = 1.0 / slopes
     scan = np.geomspace(*BARRIER_BRACKET, BARRIER_SCAN_POINTS)
-    # exp(root * E) overflows at large trial barriers; such residuals are
-    # not finite and bracket nothing
-    with np.errstate(over="ignore"):
-        vals = np.array([residual(e) for e in scan])
-    finite = np.isfinite(vals)
-    sign = np.sign(vals)
-    sign_flip = np.flatnonzero(finite[:-1] & finite[1:] & (sign[:-1] != sign[1:]))
+    vals = _curvature(roots, weights, scan)
+    sign_flip = np.flatnonzero(np.diff(np.sign(vals)))
     if len(sign_flip) == 0:
-        overflow = ("" if finite.all() else
-                    f"; the residual is not finite at {np.count_nonzero(~finite)} "
-                    f"barriers, from E = {scan[np.argmin(finite)]:.6g}")
-        shown = vals[finite] if finite.any() else vals
         raise RuntimeError(
-            "no sign change of the curvature residual on the scan grid; "
-            f"residual range [{shown.min():.3e}, {shown.max():.3e}] over "
-            f"barriers [{BARRIER_BRACKET[0]}, {BARRIER_BRACKET[1]}]{overflow}"
-        )
+            "no sign change of the curvature W'' on the scan grid; "
+            f"W''(E) e^(-r_max E) ranges over [{vals.min():.3e}, {vals.max():.3e}] "
+            f"on barriers [{BARRIER_BRACKET[0]}, {BARRIER_BRACKET[1]}]")
     k = sign_flip[0]
     lo, hi = scan[k], scan[k + 1]
     # an exact zero at a scan point is the root
@@ -264,20 +229,14 @@ def stationary_barrier(params: EquityParams) -> BarrierSolution:
         hi = lo
     elif vals[k + 1] == 0.0:
         lo = hi
-    with np.errstate(over="ignore"):
-        while hi - lo > 1e-14 + 8.9e-16 * hi:
-            mid = 0.5 * (lo + hi)
-            f_mid = residual(mid)
-            if not math.isfinite(f_mid):
-                raise RuntimeError(
-                    f"curvature residual is not finite at trial barrier {mid} "
-                    f"inside the bracket [{lo}, {hi}]")
-            if (f_mid > 0.0) == (vals[k] > 0.0):
-                lo = mid
-            else:
-                hi = mid
+    while hi - lo > 1e-14 + 8.9e-16 * hi:
+        mid = 0.5 * (lo + hi)
+        if (_curvature(roots, weights, mid) > 0.0) == (vals[k] > 0.0):
+            lo = mid
+        else:
+            hi = mid
     e_star = 0.5 * (lo + hi)
-    coeffs, _ = _coeffs_for_barrier(roots, params, e_star)
+    coeffs = weights / (np.exp(roots * e_star) @ (weights * roots))
     return BarrierSolution(roots=roots, coeffs=coeffs, e_star=float(e_star),
                            params=params)
 

@@ -134,9 +134,9 @@ def apply_event(
     ledgers: list[BankLedger], event: LedgerEvent, repo_haircut: float = 0.0
 ) -> tuple[list[BankLedger], float]:
     """Post one event; returns the new ledgers and the money-supply delta.
-    The event's bank, and its counterparty if it names one, must index
-    `ledgers`, and a bank is not its own counterparty; the repo haircut must
-    be finite and non-negative."""
+    The event's bank, and its counterparty exactly when its kind has one,
+    must index `ledgers`, and a bank is not its own counterparty; the repo
+    haircut must be finite and non-negative."""
     if not (math.isfinite(repo_haircut) and repo_haircut >= 0):
         raise LedgerError(f"repo_haircut must be finite and non-negative, got {repo_haircut}")
     out = list(ledgers)
@@ -147,8 +147,9 @@ def apply_event(
         raise LedgerError(f"bank {event.bank} cannot be its own counterparty")
     i, j, a = event.bank, event.counterparty, event.amount
     own, other = POSTINGS[event.kind]
-    if other is not None and j is None:
-        raise LedgerError(f"{event.kind} requires a counterparty")
+    if (other is None) != (j is None):
+        need = "requires a" if j is None else "takes no"
+        raise LedgerError(f"{event.kind} {need} counterparty")
     if event.kind == "central_bank_repo":
         # the haircut requires posting (1 + h) * amount of performing
         # assets, which stay on the books (encumbrance is not tracked)

@@ -46,7 +46,7 @@ def require_count(name: str, value, least: int) -> None:
 @dataclass(frozen=True)
 class RngStream:
     """A reproducible random stream keyed by (master_seed, stream_index), the
-    two words of its Philox key: integers in [0, 2**64), so no two alias."""
+    two words of its Philox key: integers (not bools) in [0, 2**64), so none alias."""
 
     master_seed: int
     stream_index: int = 0
@@ -54,7 +54,8 @@ class RngStream:
     def __post_init__(self) -> None:
         for name in ("master_seed", "stream_index"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, np.integer)) and 0 <= value < 2**64):
+            if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+                    and 0 <= value < 2**64):
                 raise ValueError(f"{name} must be an integer in [0, 2**64), got {value!r}")
 
     def generator(self) -> np.random.Generator:

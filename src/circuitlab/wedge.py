@@ -224,7 +224,8 @@ def survival_1d(x: float, xi: float, m_lt: float, m_eq: float, tau: float):
     m_eq >= m_lt; below m_lt a surviving path already finishes above m_eq,
     so the law is evaluated at max(m_eq, m_lt).  The reflection term is
     taken in log space, exp(-2 xi (x - m_lt) + log Phi(.)), so a source far
-    above m_lt with xi < 0 meets no inf * 0."""
+    above m_lt with xi < 0 meets no inf * 0, and at max(x, m_lt), so one far
+    below m_lt with xi > 0 (where the survival is 0) cannot overflow."""
     if not (math.isfinite(tau) and tau > 0):
         raise ValueError(f"tau must be positive and finite, got {tau}")
     x = np.asarray(x, dtype=float)
@@ -234,8 +235,9 @@ def survival_1d(x: float, xi: float, m_lt: float, m_eq: float, tau: float):
     sq = math.sqrt(tau)
     first = norm_cdf(-(m_eq - x - xi * tau) / sq)
     from scipy.special import log_ndtr
-    refl = np.exp(-2.0 * xi * (x - m_lt)
-                  + log_ndtr(-(m_eq + x - 2.0 * m_lt - xi * tau) / sq))
+    x_up = np.maximum(x, m_lt)
+    refl = np.exp(-2.0 * xi * (x_up - m_lt)
+                  + log_ndtr(-(m_eq + x_up - 2.0 * m_lt - xi * tau) / sq))
     out = first - refl
     out = np.where(x <= m_lt, 0.0, np.clip(out, 0.0, 1.0))
     return out if out.ndim else float(out)
@@ -502,6 +504,13 @@ def _upper_cuts(x_src, xi, t: float) -> tuple[float, float]:
                  for x, d in zip(_source(x_src), xi))
 
 
+def _lower_cuts(x_src, xi, t: float, floors) -> tuple[float, float]:
+    """Per axis, the mirror of `_upper_cuts` below the drifted source, raised
+    to ``floors``: a far source's rule spans its Gaussian, not the floor."""
+    return tuple(max(m, x + min(d * t, 0.0) - TAIL_SIGMAS * math.sqrt(t) - 1.0)
+                 for x, d, m in zip(_source(x_src), xi, floors))
+
+
 def _terminal_integral(wctx: WedgeContext, t: float, x_src,
                        lower1, upper1, lower2: float, upper2: float,
                        spec: QuadratureSpec, levels: int = 0) -> float:
@@ -612,10 +621,10 @@ def joint_survival_Q(net: BankNetwork, x_src, horizon: float,
     """Probability that neither bank touches its interior boundary on
     [0, T] and both settle in full at T; returns (value, error estimate)."""
     dom, wctx, t_bar = _frame(net, horizon)
-    m1_eq, m2_eq = dom.ctx.m_terminal
+    l1, l2 = _lower_cuts(x_src, wctx.xi, t_bar, dom.ctx.m_terminal)
     u1, u2 = _upper_cuts(x_src, wctx.xi, t_bar)
     return _refined(
-        lambda s: _terminal_integral(wctx, t_bar, x_src, m1_eq, u1, m2_eq, u2, s),
+        lambda s: _terminal_integral(wctx, t_bar, x_src, l1, u1, l2, u2, s),
         spec or QuadratureSpec(), "joint-survival")
 
 

@@ -396,37 +396,63 @@ def test_no_bracket_reported(monkeypatch):
 
 
 def test_overflowing_residual_brackets_no_root():
-    # the residual is positive up to E = 9.32 and not finite from 9.79 on,
-    # where exp(root E) overflows; a NaN once read as a sign change and
-    # handed the solver a bracket it could not use
-    p = EquityParams(mu=-0.164, sigma=0.067, discount=0.178, lambda1=0.096,
-                     delta1=9.76, lambda2=0.054, delta2=4.63)
-    with pytest.raises(RuntimeError, match=r"no sign change .* not finite at \d+ "
-                                           r"barriers, from E = 9\.79"):
-        stationary_barrier(p)
-    # here only the slope row root * exp(root E) overflows: the solve gave
-    # zero coefficients and an exact zero residual at E = 20.5, a false
-    # barrier with V_E(E*) = 0
-    p = EquityParams(mu=-0.0982, sigma=0.0828, discount=0.192, lambda1=0.273,
-                     delta1=3.16, lambda2=0.254, delta2=0.74)
-    with pytest.raises(RuntimeError, match=r"no sign change .* from E = 20\.5"):
-        stationary_barrier(p)
+    # the five-equation residual overflowed for both: the first is positive
+    # up to E = 9.32 and was not finite from 9.79 on, and in the second only
+    # the slope row overflowed, which gave zero coefficients and a false
+    # root at E = 20.5.  The scaled curvature is finite on the whole scan and
+    # changes sign nowhere on it
+    scan = np.geomspace(*dividend.BARRIER_BRACKET, dividend.BARRIER_SCAN_POINTS)
+    for p in (EquityParams(mu=-0.164, sigma=0.067, discount=0.178, lambda1=0.096,
+                           delta1=9.76, lambda2=0.054, delta2=4.63),
+              EquityParams(mu=-0.0982, sigma=0.0828, discount=0.192, lambda1=0.273,
+                           delta1=3.16, lambda2=0.254, delta2=0.74)):
+        roots = symbol_roots(p)
+        weights = 1.0 / dividend._symbol_derivative(roots, p)
+        assert np.isfinite(dividend._curvature(roots, weights, scan)).all()
+        with pytest.raises(RuntimeError, match="no sign change"):
+            stationary_barrier(p)
 
 
-def test_barrier_at_a_scan_point_and_a_non_finite_bisection(monkeypatch):
+def test_barrier_at_a_scan_point_and_a_repeated_root(monkeypatch):
     scan = np.geomspace(*dividend.BARRIER_BRACKET, dividend.BARRIER_SCAN_POINTS)
     # an exact zero at a scan point is the root, with no bisection
-    monkeypatch.setattr(dividend, "_coeffs_for_barrier",
-                        lambda roots, params, e: (np.zeros(4), scan[37] - e))
+    monkeypatch.setattr(dividend, "_curvature", lambda roots, weights, e: scan[37] - e)
     assert stationary_barrier(FIG13_PARAMS).e_star == scan[37]
-    # a residual that is not finite inside the bracket is named, not bisected
-    root = math.sqrt(scan[37] * scan[38])
-    monkeypatch.setattr(dividend, "_coeffs_for_barrier",
-                        lambda roots, params, e: (np.zeros(4),
-                                                  math.nan if scan[37] < e < scan[38]
-                                                  else root - e))
-    with pytest.raises(RuntimeError, match="not finite at trial barrier .* inside the bracket"):
+
+    # a root where psi' vanishes has no finite weight: named before any scan
+    def no_scan(roots, weights, e):
+        raise AssertionError("scanned a non-finite weight")
+
+    roots = symbol_roots(FIG13_PARAMS)
+    monkeypatch.setattr(dividend, "_curvature", no_scan)
+    monkeypatch.setattr(dividend, "symbol_roots", lambda params: roots)
+    monkeypatch.setattr(dividend, "_symbol_derivative",
+                        lambda xi, params: np.where(xi > 0.0, 0.0, 1.0))
+    with pytest.raises(RuntimeError, match="a repeated root has no finite scale-function weight"):
         stationary_barrier(FIG13_PARAMS)
+
+
+def barrier_system(roots: np.ndarray, params: EquityParams, e_star: float) -> np.ndarray:
+    """The 4x4 block of the five-equation system at a trial barrier: V(0) =
+    0, both jump-consistency rows, and the slope row V_E(E*) = 1."""
+    return np.array([
+        np.ones(4),
+        1.0 / (roots + params.delta1),
+        1.0 / (roots + params.delta2),
+        roots * np.exp(roots * e_star),
+    ])
+
+
+def coeffs_for_barrier(roots: np.ndarray, params: EquityParams,
+                       e_star: float) -> tuple[np.ndarray, float]:
+    """The oracle for `stationary_barrier`: the coefficients that solve
+    `barrier_system`, and the fifth equation's curvature residual V_EE(E*),
+    NaN where exp(root E*) overflows."""
+    m = barrier_system(roots, params, e_star)
+    if not np.isfinite(m).all():
+        return np.full(4, np.nan), math.nan
+    coeffs = np.linalg.solve(m, np.array([0.0, 0.0, 0.0, 1.0]))
+    return coeffs, float((coeffs * roots ** 2 * np.exp(roots * e_star)).sum())
 
 
 def _scan_bracket(residual):
@@ -447,12 +473,17 @@ def _scan_bracket(residual):
        lambda2=st.floats(1e-3, 0.5), delta2=st.floats(0.2, 10.0))
 def test_barrier_bisection_matches_brentq(mu, sigma, discount, lambda1, delta1,
                                           lambda2, delta2):
-    """scipy.optimize.brentq is the reference implementation of the barrier
-    root: on the same scan bracket, with the tolerance the bisection stops
-    at (1e-14 + 8.9e-16 E*), it must find the same E*.  Both stop with the
-    root in a bracket that wide, and the bisection returns its midpoint, so
-    they differ by at most 1.5 times it: within 1.5e-13 relative for E* >=
-    0.1; below that the absolute 1e-14 sets the scale."""
+    """scipy.optimize.brentq on the five-equation system's residual is the
+    reference for the barrier root: on the same scan bracket, with the
+    tolerance the bisection stops at (1e-14 + 8.9e-16 E*), it must find the
+    same E*.  Both stop with the root in a bracket that wide, and the
+    bisection returns its midpoint, so they differ by at most 1.5 times it:
+    within 1.5e-13 relative for E* >= 0.1; below that the absolute 1e-14
+    sets the scale.  At the returned E* the system's solution is the
+    scale-function coefficients within 1e-12 of the largest: a root near a
+    jump pole has a far smaller coefficient, which neither side resolves to
+    1e-12 of itself.  So the coefficients meet the system's V(0) and jump
+    rows within 1e-12 of each row's scale."""
     p = EquityParams(mu=mu, sigma=sigma, discount=discount, lambda1=lambda1,
                      delta1=delta1, lambda2=lambda2, delta2=delta2)
     try:
@@ -461,7 +492,7 @@ def test_barrier_bisection_matches_brentq(mu, sigma, discount, lambda1, delta1,
         assume(False)
 
     def residual(e):
-        return dividend._coeffs_for_barrier(roots, p, e)[1]
+        return coeffs_for_barrier(roots, p, e)[1]
 
     bracket = _scan_bracket(residual)
     assume(bracket is not None)
@@ -469,6 +500,11 @@ def test_barrier_bisection_matches_brentq(mu, sigma, discount, lambda1, delta1,
         ref = brentq(residual, *bracket, xtol=1e-14, rtol=8.9e-16)
     sol = stationary_barrier(p)
     assert abs(sol.e_star - ref) <= 1.5 * (1e-14 + 8.9e-16 * ref)
+    oracle, _ = coeffs_for_barrier(roots, p, sol.e_star)
+    scale = np.max(np.abs(oracle))
+    assert np.max(np.abs(sol.coeffs - oracle)) <= 1e-12 * scale
+    rows = barrier_system(roots, p, sol.e_star)[:3]
+    assert np.all(np.abs(rows @ sol.coeffs) <= 1e-12 * (np.abs(rows) @ np.abs(sol.coeffs)))
     assert abs(sol.derivative(sol.e_star, 1) - 1.0) < 1e-10
     assert abs(sol.derivative(sol.e_star, 2)) < 1e-10
 

@@ -136,10 +136,13 @@ def test_infeasible_events_rejected():
      "counterparty 5 is not one of the 2 banks"),
     (LedgerEvent("interbank_lend", 0.5, bank=1, counterparty=1),
      "bank 1 cannot be its own counterparty"),
+    (LedgerEvent("issue_loan_single", 0.5, bank=0, counterparty=1),
+     "issue_loan_single takes no counterparty"),
 ])
 def test_event_outside_the_ledgers_rejected(event, message):
-    # a negative index would post to a bank counted from the end, and a
-    # self-loan would book an interbank claim on the lender itself
+    # a negative index would post to a bank counted from the end, a self-loan
+    # would book an interbank claim on the lender itself, and a counterparty
+    # on a single-bank kind was accepted and left untouched
     with pytest.raises(LedgerError, match=message):
         apply_event(list(STEP_I), event)
 

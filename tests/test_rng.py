@@ -42,6 +42,8 @@ def test_streams_differ_by_index():
     (3, 2**64, "stream_index"),
     (1.5, 0, "master_seed"),            # was an unnamed TypeError when drawn
     (3, 2.0, "stream_index"),
+    (True, 0, "master_seed"),           # was the stream of 1
+    (3, False, "stream_index"),
 ])
 def test_stream_rejects_a_key_outside_64_bits_by_name(seed, index, name):
     with pytest.raises(ValueError, match=rf"^{name} must be an integer in \[0, 2\*\*64\)"):

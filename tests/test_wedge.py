@@ -85,18 +85,35 @@ def test_survival_1d_with_the_terminal_level_below_the_barrier():
 
 
 @settings(deadline=None, max_examples=200)
-@given(x=st.floats(0.0, 1e8), xi=st.floats(-5.0, 5.0), m_lt=st.floats(-5.0, 5.0),
+@given(x=st.floats(-1e8, 1e8), xi=st.floats(-5.0, 5.0), m_lt=st.floats(-5.0, 5.0),
        gap=st.floats(0.0, 10.0), tau=st.floats(1e-2, 1e3))
 @example(x=750.0, xi=-0.5, m_lt=0.0, gap=0.3, tau=2.0)
+@example(x=-1e3, xi=1.0, m_lt=0.0, gap=0.5, tau=1.0)
 def test_survival_1d_is_a_probability_far_from_the_boundary(x, xi, m_lt, gap, tau):
     # exp(-2 xi (x - m_lt)) times the reflected normal tail was inf * 0, a
-    # NaN from x of about 710 at xi = -0.5, where the survival is 1
+    # NaN from x of about 710 at xi = -0.5, where the survival is 1; far
+    # below m_lt with xi > 0 it overflowed, where the survival is 0
     got = survival_1d(x, xi, m_lt, m_lt + gap, tau)
     assert math.isfinite(got) and 0.0 <= got <= 1.0
 
 
 def test_q1_standalone_far_from_the_boundary():
     assert q1_standalone(fig15_network(), 750.0, 12.5) == 1.0
+
+
+@settings(deadline=None, max_examples=100)
+@example(rho=0.3, x1=70.0, x2=1.5)
+@example(rho=0.3, x1=1e4, x2=1.5)
+@given(rho=st.floats(-0.9, 0.9), x1=st.floats(30.0, 1e4), x2=st.floats(0.5, 5.0))
+def test_joint_survival_far_from_bank_1_is_bank_2_alone(rho, x1, x2):
+    # bank 1 neither defaults nor ends short, so Q is bank 2's own survival;
+    # a terminal rule cut only above the source raised QuadratureError from
+    # x1 of about 70, its Gaussian falling between the nodes
+    net = fig15_network(rho=rho)
+    ctx = two_bank_domains(net).ctx
+    alone = survival_1d(x2, ctx.xi[1], 0.0, float(ctx.m_terminal[1]), ctx.scaled_time(12.5))
+    q, _ = joint_survival_Q(net, (x1, x2), 12.5)
+    assert abs(q - alone) < 1e-11
 
 
 def test_survival_1d_against_bridge_sampler():
