@@ -361,7 +361,6 @@ class TwoBankDomains:
 
     ctx: NondimContext
     delta: float               # L1 L2 + L1 L21 + L2 L12
-    m_tilde_eq: np.ndarray     # post-removal terminal levels, scaled
     m1_shift_lt: float         # bank 1's interior and terminal levels once
     m1_shift_eq: float         # bank 2 has defaulted (shifted_levels), scaled
     _net: BankNetwork
@@ -385,20 +384,10 @@ def two_bank_domains(net: BankNetwork) -> TwoBankDomains:
     the wedge semi-analytics and the survival grid build through it."""
     if net.n != 2:
         raise ValueError(f"the two-bank semi-analytics need two banks, got {net.n}")
-    l = net.external_liabilities
-    m = net.mutual
-    r = net.recoveries
-    tilde_eq = np.array([
-        l[0] + m[0, 1] - r[1] * m[1, 0],
-        l[1] + m[1, 0] - r[0] * m[0, 1],
-    ])
     ctx = nondim_context(net)
     (m1_shift_lt,), (m1_shift_eq,) = shifted_levels(net, ctx, 1)
-    return TwoBankDomains(
-        ctx=ctx, delta=float(_delta(net)),
-        m_tilde_eq=ctx.zeta * np.log(tilde_eq / ctx.interior_levels),
-        m1_shift_lt=m1_shift_lt, m1_shift_eq=m1_shift_eq, _net=net,
-    )
+    return TwoBankDomains(ctx=ctx, delta=float(_delta(net)), m1_shift_lt=m1_shift_lt,
+                          m1_shift_eq=m1_shift_eq, _net=net)
 
 
 @dataclass(eq=False)

@@ -497,33 +497,33 @@ class QuadratureSpec:
             raise ValueError(f"target must be positive and finite, got {self.target!r}")
 
 
-def _upper_cuts(x_src, xi, t: float) -> tuple[float, float]:
-    """Per axis, the cut TAIL_SIGMAS standard deviations above the drifted
-    source, which must be interior."""
-    return tuple(x + max(d * t, 0.0) + TAIL_SIGMAS * math.sqrt(t) + 1.0
+def _span(x_src, xi, t: float) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Per axis, the range (lo, hi) that holds the source's Gaussian at time
+    t: TAIL_SIGMAS standard deviations below and above the drifted source,
+    which must be interior.  Every terminal and face rule is cut to it, so a
+    far source's nodes span its Gaussian, not the distance to a boundary."""
+    return tuple((x + min(d * t, 0.0) - TAIL_SIGMAS * math.sqrt(t) - 1.0,
+                  x + max(d * t, 0.0) + TAIL_SIGMAS * math.sqrt(t) + 1.0)
                  for x, d in zip(_source(x_src), xi))
 
 
-def _lower_cuts(x_src, xi, t: float, floors) -> tuple[float, float]:
-    """Per axis, the mirror of `_upper_cuts` below the drifted source, raised
-    to ``floors``: a far source's rule spans its Gaussian, not the floor."""
-    return tuple(max(m, x + min(d * t, 0.0) - TAIL_SIGMAS * math.sqrt(t) - 1.0)
-                 for x, d, m in zip(_source(x_src), xi, floors))
-
-
-def _terminal_integral(wctx: WedgeContext, t: float, x_src,
-                       lower1, upper1, lower2: float, upper2: float,
-                       spec: QuadratureSpec, levels: int = 0) -> float:
-    """Integral of G(t, .) over {lower1(x2) < x1 < upper1, lower2 < x2 < upper2},
-    evaluated as one flat batch so the Bessel series runs once.  Each axis
-    takes `levels` geometric levels toward its lower limit."""
+def _terminal_integral(wctx: WedgeContext, t: float, x_src, floor1, floor2: float,
+                       spec: QuadratureSpec, levels: int = 0, top2: float = math.inf) -> float:
+    """Integral of G(t, .) over {floor1(x2) < x1, floor2 < x2 < top2} cut to
+    the source's `_span`, evaluated as one flat batch so the Bessel series
+    runs once; a range the span leaves empty contributes 0.  Each axis takes
+    `levels` geometric levels toward its lower limit."""
+    (lo1, hi1), (lo2, hi2) = _span(x_src, wctx.xi, t)
+    lower2, upper2 = max(floor2, lo2), min(top2, hi2)
+    if lower2 >= upper2:
+        return 0.0
     x2, w2 = _gl_on_edges(_graded_edges(lower2, upper2, spec.panels, lo=levels), spec.order)
     xs1, xs2, ws = [], [], []
     for x2v, w2v in zip(x2, w2):
-        lo1 = float(lower1(x2v)) if callable(lower1) else float(lower1)
-        if lo1 >= upper1:
+        lower1 = max(float(floor1(x2v)) if callable(floor1) else float(floor1), lo1)
+        if lower1 >= hi1:
             continue
-        x1, w1 = _gl_on_edges(_graded_edges(lo1, upper1, spec.panels, lo=levels), spec.order)
+        x1, w1 = _gl_on_edges(_graded_edges(lower1, hi1, spec.panels, lo=levels), spec.order)
         xs1.append(x1)
         xs2.append(np.full_like(x1, x2v))
         ws.append(w1 * w2v)
@@ -621,11 +621,9 @@ def joint_survival_Q(net: BankNetwork, x_src, horizon: float,
     """Probability that neither bank touches its interior boundary on
     [0, T] and both settle in full at T; returns (value, error estimate)."""
     dom, wctx, t_bar = _frame(net, horizon)
-    l1, l2 = _lower_cuts(x_src, wctx.xi, t_bar, dom.ctx.m_terminal)
-    u1, u2 = _upper_cuts(x_src, wctx.xi, t_bar)
-    return _refined(
-        lambda s: _terminal_integral(wctx, t_bar, x_src, l1, u1, l2, u2, s),
-        spec or QuadratureSpec(), "joint-survival")
+    m1_eq, m2_eq = dom.ctx.m_terminal
+    return _refined(lambda s: _terminal_integral(wctx, t_bar, x_src, m1_eq, m2_eq, s),
+                    spec or QuadratureSpec(), "joint-survival")
 
 
 def q1_standalone(net: BankNetwork, x1, horizon: float):
@@ -665,29 +663,34 @@ def _q1_once(wctx: WedgeContext, dom: TwoBankDomains, x_src, t_bar: float,
     """Q1 on one spec: the terminal mass over D(1,1) and the strip D(1,0),
     plus the flux through bank 2's face against the shifted one-dimensional
     survival.  The face nodes span [m1_shift_lt, m1_shift_eq] and
-    [m1_shift_eq, upper cut], each graded by FACE_LEVELS toward x1' (split
+    [m1_shift_eq, upper cut], each cut to the source's `_span` (a range it
+    leaves empty is dropped) and graded by FACE_LEVELS toward x1' (split
     there if it holds x1', else toward its end nearer x1'): grading only the
     range holding x1' left 1.2e-12 at 6 panels of order 8, from the flux's
     tail across m1_shift_eq; without face levels, 9 of 90 off-benchmark calls
     (x2' in [0.7, 1.5], horizons 20-40) missed the 1e-6 target."""
     m1_eq, m2_eq = dom.ctx.m_terminal
     m1_shift_lt, m1_shift_eq = dom.m1_shift_lt, dom.m1_shift_eq
-    u1, u2 = _upper_cuts(x_src, wctx.xi, t_bar)
 
     # terminal: D(1,1) plus the curvilinear bank-2-defaults strip D(1,0)
-    both = _terminal_integral(wctx, t_bar, x_src, m1_eq, u1, m2_eq, u2, spec)
+    both = _terminal_integral(wctx, t_bar, x_src, m1_eq, m2_eq, spec)
     strip = _terminal_integral(
-        wctx, t_bar, x_src, lambda x2: dom.theta_curve(0, x2), u1, 0.0, m2_eq, spec)
+        wctx, t_bar, x_src, lambda x2: dom.theta_curve(0, x2), 0.0, spec, top2=m2_eq)
 
     # flux through bank 2's face against the shifted one-dimensional law,
     # whose remaining-life survival develops a step at the shifted terminal
     # level as tau -> 0: a panel edge there keeps the rule spectral.  At
     # small s the face flux is a Gaussian of width sqrt(s) about x1', so both
     # ranges are graded toward it
+    (lo1, hi1), _ = _span(x_src, wctx.xi, t_bar)
     xs1 = float(x_src[0])
-    lo_edges = _edges_toward(m1_shift_lt, m1_shift_eq, _lower_face_panels(spec.panels), xs1)
-    hi_edges = _edges_toward(m1_shift_eq, u1, spec.panels, xs1)
-    x1_nodes, x1_w = _gl_on_edges(np.concatenate([lo_edges, hi_edges[1:]]), spec.order)
+    a = max(m1_shift_lt, lo1)
+    mid = min(max(m1_shift_eq, a), hi1)
+    rules = [_gl_on_edges(_edges_toward(p, q, n, xs1), spec.order) for p, q, n in (
+        (a, mid, _lower_face_panels(spec.panels)), (mid, hi1, spec.panels)) if p < q]
+    if not rules:
+        return both + strip
+    x1_nodes, x1_w = (np.concatenate(r) for r in zip(*rules))
 
     def remaining_life(tau):
         if tau <= 1e-14:
@@ -713,16 +716,17 @@ def conservation_check(net: BankNetwork, x_src, horizon: float) -> dict:
     1.6e-10 over rho in [-0.9, 0.9], sources in [0.3, 5]^2 and calendar
     horizons 1-150 (`tests/test_wedge.py`)."""
     _, wctx, t_bar = _frame(net, horizon)
-    u1, u2 = _upper_cuts(x_src, wctx.xi, t_bar)
+    span1, span2 = _span(x_src, wctx.xi, t_bar)
     xs1, xs2 = _source(x_src)
     parts = {}
 
     def total(s: QuadratureSpec) -> float:
-        parts["interior"] = _terminal_integral(wctx, t_bar, x_src, 0.0, u1, 0.0, u2, s,
-                                               INTERIOR_LEVELS)
-        for face, cut, proj in ((2, u1, xs1), (1, u2, xs2)):
-            nodes, weights = _gl_on_edges(_edges_toward(
-                0.0, cut, s.panels, proj, lo=GRADED_LEVELS, levels=CHECK_FACE_LEVELS), s.order)
+        parts["interior"] = _terminal_integral(wctx, t_bar, x_src, 0.0, 0.0, s, INTERIOR_LEVELS)
+        # a face's span above the axis holds the source's projection: never empty
+        for face, (lo, hi), proj in ((2, span1, xs1), (1, span2, xs2)):
+            edges = _edges_toward(max(0.0, lo), hi, s.panels, proj, lo=GRADED_LEVELS,
+                                  levels=CHECK_FACE_LEVELS)
+            nodes, weights = _gl_on_edges(edges, s.order)
             parts[f"flux_face{face}"] = _flux_integral(
                 wctx, t_bar, x_src, face, nodes, weights, s, time_levels=CHECK_TIME_LEVELS)
         return parts["interior"] + parts["flux_face1"] + parts["flux_face2"]

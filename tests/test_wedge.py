@@ -116,6 +116,35 @@ def test_joint_survival_far_from_bank_1_is_bank_2_alone(rho, x1, x2):
     assert abs(q - alone) < 1e-11
 
 
+# Q1 with one bank far from its boundary, at horizon 12.5: its terminal and
+# face rules were cut only above the source, so the few dozen nodes between
+# the floor and the source missed its Gaussian.  Q1 raised QuadratureError
+# from about 60 units at every example below, and returned 0.103 at source
+# (1e8, 1.5), where it is 1
+@settings(deadline=None, max_examples=8)
+@example(rho=0.3, far=70.0, near=1.5)
+@example(rho=0.3, far=1e4, near=1.5)
+@given(rho=st.floats(-0.9, 0.9), far=st.floats(30.0, 1e4), near=st.floats(0.5, 5.0))
+def test_q1_far_from_bank_1_is_bank_1_alone(rho, far, near):
+    net = fig15_network(rho=rho)
+    q1, _ = marginal_survival_Q1(net, (far, near), 12.5)
+    assert abs(q1 - q1_standalone(net, far, 12.5)) < 1e-11
+
+
+@settings(deadline=None, max_examples=20)
+@example(rho=0.3, near=2.0, far=70.0)
+@example(rho=0.3, near=2.0, far=1e4)
+@given(rho=st.floats(-0.9, 0.9), near=st.floats(0.5, 5.0), far=st.floats(30.0, 1e4))
+def test_q1_far_from_bank_2_is_bank_1_alone(rho, near, far):
+    # bank 2 never defaults nor ends short, so bank 1 keeps its own
+    # boundaries, and Q cannot exceed Q1
+    net = fig15_network(rho=rho)
+    q, err_q = joint_survival_Q(net, (near, far), 12.5)
+    q1, err_q1 = marginal_survival_Q1(net, (near, far), 12.5)
+    assert abs(q1 - q1_standalone(net, near, 12.5)) < 1e-11
+    assert q <= q1 + err_q + err_q1
+
+
 def test_survival_1d_against_bridge_sampler():
     # exact Monte Carlo: terminal draw + Brownian-bridge crossing probability
     x0, m_lt, m_eq, tau = 1.0, 0.0, 0.5, 1.0
@@ -224,6 +253,26 @@ def test_conservation_holds_for_sources_near_a_face(rho, x1, x2, log_horizon):
     assert res["err"] <= QuadratureSpec().target
 
 
+# a source far from face 1 at horizon 12.5: face 2's rule and the interior's
+# ran from the axis, so their nodes missed the source's Gaussian; the check
+# raised QuadratureError at (1e3, 2), having achieved only 1.71
+@settings(deadline=None, max_examples=6)
+@example(rho=0.3, far=1e3, near=2.0)
+@given(rho=st.floats(-0.9, 0.9), far=st.floats(30.0, 1e4), near=st.floats(0.5, 5.0))
+def test_conservation_holds_far_from_face_1(rho, far, near):
+    res = conservation_check(fig15_network(rho=rho), (far, near), 12.5)
+    assert abs(res["total"] - 1.0) < CONSERVATION_BOUND
+
+
+def _m_tilde_eq(net):
+    """Post-removal terminal levels, scaled, from their explicit formula
+    L_i + L_ij - R_j L_ji: the oracle for Theta_i(0) and the shifted level."""
+    l, m, r = net.external_liabilities, net.mutual, net.recoveries
+    tilde_eq = np.array([l[0] + m[0, 1] - r[1] * m[1, 0], l[1] + m[1, 0] - r[0] * m[0, 1]])
+    ctx = nondim_context(net)
+    return ctx.zeta * np.log(tilde_eq / ctx.interior_levels)
+
+
 def test_domain_endpoint_identities():
     # Theta_i(0) lands on the post-removal terminal level and
     # Theta_i(M_other) on the bank's own terminal level
@@ -238,15 +287,16 @@ def test_domain_endpoint_identities():
             continue
         dom = two_bank_domains(net)
         ctx = nondim_context(net)
-        assert dom.theta_curve(0, 0.0) == pytest.approx(dom.m_tilde_eq[0], abs=1e-12)
-        assert dom.theta_curve(1, 0.0) == pytest.approx(dom.m_tilde_eq[1], abs=1e-12)
+        m_tilde_eq = _m_tilde_eq(net)
+        assert dom.theta_curve(0, 0.0) == pytest.approx(m_tilde_eq[0], abs=1e-12)
+        assert dom.theta_curve(1, 0.0) == pytest.approx(m_tilde_eq[1], abs=1e-12)
         assert dom.theta_curve(0, ctx.m_terminal[1]) == pytest.approx(
             ctx.m_terminal[0], abs=1e-12)
         assert dom.theta_curve(1, ctx.m_terminal[0]) == pytest.approx(
             ctx.m_terminal[1], abs=1e-12)
         # the post-removal terminal level IS the tilde boundary
         (_,), (m_eq_shift,) = shifted_levels(net, ctx, 1)
-        assert m_eq_shift == pytest.approx(dom.m_tilde_eq[0], abs=1e-12)
+        assert m_eq_shift == pytest.approx(m_tilde_eq[0], abs=1e-12)
 
 
 def test_joint_survival_limits():
