@@ -30,10 +30,10 @@ other bank's boundary face.  That time integral converges only
 algebraically on uniform panels, so its rules are graded geometrically
 toward their layers (`_graded_edges`): both ends of the time rule, and on
 the face toward the source coordinate.  On the default QuadratureSpec, Q1
-at the source (2, 2) and horizon 12.5 lies within 9e-16 of a 32-panel,
+at the source (2, 2) and horizon 12.5 lies within 7e-16 of a 32-panel,
 96-time-panel reference at rho = 0, -0.5 and 0.3, where the uniform rule it
 replaced (8 panels, 24 time panels) was 6e-12 to 1.2e-11 off; Q is within
-7e-16.  `_refined`'s error estimate compares the spec with one whose every
+6.3e-16.  `_refined`'s error estimate compares the spec with one whose every
 uniform panel count grows (at least 1.5 times, rounded up), and the level
 counts are fixed, so it measures the uniform panels' part.  Every entry
 point builds its frame through `network.two_bank_domains`, the one check
@@ -91,8 +91,8 @@ ALPHA_ULPS = 4
 # an image angle within SEAM_TOL of -pi or pi lies on the image window's seam;
 # the image angles' rounding measured at most one ulp of pi (4.4e-16)
 SEAM_TOL = 1e-14
-# the terminal quadrature is cut TAIL_SIGMAS standard deviations above the
-# drifted source: the Gaussian tail beyond it is below 1e-16
+# every quadrature range is cut TAIL_SIGMAS standard deviations either side
+# of the drifted source (`_span`): the Gaussian tail beyond each is below 1e-16
 TAIL_SIGMAS = 8.5
 # geometric levels toward a quadrant axis, the smallest panel 2**-30 of the
 # graded end piece: the boundary flux there behaves like x^(nu_1 - 1), a
@@ -502,8 +502,8 @@ def _span(x_src, xi, t: float) -> tuple[tuple[float, float], tuple[float, float]
     t: TAIL_SIGMAS standard deviations below and above the drifted source,
     which must be interior.  Every terminal and face rule is cut to it, so a
     far source's nodes span its Gaussian, not the distance to a boundary."""
-    return tuple((x + min(d * t, 0.0) - TAIL_SIGMAS * math.sqrt(t) - 1.0,
-                  x + max(d * t, 0.0) + TAIL_SIGMAS * math.sqrt(t) + 1.0)
+    return tuple((x + min(d * t, 0.0) - TAIL_SIGMAS * math.sqrt(t),
+                  x + max(d * t, 0.0) + TAIL_SIGMAS * math.sqrt(t))
                  for x, d in zip(_source(x_src), xi))
 
 
