@@ -18,9 +18,9 @@ pays below par by more than 1e-10 (`clearing_vector`).
 `simulate_paths` holds a chunk's state bank-major, (N, paths), the layout
 of the (dims, paths) noise rows `PathNoise.rows` yields, so a step reads
 and writes contiguous rows with no transpose; only its records are
-path-major.  PATH_CHUNK = 2,048 is the widest chunk whose two-bank noise
-draws reach `rng.THREAD_VALUES` values per path, the size from which
-`PathNoise` shares a draw with its worker thread.
+path-major.  PATH_CHUNK = 2,048 is the widest chunk whose noise draws
+reach `rng.THREAD_VALUES` values per path, the size from which `PathNoise`
+shares a draw with its worker thread.
 """
 
 from __future__ import annotations
@@ -209,10 +209,10 @@ SOLVENT_OMEGA = 1.0 - 1e-9
 SHORT_MARGIN = 1e-10
 # paths run at once by simulate_paths and two_bank_survival_grid: a chunk
 # bounds memory, and each path draws its own noise, so no result depends on
-# it.  A simulate_paths chunk draws rng.NOISE_VALUES // (N * PATH_CHUNK)
-# steps at a time: 256 for two banks, 512 values per path, which reaches
-# rng.THREAD_VALUES, so the fill runs on two threads.  A wider chunk draws
-# fewer values per path, on one thread
+# it.  A simulate_paths chunk draws rng.NOISE_VALUES // PATH_CHUNK = 512
+# values per path at a time, rounded up to whole steps (256 for two banks),
+# which reaches rng.THREAD_VALUES at every N, so the fill runs on two
+# threads.  A wider chunk draws fewer values per path, on one thread
 PATH_CHUNK = 2048
 GRID_CHUNK = 256
 

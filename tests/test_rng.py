@@ -236,8 +236,9 @@ def test_path_noise_blocks_are_each_paths_own_draws():
 @given(budget=st.integers(1, 64), n_steps=st.integers(0, 40), dims=st.integers(1, 4),
        n_paths=st.integers(1, 5))
 def test_rows_are_the_steps_of_one_normals_draw(budget, n_steps, dims, n_paths):
-    # rows draws blocks of max(1, budget // (dims * n_paths)) steps, and
-    # their steps are those of a single draw of the whole run, bit for bit
+    # rows draws blocks of budget // n_paths values per path rounded up to
+    # whole steps, and their steps are those of a single draw of the whole
+    # run, bit for bit
     noise = PathNoise(RngStream(4), n_paths)
     draw = noise.normals
     blocks = []
@@ -249,12 +250,30 @@ def test_rows_are_the_steps_of_one_normals_draw(budget, n_steps, dims, n_paths):
     noise.normals = traced
     with mock.patch.object(rng, "NOISE_VALUES", budget):
         rows = list(noise.rows(n_steps, dims))
-    step = max(1, budget // (dims * n_paths))
+    step = max(1, -(-(budget // n_paths) // dims))
     assert blocks == [min(step, n_steps - k) for k in range(0, n_steps, step)]
     whole = PathNoise(RngStream(4), n_paths).normals(n_steps, dims)
     assert len(rows) == n_steps
     if rows:
         assert np.stack(rows).tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("n_paths", [1, 7, 256, 2000, 2048])
+def test_rows_blocks_hold_the_budget_per_path_at_every_dims(n_paths, monkeypatch):
+    # a block holds NOISE_VALUES // n_paths values per path rounded up to
+    # whole steps, so a 2,048-path block reaches THREAD_VALUES at every dims;
+    # rounded down, dims 3, 5, 6 and 7 drew 510 or 511 values per path and
+    # filled on one thread
+    noise = PathNoise(RngStream(0), n_paths)
+    blocks = []
+    monkeypatch.setattr(noise, "normals", lambda steps, dims: blocks.append(steps * dims)
+                        or np.empty((1, dims, n_paths)))
+    per_path = rng.NOISE_VALUES // n_paths
+    for dims in range(1, 9):
+        next(noise.rows(10**9, dims))
+        assert per_path <= blocks[-1] < per_path + dims
+    if n_paths == network.PATH_CHUNK:
+        assert min(blocks) >= rng.THREAD_VALUES
 
 
 def _jump_network_run():
