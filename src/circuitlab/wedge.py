@@ -556,8 +556,10 @@ def _flux_integral(wctx: WedgeContext, t_bar: float, x_src, face: int,
     t_all, w_all = [], []
     for u, wu in zip(u_nodes, u_weights):
         s = t_bar - u * u
-        # flux bound: exp(-X'^2 / 2s) caps the absorbed mass density
-        if s <= 0.0 or xs_other * xs_other / (2.0 * s) > 42.0:
+        # flux bound: the face coordinate's own first passage at s, whose
+        # density carries exp(-d^2 / 2s) at the drifted distance d > 0
+        d = xs_other + wctx.xi[face - 1] * s
+        if s <= 0.0 or (d > 0.0 and d * d / (2.0 * s) > 42.0):
             continue
         t_all.append(np.full_like(nodes, s))
         w_all.append(2.0 * u * wu * weights * survival(u * u))
