@@ -254,9 +254,10 @@ class PathNoise:
     Path j's draws depend only on (master_seed, first_path + j), never on the
     total path count or scheduling, so chunked or parallel execution cannot
     change results.  Each generator draws in sequence, so `rows`, which owns
-    the time blocking, splits a run into draws of about NOISE_VALUES = 2**20
-    values (at most (dims - 1) n_paths more) without changing a value: 2,048 steps of 2 x 256 paths, so the per-path
-    generator loop runs rarely, and 128 of 2 x 4,096, so a block stays small.
+    the time blocking, splits a run into draws of NOISE_VALUES = 2**20 values
+    (rounded up to whole steps) without changing a value: 2,048 steps of 2 x
+    256 paths, so the per-path generator loop runs rarely, and 128 of 2 x
+    4,096, so a block stays small.
 
     A draw is a C-contiguous (n_steps, dims, n_paths) block, so each step
     `rows` yields is a contiguous (dims, n_paths) array.  Paths fill it
@@ -295,9 +296,8 @@ class PathNoise:
     def rows(self, n_steps: int, dims: int) -> Iterator[np.ndarray]:
         """One contiguous (dims, n_paths) array of standard normals per step,
         via `normals`, in blocks of NOISE_VALUES // n_paths values per path
-        rounded up to whole steps, so every dims draws at least that many: at
-        2,048 paths the 512 of THREAD_VALUES, which a block rounded down
-        missed at dims 3, 5, 6 and 7."""
+        rounded up to whole steps: at 2,048 paths every dims reaches
+        THREAD_VALUES."""
         _require_shape(n_steps, dims)
         block = max(1, -(-(NOISE_VALUES // len(self._gens)) // dims))
         for k in range(0, n_steps, block):

@@ -665,8 +665,8 @@ def _q1_once(wctx: WedgeContext, dom: TwoBankDomains, x_src, t_bar: float,
     """Q1 on one spec: the terminal mass over D(1,1) and the strip D(1,0),
     plus the flux through bank 2's face against the shifted one-dimensional
     survival.  The face nodes span [m1_shift_lt, m1_shift_eq] and
-    [m1_shift_eq, upper cut], each cut to the source's `_span` (a range it
-    leaves empty is dropped) and graded by FACE_LEVELS toward x1' (split
+    [m1_shift_eq, inf), each cut to the source's `_span` (a range it leaves
+    empty is dropped) and graded by FACE_LEVELS toward x1' (split
     there if it holds x1', else toward its end nearer x1'): grading only the
     range holding x1' left 1.2e-12 at 6 panels of order 8, from the flux's
     tail across m1_shift_eq; without face levels, 9 of 90 off-benchmark calls
