@@ -686,10 +686,10 @@ def _q1_once(wctx: WedgeContext, dom: TwoBankDomains, x_src, t_bar: float,
     # ranges are graded toward it
     (lo1, hi1), _ = _span(x_src, wctx.xi, t_bar)
     xs1 = float(x_src[0])
-    a = max(m1_shift_lt, lo1)
-    mid = min(max(m1_shift_eq, a), hi1)
+    start = max(m1_shift_lt, lo1)
+    mid = min(max(m1_shift_eq, start), hi1)
     rules = [_gl_on_edges(_edges_toward(p, q, n, xs1), spec.order) for p, q, n in (
-        (a, mid, _lower_face_panels(spec.panels)), (mid, hi1, spec.panels)) if p < q]
+        (start, mid, _lower_face_panels(spec.panels)), (mid, hi1, spec.panels)) if p < q]
     if not rules:
         return both + strip
     x1_nodes, x1_w = (np.concatenate(r) for r in zip(*rules))
