@@ -218,21 +218,22 @@ class WedgeContext:
         return r, phi
 
 
-def survival_1d(x: float, xi: float, m_lt: float, m_eq: float, tau: float):
+def survival_1d(x: float, xi: float, m_lt: float, m_eq: float, tau):
     """Closed-form survival of drifted Brownian motion: never touch m_lt on
-    [0, tau] and finish at or above m_eq.  The reflection formula holds for
-    m_eq >= m_lt; below m_lt a surviving path already finishes above m_eq,
-    so the law is evaluated at max(m_eq, m_lt).  The reflection term is
-    taken in log space, exp(-2 xi (x - m_lt) + log Phi(.)), so a source far
-    above m_lt with xi < 0 meets no inf * 0, and at max(x, m_lt), so one far
-    below m_lt with xi > 0 (where the survival is 0) cannot overflow."""
-    if not (math.isfinite(tau) and tau > 0):
+    [0, tau] (tau positive, or an array of them against ``x``) and finish at
+    or above m_eq.  The reflection formula holds for m_eq >= m_lt; below m_lt
+    a surviving path already finishes above m_eq, so the law is evaluated at
+    max(m_eq, m_lt).  The reflection term is taken in log space, exp(-2 xi
+    (x - m_lt) + log Phi(.)), so a source far above m_lt with xi < 0 meets no
+    inf * 0, and at max(x, m_lt), so one far below it with xi > 0 cannot."""
+    tau = np.asarray(tau, dtype=float)
+    if not np.all(np.isfinite(tau) & (tau > 0)):
         raise ValueError(f"tau must be positive and finite, got {tau}")
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("source point must be finite")
     m_eq = max(m_eq, m_lt)
-    sq = math.sqrt(tau)
+    sq = np.sqrt(tau)
     first = norm_cdf(-(m_eq - x - xi * tau) / sq)
     from scipy.special import log_ndtr
     x_up = np.maximum(x, m_lt)
@@ -538,9 +539,10 @@ def _flux_integral(wctx: WedgeContext, t_bar: float, x_src, face: int,
                    time_levels: int = TIME_LEVELS) -> float:
     """Integral over s in [0, T] and the face nodes of the boundary flux at
     time s times survival(T - s), in flat boundary_flux batches of at most
-    FLUX_BATCH points.
-    Substituting s = T - u^2 makes a remaining-life survival smooth in the
-    integration variable (it depends on u = sqrt(tau) directly).
+    FLUX_BATCH points; `survival` takes every kept remaining life at once, as
+    a column, and gives a row over the nodes for each.  Substituting s = T -
+    u^2 makes a remaining-life survival smooth in the integration variable
+    (it depends on u = sqrt(tau) directly).
 
     The u rule on [0, sqrt(T)] keeps spec.time_panels uniform panels in the
     middle and `time_levels` geometric levels at each end, where the integrand
@@ -551,24 +553,22 @@ def _flux_integral(wctx: WedgeContext, t_bar: float, x_src, face: int,
     1e-15 at the benchmark's source, and 6 levels instead of 8 left errors
     up to 7e-10 at sources near bank 2's boundary (x2' = 0.5, horizon 40)."""
     xs_other = float(x_src[face - 1])
-    u_nodes, u_weights = _gl_on_edges(
+    u, wu = _gl_on_edges(
         _graded_edges(0.0, math.sqrt(t_bar), spec.time_panels, time_levels, time_levels), 10)
-    t_all, w_all = [], []
-    for u, wu in zip(u_nodes, u_weights):
-        s = t_bar - u * u
-        # flux bound: the face coordinate's own first passage at s, whose
-        # density carries exp(-d^2 / 2s) at the drifted distance d > 0
-        d = xs_other + wctx.xi[face - 1] * s
-        if s <= 0.0 or (d > 0.0 and d * d / (2.0 * s) > 42.0):
-            continue
-        t_all.append(np.full_like(nodes, s))
-        w_all.append(2.0 * u * wu * weights * survival(u * u))
+    s = t_bar - u * u
+    # flux bound: the face coordinate's own first passage at s, whose
+    # density carries exp(-d^2 / 2s) at the drifted distance d > 0
+    d = xs_other + wctx.xi[face - 1] * s
+    far = np.divide(d * d, 2.0 * s, out=np.zeros_like(s), where=s > 0.0) > 42.0
+    keep = (s > 0.0) & ~((d > 0.0) & far)
+    u, wu, s = u[keep, None], wu[keep, None], s[keep]
+    w = 2.0 * u * wu * weights * survival(u * u)
     per_call = max(1, FLUX_BATCH // len(nodes))
     total = 0.0
-    for k in range(0, len(t_all), per_call):
-        ts, ws = t_all[k:k + per_call], w_all[k:k + per_call]
-        g = boundary_flux(wctx, np.concatenate(ts), np.tile(nodes, len(ts)), x_src, face=face)
-        total += float(np.dot(np.concatenate(ws), g))
+    for k in range(0, len(s), per_call):
+        ts = np.repeat(s[k:k + per_call], len(nodes))
+        g = boundary_flux(wctx, ts, np.resize(nodes, len(ts)), x_src, face=face)
+        total += float(np.dot(w[k:k + per_call].ravel(), g))
     return total
 
 
@@ -695,9 +695,9 @@ def _q1_once(wctx: WedgeContext, dom: TwoBankDomains, x_src, t_bar: float,
     x1_nodes, x1_w = (np.concatenate(r) for r in zip(*rules))
 
     def remaining_life(tau):
-        if tau <= 1e-14:
-            return (x1_nodes >= m1_shift_eq).astype(float)
-        return survival_1d(x1_nodes, wctx.xi[0], m1_shift_lt, m1_shift_eq, tau)
+        # a remaining life at or below 1e-14 takes the law's step at m1_shift_eq
+        law = survival_1d(x1_nodes, wctx.xi[0], m1_shift_lt, m1_shift_eq, np.maximum(tau, 1e-14))
+        return np.where(tau > 1e-14, law, x1_nodes >= m1_shift_eq)
 
     flux_total = _flux_integral(wctx, t_bar, x_src, 2, x1_nodes, x1_w, spec, remaining_life)
 

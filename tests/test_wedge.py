@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.special import ive
 
 from circuitlab import wedge
@@ -97,6 +98,28 @@ def test_survival_1d_is_a_probability_far_from_the_boundary(x, xi, m_lt, gap, ta
     assert math.isfinite(got) and 0.0 <= got <= 1.0
 
 
+@settings(deadline=None, max_examples=100)
+@given(x=arrays(float, st.integers(1, 6), elements=st.floats(-20.0, 20.0)),
+       xi=st.floats(-5.0, 5.0), m_lt=st.floats(-5.0, 5.0), m_eq=st.floats(-5.0, 10.0),
+       tau=arrays(float, st.integers(1, 5), elements=st.floats(1e-12, 1e3)))
+def test_survival_1d_takes_an_array_tau(x, xi, m_lt, m_eq, tau):
+    # a column of remaining lives against a row of sources, or a row of them
+    # at one source: every entry is the scalar call's, bit for bit
+    rows = survival_1d(x, xi, m_lt, m_eq, tau[:, None])
+    assert rows.shape == (len(tau), len(x))
+    for row, t in zip(rows, tau):
+        assert row.tobytes() == survival_1d(x, xi, m_lt, m_eq, float(t)).tobytes()
+    at_one = survival_1d(float(x[0]), xi, m_lt, m_eq, tau)
+    assert at_one.tobytes() == np.array(
+        [survival_1d(float(x[0]), xi, m_lt, m_eq, float(t)) for t in tau]).tobytes()
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_survival_1d_names_a_bad_tau_entry(bad):
+    with pytest.raises(ValueError, match="tau"):
+        survival_1d(np.array([1.0, 2.0]), -0.1, 0.0, 0.5, np.array([[1.0], [bad], [2.0]]))
+
+
 def test_q1_standalone_far_from_the_boundary():
     assert q1_standalone(fig15_network(), 750.0, 12.5) == 1.0
 
@@ -143,6 +166,41 @@ def test_q1_far_from_bank_2_is_bank_1_alone(rho, near, far):
     q1, err_q1 = marginal_survival_Q1(net, (near, far), 12.5)
     assert abs(q1 - q1_standalone(net, near, 12.5)) < 1e-11
     assert q <= q1 + err_q + err_q1
+
+
+def _survivals(net, x_src, horizon):
+    """(Q, its estimate, Q1, its estimate), each finite, or None where a
+    rule misses its target or a series its orders, by name."""
+    try:
+        out = (*joint_survival_Q(net, x_src, horizon), *marginal_survival_Q1(net, x_src, horizon))
+    except (QuadratureError, SeriesError):
+        return None
+    assert all(math.isfinite(v) for v in out)
+    return out
+
+
+@settings(deadline=None, max_examples=10)
+@example(rho=0.3, x1=2.0, x2=2.0, horizon=12.5)
+@given(rho=st.floats(-0.9, 0.9), x1=st.floats(0.3, 30.0), x2=st.floats(0.3, 30.0),
+       horizon=st.floats(1.0, 40.0))
+def test_survival_bounds_and_growth_in_the_source(rho, x1, x2, horizon):
+    # 0 <= Q <= Q1 <= 1, and neither falls as a source coordinate grows by
+    # 10%, each within the calls' estimates and 1e-13 of rounding (a far
+    # source fell by 1.4e-14 with estimates of 1e-16)
+    net = fig15_network(rho=rho)
+    base = _survivals(net, (x1, x2), horizon)
+    if base is None:
+        return
+    q, err_q, q1, err_q1 = base
+    assert 0.0 <= q <= q1 + err_q + err_q1
+    assert q1 <= 1.0 + err_q1 + 1e-13
+    for grown in ((1.1 * x1, x2), (x1, 1.1 * x2)):
+        after = _survivals(net, grown, horizon)
+        if after is None:
+            continue
+        q_up, err_q_up, q1_up, err_q1_up = after
+        assert q_up >= q - err_q - err_q_up - 1e-13
+        assert q1_up >= q1 - err_q1 - err_q1_up - 1e-13
 
 
 def test_survival_1d_against_bridge_sampler():
