@@ -8,7 +8,7 @@ Importing any module loads numpy only.  The circuit models (`goodwin`,
 uses it: `wedge.norm_cdf` and `wedge.survival_1d` (`scipy.special.ndtr` and
 `log_ndtr`), and `dividend.solve_variational` (LAPACK `dgttrf`/`dgttrs` from
 `scipy.linalg.lapack` and the BLAS `dtbsv`).  `dividend.stationary_barrier`
-finds E* by bisection on its scanned bracket, to 1e-14 + 8.9e-16 E*, with
-numpy alone."""
+bisects the symbol's roots and its scanned bracket of E* to adjacent
+doubles with numpy alone."""
 
 __version__ = "0.1.0"
